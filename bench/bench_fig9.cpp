@@ -320,13 +320,8 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--quick") quick = true;
-    if (arg.rfind("--json=", 0) == 0) {
-      name = arg.substr(7);
-      if (name.rfind("BENCH_", 0) == 0) name = name.substr(6);
-      const std::size_t dot = name.rfind(".json");
-      if (dot != std::string::npos) name = name.substr(0, dot);
-      if (name.empty()) name = "fig9";
-    }
+    if (arg.rfind("--json=", 0) == 0)
+      name = q2::bench::json_flag_name(arg.substr(7), "fig9");
   }
   return run(name, quick);
 }

@@ -260,22 +260,13 @@ int main(int argc, char** argv) {
   // it to the ctest-perf-label shape.
   bool quick = false;
   std::string json_name;
-  bool has_json = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--quick") quick = true;
-    if (arg.rfind("--json=", 0) == 0) {
-      has_json = true;
-      std::string name = arg.substr(7);
-      // BenchReport writes BENCH_<name>.json; accept either spelling.
-      if (name.rfind("BENCH_", 0) == 0) name = name.substr(6);
-      const std::size_t dot = name.rfind(".json");
-      if (dot != std::string::npos) name = name.substr(0, dot);
-      json_name = name;
-    }
+    if (arg.rfind("--json=", 0) == 0)
+      json_name = q2::bench::json_flag_name(arg.substr(7), "gemm");
   }
-  if (has_json)
-    return run_gemm_sweep(json_name.empty() ? "gemm" : json_name, quick);
+  if (!json_name.empty()) return run_gemm_sweep(json_name, quick);
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

@@ -1,25 +1,35 @@
-// On-node parallel energy evaluation: the level-2 Pauli-measurement sweep
-// and the parameter-shift gradient of a full H4/STO-3G UCCSD energy
-// evaluation, serial (1 thread) versus the shared-memory pool (§IV-C folded
-// on-node). Reports wall-time speedups and verifies the parallel energies
-// are byte-identical to serial — the index-order reduction guarantee.
+// On-node and distributed parallel evaluation of a full H4/STO-3G UCCSD
+// energy and its gradients: the level-2 Pauli-measurement sweep, the
+// parameter-shift gradient, and the central-difference gradient dealt over
+// pool workers and over ranks, each against its serial run. Verifies that
+// every parallel result is byte-identical to serial — the index-order
+// reduction and single-owner gradient guarantees.
 //
-//   ./bench_parallel_energy [--threads=N] [reps]
+//   ./bench_parallel_energy [--threads=N] [--quick] [--json=BENCH_x.json]
+//                           [reps]
 //
 // N defaults to 4 (the acceptance configuration); speedups are only
-// meaningful with >= N hardware cores.
+// meaningful with >= N hardware cores. `--quick` runs only the gradient
+// section, the shape the ctest `perf` label gates: its `*_updates` keys are
+// exact two-site-update counts (zero tolerance in bench_diff, so a change
+// that loses prefix sharing fails on any host), wall times sit in
+// informational `*_s` keys, and `perf_floor_ok` holds the byte-identity of
+// the serial, threaded and 4-rank gradients.
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
 #include "bench_util.hpp"
+#include "parallel/comm.hpp"
 #include "parallel/thread_pool.hpp"
-#include "vqe/energy.hpp"
-#include "vqe/uccsd.hpp"
+#include "vqe/vqe_driver.hpp"
 
 namespace {
 
 using namespace q2;
+
+constexpr int kRanks = 4;
 
 double time_energy(const vqe::EnergyEvaluator& eval,
                    const std::vector<double>& params, int reps, double* e) {
@@ -28,47 +38,39 @@ double time_energy(const vqe::EnergyEvaluator& eval,
   return t.seconds() / reps;
 }
 
-double time_gradient(const vqe::EnergyEvaluator& eval,
-                     const std::vector<double>& params, int reps,
-                     std::vector<double>* g) {
-  Timer t;
-  for (int r = 0; r < reps; ++r) *g = eval.parameter_shift_gradient(params);
-  return t.seconds() / reps;
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
 }
 
-}  // namespace
+// Two-site updates (the mps.gates counter) of one call and its best wall
+// time over `reps` calls. Best-of, because the first parallel run after a
+// serial phase can take up to twice as long while idle cores ramp up.
+template <typename Fn>
+std::pair<std::uint64_t, double> measure(int reps, Fn&& fn) {
+  obs::Counter& updates = obs::Registry::global().counter("mps.gates");
+  const std::uint64_t before = updates.value();
+  double best = 1e300;
+  for (int r = 0; r < reps; ++r) {
+    Timer t;
+    fn();
+    best = std::min(best, t.seconds());
+  }
+  return {(updates.value() - before) / std::uint64_t(reps), best};
+}
 
-int main(int argc, char** argv) {
-  bench::init(argc, argv);
-  const int reps = argc > 1 ? std::atoi(argv[1]) : 3;
+struct H4Case {
+  pauli::QubitOperator h;
+  vqe::UccsdAnsatz ansatz;
+  std::vector<double> params;
+};
 
-  const std::size_t n_threads = [] {
-    par::ParallelOptions probe;
-    const std::size_t resolved = par::resolve_threads(probe);
-    // Unconfigured resolution falls back to the pool; the acceptance
-    // configuration is 4 threads.
-    return resolved > 1 ? resolved : std::size_t(4);
-  }();
-
-  const bench::SolvedMolecule s =
-      bench::solve(chem::Molecule::hydrogen_chain(4, 1.8));
-  const pauli::QubitOperator h = chem::molecular_qubit_hamiltonian(s.mo);
-  const vqe::UccsdAnsatz ansatz = vqe::build_uccsd(4, 2, 2);
-  const std::vector<double> params = vqe::initial_parameters(ansatz, 0.05);
-
+void energy_section(const H4Case& c, std::size_t n_threads, int reps,
+                    bench::BenchReport& report) {
   sim::MpsOptions serial_mps;
   serial_mps.parallel.n_threads = 1;
   sim::MpsOptions parallel_mps;
   parallel_mps.parallel.n_threads = n_threads;
-
-  bench::BenchReport report("parallel_energy");
-  report.set("n_threads", double(n_threads));
-  report.set("hardware_threads", double(par::ThreadPool::global().size()));
-  bench::header("On-node parallel energy: H4/STO-3G UCCSD, " +
-                std::to_string(n_threads) + " threads vs 1 (reps=" +
-                std::to_string(reps) + ")");
-  bench::row({"workload", "serial s", "parallel s", "speedup", "identical"});
-
   double e1 = 0, eN = 0;
   struct Case {
     const char* name;
@@ -80,49 +82,159 @@ int main(int argc, char** argv) {
       {"hadamard_sweep", vqe::MeasurementMode::kHadamardTest, 1},
   };
   obs::Counter& sweeps = obs::Registry::global().counter("mps.transfer_sweeps");
-  for (const Case& c : cases) {
-    const vqe::EnergyEvaluator serial(ansatz.circuit, h, serial_mps, c.mode);
-    const vqe::EnergyEvaluator parallel(ansatz.circuit, h, parallel_mps,
-                                        c.mode);
+  for (const Case& k : cases) {
+    const vqe::EnergyEvaluator serial(c.ansatz.circuit, c.h, serial_mps,
+                                      k.mode);
+    const vqe::EnergyEvaluator parallel(c.ansatz.circuit, c.h, parallel_mps,
+                                        k.mode);
     const std::uint64_t s0 = sweeps.value();
-    const double t1 = time_energy(serial, params, c.reps, &e1);
-    const std::uint64_t serial_sweeps = (sweeps.value() - s0) / c.reps;
+    const double t1 = time_energy(serial, c.params, k.reps, &e1);
+    const std::uint64_t serial_sweeps = (sweeps.value() - s0) / k.reps;
     const std::uint64_t sN = sweeps.value();
-    const double tN = time_energy(parallel, params, c.reps, &eN);
-    const std::uint64_t parallel_sweeps = (sweeps.value() - sN) / c.reps;
+    const double tN = time_energy(parallel, c.params, k.reps, &eN);
+    const std::uint64_t parallel_sweeps = (sweeps.value() - sN) / k.reps;
     const bool identical = std::memcmp(&e1, &eN, sizeof(double)) == 0 &&
                            serial_sweeps == parallel_sweeps;
-    bench::row({c.name, bench::fmte(t1), bench::fmte(tN),
+    bench::row({k.name, bench::fmte(t1), bench::fmte(tN),
                 bench::fmt(t1 / tN, 2), identical ? "yes" : "NO"});
-    report.set(std::string(c.name) + "_serial_seconds", t1);
-    report.set(std::string(c.name) + "_parallel_seconds", tN);
-    report.set(std::string(c.name) + "_speedup", t1 / tN);
-    report.set(std::string(c.name) + "_identical", identical);
-    report.set(std::string(c.name) + "_energy", eN);
+    report.set(std::string(k.name) + "_serial_seconds", t1);
+    report.set(std::string(k.name) + "_parallel_seconds", tN);
+    report.set(std::string(k.name) + "_speedup", t1 / tN);
+    report.set(std::string(k.name) + "_identical", identical);
+    report.set(std::string(k.name) + "_energy", eN);
     // The sweep count is part of the determinism contract: the commuting
     // grouping decides how many environment sweeps one evaluation takes,
     // and the thread count must not change it.
-    report.set(std::string(c.name) + "_transfer_sweeps",
+    report.set(std::string(k.name) + "_transfer_sweeps",
                double(serial_sweeps));
   }
+  std::printf("\nenergy(serial) = %.17g\nenergy(parallel) = %.17g\n", e1, eN);
+}
 
-  {
-    const vqe::EnergyEvaluator serial(ansatz.circuit, h, serial_mps);
-    const vqe::EnergyEvaluator parallel(ansatz.circuit, h, parallel_mps);
-    std::vector<double> g1, gN;
-    const double t1 = time_gradient(serial, params, 1, &g1);
-    const double tN = time_gradient(parallel, params, 1, &gN);
-    bool identical = g1.size() == gN.size();
-    for (std::size_t k = 0; identical && k < g1.size(); ++k)
-      identical = std::memcmp(&g1[k], &gN[k], sizeof(double)) == 0;
-    bench::row({"parameter_shift", bench::fmte(t1), bench::fmte(tN),
-                bench::fmt(t1 / tN, 2), identical ? "yes" : "NO"});
-    report.set("parameter_shift_serial_seconds", t1);
-    report.set("parameter_shift_parallel_seconds", tN);
-    report.set("parameter_shift_speedup", t1 / tN);
-    report.set("parameter_shift_identical", identical);
+// Central-difference and parameter-shift gradients: exact update counts
+// (serial, worst rank of kRanks) and byte-identity across serial, threaded
+// and distributed runs. Returns whether every gradient matched serial.
+bool gradient_section(const H4Case& c, std::size_t n_threads, bool quick,
+                      bench::BenchReport& report) {
+  const double eps = vqe::VqeOptions{}.gradient_eps;
+  sim::MpsOptions serial_mps;
+  serial_mps.parallel.n_threads = 1;
+  sim::MpsOptions parallel_mps;
+  parallel_mps.parallel.n_threads = n_threads;
+  const vqe::EnergyEvaluator serial(c.ansatz.circuit, c.h, serial_mps);
+  const vqe::EnergyEvaluator parallel(c.ansatz.circuit, c.h, parallel_mps);
+
+  constexpr int kReps = 2;
+  std::vector<double> g_serial, g_threads, g_ps, g_ps_threads;
+  const auto [fd_updates, fd_serial_s] =
+      measure(kReps, [&] { g_serial = serial.gradient(c.params, eps); });
+  const double fd_threads_s =
+      measure(kReps, [&] { g_threads = parallel.gradient(c.params, eps); })
+          .second;
+
+  // Each rank's work, measured alone: rank r runs the serial sweep over
+  // gradient_share(r, kRanks), exactly what run_vqe_distributed runs there.
+  std::uint64_t max_rank_updates = 0;
+  for (int r = 0; r < kRanks; ++r) {
+    const std::vector<std::size_t> share =
+        serial.gradient_share(std::size_t(r), kRanks);
+    max_rank_updates = std::max(
+        max_rank_updates,
+        measure(1, [&] { serial.gradient(c.params, eps, share); }).first);
+  }
+  std::vector<std::vector<double>> g_ranks(kRanks);
+  const double fd_ranks_s = measure(kReps, [&] {
+    par::World(kRanks).run([&](par::Comm& comm) {
+      g_ranks[std::size_t(comm.rank())] =
+          vqe::distributed_gradient(serial, c.params, eps, comm);
+    });
+  }).second;
+  bool ranks_identical = true;
+  for (const auto& g : g_ranks) ranks_identical &= same_bits(g, g_serial);
+
+  const auto [ps_updates, ps_serial_s] =
+      measure(1, [&] { g_ps = serial.parameter_shift_gradient(c.params); });
+  double ps_threads_s = 0.0;
+  if (!quick)
+    ps_threads_s = measure(kReps, [&] {
+      g_ps_threads = parallel.parameter_shift_gradient(c.params);
+    }).second;
+
+  const bool threads_identical = same_bits(g_threads, g_serial);
+  const bool ps_identical = quick || same_bits(g_ps_threads, g_ps);
+  bench::row({"fd_gradient", bench::fmte(fd_serial_s),
+              bench::fmte(fd_threads_s),
+              bench::fmt(fd_serial_s / fd_threads_s, 2),
+              threads_identical ? "yes" : "NO"});
+  bench::row({"fd_gradient_ranks", bench::fmte(fd_serial_s),
+              bench::fmte(fd_ranks_s), bench::fmt(fd_serial_s / fd_ranks_s, 2),
+              ranks_identical ? "yes" : "NO"});
+  if (!quick)
+    bench::row({"parameter_shift", bench::fmte(ps_serial_s),
+                bench::fmte(ps_threads_s),
+                bench::fmt(ps_serial_s / ps_threads_s, 2),
+                ps_identical ? "yes" : "NO"});
+  std::printf("\ntwo-site updates: fd serial %llu, fd worst of %d ranks %llu, "
+              "parameter shift serial %llu\n",
+              (unsigned long long)fd_updates, kRanks,
+              (unsigned long long)max_rank_updates,
+              (unsigned long long)ps_updates);
+
+  report.set("h4_parameters", double(c.ansatz.n_parameters));
+  report.set("h4_fd_gradient_updates", double(fd_updates));
+  report.set("h4_fd_gradient_max_rank_updates", double(max_rank_updates));
+  report.set("h4_ps_gradient_updates", double(ps_updates));
+  report.set("h4_fd_gradient_serial_s", fd_serial_s);
+  report.set("h4_fd_gradient_threads_s", fd_threads_s);
+  report.set("h4_fd_gradient_ranks_s", fd_ranks_s);
+  report.set("h4_ps_gradient_serial_s", ps_serial_s);
+  if (!quick) report.set("h4_ps_gradient_threads_s", ps_threads_s);
+  return threads_identical && ranks_identical && ps_identical;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  bench::init(argc, argv);
+  bool quick = false;
+  std::string name = "parallel_energy";
+  int reps = 3;
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg == "--quick")
+      quick = true;
+    else if (arg.rfind("--json=", 0) == 0)
+      name = bench::json_flag_name(arg.substr(7), name);
+    else
+      reps = std::atoi(argv[i]);
   }
 
-  std::printf("\nenergy(serial) = %.17g\nenergy(parallel) = %.17g\n", e1, eN);
-  return report.write() ? 0 : 1;
+  const std::size_t n_threads = [] {
+    par::ParallelOptions probe;
+    const std::size_t resolved = par::resolve_threads(probe);
+    // Unconfigured resolution falls back to the pool; the acceptance
+    // configuration is 4 threads.
+    return resolved > 1 ? resolved : std::size_t(4);
+  }();
+
+  const bench::SolvedMolecule s =
+      bench::solve(chem::Molecule::hydrogen_chain(4, 1.8));
+  const vqe::UccsdAnsatz ansatz = vqe::build_uccsd(4, 2, 2);
+  const H4Case c{chem::molecular_qubit_hamiltonian(s.mo), ansatz,
+                 vqe::initial_parameters(ansatz, 0.05)};
+
+  bench::BenchReport report(name);
+  report.set("n_threads", double(n_threads));
+  report.set("n_ranks", double(kRanks));
+  report.set("hardware_threads", double(par::ThreadPool::global().size()));
+  bench::header("Parallel energy and gradients: H4/STO-3G UCCSD, " +
+                std::to_string(n_threads) + " threads / " +
+                std::to_string(kRanks) + " ranks vs 1");
+  bench::row({"workload", "serial s", "parallel s", "speedup", "identical"});
+  if (!quick) energy_section(c, n_threads, reps, report);
+  const bool ok = gradient_section(c, n_threads, quick, report);
+  report.set("perf_floor_ok", ok ? 1.0 : 0.0);
+  const bool written = report.write();
+  std::printf("%s\n", ok ? "PASS" : "FAIL");
+  return ok && written ? 0 : 1;
 }

@@ -71,6 +71,17 @@ class BenchReport {
   bool written_ = false;
 };
 
+/// The BenchReport name a `--json=` flag value asks for: BENCH_<name>.json,
+/// with the BENCH_ prefix and the .json suffix optional; `fallback` when
+/// nothing is left.
+inline std::string json_flag_name(std::string value,
+                                  const std::string& fallback) {
+  if (value.rfind("BENCH_", 0) == 0) value = value.substr(6);
+  const std::size_t dot = value.rfind(".json");
+  if (dot != std::string::npos) value = value.substr(0, dot);
+  return value.empty() ? fallback : value;
+}
+
 struct SolvedMolecule {
   chem::Molecule molecule;
   chem::ScfResult scf;

@@ -1,7 +1,7 @@
 // Hydrogen-chain MPS-VQE: the paper's core workload at laptop scale. Runs a
 // UCCSD VQE on an H_n chain through the MPS engine, reporting the bond
 // dimension, the monitored truncation error and the distributed-execution
-// path (Pauli circuits LPT-balanced over simulated MPI ranks).
+// path (gradient entries dealt over simulated MPI ranks).
 //
 //   ./hydrogen_chain [n_atoms] [spacing_bohr]
 //                    [--trace=FILE] [--report=FILE] [--metrics=FILE]
@@ -62,7 +62,8 @@ int main(int argc, char** argv) {
               compiled.stats.swaps_materialized, compiled.stats.swaps_elided,
               compiled.stats.swaps_eager, compiled.stats.gates_fused);
 
-  // Distributed VQE over 4 simulated MPI ranks (paper Fig. 4, level 2).
+  // Distributed VQE over 4 simulated MPI ranks (paper level 2): each rank
+  // owns a share of the gradient entries.
   vqe::VqeOptions opts;
   opts.optimizer.max_iterations = n <= 4 ? 60 : 25;
   opts.mps.max_bond = 32;

@@ -6,6 +6,7 @@
 // as §IV-C does (~15.6 KB per process per VQE iteration).
 #pragma once
 
+#include <algorithm>
 #include <condition_variable>
 #include <cstring>
 #include <functional>
@@ -90,18 +91,14 @@ class Comm {
   }
 
   /// Element-wise sum-reduce to `root`; non-root outputs are unspecified.
+  /// The root adds the contributions in rank order 0..size-1, the same
+  /// order allreduce_sum uses on every rank.
   template <typename T>
   void reduce_sum(T* data, std::size_t count, int root) {
     detail::comm_reduce_ops().add();
-    collect_slots(data);
-    if (rank_ == root) {
-      for (int r = 0; r < size(); ++r) {
-        if (r == rank_) continue;
-        const T* src = static_cast<const T*>(state_->slots[r]);
-        for (std::size_t i = 0; i < count; ++i) data[i] += src[i];
-        account(count * sizeof(T));
-      }
-    }
+    const std::vector<T> local(data, data + count);
+    collect_slots(local.data());
+    if (rank_ == root) sum_slots_in_rank_order(data, count);
     barrier();
   }
   template <typename T>
@@ -110,18 +107,16 @@ class Comm {
     return value;
   }
 
-  /// Element-wise sum-reduce visible on every rank.
+  /// Element-wise sum-reduce visible on every rank. Every rank adds the
+  /// contributions in rank order 0..size-1, so floating-point sums carry the
+  /// same bits on every rank (ranks that each run their own optimizer on the
+  /// result cannot branch apart).
   template <typename T>
   void allreduce_sum(T* data, std::size_t count) {
     detail::comm_allreduce_ops().add();
-    std::vector<T> local(data, data + count);
+    const std::vector<T> local(data, data + count);
     collect_slots(local.data());
-    for (int r = 0; r < size(); ++r) {
-      if (r == rank_) continue;
-      const T* src = static_cast<const T*>(state_->slots[r]);
-      for (std::size_t i = 0; i < count; ++i) data[i] += src[i];
-      account(count * sizeof(T));
-    }
+    sum_slots_in_rank_order(data, count);
     barrier();
   }
   template <typename T>
@@ -144,6 +139,23 @@ class Comm {
     return out;
   }
 
+  /// Concatenate every rank's `values` in rank order onto every rank
+  /// (MPI_Allgatherv); ranks may contribute different lengths.
+  template <typename T>
+  std::vector<T> allgatherv(const std::vector<T>& values) {
+    static_assert(std::is_trivially_copyable_v<T>);
+    detail::comm_allgather_ops().add();
+    collect_slots(&values);
+    std::vector<T> out;
+    for (int r = 0; r < size(); ++r) {
+      const auto& src = *static_cast<const std::vector<T>*>(state_->slots[r]);
+      out.insert(out.end(), src.begin(), src.end());
+      if (r != rank_) account(src.size() * sizeof(T));
+    }
+    barrier();
+    return out;
+  }
+
   /// MPI_Comm_split: ranks with the same color form a sub-communicator,
   /// ordered by key (ties by parent rank).
   Comm split(int color, int key);
@@ -152,6 +164,19 @@ class Comm {
   void bcast_bytes(void* data, std::size_t nbytes, int root);
   /// Publish a per-rank pointer and synchronize so peers may read it.
   void collect_slots(const void* ptr);
+  /// data = slot 0 + slot 1 + ... + slot (size-1), element-wise, in that
+  /// order; only slots of other ranks count as traffic.
+  template <typename T>
+  void sum_slots_in_rank_order(T* data, std::size_t count) {
+    for (int r = 0; r < size(); ++r) {
+      const T* src = static_cast<const T*>(state_->slots[r]);
+      if (r == 0)
+        std::copy(src, src + count, data);
+      else
+        for (std::size_t i = 0; i < count; ++i) data[i] += src[i];
+      if (r != rank_) account(count * sizeof(T));
+    }
+  }
   void account(std::size_t nbytes) {
     state_->bytes[rank_] += nbytes;
     detail::comm_bytes_counter().add(nbytes);

@@ -331,12 +331,20 @@ void Mps::run(const circ::Circuit& c, const std::vector<double>& params) {
 
 void Mps::run(const circ::CompiledCircuit& c,
               const std::vector<double>& params) {
+  run(c, params, 0, c.gates.size());
+}
+
+void Mps::run(const circ::CompiledCircuit& c, const std::vector<double>& params,
+              std::size_t first_gate, std::size_t last_gate) {
   OBS_SPAN("mps/run");
   require(c.gates.n_qubits() == n_, "Mps::run: qubit count mismatch");
+  require(first_gate <= last_gate && last_gate <= c.gates.size(),
+          "Mps::run: gate range out of bounds");
   require(perm_.is_identity(),
           "Mps::run: compiled circuits assume the identity input placement");
-  for (const auto& g : c.gates.gates()) apply(g, params);
-  perm_ = c.output_perm;
+  const std::vector<circ::Gate>& gates = c.gates.gates();
+  for (std::size_t i = first_gate; i < last_gate; ++i) apply(gates[i], params);
+  if (last_gate == gates.size()) perm_ = c.output_perm;
 }
 
 namespace {

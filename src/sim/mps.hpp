@@ -21,7 +21,7 @@ struct MpsOptions {
   std::size_t max_bond = 64;   ///< D, the bond-dimension cap
   double svd_cutoff = 1e-12;   ///< drop singular values below cutoff * s_max
   /// On-node parallelism, consumed at two levels: the drivers sitting on
-  /// these options (the Pauli-term sweep and parameter-shift gradient in
+  /// these options (the Pauli-term sweep and the gradients in
   /// vqe::EnergyEvaluator) and the blocked GEMM inside the two-site update,
   /// which fans out over C macro-tiles. Both are bit-identical across
   /// thread counts, so parallel == serial exactly.
@@ -93,6 +93,16 @@ class Mps {
   /// state or one whose previous compiled run ended at the identity).
   void run(const circ::CompiledCircuit& c,
            const std::vector<double>& params = {});
+  /// Runs gates [first_gate, last_gate) of a compiled circuit on an engine
+  /// that holds the state after gates [0, first_gate) (a fresh engine when
+  /// first_gate is 0). The output permutation is adopted only when the range
+  /// reaches the end: a state stopped mid-stream is a prefix for further
+  /// ranged runs, not a state to measure. Splitting a run into ranges
+  /// applies the same gates in the same order, so the result is
+  /// bit-identical to the one-shot run — which is what lets the VQE
+  /// gradients replay only the suffix a shifted parameter changes.
+  void run(const circ::CompiledCircuit& c, const std::vector<double>& params,
+           std::size_t first_gate, std::size_t last_gate);
 
   /// Residual logical→site placement left by compiled runs (identity on a
   /// fresh engine and after plain runs).
@@ -133,6 +143,12 @@ class Mps {
   // buffers grow to the largest bond shape seen and stay there. Safe because
   // an engine instance is single-threaded by contract (see below).
   struct TwoSiteScratch {
+    // Working memory only: copying an engine (the gradients' prefix
+    // branches) neither copies nor needs the source's buffer contents.
+    TwoSiteScratch() = default;
+    TwoSiteScratch(const TwoSiteScratch&) {}
+    TwoSiteScratch& operator=(const TwoSiteScratch&) { return *this; }
+
     std::vector<cplx> m;            // M[(a i), (j b)], (dl*2) x (2*dr)
     std::vector<double> row_scale;  // lambda[a] replicated over i
     la::SvdWorkspace svd;

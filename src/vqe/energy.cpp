@@ -1,6 +1,7 @@
 #include "vqe/energy.hpp"
 
 #include <algorithm>
+#include <numeric>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -71,6 +72,63 @@ void sweep_terms(const par::ParallelOptions& opts, std::size_t n,
       /*grain=*/1, /*max_threads=*/n_threads);
 }
 
+// Every n-th entry of `items`, starting at `worker`.
+std::vector<std::size_t> round_robin_share(
+    const std::vector<std::size_t>& items, std::size_t worker, std::size_t n) {
+  std::vector<std::size_t> share;
+  for (std::size_t i = worker; i < items.size(); i += n)
+    share.push_back(items[i]);
+  return share;
+}
+
+// Deals `items` (in sweep order) round-robin over the pool workers and runs
+// `sweep` once per worker on its share. A share keeps the sweep order, so a
+// worker's base state only ever moves forward. Each sweep writes its own
+// items' output slots, so results do not depend on the deal.
+void deal_sweeps(
+    const par::ParallelOptions& opts, const std::vector<std::size_t>& items,
+    const std::function<void(const std::vector<std::size_t>&)>& sweep) {
+  const std::size_t n_workers =
+      std::min(par::resolve_threads(opts), items.size());
+  if (n_workers <= 1) {
+    sweep(items);
+    return;
+  }
+  par::ThreadPool::global().parallel_for(
+      0, n_workers,
+      [&](std::size_t w) { sweep(round_robin_share(items, w, n_workers)); },
+      /*grain=*/1, /*max_threads=*/n_workers);
+}
+
+// One worker's forward sweep over a compiled stream: a base state advanced at
+// the unshifted parameters, and one branch copied from it for each shifted
+// suffix replay. At most two MPS are live, whatever the number of shifts.
+class PrefixSweep {
+ public:
+  PrefixSweep(const circ::CompiledCircuit& c, const std::vector<double>& params,
+              const sim::MpsOptions& options)
+      : c_(c),
+        params_(params),
+        base_(c.gates.n_qubits(), options),
+        branch_(c.gates.n_qubits(), options) {}
+
+  /// A copy of the state after gates [0, gate) at the unshifted parameters;
+  /// `gate` must not decrease from one call to the next.
+  sim::Mps& branch_at(std::size_t gate) {
+    require(gate >= at_, "PrefixSweep: the sweep only moves forward");
+    if (gate > at_) base_.run(c_, params_, at_, gate);
+    at_ = gate;
+    branch_ = base_;
+    return branch_;
+  }
+
+ private:
+  const circ::CompiledCircuit& c_;
+  const std::vector<double>& params_;
+  sim::Mps base_, branch_;
+  std::size_t at_ = 0;
+};
+
 }  // namespace
 
 EnergyEvaluator::EnergyEvaluator(circ::Circuit ansatz,
@@ -114,6 +172,21 @@ EnergyEvaluator::EnergyEvaluator(circ::Circuit ansatz,
     groups_ = pauli::group_qubitwise_commuting(strings);
   }
   measurement_groups_gauge().set(double(measurement_group_count()));
+  all_terms_.resize(terms_.size());
+  std::iota(all_terms_.begin(), all_terms_.end(), std::size_t{0});
+
+  const std::vector<circ::Gate>& stream =
+      use_compiled_ ? compiled_.gates.gates() : ansatz_.gates();
+  first_gate_.assign(n_parameters(), stream.size());
+  for (std::size_t i = stream.size(); i-- > 0;)
+    if (stream[i].is_parametric())
+      first_gate_[std::size_t(stream[i].param_index)] = i;
+  sweep_order_.resize(n_parameters());
+  std::iota(sweep_order_.begin(), sweep_order_.end(), std::size_t{0});
+  std::stable_sort(sweep_order_.begin(), sweep_order_.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return first_gate_[a] < first_gate_[b];
+                   });
 }
 
 std::size_t EnergyEvaluator::stored_circuit_bytes() const {
@@ -123,19 +196,89 @@ std::size_t EnergyEvaluator::stored_circuit_bytes() const {
 }
 
 double EnergyEvaluator::energy(const std::vector<double>& params) const {
-  std::vector<std::size_t> all(terms_.size());
-  for (std::size_t i = 0; i < all.size(); ++i) all[i] = i;
-  return constant_ + partial_energy(params, all);
+  return constant_ + partial_energy(params, all_terms_);
 }
 
-double EnergyEvaluator::partial_energy(
-    const std::vector<double>& params,
-    const std::vector<std::size_t>& idx) const {
+double EnergyEvaluator::partial_energy(const std::vector<double>& params,
+                                       const std::vector<std::size_t>& idx,
+                                       bool iterate) const {
   OBS_SPAN("vqe/energy");
   evaluation_counter().add();
   term_counter().add(idx.size());
-  return mode_ == MeasurementMode::kDirect ? measure_direct(params, idx)
-                                           : measure_hadamard(params, idx);
+  return mode_ == MeasurementMode::kDirect
+             ? measure_direct(params, idx, iterate)
+             : measure_hadamard(params, idx, iterate);
+}
+
+std::vector<std::size_t> EnergyEvaluator::gradient_share(
+    std::size_t worker, std::size_t n_workers) const {
+  require(n_workers > 0 && worker < n_workers,
+          "EnergyEvaluator::gradient_share: worker out of range");
+  return round_robin_share(sweep_order_, worker, n_workers);
+}
+
+std::vector<double> EnergyEvaluator::gradient(const std::vector<double>& x,
+                                              double eps) const {
+  return gradient(x, eps, sweep_order_);
+}
+
+std::vector<double> EnergyEvaluator::gradient(
+    const std::vector<double>& x, double eps,
+    const std::vector<std::size_t>& owned) const {
+  OBS_SPAN("vqe/gradient");
+  require(x.size() == n_parameters(),
+          "EnergyEvaluator::gradient: parameter count mismatch");
+  for (std::size_t k : owned)
+    require(k < n_parameters(), "EnergyEvaluator::gradient: bad parameter");
+  std::vector<double> g(n_parameters(), 0.0);
+
+  // The expression finite_difference_gradient evaluates, entry by entry:
+  // same shifted points, same constant-first sum, same difference quotient.
+  if (!use_compiled_) {
+    std::vector<double> xp = x;
+    for (std::size_t k : owned) {
+      xp[k] = x[k] + eps;
+      const double ep =
+          constant_ + partial_energy(xp, all_terms_, /*iterate=*/false);
+      xp[k] = x[k] - eps;
+      const double em =
+          constant_ + partial_energy(xp, all_terms_, /*iterate=*/false);
+      xp[k] = x[k];
+      g[k] = (ep - em) / (2 * eps);
+    }
+    return g;
+  }
+
+  std::vector<std::size_t> order = owned;
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return first_gate_[a] < first_gate_[b];
+                   });
+  const std::size_t end = compiled_.gates.size();
+  auto sweep_share = [&](const std::vector<std::size_t>& share) {
+    PrefixSweep sweep(compiled_, x, mps_options_);
+    std::vector<double> shifted = x;
+    for (std::size_t k : share) {
+      // A shift of parameter k changes no gate before its first one: both
+      // points branch from the same prefix state and replay the suffix.
+      double e[2];
+      for (int side = 0; side < 2; ++side) {
+        OBS_SPAN("vqe/energy");
+        evaluation_counter().add();
+        term_counter().add(terms_.size());
+        shifted[k] = side == 0 ? x[k] + eps : x[k] - eps;
+        sim::Mps& state = sweep.branch_at(first_gate_[k]);
+        state.run(compiled_, shifted, first_gate_[k], end);
+        OBS_SPAN("vqe/measure");
+        e[side] = constant_ +
+                  reduce_terms(state, all_terms_, /*parallel_sweep=*/false);
+      }
+      shifted[k] = x[k];
+      g[k] = (e[0] - e[1]) / (2 * eps);
+    }
+  };
+  deal_sweeps(mps_options_.parallel, order, sweep_share);
+  return g;
 }
 
 std::vector<double> EnergyEvaluator::term_costs() const {
@@ -152,62 +295,78 @@ std::vector<double> EnergyEvaluator::term_costs() const {
 
 std::vector<double> EnergyEvaluator::parameter_shift_gradient(
     const std::vector<double>& params) const {
-  std::vector<double> grad(n_parameters(), 0.0);
-  std::vector<std::size_t> all(terms_.size());
-  for (std::size_t i = 0; i < all.size(); ++i) all[i] = i;
-
-  // Evaluate the energy with one occurrence's angle overridden. Builds its
-  // own circuit and engine, so concurrent calls are independent. On the
-  // compiled path the cached gate stream is copied with just the occurrence's
-  // gate de-parameterized — no re-routing or re-fusion per evaluation (every
-  // compile pass preserves the relative order of parametric gates, so the
-  // k-th parametric gate of the compiled stream is the k-th of the ansatz).
-  // The inner term sweep stays serial (the 2N shifted circuits already fan
-  // out below); reduce_terms keeps the term-order reduction either way.
-  auto energy_with_override = [&](std::size_t occurrence, double delta) {
-    sim::Mps state(ansatz_.n_qubits(), mps_options_);
-    const circ::Circuit& source =
-        use_compiled_ ? compiled_.gates : ansatz_;
-    circ::Circuit shifted(source.n_qubits());
-    std::size_t seen = 0;
-    for (circ::Gate g : source.gates()) {
-      if (g.is_parametric()) {
-        if (seen == occurrence) {
-          g.theta = g.angle(params) + delta;
-          g.param_index = -1;
-          g.param_scale = 1.0;
-        }
-        ++seen;
-      }
-      shifted.append(std::move(g));
-    }
-    if (use_compiled_) {
-      circ::CompiledCircuit shifted_compiled;
-      shifted_compiled.gates = std::move(shifted);
-      shifted_compiled.output_perm = compiled_.output_perm;
-      state.run(shifted_compiled, params);
-    } else {
-      circ::Circuit bound = bind_parameters(shifted, params);
-      state.run(bound, {});
-    }
-    return reduce_terms(state, all, /*parallel_sweep=*/false);
-  };
-
-  // Every shifted-circuit evaluation is independent: 2 per parametric-gate
-  // occurrence. Fan the 2N evaluations out, then chain-rule serially so each
-  // gradient entry is assembled in occurrence order (deterministic).
+  // Every compile pass preserves the relative order of parametric gates, so
+  // occurrence j — the j-th parametric gate of the ansatz, which carries the
+  // chain-rule binding — is also the j-th parametric gate of the compiled
+  // stream.
   std::vector<const circ::Gate*> occurrences;
   for (const circ::Gate& g : ansatz_.gates())
     if (g.is_parametric()) occurrences.push_back(&g);
+  // Two evaluations per occurrence, at +pi/2 (slot 2j) and -pi/2 (2j+1).
+  // The inner term sweep stays serial: the shifted circuits already fan out.
   std::vector<double> shifted_e(2 * occurrences.size());
-  par::ParallelOptions opts = mps_options_.parallel;
-  opts.grain = 1;  // each evaluation is a full circuit run
-  par::parallel_for(opts, 0, shifted_e.size(), [&](std::size_t j) {
-    OBS_SPAN("vqe/shifted_circuit");
-    const std::size_t occ = j / 2;
-    const double delta = (j % 2 == 0) ? kPi / 2 : -kPi / 2;
-    shifted_e[j] = energy_with_override(occ, delta);
-  });
+  auto shift_of = [](std::size_t side) {
+    return side == 0 ? kPi / 2 : -kPi / 2;
+  };
+
+  if (use_compiled_) {
+    // Shifting occurrence j changes no gate before its own: the sweep
+    // advances past it once, and each shift applies the shifted gate to a
+    // copy and replays the suffix.
+    std::vector<std::size_t> occurrence_gate;
+    const std::vector<circ::Gate>& stream = compiled_.gates.gates();
+    for (std::size_t i = 0; i < stream.size(); ++i)
+      if (stream[i].is_parametric()) occurrence_gate.push_back(i);
+    auto sweep_share = [&](const std::vector<std::size_t>& share) {
+      PrefixSweep sweep(compiled_, params, mps_options_);
+      for (std::size_t occ : share) {
+        const std::size_t at = occurrence_gate[occ];
+        for (std::size_t side = 0; side < 2; ++side) {
+          OBS_SPAN("vqe/shifted_circuit");
+          circ::Gate shifted = stream[at];
+          shifted.theta = shifted.angle(params) + shift_of(side);
+          shifted.param_index = -1;
+          shifted.param_scale = 1.0;
+          sim::Mps& state = sweep.branch_at(at);
+          state.apply(shifted, params);
+          state.run(compiled_, params, at + 1, stream.size());
+          shifted_e[2 * occ + side] =
+              reduce_terms(state, all_terms_, /*parallel_sweep=*/false);
+        }
+      }
+    };
+    std::vector<std::size_t> order(occurrence_gate.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    deal_sweeps(mps_options_.parallel, order, sweep_share);
+  } else {
+    // Eager baseline: bind a copy of the ansatz with one occurrence's angle
+    // overridden and run it whole. Each evaluation owns its circuit and
+    // engine, so the 2N evaluations fan out independently.
+    par::ParallelOptions opts = mps_options_.parallel;
+    opts.grain = 1;  // each evaluation is a full circuit run
+    par::parallel_for(opts, 0, shifted_e.size(), [&](std::size_t j) {
+      OBS_SPAN("vqe/shifted_circuit");
+      circ::Circuit shifted(ansatz_.n_qubits());
+      std::size_t seen = 0;
+      for (circ::Gate g : ansatz_.gates()) {
+        if (g.is_parametric()) {
+          if (seen == j / 2) {
+            g.theta = g.angle(params) + shift_of(j % 2);
+            g.param_index = -1;
+            g.param_scale = 1.0;
+          }
+          ++seen;
+        }
+        shifted.append(std::move(g));
+      }
+      sim::Mps state(ansatz_.n_qubits(), mps_options_);
+      state.run(bind_parameters(shifted, params), {});
+      shifted_e[j] = reduce_terms(state, all_terms_, /*parallel_sweep=*/false);
+    });
+  }
+
+  // Chain-rule serially so each entry is assembled in occurrence order.
+  std::vector<double> grad(n_parameters(), 0.0);
   for (std::size_t occ = 0; occ < occurrences.size(); ++occ) {
     const circ::Gate& g = *occurrences[occ];
     grad[std::size_t(g.param_index)] +=
@@ -230,7 +389,7 @@ double EnergyEvaluator::reduce_terms(const sim::Mps& state,
     std::vector<std::size_t> slot(terms_.size(), kNoSlot);
     for (std::size_t j = 0; j < idx.size(); ++j) slot[idx[j]] = j;
     // Restrict the precomputed plan to the requested subset (partial_energy
-    // on a distributed rank sees only its LPT share of the terms).
+    // may ask for any subset of the terms).
     struct SubGroup {
       const pauli::MeasurementGroup* group;
       std::vector<std::size_t> members;
@@ -285,7 +444,8 @@ double EnergyEvaluator::reduce_terms(const sim::Mps& state,
 }
 
 double EnergyEvaluator::measure_direct(const std::vector<double>& params,
-                                       const std::vector<std::size_t>& idx) const {
+                                       const std::vector<std::size_t>& idx,
+                                       bool iterate) const {
   sim::Mps state(ansatz_.n_qubits(), mps_options_);
   if (use_compiled_) {
     // Compiled once in the constructor; parameters bind at apply time and
@@ -298,15 +458,16 @@ double EnergyEvaluator::measure_direct(const std::vector<double>& params,
   } else {
     state.run(ansatz_, params);
   }
-  last_truncation_error_.store(state.truncation_error(),
-                               std::memory_order_relaxed);
+  if (iterate)
+    last_truncation_error_.store(state.truncation_error(),
+                                 std::memory_order_relaxed);
   OBS_SPAN("vqe/measure");
   return reduce_terms(state, idx, /*parallel_sweep=*/true);
 }
 
-double EnergyEvaluator::measure_hadamard(
-    const std::vector<double>& params,
-    const std::vector<std::size_t>& idx) const {
+double EnergyEvaluator::measure_hadamard(const std::vector<double>& params,
+                                         const std::vector<std::size_t>& idx,
+                                         bool iterate) const {
   std::vector<double> contrib(idx.size());
   std::vector<double> trunc(idx.size(), 0.0);
   auto eval_one = [&](std::size_t j) {
@@ -336,9 +497,11 @@ double EnergyEvaluator::measure_hadamard(
       eval_one);
   // Worst truncation across the swept circuits — deterministic for any
   // thread count, unlike "whichever circuit ran last".
-  double worst = 0.0;
-  for (double t : trunc) worst = std::max(worst, t);
-  last_truncation_error_.store(worst, std::memory_order_relaxed);
+  if (iterate) {
+    double worst = 0.0;
+    for (double t : trunc) worst = std::max(worst, t);
+    last_truncation_error_.store(worst, std::memory_order_relaxed);
+  }
   double e = 0;
   for (double c : contrib) e += c;
   return e;

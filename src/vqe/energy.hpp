@@ -48,26 +48,57 @@ class EnergyEvaluator {
 
   double energy(const std::vector<double>& params) const;
   /// Contribution of a subset of Pauli terms (the unit of level-2 work).
+  /// `iterate` = false marks an evaluation made only to differentiate (a
+  /// finite-difference point): it leaves last_truncation_error() alone.
   double partial_energy(const std::vector<double>& params,
-                        const std::vector<std::size_t>& term_indices) const;
+                        const std::vector<std::size_t>& term_indices,
+                        bool iterate = true) const;
+
+  /// Central-difference gradient over the parameters in `owned`: entry k is
+  /// (E(x + eps e_k) - E(x - eps e_k)) / (2 eps), every other entry is 0.0.
+  /// Byte-identical to finite_difference_gradient over energy(), at any
+  /// thread count and for any split of the parameters into owned subsets —
+  /// so ranks that each compute a share assemble the serial gradient.
+  ///
+  /// On the compiled direct path the owned parameters are dealt round-robin,
+  /// in first-gate order, over the pool workers. Each worker makes one
+  /// forward sweep: it advances a base MPS along the compiled stream to a
+  /// parameter's first gate, copies it, and replays only the suffix at
+  /// x +- eps e_k (a shift changes no gate before that one). A worker holds
+  /// at most two MPS. The term sweep inside each evaluation is serial. Other
+  /// paths evaluate each owned entry with two full energy evaluations.
+  std::vector<double> gradient(const std::vector<double>& x, double eps,
+                               const std::vector<std::size_t>& owned) const;
+  /// gradient() over every parameter.
+  std::vector<double> gradient(const std::vector<double>& x,
+                               double eps) const;
+  /// The parameters worker `worker` of `n_workers` owns when a gradient is
+  /// dealt round-robin in first-gate order — the split gradient() uses over
+  /// pool workers and distributed VQE uses over ranks.
+  std::vector<std::size_t> gradient_share(std::size_t worker,
+                                          std::size_t n_workers) const;
 
   /// Exact gradient via the parameter-shift rule: every occurrence of a
   /// parameter is an exp(-i phi/2 P) rotation, so dE/dphi =
   /// (E(phi + pi/2) - E(phi - pi/2)) / 2 per occurrence, chain-ruled through
   /// the occurrence's scale. This is what differentiation costs on hardware
   /// (two circuit evaluations per rotation); classical drivers may prefer
-  /// finite differences.
+  /// finite differences. On the compiled path the occurrences share prefixes
+  /// the same way gradient() does: one forward sweep per pool worker, each
+  /// shifted evaluation replaying only the suffix from its own gate.
   std::vector<double> parameter_shift_gradient(
       const std::vector<double>& params) const;
 
   /// Per-term cost estimates (for LPT load balancing across ranks).
   std::vector<double> term_costs() const;
 
-  /// MPS truncation error of the most recent energy evaluation: the prepared
+  /// MPS truncation error of the most recent evaluation of an iterate
+  /// (energy(), or partial_energy() with `iterate` set): the prepared
   /// state's accumulated error in direct mode, the worst error across the
   /// swept per-string circuits in Hadamard-test mode (deterministic for any
-  /// thread count). Used by run reports to attach a fidelity column to each
-  /// VQE iteration.
+  /// thread count; in a distributed Hadamard-test run, the rank's own share
+  /// of strings). Gradient evaluations never overwrite it, so run reports
+  /// attach the error of the iterate itself to each VQE iteration.
   double last_truncation_error() const {
     return last_truncation_error_.load(std::memory_order_relaxed);
   }
@@ -90,9 +121,11 @@ class EnergyEvaluator {
 
  private:
   double measure_direct(const std::vector<double>& params,
-                        const std::vector<std::size_t>& idx) const;
+                        const std::vector<std::size_t>& idx,
+                        bool iterate) const;
   double measure_hadamard(const std::vector<double>& params,
-                          const std::vector<std::size_t>& idx) const;
+                          const std::vector<std::size_t>& idx,
+                          bool iterate) const;
   /// Measures the idx-subset of terms on a prepared state (grouped batches
   /// when grouping is on, one expectation per term otherwise) and reduces
   /// contributions in idx order — bit-identical to the serial ungrouped
@@ -114,8 +147,17 @@ class EnergyEvaluator {
   bool use_compiled_ = false;
   /// QWC measurement plan over terms_ (empty = ungrouped per-term sweeps).
   std::vector<pauli::MeasurementGroup> groups_;
-  /// Relaxed atomic: distributed VQE calls partial_energy concurrently from
-  /// rank threads; any rank's value is an equally valid report entry.
+  /// 0..n_terms()-1: the term list of a full energy evaluation.
+  std::vector<std::size_t> all_terms_;
+  /// Per parameter: index of its first gate in the stream the gradients
+  /// sweep (the compiled stream, else the ansatz); the stream's size when no
+  /// gate uses it.
+  std::vector<std::size_t> first_gate_;
+  /// Parameters sorted by first gate (ties by index): the order gradient
+  /// shares are dealt in.
+  std::vector<std::size_t> sweep_order_;
+  /// Relaxed atomic: one evaluator may be shared by threads that each
+  /// evaluate energies; any of their values is an equally valid report entry.
   mutable std::atomic<double> last_truncation_error_{0.0};
   /// kStoreAll + kHadamardTest: the full per-string circuits, pre-built.
   std::vector<circ::Circuit> stored_circuits_;

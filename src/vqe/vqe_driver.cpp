@@ -62,11 +62,8 @@ void decode_vqe_snapshot(const ckpt::Snapshot& snap, const VqeOptions& options,
 // writes records (every rank executes the same optimizer trajectory).
 VqeResult optimize(const EnergyEvaluator& evaluator, const UccsdAnsatz& ansatz,
                    const VqeOptions& options, const EnergyFn& energy_fn,
-                   bool report = true) {
+                   const GradientFn& grad_fn, bool report = true) {
   OBS_SPAN("vqe/optimize");
-  GradientFn grad_fn = [&](const std::vector<double>& x) {
-    return finite_difference_gradient(energy_fn, x, options.gradient_eps);
-  };
   const std::vector<double> x0 = initial_parameters(ansatz);
 
   OptimizerOptions opt_options = options.optimizer;
@@ -161,7 +158,10 @@ VqeResult run_vqe_on(const pauli::QubitOperator& hamiltonian,
   const EnergyEvaluator evaluator(ansatz.circuit, hamiltonian, options.mps,
                                   options.measurement, options.storage);
   EnergyFn f = [&](const std::vector<double>& x) { return evaluator.energy(x); };
-  return optimize(evaluator, ansatz, options, f);
+  GradientFn g = [&](const std::vector<double>& x) {
+    return evaluator.gradient(x, options.gradient_eps);
+  };
+  return optimize(evaluator, ansatz, options, f, g);
 }
 
 VqeResult run_vqe(const chem::MoIntegrals& mo, int n_alpha, int n_beta,
@@ -173,6 +173,26 @@ VqeResult run_vqe(const chem::MoIntegrals& mo, int n_alpha, int n_beta,
   return run_vqe_on(h, ansatz, options);
 }
 
+std::vector<double> distributed_gradient(const EnergyEvaluator& evaluator,
+                                         const std::vector<double>& x,
+                                         double eps, par::Comm& comm) {
+  const std::size_t ranks = std::size_t(comm.size());
+  const std::vector<std::size_t> mine =
+      evaluator.gradient_share(std::size_t(comm.rank()), ranks);
+  const std::vector<double> local = evaluator.gradient(x, eps, mine);
+  std::vector<double> values;
+  values.reserve(mine.size());
+  for (std::size_t k : mine) values.push_back(local[k]);
+  // Rank r's entries arrive as block r, in the order of its share.
+  const std::vector<double> gathered = comm.allgatherv(values);
+  std::vector<double> g(x.size(), 0.0);
+  std::size_t at = 0;
+  for (std::size_t r = 0; r < ranks; ++r)
+    for (std::size_t k : evaluator.gradient_share(r, ranks))
+      g[k] = gathered[at++];
+  return g;
+}
+
 VqeResult run_vqe_distributed(const chem::MoIntegrals& mo, int n_alpha,
                               int n_beta, const VqeOptions& options,
                               par::Comm& comm) {
@@ -182,23 +202,49 @@ VqeResult run_vqe_distributed(const chem::MoIntegrals& mo, int n_alpha,
       build_uccsd(mo.n_orbitals(), n_alpha, n_beta, options.ansatz);
   const EnergyEvaluator evaluator(ansatz.circuit, h, options.mps,
                                   options.measurement, options.storage);
+  const bool report = comm.rank() == 0;
 
-  // Static LPT partition of the Pauli terms over ranks (level-2 parallelism).
+  if (options.measurement == MeasurementMode::kDirect) {
+    // Direct mode prepares one state per evaluation, so splitting its terms
+    // would make every rank prepare every state. Each rank instead evaluates
+    // the line-search energies itself (no collective: every rank computes
+    // the same bits) and owns a share of the gradient entries, assembled by
+    // one allgather per gradient.
+    EnergyFn f = [&](const std::vector<double>& x) {
+      return evaluator.energy(x);
+    };
+    GradientFn g = [&](const std::vector<double>& x) {
+      return distributed_gradient(evaluator, x, options.gradient_eps, comm);
+    };
+    return optimize(evaluator, ansatz, options, f, g, report);
+  }
+
+  // Hadamard-test mode: every Pauli string is its own circuit (Fig. 5), so
+  // the strings are LPT-partitioned over ranks (level-2 parallelism) and
+  // each evaluation broadcasts the parameters from the root and sums the
+  // partial energies (MPI_Bcast + MPI_Allreduce, Fig. 4).
   const par::Schedule schedule =
       par::lpt_schedule(evaluator.term_costs(), std::size_t(comm.size()));
   std::vector<std::size_t> mine;
   for (std::size_t t = 0; t < schedule.assignment.size(); ++t)
     if (schedule.assignment[t] == std::size_t(comm.rank())) mine.push_back(t);
-
-  EnergyFn f = [&](const std::vector<double>& x) {
-    // Mirror the paper's per-iteration pattern: parameters flow from the
-    // root (MPI_Bcast), partial energies are reduced (MPI_Reduce/Allreduce).
+  auto split_energy = [&](const std::vector<double>& x, bool iterate) {
     std::vector<double> params = x;
     comm.bcast(params, 0);
-    const double partial = evaluator.partial_energy(params, mine);
+    const double partial = evaluator.partial_energy(params, mine, iterate);
     return evaluator.constant_term() + comm.allreduce_sum(partial);
   };
-  return optimize(evaluator, ansatz, options, f, /*report=*/comm.rank() == 0);
+  EnergyFn f = [&](const std::vector<double>& x) {
+    return split_energy(x, /*iterate=*/true);
+  };
+  GradientFn g = [&](const std::vector<double>& x) {
+    return finite_difference_gradient(
+        [&](const std::vector<double>& xp) {
+          return split_energy(xp, /*iterate=*/false);
+        },
+        x, options.gradient_eps);
+  };
+  return optimize(evaluator, ansatz, options, f, g, report);
 }
 
 }  // namespace q2::vqe

@@ -1,8 +1,11 @@
 // The complete MPS-VQE solver: UCCSD ansatz + energy evaluator + optimizer.
-// run_vqe_distributed implements the paper's second parallelization level:
-// Pauli-string circuits are LPT-partitioned across the ranks of a (simulated)
-// MPI communicator, parameters are broadcast and energies reduced each
-// iteration (Fig. 4).
+// Both drivers take the L-BFGS/Adam gradient from
+// EnergyEvaluator::gradient, whose central differences replay only the
+// circuit suffix each shifted parameter changes. run_vqe_on deals the
+// gradient entries over the pool workers; run_vqe_distributed deals them
+// over the ranks of a (simulated) MPI communicator in direct mode, and keeps
+// the paper's per-Pauli-string split (Fig. 4) in Hadamard-test mode, where
+// every string is its own circuit.
 #pragma once
 
 #include "chem/mo.hpp"
@@ -53,10 +56,24 @@ VqeResult run_vqe_on(const pauli::QubitOperator& hamiltonian,
                      const UccsdAnsatz& ansatz, const VqeOptions& options);
 
 /// Level-2-parallel VQE: every rank of `comm` executes the same optimizer
-/// trajectory; each energy evaluation is split over ranks by Pauli term and
-/// summed with Allreduce. Deterministically identical to the serial result.
+/// trajectory. Direct mode: every rank evaluates the line-search energies
+/// itself and computes its gradient_share() of the gradient entries; one
+/// allgather per gradient assembles the vector. Hadamard-test mode: each
+/// energy evaluation is split over ranks by Pauli string (LPT) and summed
+/// with Allreduce. In direct mode energy, parameters and history are
+/// bit-identical to run_vqe at any rank and thread count; in Hadamard-test
+/// mode every rank holds the same bits (the Allreduce sums in rank order),
+/// which match run_vqe to rounding.
 VqeResult run_vqe_distributed(const chem::MoIntegrals& mo, int n_alpha,
                               int n_beta, const VqeOptions& options,
                               par::Comm& comm);
+
+/// The central-difference gradient split over the ranks of `comm`: rank r
+/// computes evaluator.gradient_share(r, size) and one allgather assembles
+/// the entries. Every entry has one owner, so every rank holds the bits of
+/// evaluator.gradient(x, eps). Collective: every rank must call it.
+std::vector<double> distributed_gradient(const EnergyEvaluator& evaluator,
+                                         const std::vector<double>& x,
+                                         double eps, par::Comm& comm);
 
 }  // namespace q2::vqe

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "chem/hamiltonian.hpp"
 #include "chem/scf.hpp"
@@ -123,6 +124,38 @@ TEST(Compile, ReductionOnUccsdAnsatzIsAtLeastThirtyPercent) {
   ASSERT_GT(cc.stats.swaps_eager, 0u);
   EXPECT_LE(double(cc.stats.swaps_materialized),
             0.7 * double(cc.stats.swaps_eager));
+}
+
+TEST(Compile, RangedRunsMatchOneShotRun) {
+  // A compiled run split into ranges, with the prefix copied before the
+  // suffix runs (the gradients' branches), applies the same gates in the
+  // same order: state, truncation error and output permutation match the
+  // one-shot run bit for bit.
+  const vqe::UccsdAnsatz ansatz = vqe::build_uccsd(4, 2, 2);
+  const CompiledCircuit cc = circ::compile_for_mps(ansatz.circuit);
+  std::vector<double> params(ansatz.n_parameters);
+  for (std::size_t i = 0; i < params.size(); ++i)
+    params[i] = 0.03 * double(i + 1);
+  sim::MpsOptions opts;
+  opts.max_bond = 4;  // truncating, so the error accumulates gate by gate
+  const int n_qubits = ansatz.circuit.n_qubits();
+  sim::Mps whole(n_qubits, opts);
+  whole.run(cc, params);
+
+  const std::size_t n = cc.gates.size();
+  sim::Mps prefix(n_qubits, opts);
+  prefix.run(cc, params, 0, n / 3);
+  prefix.run(cc, params, n / 3, 2 * n / 3);
+  sim::Mps branch = prefix;
+  branch.run(cc, params, 2 * n / 3, n);
+  EXPECT_GT(whole.truncation_error(), 0.0);
+  EXPECT_EQ(branch.truncation_error(), whole.truncation_error());
+  EXPECT_TRUE(branch.output_permutation() == whole.output_permutation());
+  const std::vector<cplx> a = whole.to_statevector();
+  const std::vector<cplx> b = branch.to_statevector();
+  ASSERT_EQ(a.size(), b.size());
+  EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(cplx)), 0);
+  EXPECT_THROW(prefix.run(cc, params, n, n + 1), Error);
 }
 
 // -------------------------------------------------------------------------

@@ -352,6 +352,52 @@ TEST(Comm, AllgatherOrdering) {
   });
 }
 
+TEST(Comm, ReductionsSumInRankOrderOnEveryRank) {
+  // Adversarial operands whose double sum depends on the addition order:
+  // every rank's allreduce result and the root's reduce result must carry
+  // the bits of the plain sum over ranks 0..n-1.
+  for (int size : {3, 5, 6}) {
+    const std::vector<double> operands = {1e16, 1.0, -1e16, 0.5, -1e16, 1e16};
+    const std::vector<double> values(operands.begin(), operands.begin() + size);
+    double in_order = values[0];
+    for (int r = 1; r < size; ++r) in_order += values[std::size_t(r)];
+    // The operands do catch a rank that adds its own value first.
+    bool order_matters = false;
+    for (int r = 1; r < size; ++r) {
+      double own_first = values[std::size_t(r)];
+      for (int q = 0; q < size; ++q)
+        if (q != r) own_first += values[std::size_t(q)];
+      order_matters = order_matters || own_first != in_order;
+    }
+    EXPECT_TRUE(order_matters) << "size=" << size;
+
+    std::vector<double> all(static_cast<std::size_t>(size));
+    std::vector<double> at_root(static_cast<std::size_t>(size));
+    World(size).run([&](Comm& comm) {
+      const std::size_t r = std::size_t(comm.rank());
+      all[r] = comm.allreduce_sum(values[r]);
+      // The root is the last rank, so its own value is not the first term.
+      at_root[r] = comm.reduce_sum(values[r], size - 1);
+    });
+    for (int r = 0; r < size; ++r)
+      EXPECT_EQ(std::memcmp(&all[std::size_t(r)], &in_order, sizeof(double)),
+                0)
+          << "size=" << size << " rank=" << r;
+    EXPECT_EQ(std::memcmp(&at_root.back(), &in_order, sizeof(double)), 0)
+        << "size=" << size;
+  }
+}
+
+TEST(Comm, AllgathervConcatenatesInRankOrder) {
+  World world(3);
+  world.run([&](Comm& comm) {
+    // Rank r contributes r+1 copies of r.
+    const std::vector<int> mine(std::size_t(comm.rank() + 1), comm.rank());
+    EXPECT_EQ(comm.allgatherv(mine), (std::vector<int>{0, 1, 1, 2, 2, 2}));
+    EXPECT_EQ(comm.bytes_transferred(), (6 - mine.size()) * sizeof(int));
+  });
+}
+
 TEST(Comm, RepeatedCollectivesStaySynchronized) {
   World world(4);
   world.run([&](Comm& comm) {
