@@ -234,6 +234,25 @@ void gemm_blocked(std::size_t m, std::size_t k, std::size_t n, T alpha,
   static_assert(JB % GemmBlocking::kNR == 0 && JB % 4 == 0,
                 "JB must be a whole number of micro-panels for every Micro<T>");
 
+  const WriteBack first_wb = beta == T{}    ? WriteBack::kOverwrite
+                             : beta == T{1} ? WriteBack::kAccumulate
+                                            : WriteBack::kScaleAdd;
+  if (m <= MC && n <= JB && k <= KC) {
+    // One C tile and one k-block: the grid below would hold a single task,
+    // so run it on the calling thread with the same packing and kernel (the
+    // same bits) and none of the dispatch — no parallel_for, no loop id, no
+    // per-call allocation. Transfer and two-site-update products at MPS
+    // bond dimensions up to 64 all land here. The buffers are this thread's
+    // and grow to the largest single-tile product it has run.
+    thread_local std::vector<T> abuf, bbuf;
+    if (abuf.size() < round_up(m, MR) * k) abuf.resize(round_up(m, MR) * k);
+    if (bbuf.size() < round_up(n, NR) * k) bbuf.resize(round_up(n, NR) * k);
+    pack_a(abuf.data(), av, alpha, 0, 0, m, k);
+    pack_b(bbuf.data(), bv, 0, 0, k, n);
+    macro_kernel(m, k, n, abuf.data(), bbuf.data(), c, ldc, first_wb, beta);
+    return;
+  }
+
   const std::size_t n_ib = (m + MC - 1) / MC;
   std::vector<T> bbuf;
   for (std::size_t jc = 0; jc < n; jc += NC) {
@@ -241,10 +260,7 @@ void gemm_blocked(std::size_t m, std::size_t k, std::size_t n, T alpha,
     const std::size_t n_jb = (nc + JB - 1) / JB;
     for (std::size_t pc = 0; pc < k; pc += KC) {
       const std::size_t kc = std::min(KC, k - pc);
-      const WriteBack wb = pc != 0 ? WriteBack::kAccumulate
-                           : beta == T{} ? WriteBack::kOverwrite
-                           : beta == T{1} ? WriteBack::kAccumulate
-                                          : WriteBack::kScaleAdd;
+      const WriteBack wb = pc != 0 ? WriteBack::kAccumulate : first_wb;
       bbuf.resize(round_up(nc, NR) * kc);
       par::ParallelOptions slab_opts = opts;
       slab_opts.grain = 1;  // one B slab / one C tile per claimed unit
@@ -335,9 +351,9 @@ RMatrix matmul(const RMatrix& a, const RMatrix& b, Op op_a, Op op_b,
   return c;
 }
 
-void gemm_raw(std::size_t m, std::size_t k, std::size_t n, const cplx* a,
-              std::size_t lda, Op op_a, const cplx* b, std::size_t ldb,
-              Op op_b, cplx* c, std::size_t ldc,
+void gemm_raw(std::size_t m, std::size_t k, std::size_t n, cplx alpha,
+              const cplx* a, std::size_t lda, Op op_a, const cplx* b,
+              std::size_t ldb, Op op_b, cplx beta, cplx* c, std::size_t ldc,
               const par::ParallelOptions& opts) {
   require(a != nullptr && b != nullptr && c != nullptr,
           "gemm_raw: null operand");
@@ -350,7 +366,15 @@ void gemm_raw(std::size_t m, std::size_t k, std::size_t n, const cplx* a,
           op_b == Op::kNone ? "gemm_raw: ldb < n" : "gemm_raw: ldb < k");
   const OpView<cplx> av{a, lda, op_a != Op::kNone, op_a == Op::kAdjoint};
   const OpView<cplx> bv{b, ldb, op_b != Op::kNone, op_b == Op::kAdjoint};
-  gemm_blocked(m, k, n, cplx{1}, av, bv, cplx{0}, c, ldc, opts);
+  gemm_blocked(m, k, n, alpha, av, bv, beta, c, ldc, opts);
+}
+
+void gemm_raw(std::size_t m, std::size_t k, std::size_t n, const cplx* a,
+              std::size_t lda, Op op_a, const cplx* b, std::size_t ldb,
+              Op op_b, cplx* c, std::size_t ldc,
+              const par::ParallelOptions& opts) {
+  gemm_raw(m, k, n, cplx{1}, a, lda, op_a, b, ldb, op_b, cplx{0}, c, ldc,
+           opts);
 }
 
 void gemm_offsets_into(std::size_t m, std::size_t k, std::size_t n,

@@ -9,8 +9,11 @@
 // C tiles form a 2-D (MC-row x JB-column) grid distributed over the process
 // ThreadPool — B panels are packed cooperatively and beta is folded into the
 // first k-block's write-back, so no serial phase precedes the parallel
-// region. Each tile is owned by exactly one task and accumulated in a fixed
-// k-order, so results are bit-identical for every thread count.
+// region. A product that is one tile and one k-block (m <= MC, n <= JB,
+// k <= KC) skips the dispatch and runs inline on the calling thread through
+// the same packing and kernel. Each tile is owned by exactly one task and
+// accumulated in a fixed k-order, so results are bit-identical for every
+// thread count.
 #pragma once
 
 #include <cstddef>
@@ -66,6 +69,14 @@ RMatrix matmul(const RMatrix& a, const RMatrix& b, Op op_a = Op::kNone,
 void gemm_raw(std::size_t m, std::size_t k, std::size_t n, const cplx* a,
               std::size_t lda, Op op_a, const cplx* b, std::size_t ldb,
               Op op_b, cplx* c, std::size_t ldc,
+              const par::ParallelOptions& opts = {});
+/// gemm_raw with scaling: C = alpha op(A) op(B) + beta C on the same raw
+/// buffers (beta = 0 overwrites C, stale NaNs included). Bit-identical to
+/// gemm() on the same operands. The MPS transfer reads B_i and B_i^dagger
+/// through it straight out of a site tensor: base t + i*dr, row stride 2*dr.
+void gemm_raw(std::size_t m, std::size_t k, std::size_t n, cplx alpha,
+              const cplx* a, std::size_t lda, Op op_a, const cplx* b,
+              std::size_t ldb, Op op_b, cplx beta, cplx* c, std::size_t ldc,
               const par::ParallelOptions& opts = {});
 
 /// Fused-permutation product: the left operand's element (i, p) is

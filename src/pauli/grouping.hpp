@@ -1,10 +1,12 @@
-// Commuting-group measurement planning: partitions the Pauli terms of a
-// Hamiltonian into qubit-wise commuting (QWC) groups so an expectation sweep
-// can share one transfer pass per group instead of one per term (the Eq. (2)
-// sum is dominated by terms with overlapping support). Grouping is a plan
-// only — per-term expectation values are still computed individually and
-// reduced in the original term order, so grouped energies are bit-identical
-// to the ungrouped serial sweep.
+// Measurement planning over the Pauli terms of a Hamiltonian.
+//
+// plan_measurement builds the plan the MPS direct measurement sweeps: the
+// terms sorted so that neighbours share a prefix of their transfer chains,
+// which the sweep then computes once. Each term's value still comes from its
+// own chain of transfers and callers reduce the values in term order, so
+// planned energies are bit-identical to per-term expectations.
+// group_qubitwise_commuting partitions the terms into qubit-wise commuting
+// (QWC) groups: the basis settings a hardware run would need.
 #pragma once
 
 #include <vector>
@@ -19,7 +21,7 @@ bool qubitwise_compatible(const PauliString& a, const PauliString& b);
 
 /// One measurement basis setting: the union basis of all members, the member
 /// indices into the caller's term list (ascending), and the union support
-/// range the sweep must cover.
+/// range.
 struct MeasurementGroup {
   PauliString basis;                 ///< per-qubit union of member Paulis
   std::vector<std::size_t> members;  ///< indices into the input term list
@@ -35,10 +37,57 @@ struct MeasurementGroup {
 std::vector<MeasurementGroup> group_qubitwise_commuting(
     const std::vector<PauliString>& terms);
 
+/// The plan sim::Mps sweeps to measure many Pauli terms on one state. Each
+/// non-identity term is mapped to sites through `site_of`, the logical→site
+/// map the measured states carry, and the terms are sorted by first support
+/// site, then by their Pauli letters from that site on. A term's value is a
+/// chain of one environment transfer per support site followed by a trace;
+/// two terms that start at the same site and agree on their first d letters
+/// have the same first d transfers, so each entry reuses the leading
+/// transfers it shares with the entry before it. Built once per term list
+/// and permutation; sweeping it copies no strings.
+struct MeasurementPlan {
+  struct Entry {
+    std::size_t term = 0;  ///< index into the planned term list
+    std::size_t lo = 0;    ///< first support site
+    std::size_t hi = 0;    ///< last support site
+    /// Leading transfers shared with the previous entry (0 when the
+    /// previous entry starts at another site).
+    std::size_t shared = 0;
+    std::size_t letters = 0;  ///< offset of its site letters in `letters`
+  };
+  /// A maximal run of entries with one start site. Blocks share no
+  /// transfers with each other, so they are what a parallel sweep deals.
+  struct Block {
+    std::size_t begin = 0, end = 0;  ///< entries [begin, end)
+    std::size_t transfers = 0;       ///< transfers sweeping the block makes
+  };
+
+  std::vector<int> site_of;  ///< logical→site map the plan was built for
+  std::vector<Entry> entries;
+  std::vector<Block> blocks;
+  std::vector<P> letters;  ///< each entry's letters on sites lo..hi
+  std::vector<std::size_t> identity_terms;  ///< terms with no support
+  std::size_t transfers = 0;  ///< transfers sweeping every block makes
+
+  /// The Pauli letter entry `e` applies at site `site` (lo <= site <= hi).
+  P letter(const Entry& e, std::size_t site) const {
+    return letters[e.letters + (site - e.lo)];
+  }
+};
+
+/// Plans `terms` for states carrying the logical→site map `site_of` (a
+/// permutation of [0, n); the identity for unpermuted states). The
+/// transfer count is exact: one per distinct (start site, letter prefix)
+/// pair among the non-identity terms. Deterministic: equal strings keep
+/// their input order.
+MeasurementPlan plan_measurement(const std::vector<PauliString>& terms,
+                                 const std::vector<int>& site_of);
+
 /// The shared support-range cost model: estimated transfer work for a sweep
-/// over sites [lo, hi]. Both the LPT term balancer
-/// (EnergyEvaluator::term_costs) and the measurement sweeps price work with
-/// this one function so the schedule and the sweep cannot drift apart.
+/// over sites [lo, hi]. The LPT term balancer (EnergyEvaluator::term_costs)
+/// and the per-term measurement sweep price work with this one function so
+/// the schedule and the sweep cannot drift apart.
 inline double support_cost(std::size_t lo, std::size_t hi) {
   return 1.0 + double(hi - lo + 1);
 }

@@ -1,9 +1,5 @@
 #include "sim/expectation.hpp"
 
-#include <cmath>
-
-#include "pauli/grouping.hpp"
-
 namespace q2::sim {
 
 double measure_energy(const Mps& state, const pauli::QubitOperator& h) {
@@ -14,24 +10,6 @@ double measure_energy(const Mps& state, const pauli::QubitOperator& h) {
 double measure_energy(const StateVector& state, const pauli::QubitOperator& h) {
   require(h.is_hermitian(1e-8), "measure_energy: operator is not Hermitian");
   return state.expectation(h).real();
-}
-
-std::vector<std::vector<pauli::PauliString>> qubitwise_commuting_groups(
-    const pauli::QubitOperator& op) {
-  // Thin wrapper over the pauli::grouping planner (compatibility with the
-  // union basis is equivalent to pairwise compatibility with every member,
-  // so the first-fit result is identical to the old per-member scan).
-  std::vector<pauli::PauliString> terms;
-  terms.reserve(op.size());
-  for (const auto& [p, c] : op.sorted_terms()) terms.push_back(p);
-  std::vector<std::vector<pauli::PauliString>> out;
-  for (const auto& g : pauli::group_qubitwise_commuting(terms)) {
-    std::vector<pauli::PauliString> members;
-    members.reserve(g.members.size());
-    for (auto i : g.members) members.push_back(terms[i]);
-    out.push_back(std::move(members));
-  }
-  return out;
 }
 
 }  // namespace q2::sim

@@ -1,9 +1,6 @@
 // Energy-measurement utilities shared by the VQE drivers: direct (fast-path)
-// Hamiltonian expectation on a prepared state, and qubit-wise commuting
-// grouping of Pauli strings (an optional measurement-reduction extension).
+// Hamiltonian expectation on a prepared state.
 #pragma once
-
-#include <vector>
 
 #include "pauli/qubit_operator.hpp"
 #include "sim/mps.hpp"
@@ -14,11 +11,5 @@ namespace q2::sim {
 /// Real Hamiltonian expectation on an MPS; requires a Hermitian operator.
 double measure_energy(const Mps& state, const pauli::QubitOperator& h);
 double measure_energy(const StateVector& state, const pauli::QubitOperator& h);
-
-/// Partition the operator's strings into groups that are qubit-wise
-/// commuting (each pair agrees or is identity on every qubit), so each group
-/// is measurable in a single basis setting. Greedy first-fit colouring.
-std::vector<std::vector<pauli::PauliString>> qubitwise_commuting_groups(
-    const pauli::QubitOperator& op);
 
 }  // namespace q2::sim

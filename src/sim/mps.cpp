@@ -2,8 +2,6 @@
 
 #include <cmath>
 #include <cstdint>
-#include <functional>
-#include <map>
 #include <numeric>
 
 #include "circuit/routing.hpp"
@@ -42,10 +40,10 @@ obs::Histogram& bond_hist() {
       "mps.bond_dim", {1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024});
   return h;
 }
-// One "sweep" = one streaming pass over a support range: a standalone
-// expectation is one sweep, an expectation_batch is one sweep regardless of
-// how many terms it serves. transfer_site_ops counts the individual
-// per-site transfer contractions, which is where batching saves work.
+// One "sweep" = one pass from a fresh initial environment: a standalone
+// expectation is one sweep, a plan sweep is one per block it visits however
+// many terms the block serves. transfer_site_ops counts the individual
+// per-site transfer contractions, which is where prefix sharing saves work.
 obs::Counter& transfer_sweep_counter() {
   static obs::Counter& c =
       obs::Registry::global().counter("mps.transfer_sweeps");
@@ -55,16 +53,6 @@ obs::Counter& transfer_op_counter() {
   static obs::Counter& c =
       obs::Registry::global().counter("mps.transfer_site_ops");
   return c;
-}
-
-// View of one site tensor slice B_i (physical index fixed): a Dl x Dr matrix.
-la::CMatrix slice(const std::vector<cplx>& t, std::size_t dl, std::size_t dr,
-                  int i) {
-  la::CMatrix m(dl, dr);
-  for (std::size_t a = 0; a < dl; ++a)
-    for (std::size_t b = 0; b < dr; ++b)
-      m(a, b) = t[(a * 2 + std::size_t(i)) * dr + b];
-  return m;
 }
 
 }  // namespace
@@ -349,44 +337,61 @@ void Mps::run(const circ::CompiledCircuit& c, const std::vector<double>& params,
 
 namespace {
 
-// Transfer E across one site: E' = sum_{i',i} P[i',i] B_{i'}^dagger (E B_i).
-// The fixed-physical-index slice B_i of the (a, i, b) site tensor is fed to
-// the packed kernel through an offset table — row a of B_i sits at flat
-// offset (a*2 + i)*dr — instead of being copied out. Only the adjoint
-// operand B_{i'} is still materialized: offset tables cannot fold the
-// conjugation.
-la::CMatrix transfer(const la::CMatrix& e, const std::vector<cplx>& t,
-                     std::size_t dl, std::size_t dr, const cplx p[4]) {
-  la::CMatrix out(dr, dr);
-  std::vector<std::size_t> e_row(e.rows()), e_col(dl), b_row(dl), b_col(dr);
-  for (std::size_t r = 0; r < e.rows(); ++r) e_row[r] = r * e.cols();
-  std::iota(e_col.begin(), e_col.end(), std::size_t{0});
-  std::iota(b_col.begin(), b_col.end(), std::size_t{0});
+// Transfer E across one site: E' = sum_{i',i} P[i',i] B_{i'}^dagger (E B_i),
+// with E dl x dl and the (dl, 2, dr) site tensor t; E' (dr x dr) is written
+// to `out` and `ebi` (dl x dr) is scratch. B_i is read in place as a strided
+// dl x dr matrix — base t + i*dr, row stride 2*dr — and B_{i'}^dagger through
+// the adjoint of the same view, so nothing is copied out of the tensor. E'
+// starts from zeros and every product accumulates into it (beta = 1) in the
+// fixed (i, i') order.
+void transfer(const cplx* e, const cplx* t, std::size_t dl, std::size_t dr,
+              const cplx p[4], cplx* ebi, cplx* out) {
+  std::fill(out, out + dr * dr, cplx{});
   for (int i = 0; i < 2; ++i) {
-    for (std::size_t a = 0; a < dl; ++a)
-      b_row[a] = (a * 2 + std::size_t(i)) * dr;
-    la::CMatrix ebi = la::gemm_offsets(e.rows(), dl, dr, e.data(), e_row,
-                                       e_col, t.data(), b_row, b_col);
+    la::gemm_raw(dl, dl, dr, cplx{1}, e, dl, la::Op::kNone,
+                 t + std::size_t(i) * dr, 2 * dr, la::Op::kNone, cplx{0}, ebi,
+                 dr);
     for (int ip = 0; ip < 2; ++ip) {
       const cplx coeff = p[ip * 2 + i];
       if (coeff == cplx{}) continue;
-      la::CMatrix bip = slice(t, dl, dr, ip);
-      la::gemm(coeff, bip, la::Op::kAdjoint, ebi, la::Op::kNone, cplx{1}, out);
+      la::gemm_raw(dr, dl, dr, coeff, t + std::size_t(ip) * dr, 2 * dr,
+                   la::Op::kAdjoint, ebi, dr, la::Op::kNone, cplx{1}, out, dr);
     }
   }
-  return out;
+}
+
+cplx trace(const std::vector<cplx>& e, std::size_t d) {
+  cplx tr{};
+  for (std::size_t a = 0; a < d; ++a) tr += e[a * d + a];
+  return tr;
 }
 
 constexpr cplx kIdent[4] = {1, 0, 0, 1};
 
 }  // namespace
 
+// Left environment at bond lo-1: diag(lambda^2) in the canonical gauge.
+void Mps::initial_environment(std::size_t lo, std::vector<cplx>& e) const {
+  const std::size_t d = dl_[lo];
+  e.assign(d * d, cplx{});
+  if (lo == 0) {
+    e[0] = 1.0;
+    return;
+  }
+  const std::vector<double>& lam = lambda_[lo - 1];
+  for (std::size_t a = 0; a < d; ++a) e[a * d + a] = lam[a] * lam[a];
+}
+
 double Mps::norm() const {
-  la::CMatrix e(1, 1);
-  e(0, 0) = 1.0;
-  for (int s = 0; s < n_; ++s)
-    e = transfer(e, tensors_[s], dl_[s], dr_[s], kIdent);
-  return std::sqrt(std::abs(e(0, 0).real()));
+  std::vector<cplx> e{cplx{1}}, next, ebi;
+  for (int s = 0; s < n_; ++s) {
+    next.resize(dr_[s] * dr_[s]);
+    ebi.resize(dl_[s] * dr_[s]);
+    transfer(e.data(), tensors_[s].data(), dl_[s], dr_[s], kIdent, ebi.data(),
+             next.data());
+    e.swap(next);
+  }
+  return std::sqrt(std::abs(e[0].real()));
 }
 
 cplx Mps::expectation(const pauli::PauliString& p) const {
@@ -407,125 +412,116 @@ cplx Mps::expectation(const pauli::PauliString& p) const {
   transfer_sweep_counter().add();
   transfer_op_counter().add(std::uint64_t(hi - lo + 1));
 
-  // Left environment at bond lo-1 is diag(lambda^2) in the canonical gauge.
-  la::CMatrix e(dl_[lo], dl_[lo]);
-  if (lo == 0) {
-    e(0, 0) = 1.0;
-  } else {
-    const std::vector<double>& lam = lambda_[lo - 1];
-    for (std::size_t a = 0; a < dl_[lo]; ++a) e(a, a) = lam[a] * lam[a];
-  }
+  std::vector<cplx> e, next, ebi;
+  initial_environment(lo, e);
   std::uint64_t streamed = 0;
   for (std::size_t s = lo; s <= hi; ++s) {
     cplx pm[4];
     pauli::PauliString::single_qubit_matrix(ps.get(s), pm);
-    e = transfer(e, tensors_[s], dl_[s], dr_[s], pm);
+    next.resize(dr_[s] * dr_[s]);
+    ebi.resize(dl_[s] * dr_[s]);
+    transfer(e.data(), tensors_[s].data(), dl_[s], dr_[s], pm, ebi.data(),
+             next.data());
+    e.swap(next);
     streamed += std::uint64_t(tensors_[s].size()) * sizeof(cplx);
   }
   // Right of the support everything contracts to the identity: take trace.
-  cplx tr{};
-  for (std::size_t a = 0; a < e.rows(); ++a) tr += e(a, a);
+  const cplx tr = trace(e, dr_[hi]);
   // The sweep's own cost beyond the nested GEMMs: the state stream over the
   // support plus the closing trace (one complex add per diagonal element).
-  obs::WorkCounter::charge(2 * std::uint64_t(e.rows()), streamed);
+  obs::WorkCounter::charge(2 * std::uint64_t(dr_[hi]), streamed);
   return tr;
 }
 
 cplx Mps::expectation(const pauli::QubitOperator& op) const {
+  std::vector<pauli::PauliString> strings;
+  std::vector<cplx> coeffs;
+  strings.reserve(op.size());
+  coeffs.reserve(op.size());
+  for (const auto& [p, c] : op.terms()) {
+    strings.push_back(p);
+    coeffs.push_back(c);
+  }
+  const std::vector<cplx> values = expectation_batch(strings);
   cplx e{};
-  for (const auto& [p, c] : op.terms()) e += c * expectation(p);
+  for (std::size_t i = 0; i < values.size(); ++i) e += coeffs[i] * values[i];
   return e;
 }
 
 std::vector<cplx> Mps::expectation_batch(
     const std::vector<pauli::PauliString>& terms) const {
-  OBS_SPAN("mps/expectation_batch");
-  std::vector<cplx> out(terms.size());
-  if (terms.empty()) return out;
-
-  // Site-relabelled views with their support ranges; identity terms are
-  // answered immediately (norm^2) and excluded from the shared sweep.
-  struct Item {
-    std::size_t idx;
-    pauli::PauliString p;
-    std::size_t lo, hi;
-  };
-  std::vector<Item> items;
-  items.reserve(terms.size());
-  for (std::size_t i = 0; i < terms.size(); ++i) {
-    require(int(terms[i].n_qubits()) == n_,
+  for (const pauli::PauliString& p : terms)
+    require(int(p.n_qubits()) == n_,
             "Mps::expectation_batch: qubit count mismatch");
-    if (terms[i].is_identity()) {
-      const double nn = norm();
-      out[i] = nn * nn;
-      continue;
-    }
-    pauli::PauliString ps = perm_.is_identity()
-                                ? terms[i]
-                                : terms[i].permuted(perm_.site_of_map());
-    const auto [lo, hi] = ps.support_range();
-    items.push_back({i, std::move(ps), lo, hi});
+  const pauli::MeasurementPlan plan =
+      pauli::plan_measurement(terms, perm_.site_of_map());
+  std::vector<cplx> out(terms.size());
+  if (!plan.identity_terms.empty()) {
+    const double nn = norm();
+    for (std::size_t i : plan.identity_terms) out[i] = nn * nn;
   }
-  if (items.empty()) return out;
-  transfer_sweep_counter().add();
+  std::vector<std::size_t> blocks(plan.blocks.size());
+  std::iota(blocks.begin(), blocks.end(), std::size_t{0});
+  sweep_plan(plan, blocks, {}, out);
+  return out;
+}
 
-  std::uint64_t site_ops = 0, streamed = 0, trace_adds = 0;
+void Mps::sweep_plan(const pauli::MeasurementPlan& plan,
+                     std::span<const std::size_t> blocks,
+                     const std::vector<char>& selected,
+                     std::span<cplx> values) const {
+  OBS_SPAN("mps/sweep_plan");
+  require(plan.site_of == perm_.site_of_map(),
+          "Mps::sweep_plan: the plan was built for another qubit permutation");
+  const std::size_t n_terms = plan.entries.size() + plan.identity_terms.size();
+  require(values.size() == n_terms &&
+              (selected.empty() || selected.size() == n_terms),
+          "Mps::sweep_plan: one value (and selection) slot per planned term");
+  cplx pm[4][4];
+  for (int letter = 0; letter < 4; ++letter)
+    pauli::PauliString::single_qubit_matrix(pauli::P(letter), pm[letter]);
 
-  // Prefix-sharing sweep. Every item in `bucket` starts at the same site and
-  // agrees on all Pauli letters over [start, site); one transfer per distinct
-  // letter advances the shared environment. Because each term's environment
-  // chain consists of exactly the transfer calls the standalone expectation
-  // would make (identical inputs, identical order), per-term values are
-  // bit-identical to expectation(p) — sharing removes repeats, not FP steps.
-  std::function<void(const std::vector<const Item*>&, std::size_t,
-                     const la::CMatrix&)>
-      descend = [&](const std::vector<const Item*>& bucket, std::size_t site,
-                    const la::CMatrix& e) {
-        std::array<std::vector<const Item*>, 4> by_letter;
-        for (const Item* it : bucket)
-          by_letter[std::size_t(it->p.get(site))].push_back(it);
-        for (int letter = 0; letter < 4; ++letter) {
-          const auto& sub = by_letter[std::size_t(letter)];
-          if (sub.empty()) continue;
-          cplx pm[4];
-          pauli::PauliString::single_qubit_matrix(pauli::P(letter), pm);
-          const la::CMatrix next =
-              transfer(e, tensors_[site], dl_[site], dr_[site], pm);
-          ++site_ops;
-          streamed += std::uint64_t(tensors_[site].size()) * sizeof(cplx);
-          std::vector<const Item*> cont;
-          for (const Item* it : sub) {
-            if (it->hi == site) {
-              cplx tr{};
-              for (std::size_t a = 0; a < next.rows(); ++a) tr += next(a, a);
-              trace_adds += next.rows();
-              out[it->idx] = tr;
-            } else {
-              cont.push_back(it);
-            }
-          }
-          if (!cont.empty()) descend(cont, site + 1, next);
-        }
-      };
-
-  // Terms sharing an environment must share the exact same starting
-  // environment, so buckets are keyed on the start site (ascending for
-  // determinism).
-  std::map<std::size_t, std::vector<const Item*>> by_lo;
-  for (const Item& it : items) by_lo[it.lo].push_back(&it);
-  for (const auto& [lo, bucket] : by_lo) {
-    la::CMatrix e(dl_[lo], dl_[lo]);
-    if (lo == 0) {
-      e(0, 0) = 1.0;
-    } else {
-      const std::vector<double>& lam = lambda_[lo - 1];
-      for (std::size_t a = 0; a < dl_[lo]; ++a) e(a, a) = lam[a] * lam[a];
+  // env[d]: the environment after the first d transfers of the current
+  // entry's chain. Entries of a block are sorted, so the chain an entry
+  // shares with the last swept entry is the minimum of the `shared` counts
+  // in between — which keeps the stack exact when unselected entries are
+  // skipped.
+  std::vector<std::vector<cplx>> env(std::size_t(n_) + 1);
+  std::vector<cplx> ebi;
+  std::uint64_t sweeps = 0, site_ops = 0, streamed = 0, trace_adds = 0;
+  for (const std::size_t b : blocks) {
+    require(b < plan.blocks.size(), "Mps::sweep_plan: block out of range");
+    const pauli::MeasurementPlan::Block& block = plan.blocks[b];
+    std::size_t valid = 0;
+    bool started = false;
+    for (std::size_t k = block.begin; k < block.end; ++k) {
+      const pauli::MeasurementPlan::Entry& e = plan.entries[k];
+      valid = std::min(valid, e.shared);
+      if (!selected.empty() && !selected[e.term]) continue;
+      if (!started) {
+        initial_environment(e.lo, env[0]);
+        started = true;
+        ++sweeps;
+      }
+      const std::size_t len = e.hi - e.lo + 1;
+      for (std::size_t d = valid; d < len; ++d) {
+        const std::size_t s = e.lo + d;
+        env[d + 1].resize(dr_[s] * dr_[s]);
+        ebi.resize(dl_[s] * dr_[s]);
+        transfer(env[d].data(), tensors_[s].data(), dl_[s], dr_[s],
+                 pm[std::size_t(plan.letter(e, s))], ebi.data(),
+                 env[d + 1].data());
+        ++site_ops;
+        streamed += std::uint64_t(tensors_[s].size()) * sizeof(cplx);
+      }
+      valid = len;
+      values[e.term] = trace(env[len], dr_[e.hi]);
+      trace_adds += dr_[e.hi];
     }
-    descend(bucket, lo, e);
   }
+  transfer_sweep_counter().add(sweeps);
   transfer_op_counter().add(site_ops);
   obs::WorkCounter::charge(2 * trace_adds, streamed);
-  return out;
 }
 
 std::vector<cplx> Mps::to_statevector() const {

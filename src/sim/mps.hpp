@@ -7,12 +7,14 @@
 // Truncation error is accumulated and exposed, as the paper prescribes.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "circuit/circuit.hpp"
 #include "circuit/reorder.hpp"
 #include "linalg/svd.hpp"
 #include "parallel/parallel_options.hpp"
+#include "pauli/grouping.hpp"
 #include "pauli/qubit_operator.hpp"
 
 namespace q2::sim {
@@ -110,16 +112,32 @@ class Mps {
 
   double norm() const;
 
+  /// One string: a chain of one transfer per support site, then a trace.
+  /// The per-term reference every planned sweep reproduces bit for bit.
   cplx expectation(const pauli::PauliString& p) const;
+  /// sum_k c_k <P_k> over the operator's terms in terms() order, the values
+  /// taken from one expectation_batch sweep.
   cplx expectation(const pauli::QubitOperator& op) const;
-  /// Expectation of many strings in one streaming pass: terms sharing a
-  /// support prefix (same start site, same Pauli letters) reuse transfer
-  /// environments, so a qubit-wise commuting group costs roughly one
-  /// support-range sweep instead of one per term. Each per-term value is
-  /// computed by exactly the same transfer sequence as the standalone
-  /// `expectation(p)` call — results are bit-identical, only shared.
+  /// Expectation of many strings: plans them for this engine's permutation
+  /// (pauli::plan_measurement) and sweeps every block of the plan, so terms
+  /// that share a start site and leading Pauli letters share those
+  /// transfers. Each value comes from exactly the transfer chain the
+  /// standalone `expectation(p)` computes — bit-identical, only shared.
   std::vector<cplx> expectation_batch(
       const std::vector<pauli::PauliString>& terms) const;
+  /// The sweep behind expectation_batch, over the listed blocks of a plan
+  /// built for this engine's output_permutation() (throws otherwise): for
+  /// each entry of those blocks whose term is selected (`selected` indexed
+  /// by term, empty = every term), writes values[entry.term]. `values` (and
+  /// a non-empty `selected`) hold one slot per planned term. Identity terms
+  /// are not swept. Adds one to mps.transfer_sweeps per block that holds a
+  /// selected entry and one to mps.transfer_site_ops per transfer, which is
+  /// plan.blocks[b].transfers when every term is selected — so the counts
+  /// do not depend on how blocks are dealt over threads.
+  void sweep_plan(const pauli::MeasurementPlan& plan,
+                  std::span<const std::size_t> blocks,
+                  const std::vector<char>& selected,
+                  std::span<cplx> values) const;
 
   /// Contract everything (n <= ~24) — the test oracle path.
   std::vector<cplx> to_statevector() const;
@@ -134,6 +152,8 @@ class Mps {
 
  private:
   void apply_single(int site, const std::array<cplx, 4>& m);
+  /// The environment left of site `lo` (dl_[lo] x dl_[lo], row-major).
+  void initial_environment(std::size_t lo, std::vector<cplx>& e) const;
   void apply_two_adjacent(int left_site, const std::array<cplx, 16>& m_hi_lo,
                           bool left_is_hi);
 

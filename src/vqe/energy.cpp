@@ -23,9 +23,9 @@ obs::Counter& term_counter() {
       obs::Registry::global().counter("vqe.pauli_terms_measured");
   return c;
 }
-obs::Gauge& measurement_groups_gauge() {
+obs::Gauge& transfers_gauge() {
   static obs::Gauge& g =
-      obs::Registry::global().gauge("vqe.measurement_groups");
+      obs::Registry::global().gauge("vqe.transfers_per_evaluation");
   return g;
 }
 
@@ -45,31 +45,30 @@ circ::Circuit bind_parameters(const circ::Circuit& c,
   return out;
 }
 
-// Runs eval_one(j) for every j in [0, n) — serially below the parallel
-// threshold, otherwise as one pool task per LPT bin (level-2 of the paper's
-// hierarchy, folded on-node). Results must be written to per-j slots by
-// eval_one; the caller reduces them in index order afterwards so the energy
-// is bit-identical for every thread count.
-void sweep_terms(const par::ParallelOptions& opts, std::size_t n,
-                 const std::function<double(std::size_t)>& term_cost,
-                 const std::function<void(std::size_t)>& eval_one) {
-  const std::size_t n_threads = std::min(par::resolve_threads(opts), n);
-  if (n_threads <= 1) {
-    for (std::size_t j = 0; j < n; ++j) eval_one(j);
+// Deals items [0, n) over up to `threads` pool workers, longest first (LPT
+// on `cost`), and runs `run_bin` once per worker on its items in ascending
+// order; with one thread, one bin holds every item and runs on the calling
+// thread. Bins write per-item slots and the caller reduces them in index
+// order afterwards, so results are bit-identical for every thread count.
+void deal_lpt(
+    std::size_t threads, std::size_t n,
+    const std::function<double(std::size_t)>& cost,
+    const std::function<void(const std::vector<std::size_t>&)>& run_bin) {
+  threads = std::min(threads, n);
+  if (threads <= 1) {
+    std::vector<std::size_t> all(n);
+    std::iota(all.begin(), all.end(), std::size_t{0});
+    run_bin(all);
     return;
   }
   std::vector<double> costs(n);
-  for (std::size_t j = 0; j < n; ++j) costs[j] = term_cost(j);
-  const std::vector<std::size_t> assignment =
-      par::lpt_assign(costs, n_threads);
-  std::vector<std::vector<std::size_t>> bins(n_threads);
+  for (std::size_t j = 0; j < n; ++j) costs[j] = cost(j);
+  const std::vector<std::size_t> assignment = par::lpt_assign(costs, threads);
+  std::vector<std::vector<std::size_t>> bins(threads);
   for (std::size_t j = 0; j < n; ++j) bins[assignment[j]].push_back(j);
   par::ThreadPool::global().parallel_for(
-      0, n_threads,
-      [&](std::size_t b) {
-        for (std::size_t j : bins[b]) eval_one(j);
-      },
-      /*grain=*/1, /*max_threads=*/n_threads);
+      0, threads, [&](std::size_t b) { run_bin(bins[b]); },
+      /*grain=*/1, /*max_threads=*/threads);
 }
 
 // Every n-th entry of `items`, starting at `worker`.
@@ -164,14 +163,18 @@ EnergyEvaluator::EnergyEvaluator(circ::Circuit ansatz,
   use_compiled_ = mode_ == MeasurementMode::kDirect &&
                   storage_ == CircuitStorage::kMemoryEfficient;
   if (use_compiled_) compiled_ = circ::compile_for_mps(ansatz_);
-  if (mode_ == MeasurementMode::kDirect &&
-      grouping == TermGrouping::kCommuting) {
+  use_plan_ = mode_ == MeasurementMode::kDirect &&
+              grouping == TermGrouping::kCommuting;
+  if (use_plan_) {
     std::vector<pauli::PauliString> strings;
     strings.reserve(terms_.size());
     for (const auto& [p, c] : terms_) strings.push_back(p);
-    groups_ = pauli::group_qubitwise_commuting(strings);
+    const circ::QubitPermutation identity(ansatz_.n_qubits());
+    plan_ = pauli::plan_measurement(
+        strings,
+        (use_compiled_ ? compiled_.output_perm : identity).site_of_map());
   }
-  measurement_groups_gauge().set(double(measurement_group_count()));
+  transfers_gauge().set(double(transfers_per_evaluation()));
   all_terms_.resize(terms_.size());
   std::iota(all_terms_.begin(), all_terms_.end(), std::size_t{0});
 
@@ -203,6 +206,14 @@ double EnergyEvaluator::partial_energy(const std::vector<double>& params,
                                        const std::vector<std::size_t>& idx,
                                        bool iterate) const {
   OBS_SPAN("vqe/energy");
+  std::vector<char> listed(terms_.size(), 0);
+  for (std::size_t k : idx) {
+    require(k < terms_.size(),
+            "EnergyEvaluator::partial_energy: term index out of range");
+    require(!listed[k],
+            "EnergyEvaluator::partial_energy: term index listed twice");
+    listed[k] = 1;
+  }
   evaluation_counter().add();
   term_counter().add(idx.size());
   return mode_ == MeasurementMode::kDirect
@@ -378,61 +389,36 @@ std::vector<double> EnergyEvaluator::parameter_shift_gradient(
 double EnergyEvaluator::reduce_terms(const sim::Mps& state,
                                      const std::vector<std::size_t>& idx,
                                      bool parallel_sweep) const {
-  // Per-term contributions against the shared read-only state, written to
-  // per-idx slots and reduced in index order below — the same addition
-  // sequence as a serial ungrouped loop, so the energy is bit-identical for
-  // every thread count and grouping mode (expectation_batch guarantees
-  // per-term values match the standalone expectation exactly).
+  // Per-term contributions against the shared read-only state, reduced in
+  // idx order below — the same addition sequence as a serial per-term loop,
+  // so the energy is bit-identical for every thread count and grouping mode
+  // (the plan sweep computes each value with the transfer chain of the
+  // standalone expectation).
+  const std::size_t threads =
+      parallel_sweep ? par::resolve_threads(mps_options_.parallel) : 1;
   std::vector<double> contrib(idx.size());
-  constexpr std::size_t kNoSlot = std::size_t(-1);
-  if (!groups_.empty()) {
-    std::vector<std::size_t> slot(terms_.size(), kNoSlot);
-    for (std::size_t j = 0; j < idx.size(); ++j) slot[idx[j]] = j;
-    // Restrict the precomputed plan to the requested subset (partial_energy
-    // may ask for any subset of the terms).
-    struct SubGroup {
-      const pauli::MeasurementGroup* group;
-      std::vector<std::size_t> members;
-    };
-    std::vector<SubGroup> subs;
-    subs.reserve(groups_.size());
-    for (const auto& g : groups_) {
-      std::vector<std::size_t> members;
-      for (std::size_t k : g.members)
-        if (slot[k] != kNoSlot) members.push_back(k);
-      if (!members.empty()) subs.push_back({&g, std::move(members)});
-    }
-    auto eval_group = [&](std::size_t gi) {
-      const SubGroup& sub = subs[gi];
-      std::vector<pauli::PauliString> strings;
-      strings.reserve(sub.members.size());
-      for (std::size_t k : sub.members) strings.push_back(terms_[k].first);
-      const std::vector<cplx> values = state.expectation_batch(strings);
-      for (std::size_t t = 0; t < sub.members.size(); ++t) {
-        const std::size_t k = sub.members[t];
-        contrib[slot[k]] = (terms_[k].second * values[t]).real();
-      }
-    };
-    auto group_cost = [&](std::size_t gi) {
-      return pauli::support_cost(subs[gi].group->lo, subs[gi].group->hi);
-    };
-    if (parallel_sweep)
-      sweep_terms(mps_options_.parallel, subs.size(), group_cost, eval_group);
-    else
-      for (std::size_t gi = 0; gi < subs.size(); ++gi) eval_group(gi);
+  if (use_plan_) {
+    std::vector<char> selected(terms_.size(), 0);
+    for (std::size_t k : idx) selected[k] = 1;
+    std::vector<cplx> values(terms_.size());
+    deal_lpt(
+        threads, plan_.blocks.size(),
+        [&](std::size_t b) { return double(plan_.blocks[b].transfers); },
+        [&](const std::vector<std::size_t>& blocks) {
+          state.sweep_plan(plan_, blocks, selected, values);
+        });
+    for (std::size_t j = 0; j < idx.size(); ++j)
+      contrib[j] = (terms_[idx[j]].second * values[idx[j]]).real();
   } else {
-    auto eval_one = [&](std::size_t j) {
-      const std::size_t k = idx[j];
-      contrib[j] =
-          (terms_[k].second * state.expectation(terms_[k].first)).real();
-    };
-    auto cost = [&](std::size_t j) {
-      return pauli::support_cost(terms_[idx[j]].first);
-    };
-    if (parallel_sweep)
-      sweep_terms(mps_options_.parallel, idx.size(), cost, eval_one);
-    else
-      for (std::size_t j = 0; j < idx.size(); ++j) eval_one(j);
+    deal_lpt(
+        threads, idx.size(),
+        [&](std::size_t j) { return pauli::support_cost(terms_[idx[j]].first); },
+        [&](const std::vector<std::size_t>& items) {
+          for (std::size_t j : items) {
+            const auto& [p, c] = terms_[idx[j]];
+            contrib[j] = (c * state.expectation(p)).real();
+          }
+        });
   }
   double e = 0;
   for (double c : contrib) e += c;
@@ -491,10 +477,12 @@ double EnergyEvaluator::measure_hadamard(const std::vector<double>& params,
   };
   // Every string is a full circuit run; costs still follow the shared
   // support model.
-  sweep_terms(
-      mps_options_.parallel, idx.size(),
+  deal_lpt(
+      par::resolve_threads(mps_options_.parallel), idx.size(),
       [&](std::size_t j) { return pauli::support_cost(terms_[idx[j]].first); },
-      eval_one);
+      [&](const std::vector<std::size_t>& items) {
+        for (std::size_t j : items) eval_one(j);
+      });
   // Worst truncation across the swept circuits — deterministic for any
   // thread count, unlike "whichever circuit ran last".
   if (iterate) {

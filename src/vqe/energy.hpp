@@ -25,9 +25,14 @@ enum class CircuitStorage {
   kMemoryEfficient,  ///< one parametric ansatz replica (paper's scheme)
 };
 
+/// How the direct measurement sweeps the Pauli terms. Both give the same
+/// bits: every term's value comes from the same transfer chain.
 enum class TermGrouping {
-  kNone,       ///< one expectation sweep per Pauli term (baseline)
-  kCommuting,  ///< qubit-wise commuting groups share transfer sweeps
+  kNone,  ///< one sweep per Pauli term: the per-term reference path
+  /// One prefix-shared sweep over a pauli::MeasurementPlan built once by the
+  /// evaluator: terms sharing a start site and leading Pauli letters share
+  /// those transfers.
+  kCommuting,
 };
 
 class EnergyEvaluator {
@@ -48,8 +53,9 @@ class EnergyEvaluator {
 
   double energy(const std::vector<double>& params) const;
   /// Contribution of a subset of Pauli terms (the unit of level-2 work).
-  /// `iterate` = false marks an evaluation made only to differentiate (a
-  /// finite-difference point): it leaves last_truncation_error() alone.
+  /// Throws on an index >= n_terms() or one listed twice. `iterate` = false
+  /// marks an evaluation made only to differentiate (a finite-difference
+  /// point): it leaves last_truncation_error() alone.
   double partial_energy(const std::vector<double>& params,
                         const std::vector<std::size_t>& term_indices,
                         bool iterate = true) const;
@@ -109,12 +115,16 @@ class EnergyEvaluator {
   }
   double constant_term() const { return constant_; }
 
-  /// Number of qubit-wise commuting measurement groups the direct sweep
-  /// uses; equals n_terms() when grouping is disabled (every term is its own
-  /// sweep). Also exported as the "vqe.measurement_groups" gauge.
+  /// Transfer sweeps one full evaluation makes: the measurement plan's
+  /// blocks (one per start site), or n_terms() when every term is its own
+  /// sweep (TermGrouping::kNone, Hadamard-test mode).
   std::size_t measurement_group_count() const {
-    return groups_.empty() ? terms_.size() : groups_.size();
+    return use_plan_ ? plan_.blocks.size() : terms_.size();
   }
+  /// Exact per-site transfers one full evaluation makes through the
+  /// measurement plan (0 when terms are measured one by one). Also exported
+  /// as the "vqe.transfers_per_evaluation" gauge.
+  std::size_t transfers_per_evaluation() const { return plan_.transfers; }
   /// The cached compiled ansatz (empty circuit when the eager baseline path
   /// is active, i.e. kStoreAll or Hadamard-test mode).
   const circ::CompiledCircuit& compiled_ansatz() const { return compiled_; }
@@ -126,10 +136,11 @@ class EnergyEvaluator {
   double measure_hadamard(const std::vector<double>& params,
                           const std::vector<std::size_t>& idx,
                           bool iterate) const;
-  /// Measures the idx-subset of terms on a prepared state (grouped batches
-  /// when grouping is on, one expectation per term otherwise) and reduces
-  /// contributions in idx order — bit-identical to the serial ungrouped
-  /// sweep for every thread count and grouping mode.
+  /// Measures the idx-subset of terms on a prepared state (the plan's
+  /// selected entries when it is on, one expectation per term otherwise)
+  /// and reduces contributions in idx order — bit-identical to the serial
+  /// per-term sweep for every thread count and grouping mode. A parallel
+  /// sweep deals whole plan blocks over the pool, longest first.
   double reduce_terms(const sim::Mps& state,
                       const std::vector<std::size_t>& idx,
                       bool parallel_sweep) const;
@@ -145,8 +156,10 @@ class EnergyEvaluator {
   /// bind at run time, so energy/gradient calls never re-route.
   circ::CompiledCircuit compiled_;
   bool use_compiled_ = false;
-  /// QWC measurement plan over terms_ (empty = ungrouped per-term sweeps).
-  std::vector<pauli::MeasurementGroup> groups_;
+  /// Prefix-shared plan over terms_ for the permutation the measured states
+  /// carry (compiled_.output_perm, else the identity); set when use_plan_.
+  pauli::MeasurementPlan plan_;
+  bool use_plan_ = false;
   /// 0..n_terms()-1: the term list of a full energy evaluation.
   std::vector<std::size_t> all_terms_;
   /// Per parameter: index of its first gate in the stream the gradients

@@ -75,7 +75,8 @@ VqeResult optimize(const EnergyEvaluator& evaluator, const UccsdAnsatz& ansatz,
                 {{"n_qubits", ansatz.circuit.n_qubits()},
                  {"n_parameters", ansatz.n_parameters},
                  {"n_pauli_terms", evaluator.n_terms()},
-                 {"measurement_groups", evaluator.measurement_group_count()},
+                 {"transfers_per_evaluation",
+                  evaluator.transfers_per_evaluation()},
                  {"compiled_gates", evaluator.compiled_ansatz().gates.size()},
                  {"swaps_elided", evaluator.compiled_ansatz().stats.swaps_elided},
                  {"circuit_gates", ansatz.circuit.size()}});

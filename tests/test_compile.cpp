@@ -1,12 +1,15 @@
 // Circuit-compilation tests: permutation bookkeeping, lazy-reordering SWAP
 // elision and peephole cancellation, two-qubit fusion, the compiled-run
 // differential sweep (compiled MPS == statevector == eager-routed reference),
-// commuting-group measurement planning, and the bit-identity contract of the
-// grouped energy sweep on the H2/H4 goldens at several thread counts.
+// commuting-group and prefix-shared measurement planning, and the
+// bit-identity contract of the planned energy sweep on the H2/H4 goldens at
+// several thread counts, with its exact transfer count.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
+#include <set>
+#include <string>
 
 #include "chem/hamiltonian.hpp"
 #include "chem/scf.hpp"
@@ -15,6 +18,7 @@
 #include "circuit/reorder.hpp"
 #include "circuit/routing.hpp"
 #include "common/rng.hpp"
+#include "obs/metrics.hpp"
 #include "pauli/grouping.hpp"
 #include "sim/mps.hpp"
 #include "sim/reference_mps.hpp"
@@ -270,36 +274,74 @@ TEST(Fusion, AdjacentTwoQubitGatesMergePreservingState) {
   EXPECT_EQ(circ::fuse_adjacent_two_qubit_gates(two).size(), 1u);
 }
 
-TEST(Compile, ExpectationBatchIsBitIdenticalToStandalone) {
-  Rng rng(4242);
-  const int n = 8;
-  const Circuit c = random_long_range_circuit(n, 24, rng);
-  sim::MpsOptions exact;
-  exact.max_bond = 64;
-  sim::Mps mps(n, exact);
-  mps.run(circ::compile_for_mps(c));
-
+// Random strings of weight 1-4, plus a duplicate, a single-site string and
+// the identity — every case the measurement plan treats specially.
+std::vector<PauliString> random_terms(std::size_t n, int count, Rng& rng) {
   std::vector<PauliString> terms;
-  for (int t = 0; t < 40; ++t) {
-    PauliString p{std::size_t(n)};
+  for (int t = 0; t < count; ++t) {
+    PauliString p{n};
     const int weight = 1 + int(rng.index(4));
     for (int w = 0; w < weight; ++w)
-      p.set(rng.index(std::size_t(n)), pauli::P(1 + int(rng.index(3))));
+      p.set(rng.index(n), pauli::P(1 + int(rng.index(3))));
     terms.push_back(p);
   }
-  terms.push_back(PauliString(std::size_t(n)));  // identity rides along
+  terms.push_back(terms[std::size_t(count) / 2]);   // duplicate
+  terms.push_back(PauliString::parse(n, "Y1"));     // single site
+  terms.push_back(PauliString(n));                  // identity rides along
+  return terms;
+}
 
-  const std::vector<cplx> batch = mps.expectation_batch(terms);
-  ASSERT_EQ(batch.size(), terms.size());
-  for (std::size_t i = 0; i < terms.size(); ++i) {
-    const cplx solo = mps.expectation(terms[i]);
-    EXPECT_EQ(batch[i].real(), solo.real()) << terms[i].str();
-    EXPECT_EQ(batch[i].imag(), solo.imag()) << terms[i].str();
+bool same_bits(cplx a, cplx b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+TEST(Compile, ExpectationBatchIsBitIdenticalToStandalone) {
+  Rng rng(4242);
+  int permuted_states = 0;
+  for (int n = 6; n <= 10; ++n) {
+    const Circuit c = random_long_range_circuit(n, 4 * n, rng);
+    const CompiledCircuit cc = circ::compile_for_mps(c);
+    sim::MpsOptions exact;
+    exact.max_bond = 64;
+    sim::Mps mps(n, exact);
+    mps.run(cc);
+    if (!mps.output_permutation().is_identity()) ++permuted_states;
+
+    const std::vector<PauliString> terms =
+        random_terms(std::size_t(n), 40, rng);
+    const std::vector<cplx> batch = mps.expectation_batch(terms);
+    ASSERT_EQ(batch.size(), terms.size());
+    for (std::size_t i = 0; i < terms.size(); ++i)
+      EXPECT_TRUE(same_bits(batch[i], mps.expectation(terms[i])))
+          << "n=" << n << " " << terms[i].str();
+
+    // The sweep over a subset of the terms computes exactly their values.
+    const pauli::MeasurementPlan plan =
+        pauli::plan_measurement(terms, mps.output_permutation().site_of_map());
+    std::vector<char> selected(terms.size(), 0);
+    for (std::size_t i = 0; i < terms.size(); i += 3) selected[i] = 1;
+    std::vector<std::size_t> blocks(plan.blocks.size());
+    for (std::size_t b = 0; b < blocks.size(); ++b) blocks[b] = b;
+    std::vector<cplx> subset(terms.size());
+    mps.sweep_plan(plan, blocks, selected, subset);
+    for (std::size_t i = 0; i < terms.size(); ++i) {
+      if (selected[i] && !terms[i].is_identity()) {
+        EXPECT_TRUE(same_bits(subset[i], batch[i])) << terms[i].str();
+      }
+    }
+
+    // A plan made for another placement of the qubits must not be swept.
+    QubitPermutation other = mps.output_permutation();
+    other.swap_sites(0, 1);
+    const pauli::MeasurementPlan wrong =
+        pauli::plan_measurement(terms, other.site_of_map());
+    EXPECT_THROW(mps.sweep_plan(wrong, blocks, {}, subset), Error);
+    std::vector<cplx> short_values(terms.size() - 1);
+    EXPECT_THROW(mps.sweep_plan(plan, blocks, {}, short_values), Error);
   }
+  EXPECT_GT(permuted_states, 0);  // the cases must exercise the remapping
 }
 
 // -------------------------------------------------------------------------
-// Commuting-group planning
+// Measurement planning
 
 TEST(Grouping, QubitwiseCompatibilityMatchesDefinition) {
   const auto compat = [](const char* a, const char* b) {
@@ -346,6 +388,75 @@ TEST(Grouping, PartitionCoversEveryTermOnceAndIsCompatible) {
     EXPECT_EQ(again[g].members, groups[g].members);
 }
 
+// The plan's transfer count is the number of distinct (start site, letter
+// prefix) pairs, its blocks partition the entries by start site, and the
+// same input gives the same plan.
+TEST(Grouping, PlanCountsDistinctPrefixesAndPartitionsIntoBlocks) {
+  Rng rng(31);
+  for (int trial = 0; trial < 20; ++trial) {
+    const std::size_t n = 4 + rng.index(7);
+    const std::vector<PauliString> terms = random_terms(n, 60, rng);
+    std::vector<int> site_of(n);
+    for (std::size_t q = 0; q < n; ++q) site_of[q] = int(q);
+    for (std::size_t q = n; q-- > 1;)
+      std::swap(site_of[q], site_of[rng.index(q + 1)]);
+    const pauli::MeasurementPlan plan = pauli::plan_measurement(terms, site_of);
+
+    std::set<std::pair<std::size_t, std::string>> prefixes;
+    std::size_t identities = 0;
+    for (const PauliString& t : terms) {
+      if (t.is_identity()) {
+        ++identities;
+        continue;
+      }
+      const PauliString p = t.permuted(site_of);
+      const auto [lo, hi] = p.support_range();
+      std::string prefix;
+      for (std::size_t s = lo; s <= hi; ++s) {
+        prefix += char('0' + int(p.get(s)));
+        prefixes.insert({lo, prefix});
+      }
+    }
+    EXPECT_EQ(plan.transfers, prefixes.size());
+    EXPECT_EQ(plan.identity_terms.size(), identities);
+    EXPECT_EQ(plan.entries.size() + identities, terms.size());
+
+    std::vector<int> seen(terms.size(), 0);
+    for (const auto& e : plan.entries) ++seen[e.term];
+    for (std::size_t i : plan.identity_terms) ++seen[i];
+    for (int count : seen) EXPECT_EQ(count, 1);
+
+    std::size_t next = 0, transfers = 0;
+    for (const auto& b : plan.blocks) {
+      ASSERT_EQ(b.begin, next);
+      ASSERT_LT(b.begin, b.end);
+      std::size_t block_transfers = 0;
+      for (std::size_t k = b.begin; k < b.end; ++k) {
+        const auto& e = plan.entries[k];
+        EXPECT_EQ(e.lo, plan.entries[b.begin].lo);
+        EXPECT_LE(e.shared, e.hi - e.lo + 1);
+        block_transfers += e.hi - e.lo + 1 - e.shared;
+      }
+      EXPECT_EQ(plan.entries[b.begin].shared, 0u);
+      EXPECT_EQ(b.transfers, block_transfers);
+      if (b.end < plan.entries.size()) {
+        EXPECT_LT(plan.entries[b.begin].lo, plan.entries[b.end].lo);
+      }
+      transfers += b.transfers;
+      next = b.end;
+    }
+    EXPECT_EQ(next, plan.entries.size());
+    EXPECT_EQ(transfers, plan.transfers);
+
+    const pauli::MeasurementPlan again = pauli::plan_measurement(terms, site_of);
+    ASSERT_EQ(again.entries.size(), plan.entries.size());
+    for (std::size_t k = 0; k < plan.entries.size(); ++k) {
+      EXPECT_EQ(again.entries[k].term, plan.entries[k].term);
+      EXPECT_EQ(again.entries[k].shared, plan.entries[k].shared);
+    }
+  }
+}
+
 TEST(Grouping, SharedSupportCostModel) {
   EXPECT_EQ(pauli::support_cost(PauliString(4)), 0.0);
   EXPECT_EQ(pauli::support_cost(PauliString::parse(8, "Z3")), 2.0);
@@ -354,7 +465,7 @@ TEST(Grouping, SharedSupportCostModel) {
 }
 
 // -------------------------------------------------------------------------
-// Grouped energies: bit-identical to the ungrouped serial sweep
+// Planned energies: bit-identical to the per-term serial sweep
 
 struct MolecularCase {
   vqe::UccsdAnsatz ansatz;
@@ -409,6 +520,32 @@ TEST(GroupedEnergy, H2BitIdenticalAcrossGroupingAndThreads) {
 
 TEST(GroupedEnergy, H4BitIdenticalAcrossGroupingAndThreads) {
   expect_grouped_bit_identical(h_chain_case(4, 1.8, 2));
+}
+
+// Exact measurement work: one H4 UCCSD energy() makes the plan's 561
+// transfers (838 with QWC groups sharing only inside a group, 184 sweeps
+// one per term) at every thread count, because threads are dealt whole
+// blocks.
+TEST(GroupedEnergy, H4PlanTransfersAreExactAtEveryThreadCount) {
+  const MolecularCase mc = h_chain_case(4, 1.8, 2);
+  const std::vector<double> params(mc.ansatz.n_parameters, 0.05);
+  obs::Counter& ops = obs::Registry::global().counter("mps.transfer_site_ops");
+  obs::Counter& sweeps = obs::Registry::global().counter("mps.transfer_sweeps");
+  std::uint64_t sweeps_one_thread = 0;
+  for (std::size_t threads : {std::size_t(1), std::size_t(2), std::size_t(4)}) {
+    sim::MpsOptions opts;
+    opts.parallel.n_threads = threads;
+    const vqe::EnergyEvaluator evaluator(mc.ansatz.circuit, mc.hamiltonian,
+                                         opts);
+    EXPECT_EQ(evaluator.transfers_per_evaluation(), 561u);
+    const std::uint64_t ops0 = ops.value(), sweeps0 = sweeps.value();
+    evaluator.energy(params);
+    EXPECT_EQ(ops.value() - ops0, 561u) << "threads=" << threads;
+    const std::uint64_t swept = sweeps.value() - sweeps0;
+    EXPECT_EQ(swept, evaluator.measurement_group_count());
+    if (threads == 1) sweeps_one_thread = swept;
+    EXPECT_EQ(swept, sweeps_one_thread) << "threads=" << threads;
+  }
 }
 
 }  // namespace

@@ -1,12 +1,13 @@
 // Measurement utilities: direct energy measurement guards, Hadamard-test
 // equivalence on MPS and state-vector backends, and qubit-wise commuting
-// grouping invariants.
+// grouping invariants on a molecular Hamiltonian.
 #include <gtest/gtest.h>
 
 #include "chem/hamiltonian.hpp"
 #include "chem/scf.hpp"
 #include "circuit/builder.hpp"
 #include "common/rng.hpp"
+#include "pauli/grouping.hpp"
 #include "sim/expectation.hpp"
 #include "sim/hadamard_test.hpp"
 
@@ -60,16 +61,23 @@ TEST(HadamardTest, StateVectorBackendAgrees) {
   EXPECT_NEAR(mps_val, sv_val, 1e-9);
 }
 
+std::vector<pauli::PauliString> strings(const pauli::QubitOperator& op) {
+  std::vector<pauli::PauliString> out;
+  for (const auto& [p, c] : op.sorted_terms()) out.push_back(p);
+  return out;
+}
+
 TEST(Grouping, GroupsAreQubitwiseCompatible) {
   const pauli::QubitOperator h = h2_hamiltonian();
-  const auto groups = qubitwise_commuting_groups(h);
+  const std::vector<pauli::PauliString> terms = strings(h);
+  const auto groups = pauli::group_qubitwise_commuting(terms);
   std::size_t total = 0;
   for (const auto& g : groups) {
-    total += g.size();
-    for (std::size_t i = 0; i < g.size(); ++i)
-      for (std::size_t j = i + 1; j < g.size(); ++j)
-        for (std::size_t q = 0; q < g[i].n_qubits(); ++q) {
-          const pauli::P a = g[i].get(q), b = g[j].get(q);
+    total += g.members.size();
+    for (std::size_t i : g.members)
+      for (std::size_t j : g.members)
+        for (std::size_t q = 0; q < terms[i].n_qubits(); ++q) {
+          const pauli::P a = terms[i].get(q), b = terms[j].get(q);
           EXPECT_TRUE(a == pauli::P::I || b == pauli::P::I || a == b);
         }
   }
@@ -82,8 +90,7 @@ TEST(Grouping, SingleStringsFormSingletons) {
   pauli::QubitOperator op(2);
   op += pauli::QubitOperator::term(2, "X0", 1.0);
   op += pauli::QubitOperator::term(2, "Z0", 1.0);  // incompatible with X0
-  const auto groups = qubitwise_commuting_groups(op);
-  EXPECT_EQ(groups.size(), 2u);
+  EXPECT_EQ(pauli::group_qubitwise_commuting(strings(op)).size(), 2u);
 }
 
 }  // namespace

@@ -169,6 +169,89 @@ TEST(GemmDiff, GemmTileAccumulates) {
   EXPECT_LE(max_abs_diff(c, expected), tolerance(k, expected.max_abs()));
 }
 
+// A product that is one C tile and one k-block runs inline on the calling
+// thread; one past any of those bounds takes the tiled grid. Both sides of
+// each bound must match the reference and give the same bits at every
+// thread count.
+TEST(GemmDiff, SingleTileBoundsMatchReferenceAtEveryThreadCount) {
+  using B = GemmBlocking;
+  Rng rng(1001);
+  const std::size_t shapes[][3] = {
+      {B::kMC, 8, 8},  {B::kMC + 1, 8, 8}, {8, 8, B::kJB},
+      {8, 8, B::kJB + 1}, {8, B::kKC, 8}, {8, B::kKC + 1, 8},
+      {B::kMC, B::kKC, B::kJB}};
+  for (const auto& shape : shapes) {
+    const std::size_t m = shape[0], k = shape[1], n = shape[2];
+    const CMatrix a = random_cmatrix(m, k, rng);
+    const CMatrix b = random_cmatrix(k, n, rng);
+    CMatrix expected;
+    gemm_reference(cplx{1}, a, Op::kNone, b, Op::kNone, cplx{0}, expected);
+    CMatrix one_thread;
+    for (const std::size_t t : {1u, 2u, 4u}) {
+      par::ParallelOptions opts;
+      opts.n_threads = t;
+      const CMatrix c = matmul(a, b, Op::kNone, Op::kNone, opts);
+      EXPECT_LE(max_abs_diff(c, expected), tolerance(k, expected.max_abs()))
+          << "m=" << m << " k=" << k << " n=" << n << " threads=" << t;
+      if (t == 1)
+        one_thread = c;
+      else
+        EXPECT_TRUE(bit_identical(c, one_thread))
+            << "m=" << m << " k=" << k << " n=" << n << " threads=" << t;
+    }
+  }
+}
+
+// beta = 0 on the inline path assigns, so stale NaNs in the output never
+// leak through; entries past n in each row of a strided C stay untouched.
+TEST(GemmDiff, SingleTileBetaZeroOverwritesStaleNanInStridedOutput) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  Rng rng(1002);
+  const std::size_t m = 5, k = 7, n = 3, ldc = 6;
+  const CMatrix a = random_cmatrix(m, k, rng);
+  const CMatrix b = random_cmatrix(k, n, rng);
+  std::vector<cplx> c(m * ldc, cplx{nan, nan});
+  const cplx alpha{0.5, -1.0};
+  gemm_raw(m, k, n, alpha, a.data(), k, Op::kNone, b.data(), n, Op::kNone,
+           cplx{0}, c.data(), ldc);
+  CMatrix expected;
+  gemm_reference(alpha, a, Op::kNone, b, Op::kNone, cplx{0}, expected);
+  for (std::size_t i = 0; i < m; ++i)
+    for (std::size_t j = 0; j < ldc; ++j) {
+      if (j < n) {
+        EXPECT_LE(std::abs(c[i * ldc + j] - expected(i, j)),
+                  tolerance(k, expected.max_abs()));
+      } else {
+        EXPECT_TRUE(std::isnan(c[i * ldc + j].real())) << i << "," << j;
+      }
+    }
+}
+
+// The scaled raw entry and gemm() run the same kernel on the same operands:
+// same bits for every op pair, on one tile and on a tile grid.
+TEST(GemmDiff, ScaledRawEntryMatchesGemmBitForBit) {
+  Rng rng(1003);
+  const std::size_t shapes[][3] = {{5, 7, 3}, {97, 130, 65}};
+  const cplx alpha{0.3, -0.7}, beta{-0.5, 0.25};
+  for (const auto& shape : shapes) {
+    const std::size_t m = shape[0], k = shape[1], n = shape[2];
+    for (const Op op_a : kOps)
+      for (const Op op_b : kOps) {
+        const CMatrix a = op_a == Op::kNone ? random_cmatrix(m, k, rng)
+                                            : random_cmatrix(k, m, rng);
+        const CMatrix b = op_b == Op::kNone ? random_cmatrix(k, n, rng)
+                                            : random_cmatrix(n, k, rng);
+        CMatrix c = random_cmatrix(m, n, rng);
+        CMatrix raw = c;
+        gemm(alpha, a, op_a, b, op_b, beta, c);
+        gemm_raw(m, k, n, alpha, a.data(), a.cols(), op_a, b.data(), b.cols(),
+                 op_b, beta, raw.data(), n);
+        EXPECT_TRUE(bit_identical(raw, c))
+            << "m=" << m << " op_a=" << int(op_a) << " op_b=" << int(op_b);
+      }
+  }
+}
+
 // gemm_raw validates the stride of every operand against its *stored* shape:
 // op == kNone reads A as m x k (lda >= k), transposed/adjoint ops read the
 // k x m storage (lda >= m); likewise ldb against n / k. An undersized stride

@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <memory>
 
 #include "chem/fci.hpp"
 #include "chem/hamiltonian.hpp"
@@ -167,6 +168,41 @@ TEST(EnergyEvaluator, PartialEnergiesSumToTotal) {
                        eval.partial_energy(params, odds) +
                        eval.constant_term();
   EXPECT_NEAR(total, eval.energy(params), 1e-10);
+}
+
+// The H2 evaluators of every measurement path: the plan, per-term sweeps,
+// and the Hadamard test.
+std::vector<std::unique_ptr<EnergyEvaluator>> h2_evaluators(
+    const UccsdAnsatz& ansatz) {
+  const Solved s = solve(chem::Molecule::h2(1.4));
+  const pauli::QubitOperator h = chem::molecular_qubit_hamiltonian(s.mo);
+  std::vector<std::unique_ptr<EnergyEvaluator>> evals;
+  evals.push_back(std::make_unique<EnergyEvaluator>(ansatz.circuit, h));
+  evals.push_back(std::make_unique<EnergyEvaluator>(
+      ansatz.circuit, h, sim::MpsOptions{}, MeasurementMode::kDirect,
+      CircuitStorage::kMemoryEfficient, TermGrouping::kNone));
+  evals.push_back(std::make_unique<EnergyEvaluator>(
+      ansatz.circuit, h, sim::MpsOptions{}, MeasurementMode::kHadamardTest));
+  return evals;
+}
+
+// An index past the term list wrote past the plan's slot table, and read
+// past the terms on the per-term paths.
+TEST(EnergyEvaluator, PartialEnergyRejectsOutOfRangeIndex) {
+  const UccsdAnsatz ansatz = build_uccsd(2, 1, 1);
+  const std::vector<double> params = initial_parameters(ansatz, 0.1);
+  for (const auto& eval : h2_evaluators(ansatz)) {
+    EXPECT_THROW(eval->partial_energy(params, {0, eval->n_terms()}), Error);
+    EXPECT_NO_THROW(eval->partial_energy(params, {eval->n_terms() - 1}));
+  }
+}
+
+// A repeated index counted once with the plan and twice without it.
+TEST(EnergyEvaluator, PartialEnergyRejectsRepeatedIndex) {
+  const UccsdAnsatz ansatz = build_uccsd(2, 1, 1);
+  const std::vector<double> params = initial_parameters(ansatz, 0.1);
+  for (const auto& eval : h2_evaluators(ansatz))
+    EXPECT_THROW(eval->partial_energy(params, {1, 0, 1}), Error);
 }
 
 TEST(EnergyEvaluator, ParameterShiftMatchesFiniteDifferences) {
