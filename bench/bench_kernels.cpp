@@ -1,6 +1,6 @@
 // Google-benchmark microbenchmarks of the numerical kernels every figure
-// rests on: complex GEMM, one-sided Jacobi SVD, the MPS two-site update and
-// Pauli-string expectation sweeps.
+// rests on: complex GEMM, the Golub-Kahan SVD (next to its Jacobi oracle),
+// the MPS two-site update and Pauli-string expectation sweeps.
 //
 // `bench_kernels --json=BENCH_gemm.json` instead runs the GEMM sweep: packed
 // blocked kernel vs the naive reference across sizes and thread counts,
@@ -80,16 +80,7 @@ void BM_SvdGolubKahan(benchmark::State& state) {
 }
 BENCHMARK(BM_SvdGolubKahan)->Arg(16)->Arg(32)->Arg(64);
 
-void BM_SvdJacobi(benchmark::State& state) {
-  const std::size_t n = std::size_t(state.range(0));
-  const la::CMatrix a = random_matrix(2 * n, 2 * n, 3);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(la::svd_jacobi(a));
-  }
-}
-BENCHMARK(BM_SvdJacobi)->Arg(16)->Arg(32)->Arg(64);
-
-// The frozen scalar cyclic-Jacobi oracle, timed alongside the tournament
+// The frozen scalar cyclic-Jacobi oracle, timed alongside the Golub-Kahan
 // engine so the microbenchmark shows the same gap the bench_svd sweep
 // asserts.
 void BM_SvdJacobiReference(benchmark::State& state) {

@@ -12,21 +12,6 @@
 #include "sim/mps.hpp"
 #include "vqe/uccsd.hpp"
 
-namespace {
-
-// Total wall time (seconds) of every profile node with this span name, summed
-// across call paths. With the run pinned to one thread the sums are disjoint
-// slices of the wall clock, so share-of-total is well defined.
-double span_seconds(const std::vector<q2::obs::ProfileNode>& nodes,
-                    const char* name) {
-  double us = 0;
-  for (const auto& node : nodes)
-    if (node.name == name) us += node.total_us;
-  return us * 1e-6;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   using namespace q2;
   bench::init(argc, argv);
@@ -51,15 +36,17 @@ int main(int argc, char** argv) {
         circ::route_to_nearest_neighbour(ansatz.circuit);
     sim::MpsOptions mo;
     mo.max_bond = 32;
-    mo.parallel.n_threads = 1;  // keep span totals disjoint wall-clock slices
+    // One thread keeps the span totals disjoint slices of the wall clock, so
+    // share-of-total is well defined.
+    mo.parallel.n_threads = 1;
     obs::clear_profile();
     Timer t;
     sim::Mps mps(routed.n_qubits(), mo);
     mps.run(routed, params);
     const double total = t.seconds();
     const std::vector<obs::ProfileNode> nodes = obs::profile_snapshot();
-    const double contraction_s = span_seconds(nodes, "mps/contract");
-    const double svd_s = span_seconds(nodes, "mps/svd");
+    const double contraction_s = bench::span_seconds(nodes, "mps/contract");
+    const double svd_s = bench::span_seconds(nodes, "mps/svd");
     bench::row({std::to_string(routed.n_qubits()),
                 std::to_string(mps.max_bond_dimension()),
                 bench::fmt(100 * contraction_s / total, 1),

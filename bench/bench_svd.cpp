@@ -1,11 +1,11 @@
-// Truncated-SVD substrate sweep (`bench_svd --json=BENCH_svd.json`): the
-// QR-preconditioned tournament-Jacobi engine vs the frozen scalar
-// cyclic-Jacobi reference across operand shapes and bond-fraction
-// truncations, asserting the perf floor (new engine >= 3x the scalar
-// reference single-threaded on 512x512 complex at max_bond = 64) and
-// recording the trajectory point next to BENCH_gemm.json. A second section
-// measures MPS two-qubit gate throughput, whose hot loop is exactly this
-// truncated SVD.
+// Truncated-SVD sweep (`bench_svd --json=BENCH_svd.json`): the Golub-Kahan
+// engine vs the frozen scalar cyclic-Jacobi reference across operand shapes
+// and bond-fraction truncations, asserting the perf floor (engine >= 3x the
+// scalar reference on 512x512 complex at max_bond = 64) and recording the
+// trajectory point next to BENCH_gemm.json, with the implicit-QR sweep count
+// per shape. A second section measures MPS two-qubit gate throughput, whose
+// hot loop is exactly this truncated SVD, and its SVD share of the
+// mps/svd + mps/contract span time.
 #include <cstring>
 #include <functional>
 #include <string>
@@ -17,6 +17,7 @@
 #include "common/rng.hpp"
 #include "linalg/svd.hpp"
 #include "linalg/svd_reference.hpp"
+#include "parallel/thread_pool.hpp"
 #include "sim/mps.hpp"
 
 namespace {
@@ -40,6 +41,10 @@ double time_best_of(int reps, const std::function<void()>& fn) {
   return best;
 }
 
+std::uint64_t counter_value(const char* name) {
+  return obs::Registry::global().counter(name).value();
+}
+
 std::string shape_key(std::size_t m, std::size_t n, std::size_t d) {
   return std::to_string(m) + "x" + std::to_string(n) + "_d" +
          std::to_string(d);
@@ -54,9 +59,9 @@ int run(const std::string& report_name, bool quick) {
   bool ok = true;
 
   bench::header(
-      "Truncated SVD sweep: tournament Jacobi vs scalar cyclic reference");
+      "Truncated SVD sweep: Golub-Kahan engine vs scalar cyclic reference");
   bench::row({"shape", "max_bond", "reference (s)", "new 1T (s)", "speedup",
-              "sweeps", "precond"});
+              "QR sweeps"});
 
   struct Shape {
     std::size_t m, n;
@@ -95,13 +100,11 @@ int run(const std::string& report_name, bool quick) {
       const std::size_t max_bond = std::max<std::size_t>(1, k / frac);
       const int reps = k <= 256 ? 3 : 2;
 
-      par::ParallelOptions one;
-      one.n_threads = 1;
       la::SvdWorkspace ws;
       la::TruncatedSpectrum f;
       const double t_new = time_best_of(reps, [&] {
         f = la::svd_truncated_ws(ws, a.data(), m, n, n, nullptr, max_bond,
-                                 0.0, /*want_u=*/true, one);
+                                 0.0, /*want_u=*/true);
       });
 
       // Correctness: kept spectrum must match the reference oracle.
@@ -114,18 +117,24 @@ int run(const std::string& report_name, bool quick) {
         }
       }
 
-      // Determinism: a second thread count must reproduce every output bit.
+      // Determinism: the same call on a pool thread with its own workspace
+      // must reproduce every output bit.
       par::ParallelOptions two;
       two.n_threads = 2;
-      la::SvdWorkspace ws2;
-      const la::TruncatedSpectrum f2 = la::svd_truncated_ws(
-          ws2, a.data(), m, n, n, nullptr, max_bond, 0.0, true, two);
-      if (f2.keep != f.keep ||
-          std::memcmp(f.s, f2.s, f.keep * sizeof(double)) != 0 ||
-          std::memcmp(f.vh, f2.vh, f.keep * n * sizeof(cplx)) != 0 ||
-          std::memcmp(f.u, f2.u, m * f.keep * sizeof(cplx)) != 0) {
-        std::printf("FAIL: thread counts not bit-identical at %zux%zu d=%zu\n",
-                    m, n, max_bond);
+      two.grain = 1;
+      std::vector<char> same(2, 1);
+      par::parallel_for(two, 0, same.size(), [&](std::size_t i) {
+        la::SvdWorkspace ws2;
+        const la::TruncatedSpectrum f2 = la::svd_truncated_ws(
+            ws2, a.data(), m, n, n, nullptr, max_bond, 0.0, true);
+        same[i] = f2.keep == f.keep &&
+                  std::memcmp(f.s, f2.s, f.keep * sizeof(double)) == 0 &&
+                  std::memcmp(f.vh, f2.vh, f.keep * n * sizeof(cplx)) == 0 &&
+                  std::memcmp(f.u, f2.u, m * f.keep * sizeof(cplx)) == 0;
+      });
+      if (!same[0] || !same[1]) {
+        std::printf("FAIL: pool-thread calls differ at %zux%zu d=%zu\n", m,
+                    n, max_bond);
         ok = false;
       }
 
@@ -133,11 +142,11 @@ int run(const std::string& report_name, bool quick) {
       bench::row({std::to_string(m) + "x" + std::to_string(n),
                   std::to_string(max_bond), bench::fmte(t_ref),
                   bench::fmte(t_new), bench::fmt(speedup, 2) + "x",
-                  std::to_string(f.sweeps), f.preconditioned ? "yes" : "no"});
+                  std::to_string(f.sweeps)});
       const std::string key = shape_key(m, n, max_bond);
       report.set("svd_" + key + "_new_1t_s", t_new);
       report.set("svd_" + key + "_speedup_vs_ref", speedup);
-      report.set("svd_" + key + "_sweeps", double(f.sweeps));
+      report.set("svd_" + key + "_qr_sweeps", double(f.sweeps));
       if (m == floor_mn && n == floor_mn && max_bond == 64)
         floor_speedup = speedup;
     }
@@ -166,19 +175,32 @@ int run(const std::string& report_name, bool quick) {
     mps.run(circ::brickwork_circuit(n_qubits, quick ? 4 : 8, rng));
     const circ::Circuit layer = circ::brickwork_circuit(n_qubits, 2, rng);
     const double t_layers = time_best_of(3, [&] { mps.run(layer); });
+    const double truncation_error = mps.truncation_error();
+    // The SVD share and sweep count come from one more layer run with
+    // profiling on, as span and counter deltas (a --profile= run keeps its
+    // own tree).
+    const bool was_profiling = obs::profiling_enabled();
+    obs::set_profiling(true);
+    const std::vector<obs::ProfileNode> before = obs::profile_snapshot();
+    const std::uint64_t gates0 = counter_value("mps.gates");
+    const std::uint64_t sweeps0 = counter_value("mps.svd_sweeps");
+    mps.run(layer);
+    const double gates = double(counter_value("mps.gates") - gates0);
+    const double sweeps = double(counter_value("mps.svd_sweeps") - sweeps0);
+    const std::vector<obs::ProfileNode> after = obs::profile_snapshot();
+    obs::set_profiling(was_profiling);
+    const double svd_s = bench::span_seconds(after, "mps/svd") -
+                         bench::span_seconds(before, "mps/svd");
+    const double contract_s = bench::span_seconds(after, "mps/contract") -
+                              bench::span_seconds(before, "mps/contract");
     const double gates_per_s = double(layer.size()) / t_layers;
     bench::row({"gates/s", bench::fmt(gates_per_s, 1)});
-    bench::row({"truncation_error", bench::fmte(mps.truncation_error())});
-    bench::row({"svd_sweeps/gate",
-                bench::fmt(double(mps.profile().svd_sweeps) /
-                               double(mps.profile().gates_applied),
-                           2)});
+    bench::row({"truncation_error", bench::fmte(truncation_error)});
+    bench::row({"QR sweeps/gate", bench::fmt(sweeps / gates, 2)});
     report.set("mps_gate_throughput_per_s", gates_per_s);
-    report.set("mps_truncation_error", mps.truncation_error());
+    report.set("mps_truncation_error", truncation_error);
     report.set("mps_svd_seconds_frac",
-               mps.profile().svd_seconds /
-                   (mps.profile().svd_seconds +
-                    mps.profile().contraction_seconds));
+               svd_s + contract_s > 0 ? svd_s / (svd_s + contract_s) : 0.0);
   }
 
   report.set("perf_floor_ok", ok ? 1.0 : 0.0);

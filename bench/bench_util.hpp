@@ -27,6 +27,16 @@ inline void init(int& argc, char** argv) {
   par::configure_threads_from_args(argc, argv);
 }
 
+/// Total wall time (seconds) of every profile node with this span name,
+/// summed across call paths.
+inline double span_seconds(const std::vector<obs::ProfileNode>& nodes,
+                           const char* name) {
+  double us = 0;
+  for (const auto& node : nodes)
+    if (node.name == name) us += node.total_us;
+  return us * 1e-6;
+}
+
 /// Collects one benchmark's headline results and writes them to
 /// BENCH_<name>.json in the working directory: benchmark name, total wall
 /// time, caller-set key figures, and the key telemetry counters at the time

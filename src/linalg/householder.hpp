@@ -1,10 +1,10 @@
 // Shared Householder reflector machinery: zlarfg-style reflector generation
-// plus row-major-friendly left/right application on raw buffers. Factored out
-// of the SVD's Golub-Kahan bidiagonalization so the QR factorization
-// (linalg/qr) and the truncated-SVD substrate's QR preconditioner run on one
-// implementation. reflect_left walks the operand row by row (the classic
-// zlarf work-array formulation), so every inner loop is contiguous even
-// though the reflector acts on a column.
+// plus row-major-friendly left/right application on raw buffers, used by the
+// SVD's Golub-Kahan bidiagonalization and back-transformation and by the QR
+// factorization (linalg/qr). reflect_left walks the operand row by row (the
+// classic zlarf work-array formulation), so every inner loop is contiguous
+// even though the reflector acts on a column; both directions run through
+// the la::simd kernels.
 #pragma once
 
 #include <cmath>
@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "common/types.hpp"
+#include "linalg/simd.hpp"
 
 namespace q2::la::hh {
 
@@ -35,8 +36,15 @@ inline Reflector make_reflector(cplx alpha, cplx* x, std::size_t tail) {
   const double anorm = std::sqrt(norm2(alpha) + xnorm2);
   r.beta = alpha.real() >= 0 ? -anorm : anorm;
   r.tau = cplx((r.beta - alpha.real()) / r.beta, -alpha.imag() / r.beta);
-  const cplx scale = 1.0 / (alpha - r.beta);
-  for (std::size_t i = 0; i < tail; ++i) x[i] *= scale;
+  // scale = 1 / (alpha - beta) = conj(z) / |z|^2; |z| >= anorm > 0 because
+  // beta takes the sign opposite to Re(alpha).
+  const cplx z = alpha - r.beta;
+  const double inv = 1.0 / norm2(z);
+  const double sr = z.real() * inv, si = -z.imag() * inv;
+  for (std::size_t i = 0; i < tail; ++i) {
+    const double xr = x[i].real(), xi = x[i].imag();
+    x[i] = cplx{xr * sr - xi * si, xr * si + xi * sr};
+  }
   return r;
 }
 
@@ -49,25 +57,9 @@ inline void reflect_left(cplx* a, std::size_t ld, std::size_t cols,
                          std::size_t tail, cplx sigma,
                          std::vector<cplx>& work) {
   if (sigma == cplx{} || c0 >= cols) return;
-  const std::size_t nc = cols - c0;
-  work.resize(nc);
-  cplx* head = a + r0 * ld + c0;
-  for (std::size_t j = 0; j < nc; ++j) work[j] = head[j];
-  for (std::size_t i = 0; i < tail; ++i) {
-    const cplx vi = std::conj(v[i]);
-    const cplx* row = a + (r0 + 1 + i) * ld + c0;
-    for (std::size_t j = 0; j < nc; ++j) work[j] += vi * row[j];
-  }
-  for (std::size_t j = 0; j < nc; ++j) {
-    const cplx sw = sigma * work[j];
-    head[j] -= sw;
-    work[j] = sw;  // reuse as the scaled update for the tail rows
-  }
-  for (std::size_t i = 0; i < tail; ++i) {
-    const cplx vi = v[i];
-    cplx* row = a + (r0 + 1 + i) * ld + c0;
-    for (std::size_t j = 0; j < nc; ++j) row[j] -= work[j] * vi;
-  }
+  work.resize(cols - c0);
+  simd::householder_left(a + r0 * ld + c0, ld, tail + 1, cols - c0, v, sigma,
+                         work.data());
 }
 
 // A(r0..rows, c0..) <- A (I - sigma v v^H), with v0 = 1 at column c0; rows
@@ -75,16 +67,9 @@ inline void reflect_left(cplx* a, std::size_t ld, std::size_t cols,
 inline void reflect_right(cplx* a, std::size_t ld, std::size_t rows,
                           std::size_t r0, std::size_t c0, const cplx* v,
                           std::size_t tail, cplx sigma) {
-  if (sigma == cplx{}) return;
-  for (std::size_t i = r0; i < rows; ++i) {
-    cplx* row = a + i * ld;
-    cplx s = row[c0];
-    for (std::size_t j = 0; j < tail; ++j) s += row[c0 + 1 + j] * v[j];
-    const cplx ss = sigma * s;
-    row[c0] -= ss;
-    for (std::size_t j = 0; j < tail; ++j)
-      row[c0 + 1 + j] -= ss * std::conj(v[j]);
-  }
+  if (sigma == cplx{} || r0 >= rows) return;
+  simd::householder_right(a + r0 * ld + c0, ld, rows - r0, tail + 1, v,
+                          sigma);
 }
 
 }  // namespace q2::la::hh

@@ -1,6 +1,7 @@
 #include "linalg/simd.hpp"
 
 #include <atomic>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 
@@ -62,38 +63,46 @@ void micro_accumulate_z_portable(std::size_t kc, const cplx* ap,
   }
 }
 
-cplx dot_conj_portable(const cplx* x, const cplx* y, std::size_t len) {
-  cplx a0{}, a1{}, a2{}, a3{};
-  std::size_t i = 0;
-  for (; i + 4 <= len; i += 4) {
-    a0 += std::conj(x[i]) * y[i];
-    a1 += std::conj(x[i + 1]) * y[i + 1];
-    a2 += std::conj(x[i + 2]) * y[i + 2];
-    a3 += std::conj(x[i + 3]) * y[i + 3];
+void householder_left_portable(cplx* a, std::size_t ld, std::size_t rows,
+                               std::size_t cols, const cplx* v, cplx sigma,
+                               cplx* work) {
+  for (std::size_t j = 0; j < cols; ++j) work[j] = a[j];
+  for (std::size_t i = 1; i < rows; ++i) {
+    const cplx vi = std::conj(v[i - 1]);
+    const cplx* row = a + i * ld;
+    for (std::size_t j = 0; j < cols; ++j) work[j] += vi * row[j];
   }
-  for (; i < len; ++i) a0 += std::conj(x[i]) * y[i];
-  return (a0 + a1) + (a2 + a3);
+  for (std::size_t j = 0; j < cols; ++j) {
+    const cplx sw = sigma * work[j];
+    a[j] -= sw;
+    work[j] = sw;
+  }
+  for (std::size_t i = 1; i < rows; ++i) {
+    const cplx vi = v[i - 1];
+    cplx* row = a + i * ld;
+    for (std::size_t j = 0; j < cols; ++j) row[j] -= work[j] * vi;
+  }
 }
 
-double norm2_sum_portable(const cplx* x, std::size_t len) {
-  double a0 = 0, a1 = 0, a2 = 0, a3 = 0;
-  std::size_t i = 0;
-  for (; i + 4 <= len; i += 4) {
-    a0 += norm2(x[i]);
-    a1 += norm2(x[i + 1]);
-    a2 += norm2(x[i + 2]);
-    a3 += norm2(x[i + 3]);
+void householder_right_portable(cplx* a, std::size_t ld, std::size_t rows,
+                                std::size_t cols, const cplx* v,
+                                cplx sigma) {
+  for (std::size_t i = 0; i < rows; ++i) {
+    cplx* row = a + i * ld;
+    cplx s = row[0];
+    for (std::size_t j = 1; j < cols; ++j) s += row[j] * v[j - 1];
+    const cplx ss = sigma * s;
+    row[0] -= ss;
+    for (std::size_t j = 1; j < cols; ++j) row[j] -= ss * std::conj(v[j - 1]);
   }
-  for (; i < len; ++i) a0 += norm2(x[i]);
-  return (a0 + a1) + (a2 + a3);
 }
 
-void rotate_pair_portable(cplx* x, cplx* y, std::size_t len, double cs,
-                          double sn, cplx esn, cplx ecs) {
+void givens_portable(double* x, double* y, std::size_t len, double c,
+                     double s) {
   for (std::size_t i = 0; i < len; ++i) {
-    const cplx xi = x[i], yi = y[i];
-    x[i] = cs * xi + esn * yi;
-    y[i] = -sn * xi + ecs * yi;
+    const double xi = x[i], yi = y[i];
+    x[i] = xi * c + yi * s;
+    y[i] = yi * c - xi * s;
   }
 }
 
@@ -193,91 +202,141 @@ __attribute__((target("avx2,fma"))) void micro_accumulate_z_avx2(
   _mm256_storeu_pd(out + 28, c31);
 }
 
-// conj(x)*y per lane pair: even lanes xr*yr + xi*yi, odd lanes xr*yi - xi*yr
-// == fmsubadd(dup_even(x), y, dup_odd(x) * swap(y)). Two accumulator chains,
-// combined (acc0 + acc1) then low+high lane — a fixed order.
-__attribute__((target("avx2,fma"))) cplx dot_conj_avx2(const cplx* x,
-                                                       const cplx* y,
-                                                       std::size_t len) {
-  __m256d acc0 = _mm256_setzero_pd(), acc1 = _mm256_setzero_pd();
-  std::size_t i = 0;
-  const double* xd = reinterpret_cast<const double*>(x);
-  const double* yd = reinterpret_cast<const double*>(y);
-  for (; i + 4 <= len; i += 4) {
-    const __m256d x0 = _mm256_loadu_pd(xd + 2 * i);
-    const __m256d y0 = _mm256_loadu_pd(yd + 2 * i);
-    const __m256d x1 = _mm256_loadu_pd(xd + 2 * i + 4);
-    const __m256d y1 = _mm256_loadu_pd(yd + 2 * i + 4);
-    const __m256d t0 =
-        _mm256_mul_pd(_mm256_permute_pd(x0, 0xF), _mm256_permute_pd(y0, 0x5));
-    acc0 = _mm256_add_pd(acc0,
-                         _mm256_fmsubadd_pd(_mm256_movedup_pd(x0), y0, t0));
-    const __m256d t1 =
-        _mm256_mul_pd(_mm256_permute_pd(x1, 0xF), _mm256_permute_pd(y1, 0x5));
-    acc1 = _mm256_add_pd(acc1,
-                         _mm256_fmsubadd_pd(_mm256_movedup_pd(x1), y1, t1));
-  }
-  const __m256d sum = _mm256_add_pd(acc0, acc1);
-  const __m128d lane =
-      _mm_add_pd(_mm256_castpd256_pd128(sum), _mm256_extractf128_pd(sum, 1));
-  alignas(16) double parts[2];
-  _mm_store_pd(parts, lane);
-  cplx s{parts[0], parts[1]};
-  for (; i < len; ++i) s += std::conj(x[i]) * y[i];
-  return s;
+// alpha * x on two packed complex lanes: (ar xr - ai xi, ar xi + ai xr).
+__attribute__((target("avx2,fma"))) inline __m256d cmul_avx2(__m256d ar,
+                                                             __m256d ai,
+                                                             __m256d x) {
+  return _mm256_fmaddsub_pd(ar, x, _mm256_mul_pd(ai, _mm256_permute_pd(x, 0x5)));
+}
+__attribute__((target("avx2,fma"))) inline __m128d cmul_sse(__m128d ar,
+                                                            __m128d ai,
+                                                            __m128d x) {
+  return _mm_fmaddsub_pd(ar, x, _mm_mul_pd(ai, _mm_permute_pd(x, 0x1)));
 }
 
-__attribute__((target("avx2,fma"))) double norm2_sum_avx2(const cplx* x,
-                                                          std::size_t len) {
-  __m256d acc0 = _mm256_setzero_pd(), acc1 = _mm256_setzero_pd();
-  std::size_t i = 0;
+// y[j] += alpha * x[j] over n complex elements.
+__attribute__((target("avx2,fma"))) inline void caxpy_avx2(std::size_t n,
+                                                           cplx alpha,
+                                                           const cplx* x,
+                                                           cplx* y) {
+  const __m256d ar = _mm256_set1_pd(alpha.real());
+  const __m256d ai = _mm256_set1_pd(alpha.imag());
   const double* xd = reinterpret_cast<const double*>(x);
-  for (; i + 4 <= len; i += 4) {
-    const __m256d x0 = _mm256_loadu_pd(xd + 2 * i);
-    const __m256d x1 = _mm256_loadu_pd(xd + 2 * i + 4);
-    acc0 = _mm256_fmadd_pd(x0, x0, acc0);
-    acc1 = _mm256_fmadd_pd(x1, x1, acc1);
-  }
-  const __m256d sum = _mm256_add_pd(acc0, acc1);
-  const __m128d lane =
-      _mm_add_pd(_mm256_castpd256_pd128(sum), _mm256_extractf128_pd(sum, 1));
-  alignas(16) double parts[2];
-  _mm_store_pd(parts, lane);
-  double s = parts[0] + parts[1];
-  for (; i < len; ++i) s += norm2(x[i]);
-  return s;
-}
-
-__attribute__((target("avx2,fma"))) void rotate_pair_avx2(
-    cplx* x, cplx* y, std::size_t len, double cs, double sn, cplx esn,
-    cplx ecs) {
-  const __m256d csv = _mm256_set1_pd(cs);
-  const __m256d snv = _mm256_set1_pd(sn);
-  const __m256d er = _mm256_set1_pd(esn.real());
-  const __m256d ei = _mm256_set1_pd(esn.imag());
-  const __m256d cr = _mm256_set1_pd(ecs.real());
-  const __m256d ci = _mm256_set1_pd(ecs.imag());
-  double* xd = reinterpret_cast<double*>(x);
   double* yd = reinterpret_cast<double*>(y);
+  std::size_t j = 0;
+  for (; j + 2 <= n; j += 2) {
+    const __m256d xv = _mm256_loadu_pd(xd + 2 * j);
+    const __m256d yv = _mm256_loadu_pd(yd + 2 * j);
+    _mm256_storeu_pd(yd + 2 * j, _mm256_add_pd(yv, cmul_avx2(ar, ai, xv)));
+  }
+  if (j < n) {
+    const __m128d xv = _mm_loadu_pd(xd + 2 * j);
+    const __m128d yv = _mm_loadu_pd(yd + 2 * j);
+    _mm_storeu_pd(yd + 2 * j,
+                  _mm_add_pd(yv, cmul_sse(_mm256_castpd256_pd128(ar),
+                                          _mm256_castpd256_pd128(ai), xv)));
+  }
+}
+
+__attribute__((target("avx2,fma"))) void householder_left_avx2(
+    cplx* a, std::size_t ld, std::size_t rows, std::size_t cols,
+    const cplx* v, cplx sigma, cplx* work) {
+  for (std::size_t j = 0; j < cols; ++j) work[j] = a[j];
+  for (std::size_t i = 1; i < rows; ++i)
+    caxpy_avx2(cols, std::conj(v[i - 1]), a + i * ld, work);
+  // work <- sigma * work, folded into the head row.
+  const __m256d sr = _mm256_set1_pd(sigma.real());
+  const __m256d si = _mm256_set1_pd(sigma.imag());
+  double* wd = reinterpret_cast<double*>(work);
+  double* hd = reinterpret_cast<double*>(a);
+  std::size_t j = 0;
+  for (; j + 2 <= cols; j += 2) {
+    const __m256d sw = cmul_avx2(sr, si, _mm256_loadu_pd(wd + 2 * j));
+    _mm256_storeu_pd(hd + 2 * j, _mm256_sub_pd(_mm256_loadu_pd(hd + 2 * j), sw));
+    _mm256_storeu_pd(wd + 2 * j, sw);
+  }
+  if (j < cols) {
+    const __m128d sw = cmul_sse(_mm256_castpd256_pd128(sr),
+                                _mm256_castpd256_pd128(si),
+                                _mm_loadu_pd(wd + 2 * j));
+    _mm_storeu_pd(hd + 2 * j, _mm_sub_pd(_mm_loadu_pd(hd + 2 * j), sw));
+    _mm_storeu_pd(wd + 2 * j, sw);
+  }
+  for (std::size_t i = 1; i < rows; ++i)
+    caxpy_avx2(cols, -v[i - 1], work, a + i * ld);
+}
+
+// Per row: s = row . [1; v] (no conjugation), then row -= sigma s [1; v]^H.
+__attribute__((target("avx2,fma"))) void householder_right_avx2(
+    cplx* a, std::size_t ld, std::size_t rows, std::size_t cols,
+    const cplx* v, cplx sigma) {
+  const double* vd = reinterpret_cast<const double*>(v);
+  const std::size_t tail = cols - 1;
+  const __m256d conj_mask = _mm256_set_pd(-0.0, 0.0, -0.0, 0.0);
+  for (std::size_t i = 0; i < rows; ++i) {
+    cplx* row = a + i * ld;
+    double* xd = reinterpret_cast<double*>(row + 1);
+    __m256d acc = _mm256_setzero_pd();
+    std::size_t j = 0;
+    for (; j + 2 <= tail; j += 2) {
+      const __m256d xv = _mm256_loadu_pd(xd + 2 * j);
+      const __m256d vv = _mm256_loadu_pd(vd + 2 * j);
+      acc = _mm256_add_pd(
+          acc, _mm256_fmaddsub_pd(
+                   _mm256_movedup_pd(xv), vv,
+                   _mm256_mul_pd(_mm256_permute_pd(xv, 0xF),
+                                 _mm256_permute_pd(vv, 0x5))));
+    }
+    __m128d sum = _mm_add_pd(_mm256_castpd256_pd128(acc),
+                             _mm256_extractf128_pd(acc, 1));
+    if (j < tail) {
+      const __m128d xv = _mm_loadu_pd(xd + 2 * j);
+      const __m128d vv = _mm_loadu_pd(vd + 2 * j);
+      sum = _mm_add_pd(
+          sum, _mm_fmaddsub_pd(_mm_movedup_pd(xv), vv,
+                               _mm_mul_pd(_mm_permute_pd(xv, 0x3),
+                                          _mm_permute_pd(vv, 0x1))));
+    }
+    alignas(16) double parts[2];
+    _mm_store_pd(parts, sum);
+    const cplx s = row[0] + cplx{parts[0], parts[1]};
+    const cplx ss{sigma.real() * s.real() - sigma.imag() * s.imag(),
+                  sigma.real() * s.imag() + sigma.imag() * s.real()};
+    row[0] -= ss;
+    // row[j + 1] += (-ss) * conj(v[j]).
+    const __m256d br = _mm256_set1_pd(-ss.real());
+    const __m256d bi = _mm256_set1_pd(-ss.imag());
+    for (j = 0; j + 2 <= tail; j += 2) {
+      const __m256d vc = _mm256_xor_pd(_mm256_loadu_pd(vd + 2 * j), conj_mask);
+      const __m256d xv = _mm256_loadu_pd(xd + 2 * j);
+      _mm256_storeu_pd(xd + 2 * j, _mm256_add_pd(xv, cmul_avx2(br, bi, vc)));
+    }
+    if (j < tail) {
+      const __m128d vc = _mm_xor_pd(_mm_loadu_pd(vd + 2 * j),
+                                    _mm256_castpd256_pd128(conj_mask));
+      const __m128d xv = _mm_loadu_pd(xd + 2 * j);
+      _mm_storeu_pd(xd + 2 * j,
+                    _mm_add_pd(xv, cmul_sse(_mm256_castpd256_pd128(br),
+                                            _mm256_castpd256_pd128(bi), vc)));
+    }
+  }
+}
+
+__attribute__((target("avx2,fma"))) void givens_avx2(double* x, double* y,
+                                                     std::size_t len,
+                                                     double c, double s) {
+  const __m256d cv = _mm256_set1_pd(c), sv = _mm256_set1_pd(s);
   std::size_t i = 0;
-  for (; i + 2 <= len; i += 2) {
-    const __m256d xv = _mm256_loadu_pd(xd + 2 * i);
-    const __m256d yv = _mm256_loadu_pd(yd + 2 * i);
-    const __m256d ys = _mm256_permute_pd(yv, 0x5);
-    // esn * y and ecs * y as complex scalar-times-vector products.
-    const __m256d p = _mm256_fmaddsub_pd(er, yv, _mm256_mul_pd(ei, ys));
-    const __m256d q = _mm256_fmaddsub_pd(cr, yv, _mm256_mul_pd(ci, ys));
-    _mm256_storeu_pd(xd + 2 * i, _mm256_fmadd_pd(csv, xv, p));
-    _mm256_storeu_pd(yd + 2 * i, _mm256_fnmadd_pd(snv, xv, q));
+  for (; i + 4 <= len; i += 4) {
+    const __m256d xv = _mm256_loadu_pd(x + i);
+    const __m256d yv = _mm256_loadu_pd(y + i);
+    _mm256_storeu_pd(x + i, _mm256_fmadd_pd(xv, cv, _mm256_mul_pd(yv, sv)));
+    _mm256_storeu_pd(y + i, _mm256_fnmadd_pd(xv, sv, _mm256_mul_pd(yv, cv)));
   }
   for (; i < len; ++i) {
-    const cplx xi = x[i], yi = y[i];
-    const cplx p{esn.real() * yi.real() - esn.imag() * yi.imag(),
-                 esn.real() * yi.imag() + esn.imag() * yi.real()};
-    const cplx q{ecs.real() * yi.real() - ecs.imag() * yi.imag(),
-                 ecs.real() * yi.imag() + ecs.imag() * yi.real()};
-    x[i] = cplx{cs * xi.real() + p.real(), cs * xi.imag() + p.imag()};
-    y[i] = cplx{q.real() - sn * xi.real(), q.imag() - sn * xi.imag()};
+    const double xi = x[i], yi = y[i];
+    x[i] = std::fma(xi, c, yi * s);
+    y[i] = std::fma(-xi, s, yi * c);
   }
 }
 
@@ -323,27 +382,30 @@ void micro_accumulate_z(std::size_t kc, const cplx* ap, const cplx* bp,
   micro_accumulate_z_portable(kc, ap, bp, acc);
 }
 
-cplx dot_conj(const cplx* x, const cplx* y, std::size_t len) {
-#if Q2_SIMD_X86
-  if (active_isa() == Isa::kAvx2Fma) return dot_conj_avx2(x, y, len);
-#endif
-  return dot_conj_portable(x, y, len);
-}
-
-double norm2_sum(const cplx* x, std::size_t len) {
-#if Q2_SIMD_X86
-  if (active_isa() == Isa::kAvx2Fma) return norm2_sum_avx2(x, len);
-#endif
-  return norm2_sum_portable(x, len);
-}
-
-void rotate_pair(cplx* x, cplx* y, std::size_t len, double cs, double sn,
-                 cplx esn, cplx ecs) {
+void householder_left(cplx* a, std::size_t ld, std::size_t rows,
+                      std::size_t cols, const cplx* v, cplx sigma,
+                      cplx* work) {
 #if Q2_SIMD_X86
   if (active_isa() == Isa::kAvx2Fma)
-    return rotate_pair_avx2(x, y, len, cs, sn, esn, ecs);
+    return householder_left_avx2(a, ld, rows, cols, v, sigma, work);
 #endif
-  rotate_pair_portable(x, y, len, cs, sn, esn, ecs);
+  householder_left_portable(a, ld, rows, cols, v, sigma, work);
+}
+
+void householder_right(cplx* a, std::size_t ld, std::size_t rows,
+                       std::size_t cols, const cplx* v, cplx sigma) {
+#if Q2_SIMD_X86
+  if (active_isa() == Isa::kAvx2Fma)
+    return householder_right_avx2(a, ld, rows, cols, v, sigma);
+#endif
+  householder_right_portable(a, ld, rows, cols, v, sigma);
+}
+
+void givens(double* x, double* y, std::size_t len, double c, double s) {
+#if Q2_SIMD_X86
+  if (active_isa() == Isa::kAvx2Fma) return givens_avx2(x, y, len, c, s);
+#endif
+  givens_portable(x, y, len, c, s);
 }
 
 }  // namespace q2::la::simd

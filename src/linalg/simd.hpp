@@ -1,8 +1,9 @@
 // Runtime-dispatched SIMD inner loops shared by the GEMM micro-kernel and
-// the Jacobi SVD (rotations, Gram dots, column norms). One ISA is selected
-// per process (AVX2+FMA when the CPU has it, a portable scalar path
-// otherwise), so every thread executes the same instruction sequence and the
-// bit-identical-across-thread-counts contracts of gemm/svd are untouched.
+// the Golub-Kahan SVD (Householder reflector application, Givens rotations
+// of the QR accumulators). One ISA is selected per process (AVX2+FMA when
+// the CPU has it, a portable scalar path otherwise), so every thread
+// executes the same instruction sequence and the bit-identical-across-
+// thread-counts contracts of gemm/svd are untouched.
 //
 // The portable path reproduces the numerics the pre-SIMD kernels used
 // (same accumulator chains, same combine order); the AVX2 path is a
@@ -43,18 +44,20 @@ void micro_accumulate_d(std::size_t kc, const double* ap, const double* bp,
 void micro_accumulate_z(std::size_t kc, const cplx* ap, const cplx* bp,
                         cplx* acc);
 
-/// <x, y> = sum_i conj(x[i]) * y[i] with a fixed, thread-count-independent
-/// combine order (the Jacobi Gram dot).
-cplx dot_conj(const cplx* x, const cplx* y, std::size_t len);
+/// Householder reflector from the left on a rows x cols row-major block
+/// (row stride ld): A <- (I - sigma w w^H) A with w = [1; v], v holding
+/// rows - 1 elements. `work` is cols elements of caller scratch.
+void householder_left(cplx* a, std::size_t ld, std::size_t rows,
+                      std::size_t cols, const cplx* v, cplx sigma,
+                      cplx* work);
 
-/// sum_i |x[i]|^2, fixed combine order (the Jacobi column-norm refresh).
-double norm2_sum(const cplx* x, std::size_t len);
+/// Householder reflector from the right on a rows x cols row-major block:
+/// A <- A (I - sigma w w^H) with w = [1; v], v holding cols - 1 elements.
+void householder_right(cplx* a, std::size_t ld, std::size_t rows,
+                       std::size_t cols, const cplx* v, cplx sigma);
 
-/// The Jacobi plane rotation applied to a disjoint row pair:
-///   x[i] <- cs * x[i] + esn * y[i]
-///   y[i] <- -sn * x[i] + ecs * y[i]
-/// (cs/sn real, esn/ecs = phase-conjugated sin/cos; see svd.cpp).
-void rotate_pair(cplx* x, cplx* y, std::size_t len, double cs, double sn,
-                 cplx esn, cplx ecs);
+/// Plane (Givens) rotation of two real rows:
+///   (x[i], y[i]) <- (c x[i] + s y[i], c y[i] - s x[i]).
+void givens(double* x, double* y, std::size_t len, double c, double s);
 
 }  // namespace q2::la::simd

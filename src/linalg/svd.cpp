@@ -3,14 +3,13 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <numeric>
+#include <string>
 
-#include "linalg/gemm.hpp"
+#include "linalg/householder.hpp"
 #include "linalg/simd.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "obs/workload.hpp"
-#include "parallel/thread_pool.hpp"
 
 namespace q2::la {
 
@@ -40,35 +39,13 @@ std::vector<std::vector<std::pair<std::size_t, std::size_t>>> tournament_rounds(
 
 namespace {
 
-// ---------------------------------------------------------------------------
-// Tournament-Jacobi engine (the truncated-SVD substrate)
-// ---------------------------------------------------------------------------
-
-// Same convergence contract as the scalar reference: a sweep converges when
-// the largest relative Gram off-diagonal drops below kSweepTol; individual
-// rotations are skipped below kRotateTol.
-constexpr double kSweepTol = 1e-14;
-constexpr double kRotateTol = 1e-15;
-constexpr int kMaxSweeps = 60;
-// Square operands at least this large go through the QR preconditioner even
-// though it does not shrink them: Jacobi on the triangular factor converges
-// in noticeably fewer sweeps (Drmac/Veselic), which more than pays for the
-// O(2/3 n^3) factorization.
-constexpr std::size_t kPrecondMinSquare = 48;
-// Rounds with less pair work than this (complex elements touched) run on the
-// calling thread; pool dispatch would cost more than the rotations. The
-// serial path computes the identical result — pairs in a round are disjoint
-// and the off-diagonal reduction is a max — so this is a pure perf knob.
-constexpr std::size_t kParallelMinWork = std::size_t(1) << 15;
+// Golub-Reinsch iteration budget per singular value; running out of it is
+// the non-convergence zgesvd reports as INFO > 0.
+constexpr int kMaxIterations = 75;
 
 obs::Counter& truncated_calls_counter() {
   static obs::Counter& c =
       obs::Registry::global().counter("la.svd.truncated_calls");
-  return c;
-}
-obs::Counter& precond_counter() {
-  static obs::Counter& c =
-      obs::Registry::global().counter("la.svd.precond_hits");
   return c;
 }
 obs::Counter& sweeps_counter() {
@@ -76,426 +53,381 @@ obs::Counter& sweeps_counter() {
   return c;
 }
 
-// Gram dot and column-norm inner loops live in linalg/simd.* now (AVX2 when
-// the host has it, the old four-chain scalar code otherwise); both ISAs use a
-// fixed combine order that never depends on the thread count, so the blocked
-// dot stays deterministic.
-cplx dot_conj_blocked(const cplx* x, const cplx* y, std::size_t len) {
-  return simd::dot_conj(x, y, len);
+[[noreturn]] void fail(const char* who, const char* what, std::size_t m,
+                       std::size_t n) {
+  throw Error(std::string(who) + ": " + what + " in the " +
+              std::to_string(m) + "x" + std::to_string(n) + " operand");
 }
 
-double norm2_blocked(const cplx* x, std::size_t len) {
-  return simd::norm2_sum(x, len);
-}
-
-// One Jacobi run over the row-packed operand W (nw rows of length len; row j
-// holds column j of the matrix being decomposed, so every access below is
-// contiguous) and the rotation accumulator VT (nw x nw, V^T row layout).
-struct JacobiRun {
-  cplx* w;
-  cplx* vt;
-  double* colnorm;
-  std::size_t nw, len;
-};
-
-// Process one pair (p, q): measure the Gram off-diagonal, rotate if needed,
-// and maintain the cached norms through the exact 2x2 update (the rotation
-// phases the cross term real, so the new norms are cs^2 app + sn^2 aqq
-// +/- 2 cs sn |apq|). Pairs within a tournament round are disjoint, so
-// concurrent calls touch disjoint rows/slots. Returns |G_pq|/sqrt(Gpp Gqq).
-double process_pair(const JacobiRun& run, std::size_t p, std::size_t q) {
-  const double app = run.colnorm[p], aqq = run.colnorm[q];
-  const double denom = std::sqrt(app * aqq);
-  // !(> 0) rather than (<= 0): a rank-deficient operand can leave a cached
-  // norm at a rounding-level negative, making denom NaN — which must take
-  // this early-out too or the 0/0 phase below poisons the whole run.
-  if (!(denom > 0.0)) return 0.0;
-  cplx* wp = run.w + p * run.len;
-  cplx* wq = run.w + q * run.len;
-  const cplx apq = dot_conj_blocked(wp, wq, run.len);
-  const double absc = std::abs(apq);
-  const double rel = absc / denom;
-  if (rel < kRotateTol) return rel;
-
-  // Same 2x2 diagonalization as the scalar reference: phase the off-diagonal
-  // real with D = diag(1, e^{-i phi}), then a real rotation; J = D R.
-  const cplx phase_conj = std::conj(apq) / absc;
-  const double theta = 0.5 * std::atan2(2.0 * absc, app - aqq);
-  const double cs = std::cos(theta), sn = std::sin(theta);
-  const cplx esn = phase_conj * sn;
-  const cplx ecs = phase_conj * cs;
-  simd::rotate_pair(wp, wq, run.len, cs, sn, esn, ecs);
-  simd::rotate_pair(run.vt + p * run.nw, run.vt + q * run.nw, run.nw, cs, sn,
-                    esn, ecs);
-  const double cross = 2.0 * cs * sn * absc;
-  // Clamp at zero: when the rotation annihilates column q the subtraction
-  // can round below zero, and a negative cached norm would NaN the next
-  // denom above.
-  run.colnorm[p] = std::max(0.0, cs * cs * app + sn * sn * aqq + cross);
-  run.colnorm[q] = std::max(0.0, sn * sn * app + cs * cs * aqq - cross);
-  return rel;
-}
-
-int tournament_jacobi(SvdWorkspace& ws, std::size_t nw, std::size_t len,
-                      const par::ParallelOptions& parallel) {
-  if (ws.schedule_n != nw) {
-    ws.schedule = tournament_rounds(nw);
-    ws.schedule_n = nw;
-  }
-  ws.colnorm.resize(nw);
-  ws.perm.resize(nw);
-  const JacobiRun run{ws.w.data(), ws.vt.data(), ws.colnorm.data(), nw, len};
-  int sweeps = 0;
-  while (sweeps < kMaxSweeps) {
-    ++sweeps;
-    // Refresh the cached squared norms each sweep: the incremental 2x2
-    // updates are exact in exact arithmetic but would drift over sweeps.
-    for (std::size_t j = 0; j < nw; ++j)
-      ws.colnorm[j] = norm2_blocked(ws.w.data() + j * len, len);
-    obs::WorkCounter::charge(obs::jacobi_norm_flops(nw, len),
-                             obs::jacobi_norm_bytes(nw, len));
-    // De Rijk relabeling: map schedule slots onto columns sorted by
-    // descending norm for this sweep. Pairing heavy columns with their
-    // norm-neighbours first measurably cuts the sweep count, and the
-    // permutation is a pure relabeling — rounds stay disjoint, so the
-    // parallel dispatch and the determinism argument are untouched.
-    std::iota(ws.perm.begin(), ws.perm.end(), std::size_t{0});
-    std::stable_sort(ws.perm.begin(), ws.perm.end(),
-                     [&](std::size_t a, std::size_t b) {
-                       return ws.colnorm[a] > ws.colnorm[b];
-                     });
-    double off_max = 0.0;
-    for (const auto& round : ws.schedule) {
-      ws.rel.assign(round.size(), 0.0);
-      const std::size_t pair_work = round.size() * (len + nw);
-      if (pair_work < kParallelMinWork) {
-        for (std::size_t t = 0; t < round.size(); ++t)
-          ws.rel[t] =
-              process_pair(run, ws.perm[round[t].first], ws.perm[round[t].second]);
-      } else {
-        par::parallel_for(parallel, 0, round.size(), [&](std::size_t t) {
-          ws.rel[t] =
-              process_pair(run, ws.perm[round[t].first], ws.perm[round[t].second]);
-        });
-      }
-      // max() is order-independent, so reducing the per-pair slots in index
-      // order gives the same answer for every schedule of the round.
-      // The rotated count is also read off the slots: a pair rotated iff its
-      // rel cleared kRotateTol, which is schedule-determined — so the work
-      // charge is deterministic regardless of how the round was dispatched.
-      std::size_t rotated = 0;
-      for (const double r : ws.rel) {
-        off_max = std::max(off_max, r);
-        if (r >= kRotateTol) ++rotated;
-      }
-      obs::WorkCounter::charge(
-          obs::jacobi_round_flops(round.size(), rotated, len, nw),
-          obs::jacobi_round_bytes(round.size(), rotated, len, nw));
-    }
-    if (off_max < kSweepTol) break;
-  }
-  return sweeps;
-}
-
-// In-place Householder QR of the M x N (M >= N) panel in ws.qa: on return
-// the upper triangle holds R and the columns below the diagonal hold the
-// reflector tails (zgeqrf layout), with the scalars in ws.tau.
-void panel_qr(SvdWorkspace& ws, std::size_t M, std::size_t N) {
-  ws.tau.resize(N);
-  ws.colbuf.resize(M);
-  cplx* qa = ws.qa.data();
-  for (std::size_t k = 0; k < N; ++k) {
-    const std::size_t tail = M - k - 1;
-    for (std::size_t i = 0; i < tail; ++i)
-      ws.colbuf[i] = qa[(k + 1 + i) * N + k];
-    ws.tau[k] = hh::make_reflector(qa[k * N + k], ws.colbuf.data(), tail);
-    for (std::size_t i = 0; i < tail; ++i)
-      qa[(k + 1 + i) * N + k] = ws.colbuf[i];
-    hh::reflect_left(qa, N, N, k, k + 1, ws.colbuf.data(), tail,
-                     std::conj(ws.tau[k].tau), ws.hwork);
-    qa[k * N + k] = ws.tau[k].beta;
-  }
-}
-
-// Explicit thin Q (M x N) from the factored panel, backward accumulation
-// against the first N identity columns.
-void panel_form_q(SvdWorkspace& ws, std::size_t M, std::size_t N) {
-  ws.q.assign(M * N, cplx{});
-  for (std::size_t i = 0; i < N; ++i) ws.q[i * N + i] = 1.0;
-  const cplx* qa = ws.qa.data();
-  for (std::size_t k = N; k-- > 0;) {
-    const std::size_t tail = M - k - 1;
-    for (std::size_t i = 0; i < tail; ++i)
-      ws.colbuf[i] = qa[(k + 1 + i) * N + k];
-    hh::reflect_left(ws.q.data(), N, N, k, k, ws.colbuf.data(), tail,
-                     ws.tau[k].tau, ws.hwork);
-  }
-}
-
-// Fill flagged rows of a row-major (count x len) block of vectors with unit
-// vectors orthogonal to every other row, so the factor keeps orthonormal
-// vectors even for rank-deficient input. This is the rebuilt
-// complete_null_columns: the candidate buffer is hoisted out of the probe
-// loop, and the probe is picked once per null row as the canonical vector
-// with the least weight already present in the block (argmin over column
-// weights — its residual after projection cannot vanish), so the common case
-// runs one two-round MGS instead of one per probed canonical vector.
-void complete_null_rows(cplx* rows, std::size_t count, std::size_t len,
-                        std::vector<char>& is_null, std::vector<cplx>& cand,
-                        std::vector<double>& weight) {
-  bool any = false;
-  for (std::size_t r = 0; r < count; ++r) any = any || (is_null[r] != 0);
-  if (!any) return;
-  weight.assign(len, 0.0);
-  for (std::size_t r = 0; r < count; ++r) {
-    if (is_null[r]) continue;
-    const cplx* row = rows + r * len;
-    for (std::size_t i = 0; i < len; ++i) weight[i] += norm2(row[i]);
-  }
-  auto orthogonalize = [&](std::size_t skip) {
-    for (int round = 0; round < 2; ++round) {
-      for (std::size_t c = 0; c < count; ++c) {
-        if (c == skip || is_null[c]) continue;
-        const cplx* row = rows + c * len;
-        const cplx proj = dot_conj_blocked(row, cand.data(), len);
-        for (std::size_t i = 0; i < len; ++i) cand[i] -= proj * row[i];
-      }
-    }
-    return std::sqrt(norm2_blocked(cand.data(), len));
-  };
-  for (std::size_t r = 0; r < count; ++r) {
-    if (!is_null[r]) continue;
-    std::size_t probe = 0;
-    for (std::size_t i = 1; i < len; ++i)
-      if (weight[i] < weight[probe]) probe = i;
-    cand.assign(len, cplx{});
-    cand[probe] = 1.0;
-    double nrm = orthogonalize(r);
-    if (nrm <= 1e-8) {
-      // Pathological probe (cancellation ate the residual): fall back to
-      // scanning the canonical basis with the same hoisted buffer.
-      for (std::size_t p2 = 0; p2 < len && nrm <= 1e-8; ++p2) {
-        if (p2 == probe) continue;
-        cand.assign(len, cplx{});
-        cand[p2] = 1.0;
-        nrm = orthogonalize(r);
-      }
-    }
-    cplx* row = rows + r * len;
-    for (std::size_t i = 0; i < len; ++i) row[i] = cand[i] / nrm;
-    is_null[r] = 0;
-    for (std::size_t i = 0; i < len; ++i) weight[i] += norm2(row[i]);
-  }
-}
-
-struct EngineInfo {
-  std::size_t m = 0, n = 0;  // original operand shape
-  std::size_t M = 0, N = 0;  // tall-orientation shape (M >= N)
-  std::size_t len = 0;       // W row length (N preconditioned, M otherwise)
-  bool wide = false;
-  bool precond = false;
+// The operand A (m x n) and its tall orientation B (M x N, M >= N): B = A,
+// or B = A^H when A is wide. `left` / `right` say which factors of B the
+// caller uses — the QR step rotates, and the back-transformation forms,
+// only those.
+struct Engine {
+  const char* who;
+  std::size_t m, n, M, N;
+  bool wide, left, right;
   int sweeps = 0;
 };
 
-// Pack, optionally QR-precondition, and run tournament Jacobi. On return
-// ws.w rows hold the rotated operand columns, ws.vt the accumulated V^T, and
-// ws.s_all / ws.order the spectrum with its stable descending permutation.
-//
-// Orientation: the tall operand is B = A (m >= n) or B = A^H (wide). Under
-// the preconditioner B = QR and Jacobi runs on X = R^H — column j of X is
-// conj(row j of R), so W packs contiguously straight out of the factored
-// panel, and the R^H orientation (columns closer to orthogonal) shaves
-// sweeps. Converged, X = U_X S V_X^H with U_X read off W's rows and V_X off
-// VT, giving B = (Q V_X) S U_X^H: the factor the MPS update wants (V^H of
-// the tall operand) is U_X^H, free from W, while the GEMM recovery Q V_X is
-// only needed when a caller asks for the tall U (or the wide V^H).
-EngineInfo run_jacobi_engine(SvdWorkspace& ws, const cplx* a, std::size_t m,
-                             std::size_t n, std::size_t lda,
-                             const double* row_scale,
-                             const par::ParallelOptions& parallel) {
-  EngineInfo info;
-  info.m = m;
-  info.n = n;
-  info.wide = m < n;
-  info.M = info.wide ? n : m;
-  info.N = info.wide ? m : n;
-  info.precond = info.M > info.N || info.N >= kPrecondMinSquare;
-  const std::size_t M = info.M, N = info.N;
-
-  if (info.precond) {
-    precond_counter().add();
-    // Stage B into qa, folding the caller's row weighting into the pack —
-    // Eq. (8)'s Schmidt reweighting costs nothing extra here.
-    ws.qa.resize(M * N);
-    if (!info.wide) {
-      for (std::size_t i = 0; i < M; ++i) {
-        const cplx* src = a + i * lda;
-        cplx* dst = ws.qa.data() + i * N;
-        if (row_scale) {
-          const double sc = row_scale[i];
-          for (std::size_t j = 0; j < N; ++j) dst[j] = sc * src[j];
-        } else {
-          std::copy(src, src + N, dst);
-        }
-      }
-    } else {
-      // Column j of B = conj(row j of A); the row weight rides along.
-      for (std::size_t j = 0; j < N; ++j) {
-        const cplx* src = a + j * lda;
-        const double sc = row_scale ? row_scale[j] : 1.0;
-        for (std::size_t i = 0; i < M; ++i)
-          ws.qa[i * N + j] = std::conj(sc * src[i]);
-      }
-    }
-    panel_qr(ws, M, N);
-    info.len = N;
-    ws.w.resize(N * N);
-    for (std::size_t j = 0; j < N; ++j) {
-      cplx* dst = ws.w.data() + j * N;
-      const cplx* src = ws.qa.data() + j * N;
-      for (std::size_t i = 0; i < j; ++i) dst[i] = cplx{};
-      for (std::size_t i = j; i < N; ++i) dst[i] = std::conj(src[i]);
-    }
-  } else {
-    // Small square operand: Jacobi directly on the columns of A (transposed
-    // into W so the rotations still stream contiguous rows).
-    info.len = M;
-    ws.w.resize(N * M);
+// Pack B into ws.b (M x N row-major), folding the row weights in, and
+// reject non-finite elements: x - x is +0 for every finite x and NaN for
+// NaN or +-Inf, so one accumulator screens the whole operand.
+void pack(SvdWorkspace& ws, const Engine& g, const cplx* a, std::size_t lda,
+          const double* row_scale) {
+  const std::size_t M = g.M, N = g.N;
+  ws.b.resize(M * N);
+  cplx* b = ws.b.data();
+  double poison = 0.0;
+  if (!g.wide) {
     for (std::size_t i = 0; i < M; ++i) {
       const cplx* src = a + i * lda;
       const double sc = row_scale ? row_scale[i] : 1.0;
-      for (std::size_t j = 0; j < N; ++j) ws.w[j * M + i] = sc * src[j];
+      cplx* dst = b + i * N;
+      for (std::size_t j = 0; j < N; ++j) {
+        const double re = sc * src[j].real(), im = sc * src[j].imag();
+        dst[j] = cplx{re, im};
+        poison += (re - re) + (im - im);
+      }
+    }
+  } else {
+    // Column j of B = conj(row j of A); the row weight rides along.
+    for (std::size_t j = 0; j < N; ++j) {
+      const cplx* src = a + j * lda;
+      const double sc = row_scale ? row_scale[j] : 1.0;
+      for (std::size_t i = 0; i < M; ++i) {
+        const double re = sc * src[i].real(), im = -sc * src[i].imag();
+        b[i * N + j] = cplx{re, im};
+        poison += (re - re) + (im - im);
+      }
     }
   }
-
-  ws.vt.assign(N * N, cplx{});
-  for (std::size_t j = 0; j < N; ++j) ws.vt[j * N + j] = 1.0;
-  info.sweeps = tournament_jacobi(ws, N, info.len, parallel);
-  sweeps_counter().add(std::uint64_t(info.sweeps));
-
-  ws.s_all.resize(N);
-  for (std::size_t j = 0; j < N; ++j)
-    ws.s_all[j] =
-        std::sqrt(norm2_blocked(ws.w.data() + j * info.len, info.len));
-  ws.order.resize(N);
-  std::iota(ws.order.begin(), ws.order.end(), 0);
-  // stable_sort: degenerate values keep their pre-sort column order, which
-  // the truncation keep-set relies on for determinism (see test_linalg).
-  std::stable_sort(ws.order.begin(), ws.order.end(),
-                   [&](std::size_t x, std::size_t y) {
-                     return ws.s_all[x] > ws.s_all[y];
-                   });
-  return info;
+  if (!(poison == 0.0)) fail(g.who, "non-finite element", g.m, g.n);
 }
 
-// Materialize the kept columns of V_X (N x keep, column r = VT row
-// order[r]) for the Q V_X recovery GEMM.
-void materialize_vx(SvdWorkspace& ws, std::size_t N, std::size_t keep) {
-  ws.ur.resize(N * keep);
-  for (std::size_t r = 0; r < keep; ++r) {
-    const cplx* vrow = ws.vt.data() + ws.order[r] * N;
-    for (std::size_t i = 0; i < N; ++i) ws.ur[i * keep + r] = vrow[i];
+// Householder bidiagonalization in place: B = Q_L Bd Q_R^H with Bd real
+// upper bidiagonal (d on the diagonal, e[i] = Bd(i-1, i)). Q_L = H_0 ...
+// H_{N-1} and Q_R = G_0 ... G_{N-2}, each H_k = I - ltau_k v v^H (v0 = 1 at
+// row k, tail in lv row k) and G_k = I - rtau_k u u^H (u0 = 1 at column
+// k + 1, tail in rv row k). The right reflector works on the conjugated
+// row, so it also makes the last superdiagonal element real when its tail
+// is empty; likewise the last left reflector phases d[N-1] real. The charge
+// depends on M and N only: generating a reflector costs a squared norm and
+// a complex scaling of its tail (10 flops per element), and left reflector
+// k updates N - k - 1 columns of length M - k, right reflector k the
+// M - k - 1 trailing rows of length N - k - 1.
+void bidiagonalize(SvdWorkspace& ws, std::size_t M, std::size_t N) {
+  std::uint64_t flops = 0, bytes = 0;
+  auto charge = [&](std::size_t tail, std::size_t vectors) {
+    flops += 10 * tail + obs::householder_apply_flops(vectors, tail + 1);
+    bytes += obs::householder_apply_bytes(vectors, tail + 1);
+  };
+  ws.d.assign(N, 0.0);
+  ws.e.assign(N, 0.0);
+  ws.lv.resize(N * M);
+  ws.rv.resize(N * N);
+  ws.ltau.resize(N);
+  ws.rtau.resize(N);
+  cplx* b = ws.b.data();
+  for (std::size_t k = 0; k < N; ++k) {
+    const std::size_t ltail = M - k - 1;
+    cplx* lv = ws.lv.data() + k * M;
+    for (std::size_t i = 0; i < ltail; ++i) lv[i] = b[(k + 1 + i) * N + k];
+    const hh::Reflector lr = hh::make_reflector(b[k * N + k], lv, ltail);
+    ws.ltau[k] = lr.tau;
+    hh::reflect_left(b, N, N, k, k + 1, lv, ltail, std::conj(lr.tau),
+                     ws.hwork);
+    ws.d[k] = lr.beta;
+    charge(ltail, N - k - 1);
+    if (k + 1 == N) break;
+
+    const std::size_t rtail = N - k - 2;
+    cplx* rv = ws.rv.data() + k * N;
+    const cplx* row = b + k * N;
+    for (std::size_t j = 0; j < rtail; ++j) rv[j] = std::conj(row[k + 2 + j]);
+    const hh::Reflector rr =
+        hh::make_reflector(std::conj(row[k + 1]), rv, rtail);
+    ws.rtau[k] = rr.tau;
+    hh::reflect_right(b, N, M, k + 1, k + 1, rv, rtail, rr.tau);
+    ws.e[k + 1] = rr.beta;
+    charge(rtail, M - k - 1);
   }
+  obs::WorkCounter::charge(flops, bytes);
 }
 
-// Extract the leading `keep` triplets into ws.out_*. zero_small additionally
-// zeroes singular values below the null tolerance — the full-SVD contract;
-// the truncated path reports raw values (matching the Golub-Kahan route it
-// replaced).
-void extract_factors(SvdWorkspace& ws, const EngineInfo& info,
-                     std::size_t keep, bool want_u, bool zero_small,
-                     const par::ParallelOptions& parallel) {
-  const std::size_t M = info.M, N = info.N, len = info.len;
-  const std::size_t m_out = info.m, n_out = info.n;
-  const double smax = ws.s_all[ws.order[0]];
-  const double null_tol =
-      std::max(smax, 1.0) * 1e-14 * double(std::max(M, N));
+// sqrt(a^2 + b^2) without std::hypot's cost on the QR step's critical path;
+// the scaled fallback covers operands whose squares would over- or
+// underflow.
+inline double pythag(double a, double b) {
+  const double h = std::sqrt(a * a + b * b);
+  if (h > 1e-150 && h < 1e150) return h;
+  return std::hypot(a, b);
+}
 
+// (rp, rq) <- (c rp + s rq, c rq - s rp) on rows p, q of an n-column real
+// accumulator.
+inline void rotate_rows(double* w, std::size_t n, std::size_t p,
+                        std::size_t q, double c, double s) {
+  simd::givens(w + p * n, w + q * n, n, c, s);
+}
+
+// Implicit-shift QR (Golub-Reinsch) on the real bidiagonal, accumulating the
+// left rotations into `wl` and the right ones into `wr` (each nullable: an
+// unused factor is not rotated). Row j of an accumulator holds the
+// coefficients of singular vector j in the Householder basis. One sweep is
+// one bulge chase over the active block. On return d >= 0; work is charged
+// to the enclosing span.
+int bidiagonal_qr(SvdWorkspace& ws, const Engine& g, double* wl, double* wr) {
+  const int n = int(g.N);
+  double* d = ws.d.data();
+  double* e = ws.e.data();
+  // A finite operand can still overflow the reflector norms (elements near
+  // 1e154 and beyond); the same x - x screen as the packing pass catches it.
+  double anorm = 0.0, poison = 0.0;
+  for (int i = 0; i < n; ++i) {
+    anorm = std::max(anorm, std::abs(d[i]) + std::abs(e[i]));
+    poison += (d[i] - d[i]) + (e[i] - e[i]);
+  }
+  if (!(poison == 0.0)) fail(g.who, "bidiagonal overflow", g.m, g.n);
+  const double eps = 1e-15 * anorm;
+  const int per_step = (wl ? 1 : 0) + (wr ? 1 : 0);
+  std::uint64_t steps = 0, row_rotations = 0;
+  int sweeps = 0;
+
+  for (int k = n - 1; k >= 0; --k) {
+    for (int its = 0;; ++its) {
+      // Find the active block [l, k]: e[l] negligible (or l = 0), or
+      // d[l-1] negligible, in which case e[l] is chased off with left
+      // rotations first.
+      bool cancel = true;
+      int l = k, nm = k - 1;
+      for (; l >= 0; --l) {
+        nm = l - 1;
+        if (l == 0 || std::abs(e[l]) <= eps) {
+          cancel = false;
+          break;
+        }
+        if (std::abs(d[nm]) <= eps) break;
+      }
+      if (cancel) {
+        double c = 0.0, s = 1.0;
+        for (int i = l; i <= k; ++i) {
+          const double f = s * e[i];
+          e[i] = c * e[i];
+          if (std::abs(f) <= eps) break;
+          const double gi = d[i];
+          const double h = pythag(f, gi);
+          d[i] = h;
+          c = gi / h;
+          s = -f / h;
+          ++steps;
+          if (wl) {
+            rotate_rows(wl, g.N, std::size_t(nm), std::size_t(i), c, s);
+            ++row_rotations;
+          }
+        }
+      }
+      const double z = d[k];
+      if (l == k) {
+        if (z < 0.0) {
+          d[k] = -z;
+          if (wr)
+            for (std::size_t c2 = 0; c2 < g.N; ++c2)
+              wr[std::size_t(k) * g.N + c2] = -wr[std::size_t(k) * g.N + c2];
+        }
+        break;
+      }
+      if (its == kMaxIterations)
+        fail(g.who, "implicit QR did not converge", g.m, g.n);
+      ++sweeps;
+
+      // Wilkinson-style shift from the trailing 2x2, then one chase.
+      double x = d[l];
+      nm = k - 1;
+      double y = d[nm];
+      double gg = e[nm], h = e[k];
+      double f = ((y - z) * (y + z) + (gg - h) * (gg + h)) / (2.0 * h * y);
+      gg = pythag(f, 1.0);
+      const double sign_g = f >= 0 ? gg : -gg;
+      f = ((x - z) * (x + z) + h * (y / (f + sign_g) - h)) / x;
+      double c = 1.0, s = 1.0;
+      for (int j = l; j <= nm; ++j) {
+        const int i = j + 1;
+        gg = e[i];
+        y = d[i];
+        h = s * gg;
+        gg = c * gg;
+        double zz = pythag(f, h);
+        e[j] = zz;
+        c = f / zz;
+        s = h / zz;
+        f = x * c + gg * s;
+        gg = gg * c - x * s;
+        h = y * s;
+        y *= c;
+        if (wr) rotate_rows(wr, g.N, std::size_t(j), std::size_t(i), c, s);
+        zz = pythag(f, h);
+        d[j] = zz;
+        if (zz != 0.0) {
+          const double zi = 1.0 / zz;
+          c = f * zi;
+          s = h * zi;
+        }
+        f = c * gg + s * y;
+        x = c * y - s * gg;
+        if (wl) rotate_rows(wl, g.N, std::size_t(j), std::size_t(i), c, s);
+      }
+      const std::uint64_t chase = std::uint64_t(nm - l + 1);
+      steps += 2 * chase;
+      row_rotations += std::uint64_t(per_step) * chase;
+      e[l] = 0.0;
+      e[k] = f;
+      d[k] = x;
+    }
+  }
+  obs::WorkCounter::charge(obs::svd_qr_flops(steps, row_rotations, g.N),
+                           obs::svd_qr_bytes(row_rotations, g.N));
+  return sweeps;
+}
+
+// Pack, bidiagonalize, diagonalize and sort. On return ws.d holds the
+// spectrum, ws.order its stable descending permutation, and ws.wl / ws.wr
+// the rotation accumulators of the requested factors.
+Engine decompose(SvdWorkspace& ws, const char* who, const cplx* a,
+                 std::size_t m, std::size_t n, std::size_t lda,
+                 const double* row_scale, bool want_u) {
+  Engine g{who, m, n, std::max(m, n), std::min(m, n), m < n, false, false};
+  // Tall: A's V^H comes from B's right vectors, its U from the left ones.
+  // Wide (A = B^H): A's V^H comes from B's left vectors, its U from the
+  // right ones.
+  g.right = g.wide ? want_u : true;
+  g.left = g.wide ? true : want_u;
+  const std::size_t M = g.M, N = g.N;
+  pack(ws, g, a, lda, row_scale);
+  bidiagonalize(ws, M, N);
+
+  auto identity = [N](std::vector<double>& w) {
+    w.assign(N * N, 0.0);
+    for (std::size_t i = 0; i < N; ++i) w[i * N + i] = 1.0;
+  };
+  if (g.left) identity(ws.wl);
+  if (g.right) identity(ws.wr);
+  g.sweeps = bidiagonal_qr(ws, g, g.left ? ws.wl.data() : nullptr,
+                           g.right ? ws.wr.data() : nullptr);
+  sweeps_counter().add(std::uint64_t(g.sweeps));
+
+  // Stable descending insertion sort of the indices: degenerate values keep
+  // their bidiagonal order, which the truncation keep-set relies on for
+  // determinism (see test_linalg). Unlike std::stable_sort it needs no
+  // temporary buffer, and its O(N^2) compares are noise next to the O(N^3)
+  // decomposition.
+  ws.order.resize(N);
+  std::size_t* order = ws.order.data();
+  const double* d = ws.d.data();
+  for (std::size_t i = 0; i < N; ++i) {
+    std::size_t j = i;
+    for (; j > 0 && d[order[j - 1]] < d[i]; --j) order[j] = order[j - 1];
+    order[j] = i;
+  }
+  return g;
+}
+
+// Rows r < keep of conj(V_B)^T, i.e. V_B^H restricted to the kept vectors:
+// row r starts as accumulator row order[r] and is pushed through
+// G_{N-2}^H ... G_0^H from the right.
+void right_rows(SvdWorkspace& ws, std::size_t N, std::size_t keep, cplx* out) {
+  for (std::size_t r = 0; r < keep; ++r) {
+    const double* w = ws.wr.data() + ws.order[r] * N;
+    for (std::size_t i = 0; i < N; ++i) out[r * N + i] = w[i];
+  }
+  for (std::size_t k = N - 1; k-- > 0;)
+    hh::reflect_right(out, N, keep, 0, k + 1, ws.rv.data() + k * N, N - k - 2,
+                      std::conj(ws.rtau[k]));
+}
+
+// Kept columns of V_B as an N x keep row-major block: G_0 ... G_{N-2}
+// applied from the left.
+void right_cols(SvdWorkspace& ws, std::size_t N, std::size_t keep, cplx* out) {
+  for (std::size_t i = 0; i < N; ++i)
+    for (std::size_t r = 0; r < keep; ++r)
+      out[i * keep + r] = ws.wr[ws.order[r] * N + i];
+  for (std::size_t k = N - 1; k-- > 0;)
+    hh::reflect_left(out, keep, keep, k + 1, 0, ws.rv.data() + k * N,
+                     N - k - 2, ws.rtau[k], ws.hwork);
+}
+
+// Kept rows of U_B^H (keep x M): accumulator rows padded with zeros, pushed
+// through H_{N-1}^H ... H_0^H from the right.
+void left_rows(SvdWorkspace& ws, std::size_t M, std::size_t N,
+               std::size_t keep, cplx* out) {
+  for (std::size_t r = 0; r < keep; ++r) {
+    const double* w = ws.wl.data() + ws.order[r] * N;
+    cplx* dst = out + r * M;
+    for (std::size_t i = 0; i < N; ++i) dst[i] = w[i];
+    std::fill(dst + N, dst + M, cplx{});
+  }
+  for (std::size_t k = N; k-- > 0;)
+    hh::reflect_right(out, M, keep, 0, k, ws.lv.data() + k * M, M - k - 1,
+                      std::conj(ws.ltau[k]));
+}
+
+// Kept columns of U_B as an M x keep row-major block: H_0 ... H_{N-1}
+// applied from the left.
+void left_cols(SvdWorkspace& ws, std::size_t M, std::size_t N,
+               std::size_t keep, cplx* out) {
+  for (std::size_t i = 0; i < N; ++i)
+    for (std::size_t r = 0; r < keep; ++r)
+      out[i * keep + r] = ws.wl[ws.order[r] * N + i];
+  std::fill(out + N * keep, out + M * keep, cplx{});
+  for (std::size_t k = N; k-- > 0;)
+    hh::reflect_left(out, keep, keep, k, 0, ws.lv.data() + k * M, M - k - 1,
+                     ws.ltau[k], ws.hwork);
+}
+
+// Form the leading `keep` triplets into ws.out_*: the spectrum, A's V^H
+// (keep x n) and, when requested, A's U (m x keep). zero_small reports
+// values at or below the null tolerance as exact zeros — the full-SVD
+// contract; the truncated path reports raw values.
+void form_factors(SvdWorkspace& ws, const Engine& g, std::size_t keep,
+                  bool zero_small) {
+  const std::size_t M = g.M, N = g.N;
+  const double smax = ws.d[ws.order[0]];
+  const double null_tol = std::max(smax, 1.0) * 1e-14 * double(M);
   ws.out_s.resize(keep);
   for (std::size_t r = 0; r < keep; ++r) {
-    const double v = ws.s_all[ws.order[r]];
+    const double v = ws.d[ws.order[r]];
     ws.out_s[r] = (zero_small && v <= null_tol) ? 0.0 : v;
   }
 
-  const bool need_q = info.precond && (info.wide || want_u);
-  if (need_q) {
-    materialize_vx(ws, N, keep);
-    panel_form_q(ws, M, N);
-  }
-
-  // --- V^H (keep x n_out) ---
-  ws.out_vh.resize(keep * n_out);
-  if (!info.precond) {
-    // VT rows are exactly V columns of a unitary: no null handling needed.
-    for (std::size_t r = 0; r < keep; ++r) {
-      const cplx* vrow = ws.vt.data() + ws.order[r] * N;
-      cplx* dst = ws.out_vh.data() + r * n_out;
-      for (std::size_t i = 0; i < N; ++i) dst[i] = std::conj(vrow[i]);
-    }
-  } else if (!info.wide) {
-    // Tall: V^H rows are the normalized W rows (B's V is X's U).
-    ws.vec_null.assign(keep, 0);
-    for (std::size_t r = 0; r < keep; ++r) {
-      const double s = ws.s_all[ws.order[r]];
-      cplx* dst = ws.out_vh.data() + r * n_out;
-      if (s > null_tol) {
-        const cplx* wrow = ws.w.data() + ws.order[r] * len;
-        const double inv = 1.0 / s;
-        for (std::size_t i = 0; i < N; ++i) dst[i] = std::conj(wrow[i]) * inv;
-      } else {
-        std::fill(dst, dst + n_out, cplx{});
-        ws.vec_null[r] = 1;
-      }
-    }
-    complete_null_rows(ws.out_vh.data(), keep, n_out, ws.vec_null, ws.cand,
-                       ws.row_weight);
+  // Each kept vector passes once through every reflector of its side.
+  std::uint64_t flops = 0, bytes = 0;
+  auto charge_side = [&](std::size_t len_sum) {
+    flops += obs::householder_apply_flops(keep, len_sum);
+    bytes += obs::householder_apply_bytes(keep, len_sum);
+  };
+  const std::size_t left_len = N * M - N * (N - 1) / 2;
+  const std::size_t right_len = N * (N - 1) / 2;
+  ws.out_vh.resize(keep * g.n);
+  if (g.wide) {
+    left_rows(ws, M, N, keep, ws.out_vh.data());
+    charge_side(left_len);
   } else {
-    // Wide: V^H rows are conj of the columns of Q V_X — the GEMM recovery.
-    // Both factors are exactly unitary, so null values need no handling.
-    ws.ub.resize(M * keep);
-    gemm_raw(M, N, keep, ws.q.data(), N, Op::kNone, ws.ur.data(), keep,
-             Op::kNone, ws.ub.data(), keep, parallel);
-    for (std::size_t r = 0; r < keep; ++r) {
-      cplx* dst = ws.out_vh.data() + r * n_out;
-      for (std::size_t j = 0; j < M; ++j)
-        dst[j] = std::conj(ws.ub[j * keep + r]);
-    }
+    right_rows(ws, N, keep, ws.out_vh.data());
+    charge_side(right_len);
   }
-
-  // --- U (m_out x keep) ---
-  if (!want_u) {
+  if (!(g.wide ? g.right : g.left)) {
     ws.out_u.clear();
-    return;
-  }
-  ws.out_u.resize(m_out * keep);
-  if (info.precond && !info.wide) {
-    // Tall: U = Q V_X — a product of exact unitaries, orthonormal columns
-    // even for null singular values, written straight into the output.
-    gemm_raw(M, N, keep, ws.q.data(), N, Op::kNone, ws.ur.data(), keep,
-             Op::kNone, ws.out_u.data(), keep, parallel);
   } else {
-    // U columns are the normalized W rows; build them in row form (every
-    // access contiguous), complete any null vectors, then transpose out.
-    ws.ub.resize(keep * m_out);
-    ws.vec_null.assign(keep, 0);
-    for (std::size_t r = 0; r < keep; ++r) {
-      const double s = ws.s_all[ws.order[r]];
-      cplx* dst = ws.ub.data() + r * m_out;
-      if (s > null_tol) {
-        const cplx* wrow = ws.w.data() + ws.order[r] * len;
-        const double inv = 1.0 / s;
-        for (std::size_t i = 0; i < m_out; ++i) dst[i] = wrow[i] * inv;
-      } else {
-        std::fill(dst, dst + m_out, cplx{});
-        ws.vec_null[r] = 1;
-      }
+    ws.out_u.resize(g.m * keep);
+    if (g.wide) {
+      right_cols(ws, N, keep, ws.out_u.data());
+      charge_side(right_len);
+    } else {
+      left_cols(ws, M, N, keep, ws.out_u.data());
+      charge_side(left_len);
     }
-    complete_null_rows(ws.ub.data(), keep, m_out, ws.vec_null, ws.cand,
-                       ws.row_weight);
-    for (std::size_t r = 0; r < keep; ++r)
-      for (std::size_t i = 0; i < m_out; ++i)
-        ws.out_u[i * keep + r] = ws.ub[r * m_out + i];
   }
+  obs::WorkCounter::charge(flops, bytes);
 }
 
 }  // namespace
@@ -504,35 +436,34 @@ TruncatedSpectrum svd_truncated_ws(SvdWorkspace& ws, const cplx* a,
                                    std::size_t m, std::size_t n,
                                    std::size_t lda, const double* row_scale,
                                    std::size_t max_rank, double cutoff,
-                                   bool want_u,
-                                   const par::ParallelOptions& parallel) {
+                                   bool want_u) {
   OBS_SPAN("la/svd");
   require(a != nullptr && m > 0 && n > 0, "svd_truncated_ws: empty operand");
   require(lda >= n, "svd_truncated_ws: lda < n");
   require(max_rank >= 1, "svd_truncated_ws: max_rank must be positive");
   truncated_calls_counter().add();
 
-  const EngineInfo info =
-      run_jacobi_engine(ws, a, m, n, lda, row_scale, parallel);
-  const std::size_t N = info.N;
+  const Engine g =
+      decompose(ws, "svd_truncated_ws", a, m, n, lda, row_scale, want_u);
+  const std::size_t N = g.N;
+  const double* s = ws.d.data();
+  const std::size_t* order = ws.order.data();
 
   double total = 0.0;
-  for (std::size_t j = 0; j < N; ++j) total += ws.s_all[j] * ws.s_all[j];
-  const double smax = ws.s_all[ws.order[0]];
+  for (std::size_t j = 0; j < N; ++j) total += s[j] * s[j];
+  const double smax = s[order[0]];
   std::size_t keep = std::min(max_rank, N);
-  while (keep > 1 && ws.s_all[ws.order[keep - 1]] <= cutoff * smax) --keep;
+  while (keep > 1 && s[order[keep - 1]] <= cutoff * smax) --keep;
   // Never keep exact zeros (they carry no state weight).
-  while (keep > 1 && ws.s_all[ws.order[keep - 1]] == 0.0) --keep;
+  while (keep > 1 && s[order[keep - 1]] == 0.0) --keep;
   double kept = 0.0;
-  for (std::size_t r = 0; r < keep; ++r)
-    kept += ws.s_all[ws.order[r]] * ws.s_all[ws.order[r]];
+  for (std::size_t r = 0; r < keep; ++r) kept += s[order[r]] * s[order[r]];
 
-  extract_factors(ws, info, keep, want_u, /*zero_small=*/false, parallel);
+  form_factors(ws, g, keep, /*zero_small=*/false);
 
   TruncatedSpectrum out;
   out.keep = keep;
-  out.sweeps = info.sweeps;
-  out.preconditioned = info.precond;
+  out.sweeps = g.sweeps;
   out.truncation_error = total > 0 ? std::max(0.0, 1.0 - kept / total) : 0.0;
   out.s = ws.out_s.data();
   out.vh = ws.out_vh.data();
@@ -540,38 +471,18 @@ TruncatedSpectrum svd_truncated_ws(SvdWorkspace& ws, const cplx* a,
   return out;
 }
 
-SvdResult svd_jacobi(const CMatrix& a, const par::ParallelOptions& parallel) {
-  OBS_SPAN("la/svd");
-  require(!a.empty(), "svd_jacobi: empty matrix");
+TruncatedSvd svd_truncated(const CMatrix& a, std::size_t max_rank,
+                           double cutoff) {
+  require(!a.empty(), "svd_truncated: empty matrix");
   // A fresh workspace per call: the convenience wrappers must stay safe
   // against re-entry through the pool's caller-runs work stealing.
   SvdWorkspace ws;
-  const std::size_t m = a.rows(), n = a.cols();
-  const EngineInfo info =
-      run_jacobi_engine(ws, a.data(), m, n, n, nullptr, parallel);
-  extract_factors(ws, info, info.N, /*want_u=*/true, /*zero_small=*/true,
-                  parallel);
-  SvdResult r;
-  r.s = ws.out_s;
-  r.u = CMatrix(m, info.N);
-  std::copy(ws.out_u.begin(), ws.out_u.end(), r.u.data());
-  r.vh = CMatrix(info.N, n);
-  std::copy(ws.out_vh.begin(), ws.out_vh.end(), r.vh.data());
-  return r;
-}
-
-TruncatedSvd svd_truncated(const CMatrix& a, std::size_t max_rank,
-                           double cutoff,
-                           const par::ParallelOptions& parallel) {
-  require(!a.empty(), "svd_truncated: empty matrix");
-  SvdWorkspace ws;
   const TruncatedSpectrum f =
       svd_truncated_ws(ws, a.data(), a.rows(), a.cols(), a.cols(), nullptr,
-                       max_rank, cutoff, /*want_u=*/true, parallel);
+                       max_rank, cutoff, /*want_u=*/true);
   TruncatedSvd r;
   r.truncation_error = f.truncation_error;
   r.sweeps = f.sweeps;
-  r.preconditioned = f.preconditioned;
   r.s.assign(f.s, f.s + f.keep);
   r.u = CMatrix(a.rows(), f.keep);
   std::copy(f.u, f.u + a.rows() * f.keep, r.u.data());
@@ -580,218 +491,21 @@ TruncatedSvd svd_truncated(const CMatrix& a, std::size_t max_rank,
   return r;
 }
 
-namespace {
-
-// ---------------------------------------------------------------------------
-// Golub-Kahan engine (full SVD)
-// ---------------------------------------------------------------------------
-
-inline double pythag(double a, double b) { return std::hypot(a, b); }
-
-// Implicit-shift QR diagonalization of a real bidiagonal matrix
-// (diag d[0..n), superdiag e[i] = B(i-1, i), e[0] = 0), accumulating the
-// rotations into U and V supplied in TRANSPOSED layout (row j = j-th
-// singular vector) so each rotation streams two contiguous rows.
-// Classic Golub-Kahan; returns false if an eigenvalue fails to converge.
-bool bidiagonal_qr(std::vector<double>& d, std::vector<double>& e, CMatrix& ut,
-                   CMatrix& vt) {
-  const int n = int(d.size());
-  double anorm = 0;
-  for (int i = 0; i < n; ++i)
-    anorm = std::max(anorm, std::abs(d[i]) + std::abs(e[i]));
-  const double eps = 1e-15 * anorm;
-
-  auto rotate_cols = [](CMatrix& m, int p, int q, double c, double s) {
-    cplx* rp = m.row(std::size_t(p));
-    cplx* rq = m.row(std::size_t(q));
-    const std::size_t cols = m.cols();
-    for (std::size_t i = 0; i < cols; ++i) {
-      const cplx y = rp[i], z = rq[i];
-      rp[i] = y * c + z * s;
-      rq[i] = z * c - y * s;
-    }
-  };
-
-  for (int k = n - 1; k >= 0; --k) {
-    for (int its = 0; its < 75; ++its) {
-      bool flag = true;
-      int l = k, nm = k - 1;
-      for (; l >= 0; --l) {
-        nm = l - 1;
-        if (l == 0 || std::abs(e[l]) <= eps) {
-          flag = false;
-          break;
-        }
-        if (std::abs(d[nm]) <= eps) break;
-      }
-      if (flag) {
-        // d[l-1] negligible: cancel e[l] with rotations touching U.
-        double c = 0.0, s = 1.0;
-        for (int i = l; i <= k; ++i) {
-          const double f = s * e[i];
-          e[i] = c * e[i];
-          if (std::abs(f) <= eps) break;
-          const double g = d[i];
-          const double h = pythag(f, g);
-          d[i] = h;
-          const double hinv = 1.0 / h;
-          c = g * hinv;
-          s = -f * hinv;
-          rotate_cols(ut, nm, i, c, s);
-        }
-      }
-      const double z = d[k];
-      if (l == k) {
-        if (z < 0) {
-          d[k] = -z;
-          cplx* vk = vt.row(std::size_t(k));
-          for (std::size_t c2 = 0; c2 < vt.cols(); ++c2) vk[c2] = -vk[c2];
-        }
-        break;
-      }
-      if (its == 74) return false;
-
-      // Wilkinson-style shift from the trailing 2x2.
-      double x = d[l];
-      nm = k - 1;
-      double y = d[nm];
-      double g = e[nm], h = e[k];
-      double f = ((y - z) * (y + z) + (g - h) * (g + h)) / (2.0 * h * y);
-      g = pythag(f, 1.0);
-      const double sign_g = f >= 0 ? std::abs(g) : -std::abs(g);
-      f = ((x - z) * (x + z) + h * (y / (f + sign_g) - h)) / x;
-      double c = 1.0, s = 1.0;
-      for (int j = l; j <= nm; ++j) {
-        const int i = j + 1;
-        g = e[i];
-        y = d[i];
-        h = s * g;
-        g = c * g;
-        double zz = pythag(f, h);
-        e[j] = zz;
-        c = f / zz;
-        s = h / zz;
-        f = x * c + g * s;
-        g = g * c - x * s;
-        h = y * s;
-        y *= c;
-        rotate_cols(vt, j, i, c, s);
-        zz = pythag(f, h);
-        d[j] = zz;
-        if (zz != 0.0) {
-          const double zi = 1.0 / zz;
-          c = f * zi;
-          s = h * zi;
-        }
-        f = c * g + s * y;
-        x = c * y - s * g;
-        rotate_cols(ut, j, i, c, s);
-      }
-      e[l] = 0.0;
-      e[k] = f;
-      d[k] = x;
-    }
-  }
-  return true;
-}
-
-// Golub-Kahan SVD for m >= n; returns false on QR non-convergence.
-bool svd_golub_kahan(const CMatrix& a_in, SvdResult& out) {
-  const std::size_t m = a_in.rows(), n = a_in.cols();
-  CMatrix a = a_in;
-  std::vector<cplx> hwork;
-
-  // Householder bidiagonalization; vectors stored in-place in a. The k-th
-  // right reflector also covers the tail-less k = n-2 case, where it reduces
-  // to the phase rotation that makes the last superdiagonal real.
-  std::vector<hh::Reflector> left(n), right(n >= 1 ? n - 1 : 0);
-  for (std::size_t k = 0; k < n; ++k) {
-    // Column k: zero below the diagonal.
-    std::vector<cplx> col(m - k - 1);
-    for (std::size_t i = 0; i < col.size(); ++i) col[i] = a(k + 1 + i, k);
-    left[k] = hh::make_reflector(a(k, k), col.data(), col.size());
-    for (std::size_t i = 0; i < col.size(); ++i) a(k + 1 + i, k) = col[i];
-    // Apply (I - conj(tau) v v^H) to the trailing columns.
-    hh::reflect_left(a.data(), n, n, k, k + 1, col.data(), col.size(),
-                     std::conj(left[k].tau), hwork);
-    a(k, k) = left[k].beta;
-
-    if (k + 1 < n) {
-      // Row k: zero beyond the superdiagonal via the conjugated-row trick.
-      std::vector<cplx> row(n - k - 2);
-      for (std::size_t j = 0; j < row.size(); ++j)
-        row[j] = std::conj(a(k, k + 2 + j));
-      cplx alpha = std::conj(a(k, k + 1));
-      right[k] = hh::make_reflector(alpha, row.data(), row.size());
-      for (std::size_t j = 0; j < row.size(); ++j) a(k, k + 2 + j) = row[j];
-      if (right[k].tau != cplx{}) {
-        // A <- A (I - tau v v^H) on rows k+1.. (row k handled analytically).
-        hh::reflect_right(a.data(), n, m, k + 1, k + 1, row.data(),
-                          row.size(), right[k].tau);
-      }
-      a(k, k + 1) = right[k].beta;
-    }
-  }
-
-  std::vector<double> d(n), e(n, 0.0);
-  for (std::size_t i = 0; i < n; ++i) d[i] = a(i, i).real();
-  for (std::size_t i = 1; i < n; ++i) e[i] = a(i - 1, i).real();
-
-  // Backward-accumulate U = H_1 ... H_n * [e1..en] and V = W_1 ... W_r * I.
-  CMatrix u(m, n);
-  for (std::size_t i = 0; i < n; ++i) u(i, i) = 1.0;
-  for (std::size_t kk = n; kk-- > 0;) {
-    std::vector<cplx> v(m - kk - 1);
-    for (std::size_t i = 0; i < v.size(); ++i) v[i] = a(kk + 1 + i, kk);
-    hh::reflect_left(u.data(), n, n, kk, kk, v.data(), v.size(),
-                     left[kk].tau, hwork);
-  }
-  CMatrix vmat = CMatrix::identity(n);
-  for (std::size_t kk = right.size(); kk-- > 0;) {
-    std::vector<cplx> v(n - kk - 2);
-    for (std::size_t j = 0; j < v.size(); ++j) v[j] = a(kk, kk + 2 + j);
-    hh::reflect_left(vmat.data(), n, n, kk + 1, kk + 1, v.data(), v.size(),
-                     right[kk].tau, hwork);
-  }
-
-  // Transposed copies keep the QR rotations on contiguous rows.
-  CMatrix ut = u.transposed();
-  CMatrix vt = vmat.transposed();
-  if (!bidiagonal_qr(d, e, ut, vt)) return false;
-
-  // Sort singular values descending, permuting the factors.
-  std::vector<std::size_t> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t x, std::size_t y) { return d[x] > d[y]; });
-  out.u = CMatrix(m, n);
-  out.s.resize(n);
-  out.vh = CMatrix(n, n);
-  for (std::size_t j = 0; j < n; ++j) {
-    const std::size_t src = order[j];
-    out.s[j] = d[src];
-    for (std::size_t i = 0; i < m; ++i) out.u(i, j) = ut(src, i);
-    for (std::size_t i = 0; i < n; ++i) out.vh(j, i) = std::conj(vt(src, i));
-  }
-  return true;
-}
-
-}  // namespace
-
 SvdResult svd(const CMatrix& a) {
+  OBS_SPAN("la/svd");
   require(!a.empty(), "svd: empty matrix");
-  if (a.rows() < a.cols()) {
-    SvdResult t = svd(a.adjoint());
-    SvdResult r;
-    r.s = std::move(t.s);
-    r.u = t.vh.adjoint();
-    r.vh = t.u.adjoint();
-    return r;
-  }
-  SvdResult out;
-  if (svd_golub_kahan(a, out)) return out;
-  // Extremely rare: fall back to the unconditionally-convergent Jacobi path.
-  return svd_jacobi(a);
+  SvdWorkspace ws;
+  const std::size_t m = a.rows(), n = a.cols();
+  const Engine g = decompose(ws, "svd", a.data(), m, n, n, nullptr,
+                             /*want_u=*/true);
+  form_factors(ws, g, g.N, /*zero_small=*/true);
+  SvdResult r;
+  r.s = ws.out_s;
+  r.u = CMatrix(m, g.N);
+  std::copy(ws.out_u.begin(), ws.out_u.end(), r.u.data());
+  r.vh = CMatrix(g.N, n);
+  std::copy(ws.out_vh.begin(), ws.out_vh.end(), r.vh.data());
+  return r;
 }
 
 }  // namespace q2::la

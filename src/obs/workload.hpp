@@ -39,31 +39,42 @@ inline std::uint64_t gemm_bytes(std::size_t m, std::size_t k, std::size_t n,
   return std::uint64_t(m * k + k * n + 2 * m * n) * elem_bytes;
 }
 
-/// Per-sweep column-norm refresh over `cols` complex columns of length `len`:
-/// |z|^2 accumulate = 4 flops/element (2 mul + 2 add).
-inline std::uint64_t jacobi_norm_flops(std::size_t cols, std::size_t len) {
-  return std::uint64_t(4) * cols * len;
+/// Applying one Householder reflector of length `len` (v0 = 1 plus the
+/// tail) to `vectors` complex vectors: a conjugated dot and an axpy per
+/// vector, 8 flops per complex multiply-add each. Traffic: each vector is
+/// read twice and written once.
+inline std::uint64_t householder_apply_flops(std::size_t vectors,
+                                             std::size_t len) {
+  return std::uint64_t(16) * vectors * len;
 }
-inline std::uint64_t jacobi_norm_bytes(std::size_t cols, std::size_t len) {
-  return std::uint64_t(16) * cols * len;
+inline std::uint64_t householder_apply_bytes(std::size_t vectors,
+                                             std::size_t len) {
+  return std::uint64_t(48) * vectors * len;
 }
 
-/// One tournament round: every measured pair pays a conjugated dot product
-/// (8 flops/element); each pair that actually rotated (rel >= kRotateTol)
-/// additionally applies a 2x2 complex rotation to its two W columns (length
-/// `len`) and two V^H rows (length `vcols`) at 20 flops per element pair.
+/// Implicit-shift QR on the real bidiagonal: each chase step generates a
+/// Givens rotation and updates the bidiagonal (about 24 flops in
+/// registers); each rotation of a real accumulator row pair of length `len`
+/// costs 6 flops per element and streams both rows in and out.
+inline std::uint64_t svd_qr_flops(std::uint64_t steps,
+                                  std::uint64_t row_rotations,
+                                  std::size_t len) {
+  return 24 * steps + 6 * row_rotations * len;
+}
+inline std::uint64_t svd_qr_bytes(std::uint64_t row_rotations,
+                                  std::size_t len) {
+  return 32 * row_rotations * len;
+}
+
+/// One tournament round of sw::svd_cpe's CPE-mesh Jacobi: every measured
+/// pair pays a conjugated dot product (8 flops/element); each pair that
+/// actually rotated additionally applies a 2x2 complex rotation to its two
+/// columns (length `len`) and two V^H rows (length `vcols`) at 20 flops per
+/// element pair.
 inline std::uint64_t jacobi_round_flops(std::size_t pairs, std::size_t rotated,
                                         std::size_t len, std::size_t vcols) {
   return std::uint64_t(8) * pairs * len +
          std::uint64_t(20) * rotated * (len + vcols);
-}
-
-/// Round traffic: dots read both columns; rotations read and write both
-/// columns/rows on each side.
-inline std::uint64_t jacobi_round_bytes(std::size_t pairs, std::size_t rotated,
-                                        std::size_t len, std::size_t vcols) {
-  return std::uint64_t(16) *
-         (2 * pairs * len + 4 * rotated * (len + vcols));
 }
 
 }  // namespace q2::obs

@@ -96,9 +96,8 @@ Mps Mps::from_statevector(int n_qubits, const std::vector<cplx>& amps,
     const std::size_t rows = c.size() / cols;
     la::CMatrix m(rows, cols);
     std::copy(c.begin(), c.end(), m.data());
-    la::TruncatedSvd f = la::svd_truncated(m, options.max_bond,
-                                           options.svd_cutoff,
-                                           options.parallel);
+    la::TruncatedSvd f =
+        la::svd_truncated(m, options.max_bond, options.svd_cutoff);
     const std::size_t k = f.s.size();
     mps.truncation_error_ += f.truncation_error;
     mps.tensors_[site].assign(k * cols, cplx{});
@@ -180,7 +179,6 @@ void Mps::apply_two_adjacent(int n, const std::array<cplx, 16>& m_in,
 
   const std::size_t dl = dl_[n], dm = dr_[n], dr = dr_[n + 1];
   require(dm == dl_[n + 1], "Mps: inconsistent bond dimensions");
-  ++profile_.gates_applied;
   gate_counter().add();
   Timer hotspot_timer;
 
@@ -232,7 +230,6 @@ void Mps::apply_two_adjacent(int n, const std::array<cplx, 16>& m_in,
   }
 
   double contract_seconds = hotspot_timer.seconds();
-  profile_.contraction_seconds += contract_seconds;
   hotspot_timer.reset();
 
   // Eq. (9): truncated SVD of the weighted tensor. U is never formed — the
@@ -243,12 +240,9 @@ void Mps::apply_two_adjacent(int n, const std::array<cplx, 16>& m_in,
     f = la::svd_truncated_ws(scratch_.svd, mm.data(), rows, cols, cols,
                              n > 0 ? scratch_.row_scale.data() : nullptr,
                              options_.max_bond, options_.svd_cutoff,
-                             /*want_u=*/false, options_.parallel);
+                             /*want_u=*/false);
   }
-  const double svd_seconds = hotspot_timer.seconds();
-  profile_.svd_seconds += svd_seconds;
-  svd_hist().observe(svd_seconds);
-  profile_.svd_sweeps += std::size_t(f.sweeps);
+  svd_hist().observe(hotspot_timer.seconds());
   svd_sweep_counter().add(std::uint64_t(f.sweeps));
   hotspot_timer.reset();
   const std::size_t k = f.keep;
@@ -285,9 +279,7 @@ void Mps::apply_two_adjacent(int n, const std::array<cplx, 16>& m_in,
     for (auto& z : tensors_[n]) z *= norm_scale;
     dr_[n] = k;
   }
-  const double restore_seconds = hotspot_timer.seconds();
-  profile_.contraction_seconds += restore_seconds;
-  contract_seconds += restore_seconds;
+  contract_seconds += hotspot_timer.seconds();
   contract_hist().observe(contract_seconds);
 }
 

@@ -30,20 +30,6 @@ struct MpsOptions {
   par::ParallelOptions parallel;
 };
 
-/// Wall-clock split of the MPS hotspots, accumulated per engine instance
-/// (paper §IV-B reports contraction ~15% / SVD ~82%). The same quantities
-/// also flow into the global obs::Registry ("mps.gates",
-/// "mps.contract_seconds", "mps.svd_seconds"), which aggregates across every
-/// engine in the process; this struct is the per-engine view.
-struct MpsProfile {
-  double contraction_seconds = 0.0;
-  double svd_seconds = 0.0;
-  std::size_t gates_applied = 0;
-  /// Jacobi sweeps accumulated over all two-site updates (also exported as
-  /// the "mps.svd_sweeps" counter) — convergence behaviour, not just time.
-  std::size_t svd_sweeps = 0;
-};
-
 /// Complete serializable simulator state, produced/consumed by the checkpoint
 /// layer (src/ckpt). The engine is kept right-canonical throughout, so the
 /// canonical center is implicitly site 0; the checkpoint record still carries
@@ -80,9 +66,6 @@ class Mps {
 
   /// Accumulated relative truncation error over all gate applications.
   double truncation_error() const { return truncation_error_; }
-
-  /// Hotspot timing accumulated across all gate applications.
-  const MpsProfile& profile() const { return profile_; }
 
   void apply(const circ::Gate& g, const std::vector<double>& params = {});
   /// Runs a circuit; long-range two-qubit gates are routed internally
@@ -186,12 +169,11 @@ class Mps {
   // boundary (expectation, to_statevector). Checkpoints require identity.
   circ::QubitPermutation perm_;
   double truncation_error_ = 0.0;
-  TwoSiteScratch scratch_;
   // Mutated only by the (non-const) apply paths. An engine instance is
   // single-threaded by contract: gate application, truncation accounting and
-  // this profile are all unsynchronized. Concurrent drivers (distributed VQE,
+  // this scratch are all unsynchronized. Concurrent drivers (distributed VQE,
   // the thread pool) each own a private Mps.
-  MpsProfile profile_;
+  TwoSiteScratch scratch_;
 };
 
 }  // namespace q2::sim

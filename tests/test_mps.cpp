@@ -4,6 +4,8 @@
 // the paper describes (monitored, monotone in D).
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "circuit/builder.hpp"
 #include "circuit/routing.hpp"
 #include "common/rng.hpp"
@@ -226,6 +228,18 @@ TEST(Mps, ParametricCircuitBinding) {
   StateVector sv(3);
   sv.run(c, {0.9});
   EXPECT_GT(fidelity(a.to_statevector(), sv.amplitudes()), 1.0 - 1e-10);
+}
+
+TEST(Mps, NanGateAngleThrowsInsteadOfPoisoningTheState) {
+  // A NaN rotation angle poisons one site tensor; the next two-site update
+  // decomposes a NaN operand, which must raise an error rather than leave a
+  // NaN norm and NaN expectation values behind.
+  Circuit c(4);
+  for (int q = 0; q < 4; ++q) c.append(circ::make_h(q));
+  c.append(circ::make_rz_param(1, 0, 1.0));
+  for (int q = 0; q + 1 < 4; ++q) c.append(circ::make_cnot(q, q + 1));
+  Mps mps(4);
+  EXPECT_THROW(mps.run(c, {std::numeric_limits<double>::quiet_NaN()}), Error);
 }
 
 }  // namespace

@@ -137,26 +137,32 @@ TEST_F(ProfileTest, GemmFlopCountIsExactAndThreadCountInvariant) {
 }
 
 TEST_F(ProfileTest, SvdWorkAccountingIsThreadCountInvariant) {
+  // The same decomposition run concurrently from pool threads, one workspace
+  // per call: the analytic charge depends only on the operand, so the
+  // la/svd node's totals are identical at every thread count.
   const std::size_t n = 64;
+  constexpr std::size_t kCalls = 4;
   const la::CMatrix a = random_matrix(n, n, 7);
   std::vector<std::uint64_t> flops_by_threads, bytes_by_threads;
   for (const std::size_t threads : {1u, 2u, 4u}) {
     obs::clear_profile();
     par::ParallelOptions opts;
     opts.n_threads = threads;
-    la::SvdWorkspace ws;
-    (void)la::svd_truncated_ws(ws, a.data(), n, n, n, nullptr,
-                               /*max_bond=*/16, 0.0, /*want_u=*/true, opts);
+    opts.grain = 1;
+    par::parallel_for(opts, 0, kCalls, [&](std::size_t) {
+      la::SvdWorkspace ws;
+      (void)la::svd_truncated_ws(ws, a.data(), n, n, n, nullptr,
+                                 /*max_bond=*/16, 0.0, /*want_u=*/true);
+    });
     const std::vector<obs::ProfileNode> nodes = obs::profile_snapshot();
     const obs::ProfileNode* svd = find_node(nodes, "la/svd");
     ASSERT_NE(svd, nullptr) << "threads=" << threads;
+    EXPECT_EQ(svd->count, kCalls);
     EXPECT_GT(svd->flops, 0u);
     EXPECT_GT(svd->bytes, 0u);
     flops_by_threads.push_back(svd->flops);
     bytes_by_threads.push_back(svd->bytes);
   }
-  // The rotation count comes from the deterministic tournament schedule, so
-  // the charge is bit-identical for every thread count.
   EXPECT_EQ(flops_by_threads[0], flops_by_threads[1]);
   EXPECT_EQ(flops_by_threads[0], flops_by_threads[2]);
   EXPECT_EQ(bytes_by_threads[0], bytes_by_threads[1]);

@@ -1,19 +1,24 @@
-// Differential harness for the truncated-SVD substrate: the QR-preconditioned
-// tournament-Jacobi engine is checked against the frozen scalar cyclic-Jacobi
-// oracle (svd_jacobi_reference) over seeded shape/rank sweeps, plus the
-// contracts the MPS update leans on — row-scale folding, want_u elision,
-// workspace reuse, and bit-identical results at every thread count.
+// Differential harness for the SVD engine: the Golub-Kahan engine behind
+// svd / svd_truncated / svd_truncated_ws is checked against the frozen scalar
+// cyclic-Jacobi oracle (svd_jacobi_reference) over seeded shape/rank sweeps
+// and the MPS hot shapes, plus the contracts the MPS update leans on —
+// row-scale folding, want_u elision, workspace reuse, bit-identical results
+// when called concurrently from pool threads, and rejection of non-finite
+// operands.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "linalg/gemm.hpp"
 #include "linalg/svd.hpp"
 #include "linalg/svd_reference.hpp"
+#include "parallel/thread_pool.hpp"
 
 namespace q2::la {
 namespace {
@@ -56,7 +61,7 @@ TEST_P(SvdDiff, MatchesScalarReferenceSpectrum) {
   const CMatrix a = rank == 0 ? random_matrix(m, n, rng)
                               : low_rank_matrix(m, n, rank, rng);
   const SvdResult ref = svd_jacobi_reference(a);
-  const SvdResult fast = svd_jacobi(a);
+  const SvdResult fast = svd(a);
   ASSERT_EQ(fast.s.size(), ref.s.size());
   const double s0 = ref.s.empty() ? 0.0 : ref.s[0];
   for (std::size_t i = 0; i < ref.s.size(); ++i)
@@ -136,31 +141,46 @@ TEST(SvdDiff, RowScaleFoldingMatchesPrescaledOperand) {
 }
 
 TEST(SvdDiff, BitIdenticalAcrossThreadCounts) {
+  // The engine is serial; what must hold is that concurrent calls from pool
+  // threads, each on its own workspace, reproduce every output bit.
   Rng rng(603);
+  constexpr std::size_t kCalls = 6;
   for (auto [m, n] : {std::pair<std::size_t, std::size_t>{64, 64},
                       {80, 24},
                       {24, 80}}) {
     const CMatrix a = random_matrix(m, n, rng);
     const std::size_t max_rank = 12;
-    std::vector<std::vector<double>> s_runs;
-    std::vector<std::vector<cplx>> u_runs, vh_runs;
-    for (int threads : {1, 2, 8}) {
+    std::vector<std::vector<double>> s_runs(kCalls);
+    std::vector<std::vector<cplx>> u_runs(kCalls), vh_runs(kCalls);
+    std::vector<double> s_ref;
+    std::vector<cplx> u_ref, vh_ref;
+    for (std::size_t threads : {1u, 2u, 4u}) {
       par::ParallelOptions p;
       p.n_threads = threads;
-      SvdWorkspace ws;
-      const TruncatedSpectrum f = svd_truncated_ws(
-          ws, a.data(), m, n, n, nullptr, max_rank, 0.0, /*want_u=*/true, p);
-      s_runs.emplace_back(f.s, f.s + f.keep);
-      u_runs.emplace_back(f.u, f.u + m * f.keep);
-      vh_runs.emplace_back(f.vh, f.vh + f.keep * n);
-    }
-    for (std::size_t r = 1; r < s_runs.size(); ++r) {
-      EXPECT_EQ(0, std::memcmp(s_runs[0].data(), s_runs[r].data(),
-                               s_runs[0].size() * sizeof(double)));
-      EXPECT_EQ(0, std::memcmp(u_runs[0].data(), u_runs[r].data(),
-                               u_runs[0].size() * sizeof(cplx)));
-      EXPECT_EQ(0, std::memcmp(vh_runs[0].data(), vh_runs[r].data(),
-                               vh_runs[0].size() * sizeof(cplx)));
+      p.grain = 1;
+      par::parallel_for(p, 0, kCalls, [&](std::size_t i) {
+        SvdWorkspace ws;
+        const TruncatedSpectrum f = svd_truncated_ws(
+            ws, a.data(), m, n, n, nullptr, max_rank, 0.0, /*want_u=*/true);
+        s_runs[i].assign(f.s, f.s + f.keep);
+        u_runs[i].assign(f.u, f.u + m * f.keep);
+        vh_runs[i].assign(f.vh, f.vh + f.keep * n);
+      });
+      if (s_ref.empty()) {
+        s_ref = s_runs[0];
+        u_ref = u_runs[0];
+        vh_ref = vh_runs[0];
+      }
+      for (std::size_t i = 0; i < kCalls; ++i) {
+        ASSERT_EQ(s_runs[i].size(), s_ref.size());
+        EXPECT_EQ(0, std::memcmp(s_ref.data(), s_runs[i].data(),
+                                 s_ref.size() * sizeof(double)))
+            << threads << " threads, call " << i;
+        EXPECT_EQ(0, std::memcmp(u_ref.data(), u_runs[i].data(),
+                                 u_ref.size() * sizeof(cplx)));
+        EXPECT_EQ(0, std::memcmp(vh_ref.data(), vh_runs[i].data(),
+                                 vh_ref.size() * sizeof(cplx)));
+      }
     }
   }
 }
@@ -216,7 +236,7 @@ TEST(SvdDiff, DegenerateColumnsAndZeros) {
     a(i, 6) = 0.0;      // dead column -> exact zero singular value
   }
   const SvdResult ref = svd_jacobi_reference(a);
-  const SvdResult fast = svd_jacobi(a);
+  const SvdResult fast = svd(a);
   ASSERT_EQ(fast.s.size(), ref.s.size());
   for (std::size_t i = 0; i < ref.s.size(); ++i)
     EXPECT_NEAR(fast.s[i], ref.s[i], 1e-12 * (1 + ref.s[0]));
@@ -227,7 +247,7 @@ TEST(SvdDiff, DegenerateColumnsAndZeros) {
 
 TEST(SvdDiff, AllZeroMatrix) {
   const CMatrix a(9, 4);
-  const SvdResult f = svd_jacobi(a);
+  const SvdResult f = svd(a);
   ASSERT_EQ(f.s.size(), 4u);
   for (double s : f.s) EXPECT_EQ(s, 0.0);
   // Factors are still completed to orthonormal bases.
@@ -291,8 +311,7 @@ TEST(SvdDiff, RankDeficientTwoSiteOperandStaysFinite) {
   SvdWorkspace ws;
   const TruncatedSpectrum f =
       svd_truncated_ws(ws, mm.data(), rows, cols, cols, kRowScale,
-                       /*max_rank=*/64, /*cutoff=*/1e-12, /*want_u=*/false,
-                       par::ParallelOptions{});
+                       /*max_rank=*/64, /*cutoff=*/1e-12, /*want_u=*/false);
   ASSERT_EQ(f.keep, 4u);
   for (std::size_t r = 0; r < f.keep; ++r) {
     EXPECT_TRUE(std::isfinite(f.s[r])) << "s[" << r << "] = " << f.s[r];
@@ -330,18 +349,106 @@ TEST(SvdDiff, TournamentScheduleCoversEveryPairOnce) {
   }
 }
 
-TEST(SvdDiff, PreconditionerEngagesWhereDesigned) {
-  Rng rng(607);
-  const CMatrix tall = random_matrix(40, 10, rng);
-  EXPECT_TRUE(svd_truncated(tall, 10).preconditioned);
-  const CMatrix wide = random_matrix(10, 40, rng);
-  EXPECT_TRUE(svd_truncated(wide, 10).preconditioned);
-  const CMatrix small_sq = random_matrix(12, 12, rng);
-  EXPECT_FALSE(svd_truncated(small_sq, 12).preconditioned);
-  const CMatrix big_sq = random_matrix(64, 64, rng);
-  const TruncatedSvd big = svd_truncated(big_sq, 64);
-  EXPECT_TRUE(big.preconditioned);
-  EXPECT_GT(big.sweeps, 0);
+// The MPS two-site update's traffic: the shapes of the H4 UCCSD workload,
+// Schmidt-weighted through row_scale and decomposed without U. Eq. (10)
+// rebuilds B_n as M V^dagger, so what the update relies on is that the kept
+// rows of V^H are orthonormal and that projecting the weighted operand onto
+// them leaves exactly the dropped weight behind.
+TEST(SvdDiff, HotShapesWithoutUMatchReferenceAndRecoverEq10) {
+  Rng rng(608);
+  struct HotCase {
+    std::size_t m, n, rank, max_rank;  // rank == 0 means full rank
+  };
+  for (const HotCase hc : {HotCase{16, 16, 0, 8}, HotCase{32, 8, 0, 4},
+                           HotCase{8, 32, 0, 4}, HotCase{16, 4, 0, 2},
+                           HotCase{8, 2, 0, 1}, HotCase{16, 16, 5, 16}}) {
+    const std::size_t m = hc.m, n = hc.n;
+    const CMatrix a = hc.rank == 0 ? random_matrix(m, n, rng)
+                                   : low_rank_matrix(m, n, hc.rank, rng);
+    std::vector<double> scale(m);
+    for (std::size_t i = 0; i < m; ++i) scale[i] = 0.05 + rng.uniform();
+    CMatrix mw = a;
+    for (std::size_t i = 0; i < m; ++i)
+      for (std::size_t j = 0; j < n; ++j) mw(i, j) *= scale[i];
+
+    SvdWorkspace ws;
+    const TruncatedSpectrum f =
+        svd_truncated_ws(ws, a.data(), m, n, n, scale.data(), hc.max_rank,
+                         /*cutoff=*/1e-12, /*want_u=*/false);
+    EXPECT_EQ(f.u, nullptr);
+    const SvdResult ref = svd_jacobi_reference(mw);
+    const double s0 = ref.s[0];
+    ASSERT_EQ(f.keep, hc.rank == 0 ? hc.max_rank : hc.rank)
+        << m << "x" << n;
+    for (std::size_t r = 0; r < f.keep; ++r)
+      EXPECT_NEAR(f.s[r], ref.s[r], 1e-12 * s0) << m << "x" << n << " r=" << r;
+
+    CMatrix vh(f.keep, n);
+    std::copy(f.vh, f.vh + f.keep * n, vh.data());
+    EXPECT_LT(orthonormality_error(vh.adjoint()), 1e-12) << m << "x" << n;
+
+    double dropped = 0.0;
+    for (std::size_t r = f.keep; r < ref.s.size(); ++r)
+      dropped += ref.s[r] * ref.s[r];
+    const CMatrix proj =
+        matmul(matmul(mw, vh, Op::kNone, Op::kAdjoint), vh);
+    const double resid = (mw - proj).frobenius_norm();
+    EXPECT_NEAR(resid, std::sqrt(dropped), 1e-12 * s0) << m << "x" << n;
+  }
+}
+
+// A NaN or Inf anywhere in the packed operand — including one that only
+// appears through the row weights — is an error naming the shape, never a
+// silently wrong spectrum. The single-column shapes matter: there the QR
+// iteration has nothing to chase, so only the screen can catch the NaN.
+TEST(SvdDiff, NonFiniteOperandThrowsNamingTheShape) {
+  Rng rng(609);
+  const double kBad[] = {std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::infinity(),
+                         -std::numeric_limits<double>::infinity()};
+  for (auto [m, n] : {std::pair<std::size_t, std::size_t>{16, 16},
+                      {32, 8},
+                      {8, 32},
+                      {9, 1},
+                      {1, 9}}) {
+    const std::string shape = std::to_string(m) + "x" + std::to_string(n);
+    auto expect_rejected = [&](auto&& decompose, const char* entry) {
+      try {
+        decompose();
+        ADD_FAILURE() << entry << " accepted a non-finite " << shape
+                      << " operand";
+      } catch (const Error& err) {
+        const std::string what = err.what();
+        EXPECT_NE(what.find("non-finite"), std::string::npos) << what;
+        EXPECT_NE(what.find(shape), std::string::npos) << what;
+      }
+    };
+    for (const double bad : kBad) {
+      for (const bool imag : {false, true}) {
+        CMatrix a = random_matrix(m, n, rng);
+        a(m / 2, n - 1) = imag ? cplx{0.5, bad} : cplx{bad, 0.5};
+        SvdWorkspace ws;
+        expect_rejected(
+            [&] {
+              (void)svd_truncated_ws(ws, a.data(), m, n, n, nullptr, 8, 0.0,
+                                     /*want_u=*/false);
+            },
+            "svd_truncated_ws");
+        expect_rejected([&] { (void)svd(a); }, "svd");
+      }
+    }
+    // A finite operand poisoned only by its row weight.
+    const CMatrix a = random_matrix(m, n, rng);
+    std::vector<double> scale(m, 1.0);
+    scale[m - 1] = std::numeric_limits<double>::infinity();
+    SvdWorkspace ws;
+    expect_rejected(
+        [&] {
+          (void)svd_truncated_ws(ws, a.data(), m, n, n, scale.data(), 8, 0.0,
+                                 /*want_u=*/false);
+        },
+        "svd_truncated_ws with row_scale");
+  }
 }
 
 }  // namespace
