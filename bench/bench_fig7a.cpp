@@ -33,8 +33,9 @@ int main(int argc, char** argv) {
     dmet::DmetOptions opts;
     opts.fragments = dmet::uniform_atom_groups(std::size_t(n_atoms), 2);
     // Homogeneous ring: mu = 0 balances electrons by symmetry and all
-    // fragments are equivalent; skipping the bisection and replicating the
-    // single fragment solve keeps the VQE sweep tractable on one core.
+    // fragments are equivalent; skipping the chemical-potential fit and
+    // replicating the single fragment solve keeps the VQE sweep tractable on
+    // one core.
     opts.fit_chemical_potential = false;
     opts.equivalent_fragments = true;
     const dmet::DmetResult dm_fci =

@@ -7,9 +7,9 @@
 //               [--checkpoint=PATH [--checkpoint-every=N] [--resume]]
 //
 // --checkpoint= snapshots the chemical-potential loop every N µ-evaluations;
-// restart a killed run with --resume to continue the fit mid-bisection with
-// bit-identical final energies. Env: Q2_CHECKPOINT / Q2_CHECKPOINT_EVERY /
-// Q2_RESUME=1.
+// restart a killed run with --resume to continue the fit where it stopped,
+// with the same fragment warm starts and bit-identical final energies. Env:
+// Q2_CHECKPOINT / Q2_CHECKPOINT_EVERY / Q2_RESUME=1.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>

@@ -57,7 +57,9 @@ FragmentSolver make_vqe_solver(const vqe::VqeOptions& options) {
     const pauli::QubitOperator h = chem::molecular_qubit_hamiltonian(canonical);
     const vqe::UccsdAnsatz ansatz = vqe::build_uccsd(
         canonical.n_orbitals(), prob.n_alpha, prob.n_beta, options.ansatz);
-    const vqe::VqeResult r = vqe::run_vqe_on(h, ansatz, options);
+    vqe::VqeOptions solve_options = options;
+    solve_options.initial_parameters = prob.initial_parameters;
+    const vqe::VqeResult r = vqe::run_vqe_on(h, ansatz, solve_options);
 
     // Fragment energy and electron count are measured on the optimized state
     // as plain Pauli expectations — exactly what hardware would report.
@@ -79,16 +81,23 @@ FragmentSolver make_vqe_solver(const vqe::VqeOptions& options) {
     FragmentSolution sol;
     sol.energy = state.expectation(hx).real();
     sol.electrons = state.expectation(nx).real();
+    sol.parameters = r.parameters;
     return sol;
   };
 }
 
 namespace {
 
+// One µ-evaluation: a full sweep of fragment solves at chemical potential mu.
 struct Evaluation {
+  int sweep = -1;  ///< µ-evaluation index; -1 = not evaluated
+  double mu = 0.0;
   double energy = 0.0;     ///< sum of fragment energies (electronic)
   double electrons = 0.0;  ///< summed fragment electron count
   std::vector<double> fragment_energies, fragment_electrons;
+  /// Each fragment solver's optimum (empty for solvers without parameters):
+  /// the warm starts of later sweeps.
+  std::vector<std::vector<double>> fragment_parameters;
 };
 
 // Everything that's independent of mu, precomputed once.
@@ -130,19 +139,23 @@ Evaluation evaluate(const Prepared& prep, double mu,
                     const std::function<bool(std::size_t)>& mine,
                     par::Comm* comm, const DmetOptions& options) {
   OBS_SPAN("dmet/evaluate");
+  const std::size_t n = prep.problems.size();
   Evaluation ev;
-  ev.fragment_energies.assign(prep.problems.size(), 0.0);
-  ev.fragment_electrons.assign(prep.problems.size(), 0.0);
-  if (options.equivalent_fragments && !prep.problems.empty()) {
+  ev.mu = mu;
+  ev.fragment_energies.assign(n, 0.0);
+  ev.fragment_electrons.assign(n, 0.0);
+  ev.fragment_parameters.assign(n, {});
+  if (options.equivalent_fragments && n > 0) {
     OBS_SPAN("dmet/fragment_solve");
     fragment_solve_counter().add();
     const EmbeddingProblem& prob = prep.problems[0];
     const chem::MoIntegrals solver_mo =
         with_chemical_potential(prob.solver, prob.fragment_orbitals, mu);
     const FragmentSolution sol = solver(prob, solver_mo);
-    for (std::size_t f = 0; f < prep.problems.size(); ++f) {
+    for (std::size_t f = 0; f < n; ++f) {
       ev.fragment_energies[f] = sol.energy;
       ev.fragment_electrons[f] = sol.electrons;
+      ev.fragment_parameters[f] = sol.parameters;
       ev.energy += sol.energy;
       ev.electrons += sol.electrons;
     }
@@ -153,7 +166,7 @@ Evaluation evaluate(const Prepared& prep, double mu,
   // pool's caller-runs waiting keeps that safe). Each solve writes its own
   // slot; the index-order reduction below is thread-count independent.
   std::vector<std::size_t> todo;
-  for (std::size_t f = 0; f < prep.problems.size(); ++f)
+  for (std::size_t f = 0; f < n; ++f)
     if (mine(f)) todo.push_back(f);
   par::ParallelOptions opts = options.parallel;
   opts.grain = 1;  // one fragment solve is a large unit of work
@@ -164,64 +177,112 @@ Evaluation evaluate(const Prepared& prep, double mu,
     const EmbeddingProblem& prob = prep.problems[f];
     const chem::MoIntegrals solver_mo =
         with_chemical_potential(prob.solver, prob.fragment_orbitals, mu);
-    const FragmentSolution sol = solver(prob, solver_mo);
+    FragmentSolution sol = solver(prob, solver_mo);
     ev.fragment_energies[f] = sol.energy;
     ev.fragment_electrons[f] = sol.electrons;
+    ev.fragment_parameters[f] = std::move(sol.parameters);
   });
   if (comm) {
-    // Level-1 reduction: one scalar per fragment (§IV-C).
-    comm->allreduce_sum(ev.fragment_energies.data(),
-                        ev.fragment_energies.size());
-    comm->allreduce_sum(ev.fragment_electrons.data(),
-                        ev.fragment_electrons.size());
+    // Level-1 exchange (§IV-C): each owner contributes one record per
+    // fragment it solved — index, energy, electron count, optimum — and one
+    // allgather hands every rank the whole sweep with the owners' bits.
+    std::vector<double> records;
+    for (std::size_t f : todo) {
+      const std::vector<double>& x = ev.fragment_parameters[f];
+      records.insert(records.end(),
+                     {double(f), ev.fragment_energies[f],
+                      ev.fragment_electrons[f], double(x.size())});
+      records.insert(records.end(), x.begin(), x.end());
+    }
+    const std::vector<double> all = comm->allgatherv(records);
+    for (std::size_t at = 0; at < all.size();) {
+      const std::size_t f = std::size_t(all[at]);
+      const std::size_t k = std::size_t(all[at + 3]);
+      ev.fragment_energies[f] = all[at + 1];
+      ev.fragment_electrons[f] = all[at + 2];
+      const double* x = all.data() + at + 4;
+      ev.fragment_parameters[f].assign(x, x + k);
+      at += 4 + k;
+    }
   }
-  for (std::size_t f = 0; f < prep.problems.size(); ++f) {
+  for (std::size_t f = 0; f < n; ++f) {
     ev.energy += ev.fragment_energies[f];
     ev.electrons += ev.fragment_electrons[f];
   }
   return ev;
 }
 
-// The chemical-potential loop as an explicit state machine. Each step
+// The chemical-potential fit as an explicit state machine. Each step
 // performs at most one µ-evaluation (one full fragment-solve sweep), and
 // everything step k+1 reads lives in MuLoopState, so the checkpoint layer can
-// persist the fit between any two sweeps and resume it bit-identically. The
-// evaluation order is exactly the historic control flow: initial µ=0 sweep,
-// bracket endpoints, per-side expansions, then bisection.
+// persist the fit between any two sweeps and resume it bit-identically.
+//
+// N(µ) increases with µ. The fit evaluates µ = 0, then brackets the root from
+// that side only: it steps by mu_bracket toward the root, doubling the step
+// while N stays on the same side of the target. Inside the bracket it takes
+// Illinois steps (regula falsi whose stale endpoint residual is halved when
+// the same endpoint is replaced twice in a row), with the midpoint as the
+// fallback, so no µ is ever evaluated twice.
 struct MuLoopState {
   enum Phase : int {
     kInit = 0,
-    kEvalLo,
-    kEvalHi,
-    kExpandLo,
-    kExpandHi,
-    kBisect,
+    kBracket,
+    kSecant,
     kDone,
   };
   int phase = kInit;
-  double mu = 0.0, lo = 0.0, hi = 0.0;
+  double step = 0.0;              ///< next bracket step from the inner end
+  double f_lo = 0.0, f_hi = 0.0;  ///< stored residuals N − target (Illinois)
+  int last_moved = 0;             ///< end replaced last: −1 lo, +1 hi, 0 none
   int mu_iterations = 0;  ///< µ-evaluations performed (global across resumes)
-  int cycle = 0;          ///< run-report cycle counter
-  int lo_expansions = 0, hi_expansions = 0, bisect_iterations = 0;
+  int expansions = 0, secant_steps = 0;
   bool bracket_failed = false;
-  Evaluation ev, ev_lo, ev_hi;  ///< per-fragment solutions of the last sweeps
+  /// The last sweep and the bracket ends (µ, N, per-fragment solutions and
+  /// optima). Every µ evaluated so far is a bracket end or lies beyond one,
+  /// and every later sweep lies beyond the inner end or inside the bracket,
+  /// so the ends hold the nearest evaluated µ of any later sweep.
+  Evaluation ev, ev_lo, ev_hi;
 };
 
+// The evaluation whose optima warm-start a sweep at mu: the nearest µ already
+// evaluated, the earlier sweep on a tie; nullptr before the first sweep.
+const Evaluation* nearest_evaluation(const MuLoopState& st, double mu) {
+  const Evaluation* best = nullptr;
+  for (const Evaluation* e : {&st.ev_lo, &st.ev_hi}) {
+    if (e->sweep < 0) continue;
+    if (!best) {
+      best = e;
+      continue;
+    }
+    const double d = std::abs(e->mu - mu), d_best = std::abs(best->mu - mu);
+    if (d < d_best || (d == d_best && e->sweep < best->sweep)) best = e;
+  }
+  return best;
+}
+
 constexpr const char* kSnapshotKind = "dmet";
+// Version 1 (no version field) was the layout of the bisection fit.
+constexpr std::uint32_t kSnapshotLayout = 2;
 
 void write_evaluation(ckpt::ByteWriter& w, const Evaluation& ev) {
+  w.i32(ev.sweep);
+  w.f64(ev.mu);
   w.f64(ev.energy);
   w.f64(ev.electrons);
   w.vec(ev.fragment_energies);
   w.vec(ev.fragment_electrons);
+  w.vec(ev.fragment_parameters);
 }
 
 Evaluation read_evaluation(ckpt::ByteReader& r) {
   Evaluation ev;
+  ev.sweep = r.i32();
+  ev.mu = r.f64();
   ev.energy = r.f64();
   ev.electrons = r.f64();
   ev.fragment_energies = r.vec_f64();
   ev.fragment_electrons = r.vec_f64();
+  ev.fragment_parameters = r.vec_vec_f64();
   return ev;
 }
 
@@ -231,17 +292,17 @@ ckpt::Snapshot encode_dmet_snapshot(const MuLoopState& st,
   ckpt::ByteWriter meta;
   meta.str(kSnapshotKind);
   meta.u64(n_fragments);
+  meta.u32(kSnapshotLayout);
   snap.set("meta", meta.take());
   ckpt::ByteWriter w;
   w.i32(st.phase);
-  w.f64(st.mu);
-  w.f64(st.lo);
-  w.f64(st.hi);
+  w.f64(st.step);
+  w.f64(st.f_lo);
+  w.f64(st.f_hi);
+  w.i32(st.last_moved);
   w.i32(st.mu_iterations);
-  w.i32(st.cycle);
-  w.i32(st.lo_expansions);
-  w.i32(st.hi_expansions);
-  w.i32(st.bisect_iterations);
+  w.i32(st.expansions);
+  w.i32(st.secant_steps);
   w.b(st.bracket_failed);
   write_evaluation(w, st.ev);
   write_evaluation(w, st.ev_lo);
@@ -257,22 +318,27 @@ void decode_dmet_snapshot(const ckpt::Snapshot& snap, std::size_t n_fragments,
           "dmet: snapshot was not written by a DMET run");
   require(meta.u64() == n_fragments,
           "dmet: snapshot fragment count mismatch");
+  const std::uint32_t layout = meta.at_end() ? 1 : meta.u32();
+  if (layout != kSnapshotLayout)
+    throw Error("dmet: snapshot layout version " + std::to_string(layout) +
+                " found, version " + std::to_string(kSnapshotLayout) +
+                " expected; restart the fit without resuming");
   ckpt::ByteReader r(snap.at("mu_loop"));
   st.phase = r.i32();
   require(st.phase >= MuLoopState::kInit && st.phase <= MuLoopState::kDone,
           "dmet: snapshot µ-loop phase out of range");
-  st.mu = r.f64();
-  st.lo = r.f64();
-  st.hi = r.f64();
+  st.step = r.f64();
+  st.f_lo = r.f64();
+  st.f_hi = r.f64();
+  st.last_moved = r.i32();
   st.mu_iterations = r.i32();
-  st.cycle = r.i32();
-  st.lo_expansions = r.i32();
-  st.hi_expansions = r.i32();
-  st.bisect_iterations = r.i32();
+  st.expansions = r.i32();
+  st.secant_steps = r.i32();
   st.bracket_failed = r.b();
   st.ev = read_evaluation(r);
   st.ev_lo = read_evaluation(r);
   st.ev_hi = read_evaluation(r);
+  require(r.at_end(), "dmet: snapshot µ-loop section has trailing bytes");
 }
 
 // Advances the fit by one transition; returns true when a µ-evaluation was
@@ -280,81 +346,87 @@ void decode_dmet_snapshot(const ckpt::Snapshot& snap, std::size_t n_fragments,
 template <typename EvalFn>
 bool mu_loop_step(MuLoopState& st, const Prepared& prep, double target,
                   const DmetOptions& options, const EvalFn& eval) {
+  const auto converged = [&](const Evaluation& e) {
+    return std::abs(e.electrons - target) <= options.electron_tolerance;
+  };
   switch (st.phase) {
-    case MuLoopState::kInit:
-      st.mu = 0.0;
-      st.ev = eval(st.mu);
-      if (options.fit_chemical_potential &&
-          std::abs(st.ev.electrons - target) > options.electron_tolerance &&
-          prep.problems.size() > 1) {
-        // N(mu) is monotonically increasing; bracket the root, then bisect.
-        // Each side expands on its own budget — a hard lo search must not
-        // starve the hi search (or vice versa).
-        st.lo = -options.mu_bracket;
-        st.hi = options.mu_bracket;
-        st.phase = MuLoopState::kEvalLo;
+    case MuLoopState::kInit: {
+      st.ev = eval(0.0);
+      const double f = st.ev.electrons - target;
+      if (!options.fit_chemical_potential || converged(st.ev) ||
+          prep.problems.size() <= 1) {
+        st.phase = MuLoopState::kDone;
+      } else if (f < 0.0) {
+        st.ev_lo = st.ev;
+        st.f_lo = f;
+        st.step = options.mu_bracket;
+        st.phase = MuLoopState::kBracket;
       } else {
+        st.ev_hi = st.ev;
+        st.f_hi = f;
+        st.step = -options.mu_bracket;
+        st.phase = MuLoopState::kBracket;
+      }
+      return true;
+    }
+    case MuLoopState::kBracket: {
+      // Step outward from the inner end — the evaluated end on µ = 0's side.
+      const bool up = st.step > 0.0;
+      Evaluation& inner = up ? st.ev_lo : st.ev_hi;
+      st.ev = eval(inner.mu + st.step);
+      const double f = st.ev.electrons - target;
+      if (converged(st.ev)) {
+        st.phase = MuLoopState::kDone;
+      } else if ((f < 0.0) != up) {  // crossed: the bracket holds the root
+        (up ? st.ev_hi : st.ev_lo) = st.ev;
+        (up ? st.f_hi : st.f_lo) = f;
+        st.phase = MuLoopState::kSecant;
+      } else if (st.expansions < options.max_bracket_expansions) {
+        inner = st.ev;
+        (up ? st.f_lo : st.f_hi) = f;
+        st.step *= 2.0;
+        ++st.expansions;
+      } else {
+        st.bracket_failed = true;
+        log::warn("dmet: chemical-potential bracket failed: N(mu) = " +
+                  std::to_string(st.ev.electrons) + " at mu = " +
+                  std::to_string(st.ev.mu) + " is still " +
+                  (up ? "below" : "above") + " the target " +
+                  std::to_string(target) + " electrons after " +
+                  std::to_string(st.expansions) +
+                  " expansions; result marked unconverged");
         st.phase = MuLoopState::kDone;
       }
       return true;
-    case MuLoopState::kEvalLo:
-      st.ev_lo = eval(st.lo);
-      st.phase = MuLoopState::kEvalHi;
-      return true;
-    case MuLoopState::kEvalHi:
-      st.ev_hi = eval(st.hi);
-      st.phase = MuLoopState::kExpandLo;
-      return true;
-    case MuLoopState::kExpandLo:
-      if (st.ev_lo.electrons > target &&
-          st.lo_expansions < options.max_bracket_expansions) {
-        st.lo *= 2.0;
-        st.ev_lo = eval(st.lo);
-        ++st.lo_expansions;
-        return true;
-      }
-      st.phase = MuLoopState::kExpandHi;
-      return false;
-    case MuLoopState::kExpandHi:
-      if (st.ev_hi.electrons < target &&
-          st.hi_expansions < options.max_bracket_expansions) {
-        st.hi *= 2.0;
-        st.ev_hi = eval(st.hi);
-        ++st.hi_expansions;
-        return true;
-      }
-      st.bracket_failed =
-          st.ev_lo.electrons > target || st.ev_hi.electrons < target;
-      if (st.bracket_failed) {
-        // Bisecting an invalid bracket can only walk toward the wrong
-        // endpoint; report the failure instead of burning max_mu_iterations
-        // solves.
-        log::warn("dmet: chemical-potential bracket failed in [" +
-                  std::to_string(st.lo) + ", " + std::to_string(st.hi) +
-                  "] (target " + std::to_string(target) + " electrons, N(lo)=" +
-                  std::to_string(st.ev_lo.electrons) + ", N(hi)=" +
-                  std::to_string(st.ev_hi.electrons) + "); result marked "
-                  "unconverged");
-        st.phase = MuLoopState::kDone;
-      } else {
-        st.phase = MuLoopState::kBisect;
-      }
-      return false;
-    case MuLoopState::kBisect:
-      if (st.bisect_iterations >= options.max_mu_iterations) {
+    }
+    case MuLoopState::kSecant: {
+      const double lo = st.ev_lo.mu, hi = st.ev_hi.mu;
+      double mu = lo - st.f_lo * (hi - lo) / (st.f_hi - st.f_lo);
+      if (!(mu > lo && mu < hi)) mu = 0.5 * (lo + hi);
+      // Out of steps, or the bracket has shrunk to adjacent doubles.
+      if (st.secant_steps >= options.max_mu_iterations ||
+          !(mu > lo && mu < hi)) {
         st.phase = MuLoopState::kDone;
         return false;
       }
-      st.mu = 0.5 * (st.lo + st.hi);
-      st.ev = eval(st.mu);
-      ++st.bisect_iterations;
-      if (std::abs(st.ev.electrons - target) <= options.electron_tolerance)
+      st.ev = eval(mu);
+      ++st.secant_steps;
+      const double f = st.ev.electrons - target;
+      if (converged(st.ev)) {
         st.phase = MuLoopState::kDone;
-      else if (st.ev.electrons < target)
-        st.lo = st.mu;
-      else
-        st.hi = st.mu;
+      } else if (f < 0.0) {
+        if (st.last_moved < 0) st.f_hi *= 0.5;
+        st.ev_lo = st.ev;
+        st.f_lo = f;
+        st.last_moved = -1;
+      } else {
+        if (st.last_moved > 0) st.f_lo *= 0.5;
+        st.ev_hi = st.ev;
+        st.f_hi = f;
+        st.last_moved = 1;
+      }
       return true;
+    }
     case MuLoopState::kDone:
       return false;
   }
@@ -366,11 +438,12 @@ DmetResult drive(const chem::Molecule& molecule, const DmetOptions& options,
                  const std::function<bool(std::size_t)>& mine,
                  par::Comm* comm) {
   OBS_SPAN("dmet/drive");
-  const Prepared prep = prepare(molecule, options);
+  require(options.mu_bracket > 0.0, "run_dmet: mu_bracket must be positive");
+  Prepared prep = prepare(molecule, options);
   const double target = double(molecule.n_electrons());
 
   // Only one rank of a distributed run reports or writes snapshots (all
-  // ranks see the same reduced values, so any single rank's records are
+  // ranks see the same exchanged values, so any single rank's records are
   // complete); every rank loads the same snapshot on resume.
   const bool primary = !comm || comm->rank() == 0;
   obs::RunReport& sink = obs::RunReport::global();
@@ -386,17 +459,30 @@ DmetResult drive(const chem::Molecule& molecule, const DmetOptions& options,
   }
 
   auto eval = [&](double mu_value) {
+    // Warm starts go into the driver's own problems; every rank holds the
+    // whole table, keyed by fragment index.
+    const Evaluation* start = nearest_evaluation(st, mu_value);
+    for (std::size_t f = 0; f < prep.problems.size(); ++f)
+      prep.problems[f].initial_parameters =
+          start ? start->fragment_parameters[f] : std::vector<double>{};
     Evaluation ev = evaluate(prep, mu_value, solver, mine, comm, options);
+    ev.sweep = st.mu_iterations;
+    if (!std::isfinite(ev.electrons) || !std::isfinite(ev.energy))
+      throw Error("dmet: fragment solves at mu = " + std::to_string(mu_value) +
+                  " returned a non-finite energy or electron count");
     if (reporting)
       sink.record("dmet_cycle",
-                  {{"cycle", st.cycle},
+                  {{"cycle", ev.sweep},
+                   {"phase", st.phase == MuLoopState::kSecant ? "secant"
+                                                              : "bracket"},
                    {"mu", mu_value},
+                   {"warm_start_mu", start ? obs::JsonValue(start->mu)
+                                           : obs::JsonValue(nullptr)},
                    {"energy", ev.energy},
                    {"electrons", ev.electrons},
                    {"residual", ev.electrons - target},
                    {"fragment_energies", ev.fragment_energies},
                    {"fragment_electrons", ev.fragment_electrons}});
-    ++st.cycle;
     ++st.mu_iterations;
     return ev;
   };
@@ -424,7 +510,7 @@ DmetResult drive(const chem::Molecule& molecule, const DmetOptions& options,
       !st.bracket_failed &&
       (std::abs(st.ev.electrons - target) <= options.electron_tolerance ||
        !options.fit_chemical_potential || prep.problems.size() == 1);
-  result.mu = st.mu;
+  result.mu = st.ev.mu;
   result.total_electrons = st.ev.electrons;
   result.fragment_energies = st.ev.fragment_energies;
   result.fragment_electrons = st.ev.fragment_electrons;

@@ -1,9 +1,12 @@
 // The DMET driver (Fig. 3): RHF low-level calculation, fragmentation, bath
 // construction, high-level fragment solves (FCI or MPS-VQE), and the global
-// chemical-potential loop matching the summed fragment electron count to the
-// molecule. run_dmet_distributed adds the first parallelization level:
-// fragments are dealt to sub-communicators (embarrassingly parallel, one
-// scalar reduce at the end — §IV-C).
+// chemical-potential fit matching the summed fragment electron count to the
+// molecule: µ = 0, a one-sided bracket toward the root, then Illinois
+// (safeguarded regula falsi) steps, with every fragment VQE warm-started from
+// that fragment's optimum at the nearest µ already evaluated.
+// run_dmet_distributed adds the first parallelization level: fragments are
+// dealt to sub-communicators (embarrassingly parallel, one allgather of the
+// fragment results per sweep — §IV-C).
 #pragma once
 
 #include <functional>
@@ -19,16 +22,22 @@ namespace q2::dmet {
 struct FragmentSolution {
   double energy = 0.0;     ///< fragment energy E_x
   double electrons = 0.0;  ///< fragment-orbital electron count N_x
+  /// The solver's optimum (VQE parameters; empty for FCI). The driver hands
+  /// it back as EmbeddingProblem::initial_parameters at the next µ.
+  std::vector<double> parameters;
 };
 
 /// Solves one embedding problem (already mu-shifted) and evaluates the
-/// fragment energy/electron count.
+/// fragment energy/electron count. A variational solver starts from
+/// problem.initial_parameters when it is not empty.
 using FragmentSolver = std::function<FragmentSolution(
     const EmbeddingProblem& problem, const chem::MoIntegrals& solver_mo)>;
 
 /// Exact diagonalization fragment solver (the validation reference).
 FragmentSolver make_fci_solver();
-/// MPS-VQE fragment solver — the paper's high-level method.
+/// MPS-VQE fragment solver — the paper's high-level method. Each solve
+/// starts from problem.initial_parameters (options.initial_parameters is
+/// replaced by it) and returns its optimum in FragmentSolution::parameters.
 FragmentSolver make_vqe_solver(const vqe::VqeOptions& options);
 
 struct DmetOptions {
@@ -38,26 +47,33 @@ struct DmetOptions {
   double bath_threshold = 1e-8;
   bool fit_chemical_potential = true;
   /// All fragments are symmetry-equivalent (rings, chains of identical
-  /// units): solve fragment 0 once and replicate its energy/electron count.
+  /// units): solve fragment 0 once and replicate its solution.
   bool equivalent_fragments = false;
   double electron_tolerance = 1e-5;
+  /// Illinois steps allowed inside the bracket.
   int max_mu_iterations = 30;
-  double mu_bracket = 0.5;  ///< initial bisection half-width
-  /// Each side of the bracket may double at most this many times before the
-  /// fit is declared failed (result.converged = false).
+  /// First bracket step from µ = 0, taken toward the root only (+ when
+  /// N(0) is below the target, − otherwise).
+  double mu_bracket = 0.5;
+  /// While N stays on µ = 0's side, the bracket's inner end moves to the new
+  /// point and the step doubles, at most this many times before the fit is
+  /// declared failed (result.converged = false).
   int max_bracket_expansions = 6;
   /// On-node parallelism across non-equivalent fragment solves (level 1 of
   /// the paper's hierarchy, folded onto the shared-memory pool). Fragment
   /// solves nest VQE term sweeps; the pool is nesting-safe.
   par::ParallelOptions parallel;
-  /// Durable snapshot/resume of the chemical-potential loop (src/ckpt). A
+  /// Durable snapshot/resume of the chemical-potential fit (src/ckpt). A
   /// snapshot is written every `every_n_iterations` µ-evaluations and holds
-  /// the bracket, iteration/cycle counters and the per-fragment solutions of
-  /// the last sweep; an interrupted run restarted with the same options
-  /// resumes mid-fit with bit-identical final energies. Leave the fragment
-  /// solver's own VqeOptions::checkpoint disabled — concurrent fragment
-  /// solves would fight over one snapshot family; DMET checkpoints at
-  /// µ-loop granularity instead.
+  /// the fit's phase and counters, the stored Illinois residuals and the end
+  /// replaced last, and the last sweep and both bracket ends with their
+  /// per-fragment solutions and warm-start parameters; an interrupted run
+  /// restarted with the same options resumes mid-fit with the same warm
+  /// starts and bit-identical final energies. Snapshots carry a layout
+  /// version; one written by an older layout is rejected with an error.
+  /// Leave the fragment solver's own VqeOptions::checkpoint disabled —
+  /// concurrent fragment solves would fight over one snapshot family; DMET
+  /// checkpoints at µ-loop granularity instead.
   ckpt::CheckpointOptions checkpoint;
 };
 
@@ -76,8 +92,10 @@ DmetResult run_dmet(const chem::Molecule& molecule, const DmetOptions& options,
                     const FragmentSolver& solver);
 
 /// Level-1 parallel DMET: `comm` is split into one sub-communicator per
-/// fragment batch; each group solves its fragments, and fragment energies
-/// (one scalar each) are reduced at the end.
+/// fragment batch; each group solves its fragments, and one allgather per
+/// sweep hands every rank each fragment's energy, electron count and
+/// optimum, so every rank holds the owners' bits and the whole warm-start
+/// table. The result is bit-identical to run_dmet.
 DmetResult run_dmet_distributed(const chem::Molecule& molecule,
                                 const DmetOptions& options,
                                 const FragmentSolver& solver, par::Comm& comm,

@@ -1,5 +1,6 @@
 #include "dmet/embedding.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "linalg/eigh.hpp"
@@ -191,6 +192,19 @@ la::RMatrix embedding_canonical_orbitals(const chem::MoIntegrals& mo,
                                      std::abs(c_new.data()[k])));
     c = c_new;
     if (diff < 1e-10) break;
+  }
+  // Sign gauge: eigh fixes each column only up to sign. Magnitudes within
+  // kTie of the largest count as tied — symmetry-equivalent orbitals tie up
+  // to rounding — and the lowest tied row decides.
+  constexpr double kTie = 1e-10;
+  for (std::size_t j = 0; j < m; ++j) {
+    double largest = 0.0;
+    for (std::size_t i = 0; i < m; ++i)
+      largest = std::max(largest, std::abs(c(i, j)));
+    std::size_t top = 0;
+    while (std::abs(c(top, j)) < largest - kTie) ++top;
+    if (c(top, j) < 0.0)
+      for (std::size_t i = 0; i < m; ++i) c(i, j) = -c(i, j);
   }
   return c;
 }

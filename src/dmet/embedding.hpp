@@ -18,6 +18,10 @@ struct EmbeddingProblem {
   std::size_t n_fragment = 0;
   int n_alpha = 0, n_beta = 0;  ///< embedding electron counts
   std::vector<std::size_t> fragment_orbitals;  ///< [0, n_fragment)
+  /// Warm start for a variational fragment solver: the fragment's optimum at
+  /// the nearest chemical potential already evaluated (empty on the first
+  /// sweep and for solvers that have no parameters). Set by the DMET driver.
+  std::vector<double> initial_parameters;
 };
 
 EmbeddingProblem make_embedding(const chem::IntegralTables& ints,
@@ -39,7 +43,10 @@ chem::MoIntegrals with_chemical_potential(
 /// Canonical (mean-field) orbitals of an embedding problem: a small RHF in
 /// the orthonormal embedding basis. Columns of the returned matrix are the
 /// canonical orbitals, energy-ordered — the reference determinant a UCCSD
-/// ansatz needs (occupied = first n_occ columns).
+/// ansatz needs (occupied = first n_occ columns). Each column is signed so
+/// that its largest-magnitude entry is positive (on a tie within 1e-10, the
+/// lowest such row), so amplitudes optimized at one chemical potential keep
+/// their meaning at a nearby one.
 la::RMatrix embedding_canonical_orbitals(const chem::MoIntegrals& mo,
                                          int n_occ);
 

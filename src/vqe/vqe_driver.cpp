@@ -1,6 +1,8 @@
 #include "vqe/vqe_driver.hpp"
 
+#include <cmath>
 #include <memory>
+#include <string>
 
 #include "chem/hamiltonian.hpp"
 #include "ckpt/serialize.hpp"
@@ -58,13 +60,30 @@ void decode_vqe_snapshot(const ckpt::Snapshot& snap, const VqeOptions& options,
   }
 }
 
+// The caller's starting point, or the ansatz default when none is given. A
+// malformed one is an error: falling back to the default would hide it.
+std::vector<double> starting_point(const VqeOptions& options,
+                                   const UccsdAnsatz& ansatz) {
+  const std::vector<double>& x0 = options.initial_parameters;
+  if (x0.empty()) return initial_parameters(ansatz);
+  if (x0.size() != ansatz.n_parameters)
+    throw Error("vqe: initial_parameters has " + std::to_string(x0.size()) +
+                " entries, the ansatz has " +
+                std::to_string(ansatz.n_parameters) + " parameters");
+  for (std::size_t k = 0; k < x0.size(); ++k)
+    if (!std::isfinite(x0[k]))
+      throw Error("vqe: initial_parameters[" + std::to_string(k) +
+                  "] is not finite");
+  return x0;
+}
+
 // `report` gates run-report emission so only rank 0 of a distributed run
 // writes records (every rank executes the same optimizer trajectory).
 VqeResult optimize(const EnergyEvaluator& evaluator, const UccsdAnsatz& ansatz,
                    const VqeOptions& options, const EnergyFn& energy_fn,
                    const GradientFn& grad_fn, bool report = true) {
   OBS_SPAN("vqe/optimize");
-  const std::vector<double> x0 = initial_parameters(ansatz);
+  const std::vector<double> x0 = starting_point(options, ansatz);
 
   OptimizerOptions opt_options = options.optimizer;
   obs::RunReport& sink = obs::RunReport::global();

@@ -27,6 +27,12 @@ struct VqeOptions {
   CircuitStorage storage = CircuitStorage::kMemoryEfficient;
   OptimizerKind method = OptimizerKind::kLbfgs;
   double gradient_eps = 1e-5;
+  /// Starting point of the optimizer; empty means initial_parameters(ansatz).
+  /// Must hold one finite entry per ansatz parameter (checked, never
+  /// silently replaced). A resumed checkpoint takes precedence over it. The
+  /// DMET driver sets it per fragment solve to warm-start each fragment VQE
+  /// from its optimum at the nearest chemical potential already evaluated.
+  std::vector<double> initial_parameters;
   /// Durable snapshot/resume of the optimizer loop (src/ckpt). When enabled,
   /// the full resumable optimizer state (plus the SPSA rng stream) is
   /// written every `every_n_iterations`; an interrupted run restarted with

@@ -2,16 +2,22 @@
 // restarted from its snapshot family must reproduce the uninterrupted run
 // bit for bit — final energy, parameters, iteration history, µ bracket, the
 // lot. Covers all three VQE optimizers (SPSA additionally round-trips the
-// mt19937_64 stream), the DMET chemical-potential loop, fallback past a
-// corrupted newest snapshot, and resume-after-completion.
+// mt19937_64 stream), the DMET chemical-potential fit and its warm starts,
+// fallback past a corrupted newest snapshot, rejection of an old snapshot
+// layout, and resume-after-completion.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <filesystem>
+#include <mutex>
+#include <tuple>
 
 #include "chem/mo.hpp"
 #include "chem/scf.hpp"
 #include "ckpt/checkpoint.hpp"
+#include "ckpt/serialize.hpp"
 #include "dmet/dmet_driver.hpp"
 #include "vqe/vqe_driver.hpp"
 
@@ -187,8 +193,8 @@ void expect_same(const dmet::DmetResult& a, const dmet::DmetResult& b) {
 }
 
 // A stretched H6 ring: the correlated electron count at µ = 0 misses the
-// target, so the fit genuinely brackets and bisects (~20 µ-evaluations) —
-// enough trajectory to kill and resume mid-bisection.
+// target, so the fit genuinely brackets and takes Illinois steps (6
+// µ-evaluations) — enough trajectory to kill and resume mid-fit.
 dmet::DmetOptions ring_opts() {
   dmet::DmetOptions opts;
   opts.fragments = dmet::uniform_atom_groups(6, 2);
@@ -206,18 +212,23 @@ const dmet::DmetResult& golden_dmet() {
   return r;
 }
 
-TEST(DmetResume, CrashMidBisectionResumesBitIdentical) {
-  ASSERT_GE(golden_dmet().mu_iterations, 10) << "workload too easy to crash";
+// Evaluation 1 is µ = 0 and evaluation 2 closes the bracket, so 3 is the
+// first Illinois step.
+constexpr int kDmetCrashAt = 3;
+
+TEST(DmetResume, CrashMidFitResumesBitIdentical) {
+  ASSERT_LT(kDmetCrashAt, golden_dmet().mu_iterations)
+      << "the fit ends before the crash point";
   dmet::DmetOptions options = ring_opts();
   options.checkpoint.path = scratch("dmet");
   options.checkpoint.resume = false;
-  options.checkpoint.fault.crash_at_iteration = 8;
+  options.checkpoint.fault.crash_at_iteration = kDmetCrashAt;
   bool crashed = false;
   try {
     dmet::run_dmet(ring_mol(), options, dmet::make_fci_solver());
   } catch (const ckpt::InjectedCrash& crash) {
     crashed = true;
-    EXPECT_EQ(8, crash.iteration());
+    EXPECT_EQ(kDmetCrashAt, crash.iteration());
   }
   EXPECT_TRUE(crashed) << "fault plan never fired";
 
@@ -232,8 +243,8 @@ TEST(DmetResume, CorruptedNewestSnapshotFallsBackAndStillMatches) {
   dmet::DmetOptions options = ring_opts();
   options.checkpoint.path = scratch("dmet_corrupt");
   options.checkpoint.resume = false;
-  options.checkpoint.fault.crash_at_iteration = 8;
-  options.checkpoint.fault.corrupt_at_iteration = 8;
+  options.checkpoint.fault.crash_at_iteration = kDmetCrashAt;
+  options.checkpoint.fault.corrupt_at_iteration = kDmetCrashAt;
   options.checkpoint.fault.corruption = ckpt::FaultPlan::Corruption::kFlipByte;
   EXPECT_THROW(dmet::run_dmet(ring_mol(), options, dmet::make_fci_solver()),
                ckpt::InjectedCrash);
@@ -243,6 +254,168 @@ TEST(DmetResume, CorruptedNewestSnapshotFallsBackAndStillMatches) {
   const dmet::DmetResult resumed =
       dmet::run_dmet(ring_mol(), options, dmet::make_fci_solver());
   expect_same(golden_dmet(), resumed);
+}
+
+// Scripted fragment solver for the warm-start transport. N(µ) per fragment
+// is a smooth curve the fit needs several Illinois steps for; the returned
+// "optimum" is {µ, h_00}, and the energy depends on the warm start received,
+// so a resumed run handed a different warm start returns different bits.
+// Every call is recorded; h_00 tells the fragments apart.
+class ScriptedWarmStarts {
+ public:
+  struct Call {
+    double h00, mu;
+    std::vector<double> start;
+    bool operator<(const Call& o) const {
+      return std::tie(h00, mu, start) < std::tie(o.h00, o.mu, o.start);
+    }
+    bool operator==(const Call& o) const {
+      return h00 == o.h00 && mu == o.mu && start == o.start;
+    }
+  };
+
+  dmet::FragmentSolver solver() {
+    return [this](const dmet::EmbeddingProblem& prob,
+                  const chem::MoIntegrals& solver_mo) {
+      const std::size_t f0 = prob.fragment_orbitals.at(0);
+      const double h00 = prob.solver.h(f0, f0);
+      const double mu = h00 - solver_mo.h(f0, f0);
+      const std::vector<double>& start = prob.initial_parameters;
+      dmet::FragmentSolution sol;
+      sol.electrons = 2.0 + std::tanh(4.0 * (mu - 0.05));
+      sol.energy = -1.0 - (start.empty() ? 0.0 : 1e-3 * start[0]);
+      sol.parameters = {mu, h00};
+      std::lock_guard<std::mutex> lock(mutex_);
+      calls_.push_back({h00, mu, start});
+      return sol;
+    };
+  }
+
+  // Calls grouped per sweep (sweeps run one after another), each sorted.
+  std::vector<std::vector<Call>> sweeps(std::size_t n_fragments) const {
+    std::vector<std::vector<Call>> out;
+    for (std::size_t i = 0; i < calls_.size(); ++i) {
+      if (i % n_fragments == 0) out.emplace_back();
+      out.back().push_back(calls_[i]);
+    }
+    for (auto& sweep : out) std::sort(sweep.begin(), sweep.end());
+    return out;
+  }
+
+ private:
+  std::mutex mutex_;
+  std::vector<Call> calls_;
+};
+
+TEST(DmetResume, WarmStartParametersSurviveCrash) {
+  dmet::DmetOptions options = ring_opts();
+  options.parallel.n_threads = 2;
+  const std::size_t n_fragments = options.fragments.size();
+  ScriptedWarmStarts golden_log;
+  const dmet::DmetResult golden =
+      dmet::run_dmet(ring_mol(), options, golden_log.solver());
+  const auto golden_sweeps = golden_log.sweeps(n_fragments);
+  ASSERT_TRUE(golden.converged);
+  ASSERT_EQ(std::size_t(golden.mu_iterations), golden_sweeps.size());
+  ASSERT_LT(kDmetCrashAt, golden.mu_iterations);
+
+  // Each sweep starts from the optima at the nearest µ evaluated before it
+  // (the earlier sweep on a tie); the first sweep starts cold.
+  for (std::size_t k = 0; k < golden_sweeps.size(); ++k) {
+    const double mu = golden_sweeps[k].front().mu;
+    std::size_t nearest = 0;
+    for (std::size_t j = 1; j < k; ++j)
+      if (std::abs(golden_sweeps[j].front().mu - mu) <
+          std::abs(golden_sweeps[nearest].front().mu - mu))
+        nearest = j;
+    for (std::size_t i = 0; i < n_fragments; ++i) {
+      const auto& call = golden_sweeps[k][i];
+      const auto& source = golden_sweeps[nearest][i];
+      if (k == 0)
+        EXPECT_TRUE(call.start.empty());
+      else
+        EXPECT_EQ(call.start, (std::vector<double>{source.mu, source.h00}))
+            << "sweep " << k;
+    }
+  }
+
+  options.checkpoint.path = scratch("dmet_warm");
+  options.checkpoint.resume = false;
+  options.checkpoint.fault.crash_at_iteration = kDmetCrashAt;
+  ScriptedWarmStarts crashed_log;
+  EXPECT_THROW(dmet::run_dmet(ring_mol(), options, crashed_log.solver()),
+               ckpt::InjectedCrash);
+  EXPECT_EQ(std::size_t(kDmetCrashAt), crashed_log.sweeps(n_fragments).size());
+
+  options.checkpoint.fault = {};
+  options.checkpoint.resume = true;
+  ScriptedWarmStarts resumed_log;
+  const dmet::DmetResult resumed =
+      dmet::run_dmet(ring_mol(), options, resumed_log.solver());
+  const auto resumed_sweeps = resumed_log.sweeps(n_fragments);
+  ASSERT_EQ(resumed_sweeps.size(), golden_sweeps.size() - kDmetCrashAt);
+  ASSERT_FALSE(resumed_sweeps.front().front().start.empty())
+      << "the snapshot lost the warm starts";
+  for (std::size_t k = 0; k < resumed_sweeps.size(); ++k)
+    EXPECT_EQ(resumed_sweeps[k], golden_sweeps[k + kDmetCrashAt])
+        << "sweep " << k + kDmetCrashAt;
+  expect_same(golden, resumed);
+}
+
+TEST(DmetResume, OldLayoutSnapshotIsRejectedNamingBothVersions) {
+  // A snapshot in the bisection fit's layout: meta without a layout version,
+  // then phase 5 (bisect), µ, lo, hi, the iteration/cycle/expansion/bisection
+  // counters, the failure flag and three evaluations without parameters.
+  dmet::DmetOptions options = ring_opts();
+  options.checkpoint.path = scratch("dmet_old_layout");
+  options.checkpoint.resume = false;
+  ckpt::Snapshot snap;
+  ckpt::ByteWriter meta;
+  meta.str("dmet");
+  meta.u64(3);
+  snap.set("meta", meta.take());
+  ckpt::ByteWriter w;
+  w.i32(5);
+  for (double x : {0.25, 0.0, 0.5}) w.f64(x);
+  for (int x : {8, 8, 0, 0, 5}) w.i32(x);
+  w.b(false);
+  for (int k = 0; k < 3; ++k) {
+    w.f64(-3.0);
+    w.f64(6.0);
+    w.vec(std::vector<double>(3, -1.0));
+    w.vec(std::vector<double>(3, 2.0));
+  }
+  snap.set("mu_loop", w.take());
+  ckpt::CheckpointManager(options.checkpoint).save(8, snap);
+
+  options.checkpoint.resume = true;
+  try {
+    dmet::run_dmet(ring_mol(), options, dmet::make_fci_solver());
+    FAIL() << "an old-layout snapshot was decoded";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("version 1 found"), std::string::npos) << what;
+    EXPECT_NE(what.find("version 2 expected"), std::string::npos) << what;
+  }
+}
+
+TEST(DmetResume, TrailingBytesInTheFitSectionAreRejected) {
+  dmet::DmetOptions options = ring_opts();
+  options.checkpoint.path = scratch("dmet_trailing");
+  options.checkpoint.resume = false;
+  dmet::run_dmet(ring_mol(), options, dmet::make_fci_solver());
+
+  options.checkpoint.resume = true;
+  const auto latest =
+      ckpt::CheckpointManager(options.checkpoint).load_latest_valid();
+  ASSERT_TRUE(latest.has_value());
+  ckpt::Snapshot padded = *latest;
+  std::vector<std::uint8_t> fit = padded.at("mu_loop");
+  fit.push_back(0);
+  padded.set("mu_loop", fit);
+  ckpt::CheckpointManager(options.checkpoint).save(99, padded);
+  EXPECT_THROW(dmet::run_dmet(ring_mol(), options, dmet::make_fci_solver()),
+               Error);
 }
 
 TEST(DmetResume, CheckpointingItselfDoesNotPerturbTheFit) {

@@ -1,12 +1,24 @@
 // DMET tests: bath dimensions, the single-fragment == FCI identity, the H4
 // ring against FCI (the Fig. 7a acceptance criterion, < 0.5 % relative
-// error), chemical-potential behaviour, and distributed == serial.
+// error), chemical-potential fit behaviour and cost, the canonical-orbital
+// sign gauge the warm starts rely on, and bit identity across threads and
+// ranks.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdio>
+#include <cstring>
+#include <fstream>
+#include <mutex>
+#include <set>
+#include <utility>
 
 #include "chem/fci.hpp"
 #include "chem/scf.hpp"
 #include "dmet/dmet_driver.hpp"
 #include "linalg/gemm.hpp"
+#include "obs/json.hpp"
+#include "obs/report.hpp"
 
 namespace q2::dmet {
 namespace {
@@ -120,12 +132,12 @@ FragmentSolver make_scripted_solver(
 }
 
 TEST(Dmet, MuBracketFailureIsReportedNotSilent) {
-  // Regression: the lo/hi bracket-expansion loops shared one `expansions`
-  // budget, so the hi side could borrow up to 12 doublings when lo used none
-  // — and a bracket that genuinely failed went silently into bisection. The
-  // root here sits at mu = 100: beyond each side's own 6-doubling budget
-  // (0.5 * 2^6 = 32) but within the old borrowed 12 (0.5 * 2^12 = 2048).
-  // Pre-PR code "converged" onto it; now the fit must be reported failed.
+  // Regression: the bracket expansions once shared one budget between the
+  // lo and hi sides, so the hi side could borrow up to 12 doublings — and a
+  // bracket that genuinely failed went silently into the interval search.
+  // The root here sits at mu = 100: the 6 expansions of the one-sided
+  // bracket reach only mu = 0.5 + 1 + 2 + ... + 32 = 63.5, so the fit must be
+  // reported failed.
   const chem::Molecule mol = chem::Molecule::h2(1.4);
   DmetOptions opts;
   opts.fragments = {{0}, {1}};  // two fragments so the mu fit engages
@@ -134,14 +146,14 @@ TEST(Dmet, MuBracketFailureIsReportedNotSilent) {
                                   return 1.0 + (mu - 100.0) / 2000.0;
                                 }));
   EXPECT_FALSE(r.converged);
-  // 1 initial eval + 2 bracket endpoints + at most 6 hi expansions, and no
-  // bisection sweep on the invalid bracket.
+  // 1 initial eval + 1 bracket step + 6 expansions = 8, and no interval
+  // step on the invalid bracket.
   EXPECT_LE(r.mu_iterations, 9);
 }
 
 TEST(Dmet, MuBracketWithinBudgetStillConverges) {
-  // Root at mu = 5 needs 4 hi doublings (0.5 * 2^4 = 8 >= 5) — inside the
-  // per-side budget, so the fit must succeed as before.
+  // Root at mu = 5 is bracketed after 3 expansions (mu = 0.5, 1.5, 3.5,
+  // then 7.5 >= 5) — inside the budget, so the fit must succeed as before.
   const chem::Molecule mol = chem::Molecule::h2(1.4);
   DmetOptions opts;
   opts.fragments = {{0}, {1}};
@@ -213,8 +225,8 @@ TEST(Dmet, VqeSolverMatchesFciSolverOnH2Fragments) {
 }
 
 TEST(Dmet, ChemicalPotentialShiftsElectrons) {
-  // Raising mu on a fragment pulls electrons into it (monotonicity the
-  // bisection relies on).
+  // Raising mu on a fragment pulls electrons into it (the monotonicity the
+  // chemical-potential fit relies on).
   const chem::Molecule mol = chem::Molecule::hydrogen_ring(4, 1.8);
   const chem::BasisSet basis = chem::BasisSet::build(mol, "sto-3g");
   const chem::IntegralTables ints = chem::compute_integrals(mol, basis);
@@ -252,24 +264,201 @@ TEST(Dmet, EmbeddingProblemShapes) {
   EXPECT_NEAR(prob.solver.eri(0, 0, 1, 1), prob.energy.eri(0, 0, 1, 1), 1e-12);
 }
 
+void expect_bits(double a, double b) {
+  EXPECT_EQ(0, std::memcmp(&a, &b, sizeof(double))) << a << " vs " << b;
+}
+
+void expect_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) expect_bits(a[i], b[i]);
+}
+
+// Energy, µ and the per-fragment arrays carry the same bits.
+void expect_same_fit(const DmetResult& a, const DmetResult& b) {
+  expect_bits(a.energy, b.energy);
+  expect_bits(a.mu, b.mu);
+  expect_bits(a.total_electrons, b.total_electrons);
+  expect_bits(a.fragment_energies, b.fragment_energies);
+  expect_bits(a.fragment_electrons, b.fragment_electrons);
+  EXPECT_EQ(a.mu_iterations, b.mu_iterations);
+  EXPECT_EQ(a.converged, b.converged);
+}
+
+// run_dmet_distributed on `ranks` ranks; every rank's result must carry the
+// same bits, and rank 0's is returned.
+DmetResult run_on_ranks(const chem::Molecule& mol, const DmetOptions& opts,
+                        const FragmentSolver& solver, int ranks, int groups) {
+  std::vector<DmetResult> results(static_cast<std::size_t>(ranks));
+  par::World world(ranks);
+  world.run([&](par::Comm& comm) {
+    results[std::size_t(comm.rank())] =
+        run_dmet_distributed(mol, opts, solver, comm, groups);
+  });
+  for (int r = 1; r < ranks; ++r) expect_same_fit(results[0], results[r]);
+  return results[0];
+}
+
 TEST(Dmet, DistributedMatchesSerial) {
+  // Each fragment's values reach every rank as its owner's bits, so the
+  // distributed fit is bit-identical to the serial one.
   const chem::Molecule mol = chem::Molecule::hydrogen_ring(4, 1.8);
   DmetOptions opts;
   opts.fragments = uniform_atom_groups(4, 2);
   const DmetResult serial = run_dmet(mol, opts, make_fci_solver());
+  const DmetResult dist = run_on_ranks(mol, opts, make_fci_solver(), 4, 2);
+  expect_same_fit(serial, dist);
+}
 
-  double dist_energy = 0, dist_ne = 0;
-  par::World world(4);
-  world.run([&](par::Comm& comm) {
-    const DmetResult r =
-        run_dmet_distributed(mol, opts, make_fci_solver(), comm, 2);
-    if (comm.rank() == 0) {
-      dist_energy = r.energy;
-      dist_ne = r.total_electrons;
+TEST(Dmet, CanonicalOrbitalsHaveADeterministicSignGauge) {
+  // Each column's largest-magnitude entry is positive (the lowest row among
+  // magnitudes tied within 1e-10 — symmetric fragments tie), so the
+  // canonical orbitals at two nearby chemical potentials agree column by
+  // column and a VQE optimum from one is a good start at the other.
+  const chem::Molecule mol = chem::Molecule::hydrogen_ring(10, 1.8);
+  const chem::BasisSet basis = chem::BasisSet::build(mol, "sto-3g");
+  const chem::IntegralTables ints = chem::compute_integrals(mol, basis);
+  const chem::ScfResult scf = chem::rhf(mol, basis, ints);
+  const LowdinBasis lb = make_lowdin(ints.overlap);
+  const la::RMatrix p = oao_density(lb, scf.density);
+  for (const Fragment& frag :
+       make_fragments(basis, mol.n_atoms(), uniform_atom_groups(10, 2))) {
+    const EmbeddingProblem prob =
+        make_embedding(ints, lb, p, make_bath(p, frag));
+    auto orbitals_at = [&](double mu) {
+      return embedding_canonical_orbitals(
+          with_chemical_potential(prob.solver, prob.fragment_orbitals, mu),
+          prob.n_alpha);
+    };
+    const la::RMatrix u0 = orbitals_at(0.0), u1 = orbitals_at(1e-3);
+    const std::size_t m = u0.rows();
+    for (std::size_t j = 0; j < m; ++j) {
+      double largest = 0;
+      for (std::size_t i = 0; i < m; ++i)
+        largest = std::max(largest, std::abs(u0(i, j)));
+      std::size_t top = 0;
+      while (std::abs(u0(top, j)) < largest - 1e-10) ++top;
+      EXPECT_GT(u0(top, j), 0.0) << "column " << j;
+      double overlap = 0;
+      for (std::size_t i = 0; i < m; ++i) overlap += u0(i, j) * u1(i, j);
+      EXPECT_GT(overlap, 0.9) << "column " << j;
     }
-  });
-  EXPECT_NEAR(dist_energy, serial.energy, 1e-9);
-  EXPECT_NEAR(dist_ne, serial.total_electrons, 1e-9);
+  }
+}
+
+// Wraps a solver and records (h_00, µ) of every call — h_00 tells the
+// fragments apart, µ is recovered from the diagonal shift.
+class MuRecorder {
+ public:
+  explicit MuRecorder(FragmentSolver inner) : inner_(std::move(inner)) {}
+  FragmentSolver solver() {
+    return [this](const EmbeddingProblem& prob,
+                  const chem::MoIntegrals& solver_mo) {
+      const std::size_t f0 = prob.fragment_orbitals.at(0);
+      const double h00 = prob.solver.h(f0, f0);
+      {
+        std::lock_guard<std::mutex> lock(mutex_);
+        calls_.emplace_back(h00, h00 - solver_mo.h(f0, f0));
+      }
+      return inner_(prob, solver_mo);
+    };
+  }
+  const std::vector<std::pair<double, double>>& calls() const {
+    return calls_;
+  }
+
+ private:
+  FragmentSolver inner_;
+  std::mutex mutex_;
+  std::vector<std::pair<double, double>> calls_;
+};
+
+TEST(Dmet, FitTakesFewEvaluationsAtBenchBondLengths) {
+  // The benchmark ring (H10, one-atom fragments) at its five bond lengths:
+  // N(µ) is nearly linear at the root, so the Illinois fit needs a handful
+  // of sweeps and never evaluates a µ twice.
+  for (double bond : {1.8, 1.801, 1.797, 1.805, 1.796}) {
+    const chem::Molecule mol = chem::Molecule::hydrogen_ring(10, bond);
+    DmetOptions opts;
+    opts.parallel.n_threads = 4;
+    MuRecorder recorder(make_fci_solver());
+    const DmetResult r = run_dmet(mol, opts, recorder.solver());
+    EXPECT_TRUE(r.converged) << bond;
+    EXPECT_LE(r.mu_iterations, 6) << bond;
+    EXPECT_LE(std::abs(r.total_electrons - 10.0), 1e-5) << bond;
+    // Sweeps run one after another, 10 solves each; symmetric fragments may
+    // share h_00, so compare the distinct pairs of each sweep.
+    ASSERT_EQ(recorder.calls().size(), std::size_t(10 * r.mu_iterations));
+    std::set<std::pair<double, double>> seen;
+    for (int k = 0; k < r.mu_iterations; ++k) {
+      const auto first = recorder.calls().begin() + 10 * k;
+      const std::set<std::pair<double, double>> sweep(first, first + 10);
+      for (const auto& call : sweep)
+        EXPECT_TRUE(seen.insert(call).second)
+            << "µ " << call.second << " evaluated twice, bond " << bond;
+    }
+  }
+}
+
+TEST(Dmet, RunReportRecordsFitPhaseAndWarmStart) {
+  // Each dmet_cycle record names the fit's phase and the µ whose optima
+  // warm-started the sweep: none for µ = 0, µ = 0 for the bracket step, and
+  // a bracket end (the nearest evaluated µ) for every Illinois step.
+  const chem::Molecule mol = chem::Molecule::hydrogen_ring(6, 2.2);
+  DmetOptions opts;
+  opts.fragments = uniform_atom_groups(6, 2);
+  const std::string path = testing::TempDir() + "q2_dmet_fit.jsonl";
+  ASSERT_TRUE(obs::RunReport::global().open(path));
+  const DmetResult r = run_dmet(mol, opts, make_fci_solver());
+  obs::RunReport::global().close();
+
+  std::vector<obs::Json> cycles;
+  std::ifstream in(path);
+  for (std::string line; std::getline(in, line);) {
+    obs::Json j = obs::Json::parse(line);
+    if (j.at("kind").string == "dmet_cycle") cycles.push_back(std::move(j));
+  }
+  std::remove(path.c_str());
+  ASSERT_EQ(int(cycles.size()), r.mu_iterations);
+  ASSERT_GE(cycles.size(), 3u);
+  EXPECT_EQ(cycles[0].at("phase").string, "bracket");
+  EXPECT_EQ(cycles[0].at("warm_start_mu").type, obs::Json::kNull);
+  EXPECT_EQ(cycles[1].at("phase").string, "bracket");
+  EXPECT_EQ(cycles[1].at("warm_start_mu").number, 0.0);
+  for (std::size_t k = 2; k < cycles.size(); ++k) {
+    EXPECT_EQ(cycles[k].at("phase").string, "secant");
+    const double mu = cycles[k].at("mu").number;
+    double nearest = cycles[0].at("mu").number;
+    for (std::size_t j = 1; j < k; ++j) {
+      const double mj = cycles[j].at("mu").number;
+      if (std::abs(mj - mu) < std::abs(nearest - mu)) nearest = mj;
+    }
+    EXPECT_EQ(cycles[k].at("warm_start_mu").number, nearest) << "cycle " << k;
+  }
+}
+
+TEST(Dmet, FittedVqeRingIsBitIdenticalAcrossThreadsAndRanks) {
+  // The benchmark ring with the VQE solver: the fit and the warm-start table
+  // follow the deterministic µ sequence, so 1 thread, 4 threads and 4 ranks
+  // in 2 groups produce the same bits, within 0.1 mHa of DMET-FCI.
+  const chem::Molecule mol = chem::Molecule::hydrogen_ring(10, 1.8);
+  vqe::VqeOptions vopts;
+  vopts.mps.max_bond = 16;
+  vopts.optimizer.max_iterations = 25;
+  DmetOptions opts;
+  opts.parallel.n_threads = 1;
+  const DmetResult serial = run_dmet(mol, opts, make_vqe_solver(vopts));
+  opts.parallel.n_threads = 4;
+  const DmetResult threaded = run_dmet(mol, opts, make_vqe_solver(vopts));
+  opts.parallel.n_threads = 1;
+  const DmetResult ranked =
+      run_on_ranks(mol, opts, make_vqe_solver(vopts), 4, 2);
+  const DmetResult fci = run_dmet(mol, opts, make_fci_solver());
+
+  EXPECT_TRUE(serial.converged);
+  EXPECT_LE(std::abs(serial.total_electrons - 10.0), 1e-5);
+  EXPECT_LE(std::abs(serial.energy - fci.energy), 1e-4);
+  expect_same_fit(serial, threaded);
+  expect_same_fit(serial, ranked);
 }
 
 }  // namespace

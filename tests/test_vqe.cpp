@@ -6,8 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 
@@ -250,6 +252,84 @@ TEST(Vqe, EnergyHistoryIsMonotoneWithLbfgs) {
   const VqeResult r = run_vqe(s.mo, 1, 1, opts);
   for (std::size_t i = 1; i < r.history.size(); ++i)
     EXPECT_LE(r.history[i], r.history[i - 1] + 1e-9);
+}
+
+TEST(Vqe, InitialParametersStartTheOptimizer) {
+  const Solved s = solve(chem::Molecule::h2(1.4));
+  VqeOptions opts;
+  opts.optimizer.max_iterations = 40;
+  const VqeResult cold = run_vqe(s.mo, 1, 1, opts);
+  ASSERT_GT(cold.iterations, 1);
+
+  // From the optimum: the first energy is the optimum's, and the optimizer
+  // has (almost) nothing left to do.
+  opts.initial_parameters = cold.parameters;
+  const VqeResult warm = run_vqe(s.mo, 1, 1, opts);
+  expect_same_bits({warm.history.front()}, {cold.energy}, "warm start");
+  EXPECT_LT(warm.iterations, cold.iterations);
+
+  // From zero amplitudes: the first energy is Hartree–Fock's.
+  opts.initial_parameters.assign(cold.parameters.size(), 0.0);
+  const VqeResult from_hf = run_vqe(s.mo, 1, 1, opts);
+  EXPECT_NEAR(from_hf.history.front(), s.scf.energy, 1e-8);
+}
+
+TEST(Vqe, InitialParametersOfWrongLengthThrowNamingBothLengths) {
+  const Solved s = solve(chem::Molecule::h2(1.4));
+  const std::size_t n =
+      build_uccsd(s.mo.n_orbitals(), 1, 1, UccsdOptions{}).n_parameters;
+  VqeOptions opts;
+  opts.initial_parameters.assign(n + 2, 0.1);
+  try {
+    run_vqe(s.mo, 1, 1, opts);
+    FAIL() << "a starting point of the wrong length was accepted";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(std::to_string(n + 2) + " entries"), std::string::npos)
+        << what;
+    EXPECT_NE(what.find(std::to_string(n) + " parameters"), std::string::npos)
+        << what;
+  }
+}
+
+TEST(Vqe, NonFiniteInitialParametersThrow) {
+  const Solved s = solve(chem::Molecule::h2(1.4));
+  const std::size_t n =
+      build_uccsd(s.mo.n_orbitals(), 1, 1, UccsdOptions{}).n_parameters;
+  for (double bad : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+    VqeOptions opts;
+    opts.initial_parameters.assign(n, 0.1);
+    opts.initial_parameters.back() = bad;
+    EXPECT_THROW(run_vqe(s.mo, 1, 1, opts), Error) << bad;
+  }
+}
+
+TEST(Vqe, ResumedCheckpointTakesPrecedenceOverInitialParameters) {
+  const Solved s = solve(chem::Molecule::h2(1.4));
+  VqeOptions opts;
+  opts.optimizer.max_iterations = 6;
+  opts.optimizer.gradient_tolerance = 0.0;
+  opts.optimizer.energy_tolerance = 0.0;
+  const VqeResult golden = run_vqe(s.mo, 1, 1, opts);
+  ASSERT_GT(golden.iterations, 2);
+
+  const std::filesystem::path dir =
+      std::filesystem::path(testing::TempDir()) / "q2_vqe_start_resume";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  opts.checkpoint.path = (dir / "run.ckpt").string();
+  opts.checkpoint.resume = false;
+  opts.checkpoint.fault.crash_at_iteration = 2;
+  EXPECT_THROW(run_vqe(s.mo, 1, 1, opts), ckpt::InjectedCrash);
+
+  // The snapshot holds the iterate; the (different) starting point must not
+  // replace it.
+  opts.checkpoint.fault = {};
+  opts.checkpoint.resume = true;
+  opts.initial_parameters.assign(golden.parameters.size(), 0.0);
+  const VqeResult resumed = run_vqe(s.mo, 1, 1, opts);
+  expect_same_result(golden, resumed, "resumed");
+  std::filesystem::remove_all(dir);
 }
 
 TEST(EnergyEvaluator, ParallelEnergyBitIdenticalToSerial_H4) {
