@@ -21,7 +21,6 @@
 #include "linalg/simd.hpp"
 #include "linalg/svd.hpp"
 #include "linalg/svd_reference.hpp"
-#include "linalg/tensor.hpp"
 #include "sim/mps.hpp"
 
 namespace {
@@ -57,19 +56,6 @@ void BM_GemmComplexThreaded(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * int64_t(8 * n * n * n));
 }
 BENCHMARK(BM_GemmComplexThreaded)->Arg(1)->Arg(2)->Arg(4);
-
-void BM_TensorContractFused(benchmark::State& state) {
-  const std::size_t d = std::size_t(state.range(0));
-  Rng rng(6);
-  la::Tensor a({2 * d, 2, d});
-  la::Tensor b({d, 2, 2 * d});
-  for (std::size_t i = 0; i < a.size(); ++i) a[i] = rng.complex_normal();
-  for (std::size_t i = 0; i < b.size(); ++i) b[i] = rng.complex_normal();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(la::contract(a, {2}, b, {0}));
-  }
-}
-BENCHMARK(BM_TensorContractFused)->Arg(16)->Arg(32)->Arg(64);
 
 void BM_SvdGolubKahan(benchmark::State& state) {
   const std::size_t n = std::size_t(state.range(0));

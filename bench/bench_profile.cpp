@@ -1,14 +1,17 @@
 // §IV-B text numbers: (1) the MPS-VQE hotspot split — the paper reports
 // ~15 % of time in tensor contraction and ~82 % in SVD; (2) the tuned GEMM
 // vs naive-kernel comparison (the swBLAS vs reference-LAPACK analogue);
-// (3) fused vs unfused tensor contraction (the "fused permutation and
-// multiplication" ablation).
+// (3) fused vs unfused permutation and multiplication on the MPS transfer's
+// site-tensor slices (the "fused permutation and multiplication" ablation).
+#include <algorithm>
+#include <cstring>
+#include <vector>
+
 #include "bench_util.hpp"
 #include "circuit/builder.hpp"
 #include "circuit/routing.hpp"
 #include "common/rng.hpp"
 #include "linalg/gemm.hpp"
-#include "linalg/tensor.hpp"
 #include "sim/mps.hpp"
 #include "vqe/uccsd.hpp"
 
@@ -85,23 +88,51 @@ int main(int argc, char** argv) {
     (void)c1;
   }
 
-  bench::header("IV-B: fused vs unfused tensor contraction");
-  bench::row({"D", "fused (s)", "reference (s)", "speedup"});
+  // The MPS transfer's E * B_i, where B_i = t[:, i, :] is a D x D slice of a
+  // (D, 2, D) site tensor. Fused: gemm_raw packs B_i straight out of t (base
+  // t + i*D, row stride 2*D), as Mps::transfer does. Unfused: B_i is first
+  // permuted into a contiguous matrix, then the same gemm_raw runs on the
+  // copy. Both pack the same elements in the same order, so the products
+  // must agree bit for bit.
+  bench::header("IV-B: fused vs unfused permutation + GEMM (transfer E*B_i)");
+  bench::row({"D", "fused (s)", "unfused (s)", "speedup"});
   for (std::size_t d : {16u, 32u, 64u}) {
-    la::Tensor a({2 * d, 2, d});
-    la::Tensor b({d, 2, 2 * d});
-    for (std::size_t i = 0; i < a.size(); ++i) a[i] = rng.complex_normal();
-    for (std::size_t i = 0; i < b.size(); ++i) b[i] = rng.complex_normal();
-    constexpr int kReps = 30;
-    (void)la::contract(a, {2}, b, {0});  // warm-up
-    Timer t1;
-    for (int r = 0; r < kReps; ++r)
-      (void)la::contract(a, {2}, b, {0});
-    const double fast = t1.seconds() / kReps;
-    Timer t2;
-    for (int r = 0; r < kReps; ++r)
-      (void)la::contract_reference(a, {2}, b, {0});
-    const double slow = t2.seconds() / kReps;
+    std::vector<cplx> t(2 * d * d), e(d * d), bi(d * d);
+    std::vector<cplx> fused(2 * d * d), unfused(2 * d * d);
+    for (cplx& z : t) z = rng.complex_normal();
+    for (cplx& z : e) z = rng.complex_normal();
+    const auto run_fused = [&] {
+      for (std::size_t i = 0; i < 2; ++i)
+        la::gemm_raw(d, d, d, e.data(), d, la::Op::kNone, t.data() + i * d,
+                     2 * d, la::Op::kNone, fused.data() + i * d * d, d);
+    };
+    const auto run_unfused = [&] {
+      for (std::size_t i = 0; i < 2; ++i) {
+        for (std::size_t a = 0; a < d; ++a)
+          std::copy_n(t.data() + a * 2 * d + i * d, d, bi.data() + a * d);
+        la::gemm_raw(d, d, d, e.data(), d, la::Op::kNone, bi.data(), d,
+                     la::Op::kNone, unfused.data() + i * d * d, d);
+      }
+    };
+    run_fused();  // warm-up: grows this thread's packing buffers
+    run_unfused();
+    if (std::memcmp(fused.data(), unfused.data(),
+                    fused.size() * sizeof(cplx)) != 0) {
+      std::fprintf(stderr, "fused and unfused products differ at D=%zu\n", d);
+      return 1;
+    }
+    // Best of five alternating windows per side, so a slow spell on a
+    // shared host lands on both sides or on neither.
+    const int reps = int(std::max<std::size_t>(100, (1u << 24) / (d * d * d)));
+    double fast = 1e300, slow = 1e300;
+    for (int trial = 0; trial < 5; ++trial) {
+      Timer t1;
+      for (int r = 0; r < reps; ++r) run_fused();
+      fast = std::min(fast, t1.seconds() / reps);
+      Timer t2;
+      for (int r = 0; r < reps; ++r) run_unfused();
+      slow = std::min(slow, t2.seconds() / reps);
+    }
     bench::row({std::to_string(d), bench::fmte(fast), bench::fmte(slow),
                 bench::fmt(slow / fast, 2) + "x"});
   }

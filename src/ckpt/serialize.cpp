@@ -5,9 +5,8 @@ namespace {
 
 // Per-type tags guard against sections being decoded as the wrong type after
 // a format mix-up; bumping a tag is the cheap way to version one serializer.
-constexpr std::uint8_t kTagRMatrix = 0x11;
-constexpr std::uint8_t kTagCMatrix = 0x12;
-constexpr std::uint8_t kTagTensor = 0x13;
+// Tags are part of the on-disk format: keep their values so existing
+// snapshots still load.
 constexpr std::uint8_t kTagRng = 0x14;
 constexpr std::uint8_t kTagMps = 0x15;
 constexpr std::uint8_t kTagOptimizer = 0x16;
@@ -17,62 +16,6 @@ void expect_tag(ByteReader& r, std::uint8_t tag) {
 }
 
 }  // namespace
-
-void write_matrix(ByteWriter& w, const la::RMatrix& m) {
-  w.u8(kTagRMatrix);
-  w.u64(m.rows());
-  w.u64(m.cols());
-  for (std::size_t i = 0; i < m.size(); ++i) w.f64(m.data()[i]);
-}
-
-la::RMatrix read_rmatrix(ByteReader& r) {
-  expect_tag(r, kTagRMatrix);
-  const std::size_t rows = std::size_t(r.u64());
-  const std::size_t cols = std::size_t(r.u64());
-  require(cols == 0 || rows <= r.remaining() / (8 * cols),
-          "ckpt: matrix larger than record");
-  la::RMatrix m(rows, cols);
-  for (std::size_t i = 0; i < m.size(); ++i) m.data()[i] = r.f64();
-  return m;
-}
-
-void write_matrix(ByteWriter& w, const la::CMatrix& m) {
-  w.u8(kTagCMatrix);
-  w.u64(m.rows());
-  w.u64(m.cols());
-  for (std::size_t i = 0; i < m.size(); ++i) w.c128(m.data()[i]);
-}
-
-la::CMatrix read_cmatrix(ByteReader& r) {
-  expect_tag(r, kTagCMatrix);
-  const std::size_t rows = std::size_t(r.u64());
-  const std::size_t cols = std::size_t(r.u64());
-  require(cols == 0 || rows <= r.remaining() / (16 * cols),
-          "ckpt: matrix larger than record");
-  la::CMatrix m(rows, cols);
-  for (std::size_t i = 0; i < m.size(); ++i) m.data()[i] = r.c128();
-  return m;
-}
-
-void write_tensor(ByteWriter& w, const la::Tensor& t) {
-  w.u8(kTagTensor);
-  w.vec(t.shape());
-  w.u64(t.size());
-  for (std::size_t i = 0; i < t.size(); ++i) w.c128(t.data()[i]);
-}
-
-la::Tensor read_tensor(ByteReader& r) {
-  expect_tag(r, kTagTensor);
-  const std::vector<std::size_t> shape = r.vec_u64();
-  const std::size_t n = std::size_t(r.u64());
-  std::size_t expected = 1;
-  for (std::size_t d : shape) expected *= d;
-  require(n == expected, "ckpt: tensor size does not match shape");
-  require(n <= r.remaining() / 16, "ckpt: tensor larger than record");
-  std::vector<cplx> data(n);
-  for (auto& z : data) z = r.c128();
-  return la::Tensor(shape, std::move(data));
-}
 
 void write_rng(ByteWriter& w, const Rng& rng) {
   w.u8(kTagRng);

@@ -2,8 +2,8 @@
 // ByteReader move fixed-width little-endian integers and raw IEEE-754 bit
 // patterns (no decimal round trips), so every serialized double restores
 // bit-for-bit — the foundation of the resume determinism contract. On top sit
-// serializers for the live run-state types: la::Matrix / la::Tensor, the MPS
-// simulator state, the optimizer state, and the mt19937_64 stream.
+// serializers for the live run-state types: the MPS simulator state, the
+// optimizer state, and the mt19937_64 stream.
 #pragma once
 
 #include <cstdint>
@@ -13,8 +13,6 @@
 
 #include "common/rng.hpp"
 #include "common/types.hpp"
-#include "linalg/matrix.hpp"
-#include "linalg/tensor.hpp"
 #include "sim/mps.hpp"
 #include "vqe/optimizer.hpp"
 
@@ -174,14 +172,6 @@ class ByteReader {
 // ---- Domain serializers ----------------------------------------------------
 // Each pair round-trips its type exactly; readers validate internal
 // consistency and throw q2::Error on malformed input.
-
-void write_matrix(ByteWriter& w, const la::RMatrix& m);
-la::RMatrix read_rmatrix(ByteReader& r);
-void write_matrix(ByteWriter& w, const la::CMatrix& m);
-la::CMatrix read_cmatrix(ByteReader& r);
-
-void write_tensor(ByteWriter& w, const la::Tensor& t);
-la::Tensor read_tensor(ByteReader& r);
 
 void write_rng(ByteWriter& w, const Rng& rng);
 void read_rng(ByteReader& r, Rng& rng);

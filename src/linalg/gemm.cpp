@@ -36,10 +36,9 @@ T maybe_conj(T v, bool conj) {
   return v;
 }
 
-// Read-only operand views the packing routines pull elements through; the
-// per-element branch cost lives in the O(mk)+O(kn) pack, never in the
-// O(mnk) kernel. OpView folds transpose/adjoint, OffsetView folds an
-// arbitrary axis permutation via precomputed row/column offset tables.
+// Read-only operand view the packing routines pull elements through, with
+// transpose/adjoint folded in; the per-element branch cost lives in the
+// O(mk)+O(kn) pack, never in the O(mnk) kernel.
 template <typename T>
 struct OpView {
   const T* data;
@@ -51,25 +50,15 @@ struct OpView {
   }
 };
 
-template <typename T>
-struct OffsetView {
-  const T* data;
-  const std::size_t* row_off;
-  const std::size_t* col_off;
-  T at(std::size_t i, std::size_t j) const {
-    return data[row_off[i] + col_off[j]];
-  }
-};
-
 constexpr std::size_t round_up(std::size_t x, std::size_t r) {
   return (x + r - 1) / r * r;
 }
 
 // Pack an mc x kc block of op(A) (alpha folded in) into MR-row micro-panels,
 // zero-padded to a multiple of MR: buf[(ir/MR)*MR*kc + p*MR + i].
-template <typename T, class View>
-void pack_a(T* buf, const View& av, T alpha, std::size_t i0, std::size_t p0,
-            std::size_t mc, std::size_t kc) {
+template <typename T>
+void pack_a(T* buf, const OpView<T>& av, T alpha, std::size_t i0,
+            std::size_t p0, std::size_t mc, std::size_t kc) {
   constexpr std::size_t MR = Micro<T>::MR;
   for (std::size_t ir = 0; ir < mc; ir += MR) {
     const std::size_t mr = std::min(MR, mc - ir);
@@ -85,8 +74,8 @@ void pack_a(T* buf, const View& av, T alpha, std::size_t i0, std::size_t p0,
 
 // Pack a kc x nc block of op(B) into NR-column micro-panels, zero-padded:
 // buf[(jr/NR)*NR*kc + p*NR + j].
-template <typename T, class View>
-void pack_b(T* buf, const View& bv, std::size_t p0, std::size_t j0,
+template <typename T>
+void pack_b(T* buf, const OpView<T>& bv, std::size_t p0, std::size_t j0,
             std::size_t kc, std::size_t nc) {
   constexpr std::size_t NR = Micro<T>::NR;
   for (std::size_t jr = 0; jr < nc; jr += NR) {
@@ -177,12 +166,12 @@ obs::Counter& packa_pack_counter() {
   return c;
 }
 
-/// Distinguishes tile-grid dispatches so a thread's cached packed-A block is
-/// never mistaken for another (jc, pc) phase's — or another concurrent
-/// GEMM's — block of the same tile-row index.
+/// Distinguishes tile-grid dispatches so a thread's cached packed-A row panel
+/// is never mistaken for another (jc, k-span) phase's — or another
+/// concurrent GEMM's — panel of the same tile-row index.
 std::uint64_t next_tile_loop_id() {
   static std::atomic<std::uint64_t> id{0};
-  return id.fetch_add(1, std::memory_order_relaxed) + 1;  // never kNoTag/0
+  return id.fetch_add(1, std::memory_order_relaxed) + 1;  // never 0
 }
 
 // Blocked driver, parallel over a 2-D (ic x jr) tile grid. The old
@@ -190,22 +179,27 @@ std::uint64_t next_tile_loop_id() {
 // 3 tiles for 4 threads — and its serial B-pack plus serial beta pre-pass
 // capped scaling on top (Amdahl). Now:
 //
-//   * The B panel of each (jc, pc) phase is packed cooperatively, one
-//     JB-column slab per parallel_for iteration (disjoint writes, and packing
-//     is element-copying, so the packed bytes are scheduling-independent).
-//   * C tiles form an (m/MC) x (nc/JB) grid; every tile is owned by exactly
-//     one iteration, and the pc loop remains a barrier between k-blocks, so
+//   * k is walked in spans of up to KS (a whole number of KC k-blocks). The
+//     B panel of each (jc, span) phase — every k-block of the span — is
+//     packed cooperatively, one (k-block, JB-column) slab per parallel_for
+//     iteration (disjoint writes, and packing is element-copying, so the
+//     packed bytes are scheduling-independent).
+//   * C tiles form an (m/MC) x (nc/JB) grid; every tile is claimed exactly
+//     once, by a thread that runs the span's k-blocks in ascending order, so
 //     each C element sees the same fixed accumulation order — and therefore
-//     bit-identical results — at every thread count.
+//     bit-identical results — at every thread count. A tile's C block stays
+//     on one core across its k-blocks, and a span costs two dispatches, not
+//     two per k-block.
 //   * beta is folded into the first k-block's write-back (see WriteBack), so
 //     no serial O(mn) pass remains.
-//   * The packed-A block lives in a pool-resident per-thread Scratch buffer
-//     tagged (loop, tile-row): iterating the grid tile-row-major, a thread
-//     claiming consecutive tiles reuses its packed block instead of paying a
-//     pack — and never re-mallocs (gemm.packa_{packed,reused} count this).
-template <typename T, class ViewA, class ViewB>
+//   * The packed A row panel (the tile row's blocks for every k-block of the
+//     span) lives in a thread-local buffer keyed by (loop, tile-row): a
+//     thread working down its row-major lane of tiles reuses its packed
+//     panel instead of paying a pack — and never re-mallocs
+//     (gemm.packa_{packed,reused} count MC x KC blocks).
+template <typename T>
 void gemm_blocked(std::size_t m, std::size_t k, std::size_t n, T alpha,
-                  const ViewA& av, const ViewB& bv, T beta, T* c,
+                  const OpView<T>& av, const OpView<T>& bv, T beta, T* c,
                   std::size_t ldc, const par::ParallelOptions& opts) {
   OBS_SPAN("la/gemm");
   if (m == 0 || n == 0) return;
@@ -253,41 +247,79 @@ void gemm_blocked(std::size_t m, std::size_t k, std::size_t n, T alpha,
     return;
   }
 
+  constexpr std::size_t KS = GemmBlocking::kKS;
+  static_assert(KS % KC == 0, "a k-span must be a whole number of k-blocks");
   const std::size_t n_ib = (m + MC - 1) / MC;
-  std::vector<T> bbuf;
+  std::vector<T> bpanel(round_up(std::min(NC, n), NR) * std::min(KS, k));
+  T* const bbuf = bpanel.data();
+  par::ParallelOptions slab_opts = opts;
+  slab_opts.grain = 1;  // one B slab / one tile lane per claimed unit
   for (std::size_t jc = 0; jc < n; jc += NC) {
     const std::size_t nc = std::min(NC, n - jc);
     const std::size_t n_jb = (nc + JB - 1) / JB;
-    for (std::size_t pc = 0; pc < k; pc += KC) {
-      const std::size_t kc = std::min(KC, k - pc);
-      const WriteBack wb = pc != 0 ? WriteBack::kAccumulate : first_wb;
-      bbuf.resize(round_up(nc, NR) * kc);
-      par::ParallelOptions slab_opts = opts;
-      slab_opts.grain = 1;  // one B slab / one C tile per claimed unit
-      par::parallel_for(slab_opts, 0, n_jb, [&](std::size_t jb) {
-        const std::size_t jr0 = jb * JB;
-        pack_b(bbuf.data() + (jr0 / NR) * NR * kc, bv, pc, jc + jr0, kc,
-               std::min(JB, nc - jr0));
+    const std::size_t b_cols = round_up(nc, NR);
+    for (std::size_t ks = 0; ks < k; ks += KS) {
+      const std::size_t ksw = std::min(KS, k - ks);
+      const std::size_t n_kb = (ksw + KC - 1) / KC;
+      // k-block pc (relative to ks) of the B panel starts at b_cols * pc, and
+      // of a packed A row panel at round_up(mc, MR) * pc.
+      par::parallel_for(slab_opts, 0, n_kb * n_jb, [&](std::size_t s) {
+        const std::size_t pc = (s / n_jb) * KC, jr0 = (s % n_jb) * JB;
+        const std::size_t kc = std::min(KC, ksw - pc);
+        pack_b(bbuf + b_cols * pc + (jr0 / NR) * NR * kc, bv, ks + pc,
+               jc + jr0, kc, std::min(JB, nc - jr0));
       });
       const std::uint64_t loop_id = next_tile_loop_id();
-      par::parallel_for(slab_opts, 0, n_ib * n_jb, [&](std::size_t t) {
+      auto run_tile = [&](std::size_t t) {
         const std::size_t ib = t / n_jb, jb = t % n_jb;
         const std::size_t ic = ib * MC;
         const std::size_t mc = std::min(MC, m - ic);
+        const std::size_t a_rows = round_up(mc, MR);
         const std::size_t jr0 = jb * JB;
         const std::size_t ncw = std::min(JB, nc - jr0);
-        par::Scratch scratch(round_up(mc, MR) * kc * sizeof(T));
-        T* abuf = static_cast<T*>(scratch.data());
-        if (scratch.tag(0) != loop_id || scratch.tag(1) != ib) {
-          pack_a(abuf, av, alpha, ic, pc, mc, kc);
-          scratch.set_tag(0, loop_id);
-          scratch.set_tag(1, ib);
-          packa_pack_counter().add();
+        // Loop ids start at 1, so a thread's first tile always packs.
+        thread_local std::vector<T> abuf;
+        thread_local std::uint64_t abuf_loop = 0;
+        thread_local std::size_t abuf_ib = 0;
+        if (abuf_loop != loop_id || abuf_ib != ib) {
+          if (abuf.size() < a_rows * ksw) abuf.resize(a_rows * ksw);
+          for (std::size_t pc = 0; pc < ksw; pc += KC)
+            pack_a(abuf.data() + a_rows * pc, av, alpha, ic, ks + pc, mc,
+                   std::min(KC, ksw - pc));
+          abuf_loop = loop_id;
+          abuf_ib = ib;
+          packa_pack_counter().add(n_kb);
         } else {
-          packa_reuse_counter().add();
+          packa_reuse_counter().add(n_kb);
         }
-        macro_kernel(mc, kc, ncw, abuf, bbuf.data() + (jr0 / NR) * NR * kc,
-                     c + ic * ldc + jc + jr0, ldc, wb, beta);
+        for (std::size_t pc = 0; pc < ksw; pc += KC) {
+          const std::size_t kc = std::min(KC, ksw - pc);
+          const WriteBack wb =
+              ks + pc != 0 ? WriteBack::kAccumulate : first_wb;
+          macro_kernel(mc, kc, ncw, abuf.data() + a_rows * pc,
+                       bbuf + b_cols * pc + (jr0 / NR) * NR * kc,
+                       c + ic * ldc + jc + jr0, ldc, wb, beta);
+        }
+      };
+      // Tiles are dealt out as contiguous row-major lanes, one per thread, so
+      // a thread's consecutive tiles share a tile row (one A pack per row,
+      // not one per thread per row) and the tail is a thread's last tile,
+      // not whichever tile a late claim lands on. A thread whose lane runs
+      // dry takes tiles from the fronts of the other lanes, which keeps the
+      // balance dynamic when threads run at different speeds.
+      const std::size_t n_tiles = n_ib * n_jb;
+      const std::size_t lanes = std::min(par::resolve_threads(opts), n_tiles);
+      std::vector<std::atomic<std::size_t>> next(lanes);
+      for (std::size_t l = 0; l < lanes; ++l)
+        next[l].store(l * n_tiles / lanes, std::memory_order_relaxed);
+      par::parallel_for(slab_opts, 0, lanes, [&](std::size_t lane) {
+        for (std::size_t v = 0; v < lanes; ++v) {
+          const std::size_t l = (lane + v) % lanes;
+          const std::size_t end = (l + 1) * n_tiles / lanes;
+          for (std::size_t t = next[l].fetch_add(1, std::memory_order_relaxed);
+               t < end; t = next[l].fetch_add(1, std::memory_order_relaxed))
+            run_tile(t);
+        }
       });
     }
   }
@@ -375,40 +407,6 @@ void gemm_raw(std::size_t m, std::size_t k, std::size_t n, const cplx* a,
               const par::ParallelOptions& opts) {
   gemm_raw(m, k, n, cplx{1}, a, lda, op_a, b, ldb, op_b, cplx{0}, c, ldc,
            opts);
-}
-
-void gemm_offsets_into(std::size_t m, std::size_t k, std::size_t n,
-                       const cplx* a_data,
-                       const std::vector<std::size_t>& a_row_off,
-                       const std::vector<std::size_t>& a_col_off,
-                       const cplx* b_data,
-                       const std::vector<std::size_t>& b_row_off,
-                       const std::vector<std::size_t>& b_col_off, cplx* c,
-                       std::size_t ldc, const par::ParallelOptions& opts) {
-  require(a_data != nullptr && b_data != nullptr && c != nullptr,
-          "gemm_offsets: null operand");
-  require(a_row_off.size() == m && a_col_off.size() == k,
-          "gemm_offsets: A offset table size mismatch");
-  require(b_row_off.size() == k && b_col_off.size() == n,
-          "gemm_offsets: B offset table size mismatch");
-  require(ldc >= n, "gemm_offsets: ldc < n");
-  const OffsetView<cplx> av{a_data, a_row_off.data(), a_col_off.data()};
-  const OffsetView<cplx> bv{b_data, b_row_off.data(), b_col_off.data()};
-  gemm_blocked(m, k, n, cplx{1}, av, bv, cplx{0}, c, ldc, opts);
-}
-
-CMatrix gemm_offsets(std::size_t m, std::size_t k, std::size_t n,
-                     const cplx* a_data,
-                     const std::vector<std::size_t>& a_row_off,
-                     const std::vector<std::size_t>& a_col_off,
-                     const cplx* b_data,
-                     const std::vector<std::size_t>& b_row_off,
-                     const std::vector<std::size_t>& b_col_off,
-                     const par::ParallelOptions& opts) {
-  CMatrix c(m, n);
-  gemm_offsets_into(m, k, n, a_data, a_row_off, a_col_off, b_data, b_row_off,
-                    b_col_off, c.data(), n, opts);
-  return c;
 }
 
 void gemm_tile(const cplx* a, std::size_t lda, const cplx* b, std::size_t ldb,

@@ -1,19 +1,19 @@
 // Packed, cache-blocked GEMM micro-kernel substrate — the swBLAS stand-in.
-// Everything above (tensor contraction, SVD, SCF, the simulators) funnels
-// matrix products through here, so this is the single tuning point, exactly
-// as swBLAS was for the paper. The kernel follows the classic GotoBLAS/BLIS
-// decomposition: NC/KC/MC macro-blocking, A and B packed into MR- and
-// NR-wide micro-panels (transpose/adjoint folded into the packing step), and
-// a register-tiled MR x NR inner kernel with runtime-dispatched SIMD paths
-// (linalg/simd.hpp: AVX2/FMA when the host has it, portable otherwise).
-// C tiles form a 2-D (MC-row x JB-column) grid distributed over the process
-// ThreadPool — B panels are packed cooperatively and beta is folded into the
-// first k-block's write-back, so no serial phase precedes the parallel
-// region. A product that is one tile and one k-block (m <= MC, n <= JB,
-// k <= KC) skips the dispatch and runs inline on the calling thread through
-// the same packing and kernel. Each tile is owned by exactly one task and
-// accumulated in a fixed k-order, so results are bit-identical for every
-// thread count.
+// Everything above (the MPS updates and transfers, SVD, SCF, the simulators)
+// funnels matrix products through here, so this is the single tuning point,
+// exactly as swBLAS was for the paper. The kernel follows the classic
+// GotoBLAS/BLIS decomposition: NC/KC/MC macro-blocking, A and B packed into
+// MR- and NR-wide micro-panels (transpose/adjoint folded into the packing
+// step), and a register-tiled MR x NR inner kernel with runtime-dispatched
+// SIMD paths (linalg/simd.hpp: AVX2/FMA when the host has it, portable
+// otherwise). C tiles form a 2-D (MC-row x JB-column) grid distributed over
+// the process ThreadPool — B panels are packed cooperatively and beta is
+// folded into the first k-block's write-back, so no serial phase precedes
+// the parallel region. A product that is one tile and one k-block
+// (m <= MC, n <= JB, k <= KC) skips the dispatch and runs inline on the
+// calling thread through the same packing and kernel. Each tile is owned by
+// exactly one thread, which runs its k-blocks in a fixed order, so results
+// are bit-identical for every thread count.
 #pragma once
 
 #include <cstddef>
@@ -33,7 +33,9 @@ enum class Op { kNone, kTrans, kAdjoint };
 /// one parallel work unit: C tiles form an (m/MC) x (nc/JB) grid, so even a
 /// 256-row product exposes enough tiles to feed every thread (the old
 /// m/MC-only split gave 3 tiles for 4 threads). JB must be a multiple of
-/// both register tile widths (8 real, 4 complex).
+/// both register tile widths (8 real, 4 complex). KS is the k-span one tile
+/// dispatch covers: a tile runs every KC k-block of its span before it
+/// retires, and KS bounds the packed B panel and A row panel in k.
 struct GemmBlocking {
   static constexpr std::size_t kMR = 4;
   static constexpr std::size_t kNR = 8;
@@ -41,6 +43,7 @@ struct GemmBlocking {
   static constexpr std::size_t kKC = 256;
   static constexpr std::size_t kNC = 2048;
   static constexpr std::size_t kJB = 64;
+  static constexpr std::size_t kKS = 4 * kKC;
 };
 
 /// C = alpha * op(A) * op(B) + beta * C (shapes validated; C resized only if
@@ -74,38 +77,12 @@ void gemm_raw(std::size_t m, std::size_t k, std::size_t n, const cplx* a,
 /// buffers (beta = 0 overwrites C, stale NaNs included). Bit-identical to
 /// gemm() on the same operands. The MPS transfer reads B_i and B_i^dagger
 /// through it straight out of a site tensor: base t + i*dr, row stride 2*dr.
+/// Packing such a strided slice in place is the paper's "fused permutation
+/// and multiplication": no permuted copy of the operand is ever made.
 void gemm_raw(std::size_t m, std::size_t k, std::size_t n, cplx alpha,
               const cplx* a, std::size_t lda, Op op_a, const cplx* b,
               std::size_t ldb, Op op_b, cplx beta, cplx* c, std::size_t ldc,
               const par::ParallelOptions& opts = {});
-
-/// Fused-permutation product: the left operand's element (i, p) is
-/// a_data[a_row_off[i] + a_col_off[p]] and the right operand's element
-/// (p, j) is b_data[b_row_off[p] + b_col_off[j]]. Tensor contraction builds
-/// these offset tables from the (free, contracted) axis split of each
-/// operand, so micro-panels are packed straight out of the un-permuted
-/// tensor storage — the paper's "fused permutation and multiplication",
-/// with no intermediate permuted copy. Returns the m x n product.
-CMatrix gemm_offsets(std::size_t m, std::size_t k, std::size_t n,
-                     const cplx* a_data,
-                     const std::vector<std::size_t>& a_row_off,
-                     const std::vector<std::size_t>& a_col_off,
-                     const cplx* b_data,
-                     const std::vector<std::size_t>& b_row_off,
-                     const std::vector<std::size_t>& b_col_off,
-                     const par::ParallelOptions& opts = {});
-
-/// gemm_offsets writing into a caller-provided row-major buffer (row stride
-/// `ldc` >= n, overwritten) — the allocation-free form the MPS scratch
-/// workspace packs site tensors through. C must not alias A or B.
-void gemm_offsets_into(std::size_t m, std::size_t k, std::size_t n,
-                       const cplx* a_data,
-                       const std::vector<std::size_t>& a_row_off,
-                       const std::vector<std::size_t>& a_col_off,
-                       const cplx* b_data,
-                       const std::vector<std::size_t>& b_row_off,
-                       const std::vector<std::size_t>& b_col_off, cplx* c,
-                       std::size_t ldc, const par::ParallelOptions& opts = {});
 
 /// Accumulating tile product on raw row-major buffers: C += A * B with
 /// leading dimensions lda/ldb/ldc. Runs the packed micro-kernel serially on

@@ -12,16 +12,23 @@
 
 namespace q2::par {
 
-void Comm::barrier() {
+void Comm::rendezvous(bool abortable) {
   auto& st = *state_;
-  std::unique_lock<std::mutex> lock(st.mutex);
+  auto& sync = *st.sync;
+  std::unique_lock<std::mutex> lock(sync.mutex);
+  // The flag is read under the lock that completes a wait, so every rank of
+  // one wait either passes it or throws.
+  if (abortable && sync.aborted) throw CommAborted();
   const std::uint64_t gen = st.generation;
   if (++st.arrived == st.size) {
     st.arrived = 0;
     ++st.generation;
-    st.cv.notify_all();
+    sync.cv.notify_all();
   } else {
-    st.cv.wait(lock, [&] { return st.generation != gen; });
+    sync.cv.wait(lock, [&] {
+      return st.generation != gen || (abortable && sync.aborted);
+    });
+    if (st.generation == gen) throw CommAborted();
   }
 }
 
@@ -34,7 +41,8 @@ void Comm::bcast_bytes(void* data, std::size_t nbytes, int root) {
     std::memcpy(data, st.bcast_ptr, nbytes);
     account(nbytes);
   }
-  barrier();  // keep the root's buffer alive until every rank copied
+  // Keep the root's buffer alive until every rank copied.
+  rendezvous(/*abortable=*/false);
 }
 
 void Comm::collect_slots(const void* ptr) {
@@ -58,10 +66,10 @@ Comm Comm::split(int color, int key) {
       int(std::find(members.begin(), members.end(), rank_) - members.begin());
 
   {
-    std::lock_guard<std::mutex> lock(st.mutex);
+    std::lock_guard<std::mutex> lock(st.sync->mutex);
     if (!st.split_children.count(color)) {
       st.split_children[color] =
-          std::make_shared<detail::CommState>(int(members.size()));
+          std::make_shared<detail::CommState>(int(members.size()), st.sync);
     }
   }
   barrier();
@@ -74,7 +82,8 @@ Comm Comm::split(int color, int key) {
 }
 
 void World::run(const std::function<void(Comm&)>& fn) const {
-  auto state = std::make_shared<detail::CommState>(size_);
+  auto sync = std::make_shared<detail::WorldSync>();
+  auto state = std::make_shared<detail::CommState>(size_, sync);
   std::vector<std::thread> threads;
   std::vector<std::exception_ptr> errors(size_);
   std::vector<double> rank_seconds(size_, 0.0);
@@ -88,6 +97,11 @@ void World::run(const std::function<void(Comm&)>& fn) const {
         fn(comm);
       } catch (...) {
         errors[r] = std::current_exception();
+        {
+          std::lock_guard<std::mutex> lock(sync->mutex);
+          sync->aborted = true;
+        }
+        sync->cv.notify_all();
       }
       rank_seconds[r] = timer.seconds();
     });
@@ -119,8 +133,19 @@ void World::run(const std::function<void(Comm&)>& fn) const {
                     {"imbalance_ratio", mean_s > 0.0 ? max_s / mean_s : 1.0},
                     {"bytes", total_bytes_}});
 
-  for (const auto& e : errors)
-    if (e) std::rethrow_exception(e);
+  // Rethrow the lowest-rank failure itself: a CommAborted is only a peer's
+  // echo of it, reported when nothing else failed. Any other exception
+  // escapes the try below.
+  std::exception_ptr aborted;
+  for (const auto& e : errors) {
+    if (!e) continue;
+    try {
+      std::rethrow_exception(e);
+    } catch (const CommAborted&) {
+      if (!aborted) aborted = e;
+    }
+  }
+  if (aborted) std::rethrow_exception(aborted);
 }
 
 }  // namespace q2::par

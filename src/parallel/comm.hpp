@@ -22,6 +22,14 @@ namespace q2::par {
 
 class Comm;
 
+/// Thrown by a collective whose peers cannot all arrive because a rank of
+/// the same World has failed. World::run reports that failure, not this.
+class CommAborted : public Error {
+ public:
+  CommAborted()
+      : Error("comm: collective aborted because another rank failed") {}
+};
+
 namespace detail {
 
 // Process-wide communication metrics, aggregated across every Comm/World.
@@ -49,13 +57,25 @@ inline obs::Counter& comm_allgather_ops() {
   return c;
 }
 
-struct CommState {
-  explicit CommState(int size)
-      : size(size), slots(size, nullptr), split_keys(size), bytes(size, 0) {}
-
-  const int size;
+// One per World, shared by its communicator and every split() child: the
+// lock and condition variable all their collectives wait on, and the abort
+// flag a failing rank raises so no peer waits for it forever.
+struct WorldSync {
   std::mutex mutex;
   std::condition_variable cv;
+  bool aborted = false;
+};
+
+struct CommState {
+  CommState(int size, std::shared_ptr<WorldSync> sync)
+      : size(size),
+        sync(std::move(sync)),
+        slots(size, nullptr),
+        split_keys(size),
+        bytes(size, 0) {}
+
+  const int size;
+  const std::shared_ptr<WorldSync> sync;
   int arrived = 0;
   std::uint64_t generation = 0;
 
@@ -77,7 +97,9 @@ class Comm {
   int size() const { return state_->size; }
   std::uint64_t bytes_transferred() const { return state_->bytes[rank_]; }
 
-  void barrier();
+  /// Blocks until every rank of this communicator arrives; throws
+  /// CommAborted instead once a rank of the World has failed.
+  void barrier() { rendezvous(/*abortable=*/true); }
 
   /// Broadcast `count` elements of trivially copyable T from `root`.
   template <typename T>
@@ -99,7 +121,7 @@ class Comm {
     const std::vector<T> local(data, data + count);
     collect_slots(local.data());
     if (rank_ == root) sum_slots_in_rank_order(data, count);
-    barrier();
+    rendezvous(/*abortable=*/false);
   }
   template <typename T>
   T reduce_sum(T value, int root) {
@@ -117,7 +139,7 @@ class Comm {
     const std::vector<T> local(data, data + count);
     collect_slots(local.data());
     sum_slots_in_rank_order(data, count);
-    barrier();
+    rendezvous(/*abortable=*/false);
   }
   template <typename T>
   T allreduce_sum(T value) {
@@ -135,7 +157,7 @@ class Comm {
       out[r] = *static_cast<const T*>(state_->slots[r]);
       if (r != rank_) account(sizeof(T));
     }
-    barrier();
+    rendezvous(/*abortable=*/false);
     return out;
   }
 
@@ -152,7 +174,7 @@ class Comm {
       out.insert(out.end(), src.begin(), src.end());
       if (r != rank_) account(src.size() * sizeof(T));
     }
-    barrier();
+    rendezvous(/*abortable=*/false);
     return out;
   }
 
@@ -161,6 +183,11 @@ class Comm {
   Comm split(int color, int key);
 
  private:
+  /// The wait behind barrier(). A collective ends with a wait that is not
+  /// abortable: its peers passed the collective's first wait, so they are
+  /// sure to arrive, and until they do they may still read this rank's
+  /// buffers, which unwinding early would free.
+  void rendezvous(bool abortable);
   void bcast_bytes(void* data, std::size_t nbytes, int root);
   /// Publish a per-rank pointer and synchronize so peers may read it.
   void collect_slots(const void* ptr);
@@ -187,7 +214,9 @@ class Comm {
 };
 
 /// Spawns `size` rank-threads, runs `fn(comm)` on each, joins them all.
-/// Exceptions thrown by any rank are rethrown on the caller thread.
+/// When a rank throws, the collectives its peers wait in or enter next throw
+/// CommAborted, so the run cannot hang; run() then rethrows, on the caller
+/// thread, the lowest-rank exception that is not CommAborted.
 class World {
  public:
   explicit World(int size) : size_(size) {}

@@ -20,11 +20,6 @@ struct ParallelOptions {
   /// Chunking never changes results: bodies write per-index slots and
   /// reductions combine in index order.
   std::size_t grain = 0;
-  /// Combine per-chunk partial results in index order so the floating-point
-  /// reduction is identical for every thread count (parallel == serial
-  /// bit-for-bit). Disabling allows first-come combining; nothing in-tree
-  /// does that today, but benches can use it to measure the cost.
-  bool deterministic_reduction = true;
 };
 
 /// Resolves `opts.n_threads`: explicit value > process default (set via

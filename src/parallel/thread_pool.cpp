@@ -50,17 +50,6 @@ obs::Histogram& grain_occupancy_histogram() {
       "pool.grain_occupancy", {0.25, 0.5, 0.75, 0.9, 0.99, 1.0});
   return h;
 }
-obs::Counter& scratch_checkout_counter() {
-  static obs::Counter& c =
-      obs::Registry::global().counter("pool.scratch_checkouts");
-  return c;
-}
-obs::Counter& scratch_grow_counter() {
-  static obs::Counter& c =
-      obs::Registry::global().counter("pool.scratch_grows");
-  return c;
-}
-
 std::size_t env_threads() {
   const char* s = std::getenv("Q2_THREADS");
   if (!s || !*s) return 0;
@@ -121,63 +110,15 @@ void configure_threads_from_args(int& argc, char** argv) {
   argc = out;
 }
 
-// ---------------------------------------------------------------------------
-// Pool-resident per-thread scratch arena
-// ---------------------------------------------------------------------------
-
-struct Scratch::Block {
-  std::unique_ptr<unsigned char[]> bytes;
-  std::size_t cap = 0;
-  std::uint64_t tags[2] = {kNoTag, kNoTag};
-  bool in_use = false;
-};
-
-namespace {
-// Freelist of this thread's scratch blocks. LIFO checkout: the most recently
-// returned block is handed out first, so a loop body re-acquiring scratch on
-// every iteration keeps hitting the same warm allocation.
-thread_local std::vector<std::unique_ptr<Scratch::Block>> t_scratch_blocks;
-}  // namespace
-
-Scratch::Scratch(std::size_t min_bytes) : block_(nullptr) {
-  scratch_checkout_counter().add();
-  for (auto it = t_scratch_blocks.rbegin(); it != t_scratch_blocks.rend();
-       ++it) {
-    if (!(*it)->in_use) {
-      block_ = it->get();
-      break;
-    }
-  }
-  if (!block_) {
-    t_scratch_blocks.push_back(std::make_unique<Block>());
-    block_ = t_scratch_blocks.back().get();
-  }
-  block_->in_use = true;
-  if (block_->cap < min_bytes) {
-    scratch_grow_counter().add();
-    block_->bytes = std::make_unique<unsigned char[]>(min_bytes);
-    block_->cap = min_bytes;
-    block_->tags[0] = kNoTag;
-    block_->tags[1] = kNoTag;
-  }
-}
-
-Scratch::~Scratch() { block_->in_use = false; }
-
-void* Scratch::data() const { return block_->bytes.get(); }
-std::size_t Scratch::capacity() const { return block_->cap; }
-std::uint64_t Scratch::tag(int slot) const { return block_->tags[slot]; }
-void Scratch::set_tag(int slot, std::uint64_t value) {
-  block_->tags[slot] = value;
-}
-
 ThreadPool::ThreadPool(std::size_t num_threads) {
   if (num_threads == 0) num_threads = 1;
+  parking_ = std::make_unique<Parking[]>(num_threads);
+  idle_.reserve(num_threads);
   workers_.reserve(num_threads);
   for (std::size_t i = 0; i < num_threads; ++i)
     workers_.emplace_back([this, i] {
       obs::set_thread_tag("worker" + std::to_string(i));
-      worker_loop();
+      worker_loop(i);
     });
 }
 
@@ -185,8 +126,11 @@ ThreadPool::~ThreadPool() {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     stopping_ = true;
+    for (const std::size_t i : idle_) parking_[i].woken = true;
+    idle_.clear();
   }
-  cv_.notify_all();
+  for (std::size_t i = 0; i < workers_.size(); ++i)
+    parking_[i].cv.notify_one();
   for (auto& w : workers_) w.join();
 }
 
@@ -194,11 +138,17 @@ std::future<void> ThreadPool::submit(std::function<void()> task) {
   submitted_counter().add();
   std::packaged_task<void()> pt(std::move(task));
   std::future<void> fut = pt.get_future();
+  Parking* wake = nullptr;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     tasks_.push(std::move(pt));
+    if (!idle_.empty()) {
+      wake = &parking_[idle_.back()];
+      idle_.pop_back();
+      wake->woken = true;
+    }
   }
-  cv_.notify_one();
+  if (wake) wake->cv.notify_one();
   return fut;
 }
 
@@ -319,7 +269,12 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
     st->done_cv.wait_for(lk, std::chrono::milliseconds(1),
                          [&] { return st->complete(); });
   }
-  if (st->error) std::rethrow_exception(st->error);
+  // Take the error out of st before rethrowing, so the exception is released
+  // on this thread. A helper task may hold st past the barrier; releasing the
+  // exception there is ordered only by libstdc++'s internal reference count,
+  // which ThreadSanitizer cannot see, and it reports a race.
+  if (std::exception_ptr error = std::move(st->error))
+    std::rethrow_exception(error);
 }
 
 ThreadPool& ThreadPool::global() {
@@ -331,12 +286,17 @@ ThreadPool& ThreadPool::global() {
   return pool;
 }
 
-void ThreadPool::worker_loop() {
+void ThreadPool::worker_loop(std::size_t index) {
+  Parking& parking = parking_[index];
   for (;;) {
     std::packaged_task<void()> task;
     {
       std::unique_lock<std::mutex> lock(mutex_);
-      cv_.wait(lock, [this] { return stopping_ || !tasks_.empty(); });
+      while (!stopping_ && tasks_.empty()) {
+        parking.woken = false;
+        idle_.push_back(index);
+        parking.cv.wait(lock, [&] { return parking.woken; });
+      }
       if (stopping_ && tasks_.empty()) return;
       task = std::move(tasks_.front());
       tasks_.pop();

@@ -10,12 +10,18 @@
 // nested parallel_for makes progress instead of deadlocking, even on a
 // one-thread pool. If the body throws, every in-flight chunk finishes
 // before the first exception is rethrown on the caller.
+//
+// A submitted task wakes the most recently idled worker (LIFO), not
+// whichever waiter the OS picks: back-to-back dispatches — a GEMM's B-pack
+// and tile phases, the next product in a loop — then land on a worker whose
+// core and thread-local packing buffers are still warm, instead of rotating
+// through every worker in turn.
 #pragma once
 
 #include <condition_variable>
-#include <cstdint>
 #include <functional>
 #include <future>
+#include <memory>
 #include <mutex>
 #include <queue>
 #include <thread>
@@ -24,38 +30,6 @@
 #include "parallel/parallel_options.hpp"
 
 namespace q2::par {
-
-/// RAII checkout of a pool-resident, per-thread scratch buffer. Buffers live
-/// in a thread-local freelist: checking one out inside a parallel_for body
-/// returns the same grow-only allocation on every iteration the thread
-/// claims, so hot loops (GEMM A-panel packing) stop paying a malloc per
-/// tile. Checkout order is LIFO, which makes nested checkouts (a body that
-/// itself runs a kernel using scratch) safe — each level gets its own block.
-///
-/// Two caller-owned 64-bit tags ride on the buffer and survive checkouts
-/// while the allocation survives; growing the buffer resets them to
-/// Scratch::kNoTag. The GEMM uses them as a (loop-id, tile-row) key to skip
-/// re-packing an A block the thread already packed.
-class Scratch {
- public:
-  static constexpr std::uint64_t kNoTag = ~std::uint64_t{0};
-
-  explicit Scratch(std::size_t min_bytes);
-  ~Scratch();
-
-  Scratch(const Scratch&) = delete;
-  Scratch& operator=(const Scratch&) = delete;
-
-  void* data() const;
-  std::size_t capacity() const;
-  std::uint64_t tag(int slot) const;
-  void set_tag(int slot, std::uint64_t value);
-
-  struct Block;  // defined in thread_pool.cpp
-
- private:
-  Block* block_;
-};
 
 class ThreadPool {
  public:
@@ -89,14 +63,23 @@ class ThreadPool {
 
  private:
   struct LoopState;
+  /// Where an idle worker sleeps: its own condition variable, so submit can
+  /// wake one chosen worker. `woken` is set (under mutex_) only by whoever
+  /// takes the worker off idle_, so spurious wakeups go back to sleep.
+  struct Parking {
+    std::condition_variable cv;
+    bool woken = false;
+  };
 
-  void worker_loop();
+  void worker_loop(std::size_t index);
   static void run_chunks(LoopState& st);
 
+  std::unique_ptr<Parking[]> parking_;
   std::vector<std::thread> workers_;
   std::queue<std::packaged_task<void()>> tasks_;
+  /// Idle workers, most recently idled last; guarded by mutex_.
+  std::vector<std::size_t> idle_;
   std::mutex mutex_;
-  std::condition_variable cv_;
   bool stopping_ = false;
 };
 

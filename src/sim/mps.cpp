@@ -5,7 +5,6 @@
 #include <numeric>
 
 #include "circuit/routing.hpp"
-#include "common/timer.hpp"
 #include "linalg/gemm.hpp"
 #include "linalg/svd.hpp"
 #include "obs/metrics.hpp"
@@ -20,16 +19,6 @@ namespace {
 obs::Counter& gate_counter() {
   static obs::Counter& c = obs::Registry::global().counter("mps.gates");
   return c;
-}
-obs::Histogram& contract_hist() {
-  static obs::Histogram& h =
-      obs::Registry::global().histogram("mps.contract_seconds");
-  return h;
-}
-obs::Histogram& svd_hist() {
-  static obs::Histogram& h =
-      obs::Registry::global().histogram("mps.svd_seconds");
-  return h;
 }
 obs::Counter& svd_sweep_counter() {
   static obs::Counter& c = obs::Registry::global().counter("mps.svd_sweeps");
@@ -180,7 +169,6 @@ void Mps::apply_two_adjacent(int n, const std::array<cplx, 16>& m_in,
   const std::size_t dl = dl_[n], dm = dr_[n], dr = dr_[n + 1];
   require(dm == dl_[n + 1], "Mps: inconsistent bond dimensions");
   gate_counter().add();
-  Timer hotspot_timer;
 
   const std::size_t rows = dl * 2, cols = 2 * dr;
   std::vector<cplx>& mm = scratch_.m;
@@ -229,9 +217,6 @@ void Mps::apply_two_adjacent(int n, const std::array<cplx, 16>& m_in,
     }
   }
 
-  double contract_seconds = hotspot_timer.seconds();
-  hotspot_timer.reset();
-
   // Eq. (9): truncated SVD of the weighted tensor. U is never formed — the
   // Eq. (10) recovery below needs only the unweighted M and V^H.
   la::TruncatedSpectrum f;
@@ -242,9 +227,7 @@ void Mps::apply_two_adjacent(int n, const std::array<cplx, 16>& m_in,
                              options_.max_bond, options_.svd_cutoff,
                              /*want_u=*/false);
   }
-  svd_hist().observe(hotspot_timer.seconds());
   svd_sweep_counter().add(std::uint64_t(f.sweeps));
-  hotspot_timer.reset();
   const std::size_t k = f.keep;
   bond_hist().observe(double(k));
   truncation_error_ += f.truncation_error;
@@ -279,8 +262,6 @@ void Mps::apply_two_adjacent(int n, const std::array<cplx, 16>& m_in,
     for (auto& z : tensors_[n]) z *= norm_scale;
     dr_[n] = k;
   }
-  contract_seconds += hotspot_timer.seconds();
-  contract_hist().observe(contract_seconds);
 }
 
 void Mps::apply(const circ::Gate& g, const std::vector<double>& params) {

@@ -176,7 +176,7 @@ VqeResult optimize(const EnergyEvaluator& evaluator, const UccsdAnsatz& ansatz,
 VqeResult run_vqe_on(const pauli::QubitOperator& hamiltonian,
                      const UccsdAnsatz& ansatz, const VqeOptions& options) {
   const EnergyEvaluator evaluator(ansatz.circuit, hamiltonian, options.mps,
-                                  options.measurement, options.storage);
+                                  options.measurement);
   EnergyFn f = [&](const std::vector<double>& x) { return evaluator.energy(x); };
   GradientFn g = [&](const std::vector<double>& x) {
     return evaluator.gradient(x, options.gradient_eps);
@@ -221,7 +221,7 @@ VqeResult run_vqe_distributed(const chem::MoIntegrals& mo, int n_alpha,
   const UccsdAnsatz ansatz =
       build_uccsd(mo.n_orbitals(), n_alpha, n_beta, options.ansatz);
   const EnergyEvaluator evaluator(ansatz.circuit, h, options.mps,
-                                  options.measurement, options.storage);
+                                  options.measurement);
   const bool report = comm.rank() == 0;
 
   if (options.measurement == MeasurementMode::kDirect) {

@@ -24,7 +24,6 @@ struct VqeOptions {
   UccsdOptions ansatz;
   OptimizerOptions optimizer;
   MeasurementMode measurement = MeasurementMode::kDirect;
-  CircuitStorage storage = CircuitStorage::kMemoryEfficient;
   OptimizerKind method = OptimizerKind::kLbfgs;
   double gradient_eps = 1e-5;
   /// Starting point of the optimizer; empty means initial_parameters(ansatz).

@@ -1,7 +1,7 @@
 // Shared helpers for the differential/property suites (test_gemm_diff,
-// test_tensor, test_sim_diff): seeded random operands, an op-aware naive
-// reference GEMM that defines the semantics the packed kernel must match
-// (including 0 * NaN propagation), and exact/approximate comparators.
+// test_sim_diff): seeded random operands, an op-aware naive reference GEMM
+// that defines the semantics the packed kernel must match (including
+// 0 * NaN propagation), and exact/approximate comparators.
 #pragma once
 
 #include <cstring>
@@ -9,7 +9,6 @@
 
 #include "common/rng.hpp"
 #include "linalg/gemm.hpp"
-#include "linalg/tensor.hpp"
 
 namespace q2::diff {
 
@@ -23,13 +22,6 @@ inline la::RMatrix random_rmatrix(std::size_t m, std::size_t n, Rng& rng) {
   la::RMatrix a(m, n);
   for (std::size_t i = 0; i < a.size(); ++i) a.data()[i] = rng.normal();
   return a;
-}
-
-inline la::Tensor random_tensor(const std::vector<std::size_t>& shape,
-                                Rng& rng) {
-  la::Tensor t(shape);
-  for (std::size_t i = 0; i < t.size(); ++i) t[i] = rng.complex_normal();
-  return t;
 }
 
 /// Element (i, j) of op(a).
@@ -91,14 +83,6 @@ double max_abs_diff(const la::Matrix<T>& a, const la::Matrix<T>& b) {
   return m;
 }
 
-inline double max_abs_diff(const la::Tensor& a, const la::Tensor& b) {
-  if (a.shape() != b.shape()) return 1e300;
-  double m = 0;
-  for (std::size_t i = 0; i < a.size(); ++i)
-    m = std::max(m, std::abs(a[i] - b[i]));
-  return m;
-}
-
 /// Bitwise equality — the determinism contract across thread counts is
 /// bit-identical output, not merely close.
 template <typename T>
@@ -106,12 +90,6 @@ bool bit_identical(const la::Matrix<T>& a, const la::Matrix<T>& b) {
   return a.same_shape(b) &&
          (a.size() == 0 ||
           std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0);
-}
-
-inline bool bit_identical(const la::Tensor& a, const la::Tensor& b) {
-  return a.shape() == b.shape() &&
-         (a.size() == 0 ||
-          std::memcmp(a.data(), b.data(), a.size() * sizeof(cplx)) == 0);
 }
 
 /// Scoped override of the process-default thread count (restores on exit).

@@ -1,7 +1,7 @@
 // Checkpoint subsystem unit tests: the byte codec (exact double round trips),
 // the versioned CRC-protected snapshot container (corruption/truncation
 // rejection), the rotation manager with fallback-to-newest-valid, fault
-// injection, the domain serializers (Matrix/Tensor/Mps/Rng/OptimizerState),
+// injection, the domain serializers (Mps/Rng/OptimizerState),
 // and the Rng::index(0) underflow regression.
 #include <gtest/gtest.h>
 
@@ -155,50 +155,6 @@ TEST(Snapshot, FileRoundTripAndMissingFile) {
   EXPECT_FALSE(Snapshot::read_file((dir / "missing").string()).has_value());
 }
 
-TEST(Serializers, MatrixRoundTrip) {
-  la::RMatrix rm(2, 3);
-  for (std::size_t i = 0; i < rm.size(); ++i) rm.data()[i] = 0.1 * double(i);
-  la::CMatrix cm(3, 2);
-  for (std::size_t i = 0; i < cm.size(); ++i)
-    cm.data()[i] = {0.5 * double(i), -1.0 * double(i)};
-
-  ByteWriter w;
-  write_matrix(w, rm);
-  write_matrix(w, cm);
-  ByteReader r(w.buffer());
-  const la::RMatrix rm2 = read_rmatrix(r);
-  const la::CMatrix cm2 = read_cmatrix(r);
-  ASSERT_TRUE(rm.same_shape(rm2));
-  ASSERT_TRUE(cm.same_shape(cm2));
-  EXPECT_EQ(0, std::memcmp(rm.data(), rm2.data(), rm.size() * sizeof(double)));
-  EXPECT_EQ(0, std::memcmp(cm.data(), cm2.data(), cm.size() * sizeof(cplx)));
-
-  // A reader pointed at the wrong type refuses instead of misparsing.
-  ByteReader wrong(w.buffer());
-  EXPECT_THROW(read_cmatrix(wrong), Error);
-}
-
-TEST(Serializers, TensorRoundTripAndShapeValidation) {
-  Rng rng(11);
-  la::Tensor t({2, 3, 4});
-  for (std::size_t i = 0; i < t.size(); ++i) t[i] = rng.complex_normal();
-
-  ByteWriter w;
-  write_tensor(w, t);
-  ByteReader r(w.buffer());
-  const la::Tensor t2 = read_tensor(r);
-  ASSERT_EQ(t.shape(), t2.shape());
-  EXPECT_EQ(0, std::memcmp(t.data(), t2.data(), t.size() * sizeof(cplx)));
-
-  // Corrupt the element count so it disagrees with the shape.
-  ByteWriter bad;
-  write_tensor(bad, la::Tensor({2, 2}));
-  std::vector<std::uint8_t> bb = bad.take();
-  bb[1 + 8 + 2 * 8] ^= 0x01;  // tag + rank + two dims -> low byte of size
-  ByteReader br(bb);
-  EXPECT_THROW(read_tensor(br), Error);
-}
-
 TEST(Serializers, RngStreamRoundTripsExactly) {
   Rng a(2024);
   for (int i = 0; i < 1000; ++i) a.uniform();  // advance mid-stream
@@ -266,6 +222,10 @@ TEST(Serializers, OptimizerStateRoundTrip) {
   EXPECT_EQ(s.lbfgs_s, b.lbfgs_s);
   EXPECT_EQ(s.lbfgs_y, b.lbfgs_y);
   EXPECT_EQ(s.lbfgs_rho, b.lbfgs_rho);
+
+  // A reader pointed at the wrong type refuses instead of misparsing.
+  ByteReader wrong(w.buffer());
+  EXPECT_THROW(read_mps(wrong), Error);
 }
 
 TEST(Rng, IndexOfZeroIsSafe) {

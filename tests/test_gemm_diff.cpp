@@ -1,9 +1,9 @@
 // Differential/property harness for the packed blocked GEMM: seeded shape
 // sweeps (0, 1, primes, block-boundary straddlers) x Op combinations x
 // alpha/beta edge cases against the naive reference kernel, NaN/Inf
-// propagation (the zero-skip regression), aliasing, the offset-table and
-// raw-tile entry points, and the bit-identical-across-thread-counts
-// determinism contract.
+// propagation (the zero-skip regression), aliasing, the raw and tile entry
+// points, packed-A reuse along a tile row, and the
+// bit-identical-across-thread-counts determinism contract.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -11,6 +11,7 @@
 
 #include "diff_util.hpp"
 #include "linalg/simd.hpp"
+#include "obs/metrics.hpp"
 #include "parallel/thread_pool.hpp"
 
 namespace q2::la {
@@ -96,6 +97,32 @@ TEST(GemmDiff, LargerThanEveryBlockMatchesReference) {
   EXPECT_LE(max_abs_diff(c, expected), tolerance(270, expected.max_abs()));
 }
 
+// At one thread the tile grid runs tile-row-major, so each (k-block, tile
+// row) packs its A block once and every other tile of that row reuses it.
+// With MC = 96 and JB = 64, 256x256x256 is 3 x 4 tiles in one k-block, and
+// 200x300x130 (m x k x n) is 3 x 3 tiles in each of two k-blocks.
+TEST(GemmDiff, PackedABlockReusedAlongATileRow) {
+  obs::Counter& packed = obs::Registry::global().counter("gemm.packa_packed");
+  obs::Counter& reused = obs::Registry::global().counter("gemm.packa_reused");
+  par::ParallelOptions one;
+  one.n_threads = 1;
+  Rng rng(313);
+  // {m, k, n, packs, reuses}
+  const std::size_t cases[][5] = {{256, 256, 256, 3, 9},
+                                  {200, 300, 130, 6, 12}};
+  for (const auto& s : cases) {
+    const CMatrix a = random_cmatrix(s[0], s[1], rng);
+    const CMatrix b = random_cmatrix(s[1], s[2], rng);
+    const std::uint64_t packed0 = packed.value(), reused0 = reused.value();
+    const CMatrix c = matmul(a, b, Op::kNone, Op::kNone, one);
+    EXPECT_EQ(packed.value() - packed0, s[3]) << "m=" << s[0];
+    EXPECT_EQ(reused.value() - reused0, s[4]) << "m=" << s[0];
+    CMatrix expected;
+    gemm_reference(cplx{1}, a, Op::kNone, b, Op::kNone, cplx{0}, expected);
+    EXPECT_LE(max_abs_diff(c, expected), tolerance(s[1], expected.max_abs()));
+  }
+}
+
 TEST(GemmDiff, ZeroInnerDimensionScalesCOnly) {
   Rng rng(7);
   CMatrix c = random_cmatrix(3, 4, rng);
@@ -170,16 +197,18 @@ TEST(GemmDiff, GemmTileAccumulates) {
 }
 
 // A product that is one C tile and one k-block runs inline on the calling
-// thread; one past any of those bounds takes the tiled grid. Both sides of
-// each bound must match the reference and give the same bits at every
-// thread count.
+// thread; one past any of those bounds takes the tiled grid, where a tile
+// runs every k-block of its k-span and one past KS starts a second span.
+// Both sides of each bound must match the reference and give the same bits
+// at every thread count.
 TEST(GemmDiff, SingleTileBoundsMatchReferenceAtEveryThreadCount) {
   using B = GemmBlocking;
   Rng rng(1001);
   const std::size_t shapes[][3] = {
       {B::kMC, 8, 8},  {B::kMC + 1, 8, 8}, {8, 8, B::kJB},
       {8, 8, B::kJB + 1}, {8, B::kKC, 8}, {8, B::kKC + 1, 8},
-      {B::kMC, B::kKC, B::kJB}};
+      {B::kMC, B::kKC, B::kJB}, {B::kMC + 4, B::kKS, B::kJB + 6},
+      {B::kMC + 4, B::kKS + 1, B::kJB + 6}};
   for (const auto& shape : shapes) {
     const std::size_t m = shape[0], k = shape[1], n = shape[2];
     const CMatrix a = random_cmatrix(m, k, rng);
@@ -301,21 +330,6 @@ TEST(GemmDiff, GemmRawRejectsUndersizedStrides) {
                q2::Error);
 }
 
-TEST(GemmDiff, GemmOffsetsIntoRejectsNullOperands) {
-  const std::size_t m = 2, k = 2, n = 2;
-  std::vector<cplx> data(16), out(16);
-  const std::vector<std::size_t> roff{0, 4}, coff{0, 1};
-  EXPECT_THROW(gemm_offsets_into(m, k, n, nullptr, roff, coff, data.data(),
-                                 roff, coff, out.data(), n),
-               q2::Error);
-  EXPECT_THROW(gemm_offsets_into(m, k, n, data.data(), roff, coff, nullptr,
-                                 roff, coff, out.data(), n),
-               q2::Error);
-  EXPECT_THROW(gemm_offsets_into(m, k, n, data.data(), roff, coff, data.data(),
-                                 roff, coff, nullptr, n),
-               q2::Error);
-}
-
 // The portable scalar path and whatever ISA dispatch picked must agree to
 // rounding (they sum in different orders), and each must uphold the
 // thread-count determinism contract on its own.
@@ -339,21 +353,6 @@ TEST(GemmDiff, PortableIsaAgreesWithDispatch) {
   EXPECT_TRUE(bit_identical(c_portable_mt, c_portable));
   EXPECT_LE(max_abs_diff(c_active, c_portable),
             tolerance(k, c_portable.max_abs()));
-}
-
-TEST(GemmDiff, OffsetTablesReproducePlainProduct) {
-  Rng rng(606);
-  const std::size_t m = 37, k = 65, n = 18;
-  const CMatrix a = random_cmatrix(m, k, rng);
-  const CMatrix b = random_cmatrix(k, n, rng);
-  std::vector<std::size_t> a_roff(m), a_coff(k), b_roff(k), b_coff(n);
-  for (std::size_t i = 0; i < m; ++i) a_roff[i] = i * k;
-  for (std::size_t p = 0; p < k; ++p) a_coff[p] = p;
-  for (std::size_t p = 0; p < k; ++p) b_roff[p] = p * n;
-  for (std::size_t j = 0; j < n; ++j) b_coff[j] = j;
-  const CMatrix c =
-      gemm_offsets(m, k, n, a.data(), a_roff, a_coff, b.data(), b_roff, b_coff);
-  EXPECT_TRUE(bit_identical(c, matmul(a, b)));
 }
 
 // The determinism contract: for a fixed input, the result is bit-identical

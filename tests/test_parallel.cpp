@@ -4,9 +4,14 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
+#include <future>
 #include <numeric>
+#include <string>
+#include <thread>
 
 #include "obs/metrics.hpp"
 #include "parallel/comm.hpp"
@@ -230,52 +235,6 @@ TEST(ParallelForOptions, InvalidEnvThreadsWarnsOnceAndFallsThrough) {
   unsetenv("Q2_THREADS");
 }
 
-TEST(ThreadPool, ScratchReusesThreadLocalBlocks) {
-  using q2::obs::Registry;
-  const auto counters = [] {
-    const auto snap = Registry::global().snapshot();
-    std::uint64_t checkouts = 0, grows = 0;
-    for (const auto& [name, v] : snap.counters) {
-      if (name == "pool.scratch_checkouts") checkouts = v;
-      if (name == "pool.scratch_grows") grows = v;
-    }
-    return std::make_pair(checkouts, grows);
-  };
-
-  const auto [c0, g0] = counters();
-  void* first = nullptr;
-  {
-    Scratch s(256);
-    first = s.data();
-    ASSERT_NE(first, nullptr);
-    EXPECT_GE(s.capacity(), 256u);
-    // Fresh (or grown) blocks carry no tags.
-    EXPECT_EQ(s.tag(0), Scratch::kNoTag);
-    s.set_tag(0, 42);
-    s.set_tag(1, 7);
-  }
-  {
-    // Same thread, same size: the freed block comes back, allocation and
-    // tags intact.
-    Scratch s(256);
-    EXPECT_EQ(s.data(), first);
-    EXPECT_EQ(s.tag(0), 42u);
-    EXPECT_EQ(s.tag(1), 7u);
-    {
-      // Nested checkout must get a distinct block (LIFO, not the in-use one).
-      Scratch inner(64);
-      EXPECT_NE(inner.data(), s.data());
-    }
-    // Growing resets the tags: stale (loop, tile) keys must not survive a
-    // reallocation.
-    Scratch grown(4 * 1024 * 1024);
-    EXPECT_EQ(grown.tag(0), Scratch::kNoTag);
-  }
-  const auto [c1, g1] = counters();
-  EXPECT_EQ(c1 - c0, 4u);
-  EXPECT_GE(g1 - g0, 2u);  // first block + nested + growth; reuse adds none
-}
-
 TEST(ThreadPool, GrainOccupancyHistogramRecordsPerLoop) {
   // Two loops with different raggedness must both land in the histogram —
   // the old gauge was last-writer-wins, so concurrent/nested loops erased
@@ -444,6 +403,56 @@ TEST(Comm, ExceptionOnRankPropagates) {
     throw Error("rank failure");
   }),
                Error);
+}
+
+// Runs `fn` on a World of `ranks` from a helper thread and returns what
+// World::run rethrew as a message ("" if nothing). A run still blocked after
+// 30 s has hung in a collective: the test fails and the process exits at
+// once, since hung rank threads can be neither joined nor left running.
+std::string run_failure_within_deadline(
+    int ranks, const std::function<void(Comm&)>& fn) {
+  std::promise<std::string> done;
+  std::future<std::string> failure = done.get_future();
+  std::thread runner([&] {
+    try {
+      World(ranks).run(fn);
+      done.set_value("");
+    } catch (const std::exception& e) {
+      done.set_value(e.what());
+    }
+  });
+  if (failure.wait_for(std::chrono::seconds(30)) !=
+      std::future_status::ready) {
+    ADD_FAILURE() << "World::run still blocked after 30 s";
+    std::fflush(stdout);
+    std::_Exit(1);
+  }
+  runner.join();
+  return failure.get();
+}
+
+// Rank 1 throws while ranks 0, 2 and 3 wait for it in barrier(). They must
+// be released, and the run must report rank 1's error, not the abort that
+// the lower rank 0 saw.
+TEST(Comm, RankFailureReleasesPeersWaitingInBarrier) {
+  const auto fn = [](Comm& comm) {
+    if (comm.rank() == 1) throw Error("rank 1 failed");
+    comm.barrier();
+  };
+  EXPECT_EQ(run_failure_within_deadline(4, fn), "rank 1 failed");
+}
+
+// The abort reaches split() children too: rank 3 fails inside the odd
+// sub-communicator, where rank 1 waits for it in an allreduce, while ranks
+// 0 and 2 finish their own allreduce and wait in the world barrier.
+TEST(Comm, RankFailureInSubCommunicatorReleasesTheWorld) {
+  const auto fn = [](Comm& comm) {
+    Comm sub = comm.split(comm.rank() % 2, comm.rank());
+    if (comm.rank() == 3) throw Error("rank 3 failed");
+    sub.allreduce_sum(1.0);
+    comm.barrier();
+  };
+  EXPECT_EQ(run_failure_within_deadline(4, fn), "rank 3 failed");
 }
 
 TEST(Scheduler, LptBalancesUnevenTasks) {
