@@ -11,7 +11,9 @@
 //   (2) eager SWAP routing vs compile_for_mps on the UCCSD ansatz — exact
 //       SWAP / two-site-update counts and MPS gate throughput;
 //   (3) planned direct measurement — QWC group count, transfer-sweep and
-//       exact transfer counts, and bit-identity of the planned energy.
+//       exact transfer counts, bit-identity of the planned energy, and the
+//       measurement MPO's exact environment updates and its agreement with
+//       the plan.
 //
 // `--quick --json=BENCH_fig9_quick.json` is the shape the ctest `perf` label
 // runs through tools/bench_diff: the *_swaps / *_updates keys are exact
@@ -250,6 +252,9 @@ bool grouping_section(bench::BenchReport& report, bool quick) {
   const vqe::EnergyEvaluator flat(
       ansatz.circuit, h, opts, vqe::MeasurementMode::kDirect,
       vqe::CircuitStorage::kMemoryEfficient, vqe::TermGrouping::kNone);
+  const vqe::EnergyEvaluator mpo(
+      ansatz.circuit, h, opts, vqe::MeasurementMode::kDirect,
+      vqe::CircuitStorage::kMemoryEfficient, vqe::TermGrouping::kMpo);
   std::vector<pauli::PauliString> strings;
   for (const auto& [p, c] : grouped.terms()) strings.push_back(p);
   const std::size_t qwc_groups =
@@ -267,6 +272,10 @@ bool grouping_section(bench::BenchReport& report, bool quick) {
   const double e_grouped = grouped.energy(params);
   const std::uint64_t grouped_sweeps = sweeps.value() - s1;
   const std::uint64_t plan_transfers = transfers.value() - t1;
+  const std::uint64_t s2 = sweeps.value(), t2 = transfers.value();
+  const double e_mpo = mpo.energy(params);
+  const std::uint64_t mpo_sweeps = sweeps.value() - s2;
+  const std::uint64_t mpo_updates = transfers.value() - t2;
 
   bench::row({"pauli terms", std::to_string(grouped.n_terms())});
   bench::row({"QWC groups", std::to_string(qwc_groups)});
@@ -275,6 +284,7 @@ bool grouping_section(bench::BenchReport& report, bool quick) {
               std::to_string(flat_transfers)});
   bench::row({"plan", std::to_string(grouped_sweeps),
               std::to_string(plan_transfers)});
+  bench::row({"MPO", std::to_string(mpo_sweeps), std::to_string(mpo_updates)});
   report.set("h4_pauli_terms", double(grouped.n_terms()));
   report.set("h4_measurement_groups", double(qwc_groups));
   report.set("h4_flat_transfer_sweeps", double(flat_sweeps));
@@ -282,6 +292,9 @@ bool grouping_section(bench::BenchReport& report, bool quick) {
   // Exact transfer contractions of one planned evaluation: a change that
   // loses prefix sharing raises it and fails the zero-tolerance gate.
   report.set("h4_plan_transfer_updates", double(plan_transfers));
+  // Exact (site, in-state) environment updates of one MPO sweep: a builder
+  // that loses its minimum covers raises it and fails the same gate.
+  report.set("h4_mpo_env_updates", double(mpo_updates));
 
   // The plan must do strictly less transfer work than one sweep per term
   // and reproduce the per-term energy bit-identically (same transfer chain
@@ -301,6 +314,20 @@ bool grouping_section(bench::BenchReport& report, bool quick) {
   }
   bench::row({"plan == per term",
               e_grouped == e_flat ? "bit-identical" : "MISMATCH"});
+
+  // The MPO is exact but sums in another order: it must agree with the plan
+  // to rounding, in one sweep, with fewer environment updates.
+  const double mpo_error = std::abs(e_mpo - e_grouped);
+  bench::row({"|MPO - plan| Ha", bench::fmte(mpo_error)});
+  if (!(mpo_error <= 1e-10) || mpo_sweeps != 1 ||
+      mpo_updates >= plan_transfers) {
+    std::printf("FAIL: MPO energy %.17g vs plan %.17g (%llu sweeps, %llu "
+                "updates against %llu transfers)\n",
+                e_mpo, e_grouped, (unsigned long long)mpo_sweeps,
+                (unsigned long long)mpo_updates,
+                (unsigned long long)plan_transfers);
+    ok = false;
+  }
   return ok;
 }
 

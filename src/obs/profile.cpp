@@ -189,7 +189,7 @@ struct MNode {
   std::uint64_t bytes = 0;
   std::uint64_t cum_flops = 0;
   std::uint64_t cum_bytes = 0;
-  double child_total_us = 0.0;
+  double self_us = 0.0;  // summed over threads, each from its own tree
   std::map<std::string, double> by_thread;  // tag -> wall us
   bool has_data = false;
 };
@@ -219,6 +219,15 @@ std::vector<MNode> merged_tree() {
         }
         dn.flops += sn.flops;
         dn.bytes += sn.bytes;
+        // Self time on this thread: the node's own time minus that of its
+        // children on the same thread, which ran inside it. A node held only
+        // as an adopted path (count 0) has no time of its own to split.
+        if (sn.count > 0) {
+          double children_us = 0.0;
+          for (std::size_t c : sn.children)
+            children_us += tp->nodes[c].total_us;
+          dn.self_us += std::max(0.0, sn.total_us - children_us);
+        }
         if (sn.count > 0 || sn.flops > 0 || sn.bytes > 0) {
           dn.has_data = true;
           dn.by_thread[tp->tag] += sn.total_us;
@@ -249,7 +258,6 @@ std::vector<MNode> merged_tree() {
     MNode& p = out[n.parent];
     p.cum_flops += n.cum_flops;
     p.cum_bytes += n.cum_bytes;
-    p.child_total_us += n.total_us;
     if (n.has_data) p.has_data = true;
   }
   return out;
@@ -267,7 +275,7 @@ void emit_preorder(const std::vector<MNode>& tree, std::size_t idx,
     pn.depth = n.depth - 1;  // the synthetic root is elided: top level = 0
     pn.count = n.count;
     pn.total_us = n.total_us;
-    pn.self_us = n.total_us - n.child_total_us;
+    pn.self_us = n.self_us;
     pn.min_us = n.count > 0 ? n.min_us : 0.0;
     pn.max_us = n.max_us;
     pn.flops = n.cum_flops;

@@ -17,11 +17,13 @@
 // every flop/byte count charged at a call site, is independent of the
 // thread count.
 //
-// Self time is total minus the children's total. With cross-thread children
-// (a parallel_for fan-out records child chunks on many threads while the
-// parent span runs once) the children's summed wall time can exceed the
-// parent's, making self negative — that surplus *is* the parallelism, and
-// the export keeps it raw rather than hiding it.
+// Self time is computed on each thread's own tree, as the node's time minus
+// that of its children on the same thread, and then summed over threads. A
+// pool worker's spans nest under the dispatching node through an adopted
+// path, which has no time of that thread's own, so they never subtract from
+// the dispatcher's wall time: 0 <= self <= total on every node, however wide
+// the fan-out. Total is summed over threads and can exceed the wall time of
+// the parent that dispatched the work.
 #pragma once
 
 #include <cstdint>
@@ -57,7 +59,7 @@ struct ProfileNode {
   int depth = 0;
   std::uint64_t count = 0;
   double total_us = 0.0;
-  double self_us = 0.0;  ///< total - children; negative = concurrency surplus
+  double self_us = 0.0;  ///< total less same-thread children; 0..total
   double min_us = 0.0;
   double max_us = 0.0;
   std::uint64_t flops = 0;

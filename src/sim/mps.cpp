@@ -1,5 +1,6 @@
 #include "sim/mps.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <numeric>
@@ -31,8 +32,10 @@ obs::Histogram& bond_hist() {
 }
 // One "sweep" = one pass from a fresh initial environment: a standalone
 // expectation is one sweep, a plan sweep is one per block it visits however
-// many terms the block serves. transfer_site_ops counts the individual
-// per-site transfer contractions, which is where prefix sharing saves work.
+// many terms the block serves, and an MPO sweep is one for the whole sum.
+// transfer_site_ops counts the environment updates: per-site transfers of a
+// string or a plan (where prefix sharing saves work), and (site, in-state)
+// updates of an MPO sweep (where suffix sharing saves more).
 obs::Counter& transfer_sweep_counter() {
   static obs::Counter& c =
       obs::Registry::global().counter("mps.transfer_sweeps");
@@ -333,13 +336,56 @@ void transfer(const cplx* e, const cplx* t, std::size_t dl, std::size_t dr,
   }
 }
 
-cplx trace(const std::vector<cplx>& e, std::size_t d) {
+cplx trace(const cplx* e, std::size_t d) {
   cplx tr{};
   for (std::size_t a = 0; a < d; ++a) tr += e[a * d + a];
   return tr;
 }
 
 constexpr cplx kIdent[4] = {1, 0, 0, 1};
+
+// Letters whose matrix is diagonal, as bits indexed by pauli::P: they read
+// the blocks C00 and C11, the others C01 and C10.
+constexpr unsigned kDiagonalLetters =
+    1u << unsigned(pauli::P::I) | 1u << unsigned(pauli::P::Z);
+
+// T_σ = Σ σ_{i'i} C_{i'i} (dr x dr) from the blocks of the 2dr x 2dr matrix
+// C = [B_0 | B_1]^† E [B_0 | B_1], block (i', i) at c + i'·dr·2dr + i·dr.
+void letter_transfer(pauli::P letter, const cplx* c, std::size_t dr,
+                     cplx* out) {
+  const std::size_t w = 2 * dr;
+  const bool diag = (kDiagonalLetters >> unsigned(letter)) & 1u;
+  const cplx* a = diag ? c : c + dr;                    // C00 or C01
+  const cplx* b = diag ? c + dr * w + dr : c + dr * w;  // C11 or C10
+  for (std::size_t r = 0; r < dr; ++r)
+    for (std::size_t col = 0; col < dr; ++col) {
+      const cplx x = a[r * w + col], y = b[r * w + col];
+      cplx& o = out[r * dr + col];
+      switch (letter) {
+        case pauli::P::I:
+        case pauli::P::X: o = x + y; break;
+        case pauli::P::Z: o = x - y; break;
+        case pauli::P::Y: {  // -i C01 + i C10
+          const cplx d = y - x;
+          o = cplx(-d.imag(), d.real());
+          break;
+        }
+      }
+    }
+}
+
+// out += a x over n entries, spelled out on the real and imaginary parts
+// (std::complex's product carries a NaN-recovery branch per element).
+void axpy(cplx a, const cplx* x, cplx* out, std::size_t n) {
+  const double ar = a.real(), ai = a.imag();
+  const double* xd = reinterpret_cast<const double*>(x);
+  double* od = reinterpret_cast<double*>(out);
+  for (std::size_t j = 0; j < 2 * n; j += 2) {
+    const double xr = xd[j], xi = xd[j + 1];
+    od[j] += ar * xr - ai * xi;
+    od[j + 1] += ar * xi + ai * xr;
+  }
+}
 
 }  // namespace
 
@@ -399,7 +445,7 @@ cplx Mps::expectation(const pauli::PauliString& p) const {
     streamed += std::uint64_t(tensors_[s].size()) * sizeof(cplx);
   }
   // Right of the support everything contracts to the identity: take trace.
-  const cplx tr = trace(e, dr_[hi]);
+  const cplx tr = trace(e.data(), dr_[hi]);
   // The sweep's own cost beyond the nested GEMMs: the state stream over the
   // support plus the closing trace (one complex add per diagonal element).
   obs::WorkCounter::charge(2 * std::uint64_t(dr_[hi]), streamed);
@@ -488,13 +534,103 @@ void Mps::sweep_plan(const pauli::MeasurementPlan& plan,
         streamed += std::uint64_t(tensors_[s].size()) * sizeof(cplx);
       }
       valid = len;
-      values[e.term] = trace(env[len], dr_[e.hi]);
+      values[e.term] = trace(env[len].data(), dr_[e.hi]);
       trace_adds += dr_[e.hi];
     }
   }
   transfer_sweep_counter().add(sweeps);
   transfer_op_counter().add(site_ops);
   obs::WorkCounter::charge(2 * trace_adds, streamed);
+}
+
+cplx Mps::sweep_mpo(const pauli::MeasurementMpo& mpo) const {
+  OBS_SPAN("mps/sweep_mpo");
+  require(mpo.site_of == perm_.site_of_map(),
+          "Mps::sweep_mpo: the MPO was built for another qubit permutation");
+  require(mpo.bond.size() + 1 == std::size_t(n_) &&
+              mpo.first_edge.size() == std::size_t(n_) + 1,
+          "Mps::sweep_mpo: malformed MPO");
+  using Edge = pauli::MeasurementMpo::Edge;
+  // The environments of the cuts left and right of a site share one buffer
+  // sized for the widest such pair, not twice the widest cut: a site reads
+  // its in-states from one end and writes its out-states from the other,
+  // where the next site reads them.
+  auto cut_size = [&](int k) {  // environments on the cut right of site k
+    return k >= 0 && k + 1 < n_ ? mpo.bond[k] * dr_[k] * dr_[k] : 0;
+  };
+  std::size_t cap = 0, dmax = 1;
+  for (int k = 0; k < n_; ++k) {
+    dmax = std::max({dmax, dl_[k], dr_[k]});
+    cap = std::max(cap, cut_size(k - 1) + cut_size(k));
+  }
+  std::vector<cplx> envs(cap), vacuum;
+  std::vector<cplx> et(2 * dmax * dmax), c(4 * dmax * dmax),
+      letters(4 * dmax * dmax);
+  cplx sum{};
+  std::uint64_t updates = 0, flops = 0, bytes = 0;
+  cplx* left = envs.data();
+  for (int k = 0; k < n_; ++k) {
+    const std::size_t dl = dl_[k], dr = dr_[k], w = 2 * dr, dd = dr * dr;
+    const cplx* t = tensors_[k].data();
+    cplx* const right = k % 2 == 0 ? envs.data()
+                                   : envs.data() + cap - cut_size(k);
+    std::fill_n(right, cut_size(k), cplx{});
+    const Edge* e = mpo.edges.data() + mpo.first_edge[k];
+    const Edge* const end = mpo.edges.data() + mpo.first_edge[k + 1];
+    while (e != end) {
+      const Edge* group = e;
+      unsigned used = 0;  // bit per letter of this in-state's edges
+      for (; e != end && e->in == group->in; ++e)
+        used |= 1u << unsigned(e->letter);
+      const bool diag = used & kDiagonalLetters, off = used & ~kDiagonalLetters;
+      const cplx* env;
+      if (group->in == pauli::MeasurementMpo::kVacuum) {
+        initial_environment(std::size_t(k), vacuum);
+        env = vacuum.data();
+      } else {
+        env = left + std::size_t(group->in) * dl * dl;
+      }
+      // [E B_0 | E B_1]: the site tensor read in place as a dl x 2dr matrix.
+      la::gemm_raw(dl, dl, w, env, dl, la::Op::kNone, t, w, la::Op::kNone,
+                   et.data(), w);
+      if (diag && off) {
+        la::gemm_raw(w, dl, w, t, w, la::Op::kAdjoint, et.data(), w,
+                     la::Op::kNone, c.data(), w);
+      } else {
+        // Only C00 and C11, or only C01 and C10: B_{i'} through the same
+        // strided view, one block each.
+        for (std::size_t i = 0; i < 2; ++i) {
+          const std::size_t ip = diag ? i : 1 - i;
+          la::gemm_raw(dr, dl, dr, t + ip * dr, w, la::Op::kAdjoint,
+                       et.data() + i * dr, w, la::Op::kNone,
+                       c.data() + ip * dr * w + i * dr, w);
+        }
+      }
+      for (unsigned l = 0; l < 4; ++l)
+        if (used & (1u << l)) {
+          letter_transfer(pauli::P(l), c.data(), dr, letters.data() + l * dd);
+          flops += 2 * dd;
+          bytes += 3 * dd * sizeof(cplx);
+        }
+      for (; group != e; ++group) {
+        const cplx* tl = letters.data() + std::size_t(group->letter) * dd;
+        if (group->out == pauli::MeasurementMpo::kClose) {
+          sum += group->coeff * trace(tl, dr);
+          flops += 2 * dr + 8;
+        } else {
+          axpy(group->coeff, tl, right + std::size_t(group->out) * dd, dd);
+          flops += 8 * dd;
+          bytes += 3 * dd * sizeof(cplx);
+        }
+      }
+      ++updates;
+    }
+    left = right;
+  }
+  transfer_sweep_counter().add();
+  transfer_op_counter().add(updates);
+  obs::WorkCounter::charge(flops, bytes);
+  return sum;
 }
 
 std::vector<cplx> Mps::to_statevector() const {

@@ -15,6 +15,7 @@
 #include "linalg/svd.hpp"
 #include "parallel/parallel_options.hpp"
 #include "pauli/grouping.hpp"
+#include "pauli/measurement_mpo.hpp"
 #include "pauli/qubit_operator.hpp"
 
 namespace q2::sim {
@@ -121,6 +122,17 @@ class Mps {
                   std::span<const std::size_t> blocks,
                   const std::vector<char>& selected,
                   std::span<cplx> values) const;
+  /// Σ_k c_k <P_k> in one left-to-right environment sweep over an MPO
+  /// built for this engine's output_permutation() (throws otherwise). At
+  /// each site and for each in-state w it forms the blocks
+  /// C_{i'i} = B_{i'}^† E_w B_i that w's letters need (I and Z the diagonal
+  /// ones, X and Y the off-diagonal ones), then adds each edge's
+  /// coeff · Σ σ_{i'i} C_{i'i} to its out-state, or its trace to the sum,
+  /// in the MPO's edge order. Serial, so the sum is bit-identical for every
+  /// thread count; it agrees with the per-term sum to rounding, not bit
+  /// for bit. Adds one to mps.transfer_sweeps and mpo.updates to
+  /// mps.transfer_site_ops.
+  cplx sweep_mpo(const pauli::MeasurementMpo& mpo) const;
 
   /// Contract everything (n <= ~24) — the test oracle path.
   std::vector<cplx> to_statevector() const;

@@ -163,16 +163,22 @@ EnergyEvaluator::EnergyEvaluator(circ::Circuit ansatz,
   use_compiled_ = mode_ == MeasurementMode::kDirect &&
                   storage_ == CircuitStorage::kMemoryEfficient;
   if (use_compiled_) compiled_ = circ::compile_for_mps(ansatz_);
+  const circ::QubitPermutation identity(ansatz_.n_qubits());
+  site_of_ = (use_compiled_ ? compiled_.output_perm : identity).site_of_map();
+  use_mpo_ = mode_ == MeasurementMode::kDirect &&
+             grouping == TermGrouping::kMpo;
   use_plan_ = mode_ == MeasurementMode::kDirect &&
-              grouping == TermGrouping::kCommuting;
-  if (use_plan_) {
+              (grouping == TermGrouping::kCommuting || use_mpo_);
+  if (use_mpo_) {
     std::vector<pauli::PauliString> strings;
+    std::vector<cplx> coeffs;
     strings.reserve(terms_.size());
-    for (const auto& [p, c] : terms_) strings.push_back(p);
-    const circ::QubitPermutation identity(ansatz_.n_qubits());
-    plan_ = pauli::plan_measurement(
-        strings,
-        (use_compiled_ ? compiled_.output_perm : identity).site_of_map());
+    coeffs.reserve(terms_.size());
+    for (const auto& [p, c] : terms_) {
+      strings.push_back(p);
+      coeffs.push_back(c);
+    }
+    mpo_ = pauli::build_measurement_mpo(strings, coeffs, site_of_);
   }
   transfers_gauge().set(double(transfers_per_evaluation()));
   all_terms_.resize(terms_.size());
@@ -192,6 +198,16 @@ EnergyEvaluator::EnergyEvaluator(circ::Circuit ansatz,
                    });
 }
 
+const pauli::MeasurementPlan& EnergyEvaluator::plan() const {
+  std::call_once(plan_once_, [this] {
+    std::vector<pauli::PauliString> strings;
+    strings.reserve(terms_.size());
+    for (const auto& [p, c] : terms_) strings.push_back(p);
+    plan_ = pauli::plan_measurement(strings, site_of_);
+  });
+  return plan_;
+}
+
 std::size_t EnergyEvaluator::stored_circuit_bytes() const {
   std::size_t b = ansatz_.memory_bytes();
   for (const auto& c : stored_circuits_) b += c.memory_bytes();
@@ -199,13 +215,12 @@ std::size_t EnergyEvaluator::stored_circuit_bytes() const {
 }
 
 double EnergyEvaluator::energy(const std::vector<double>& params) const {
-  return constant_ + partial_energy(params, all_terms_);
+  return constant_ + evaluate(params, nullptr, /*iterate=*/true);
 }
 
 double EnergyEvaluator::partial_energy(const std::vector<double>& params,
                                        const std::vector<std::size_t>& idx,
                                        bool iterate) const {
-  OBS_SPAN("vqe/energy");
   std::vector<char> listed(terms_.size(), 0);
   for (std::size_t k : idx) {
     require(k < terms_.size(),
@@ -214,11 +229,18 @@ double EnergyEvaluator::partial_energy(const std::vector<double>& params,
             "EnergyEvaluator::partial_energy: term index listed twice");
     listed[k] = 1;
   }
+  return evaluate(params, &idx, iterate);
+}
+
+double EnergyEvaluator::evaluate(const std::vector<double>& params,
+                                 const std::vector<std::size_t>* idx,
+                                 bool iterate) const {
+  OBS_SPAN("vqe/energy");
   evaluation_counter().add();
-  term_counter().add(idx.size());
+  term_counter().add(idx ? idx->size() : terms_.size());
   return mode_ == MeasurementMode::kDirect
              ? measure_direct(params, idx, iterate)
-             : measure_hadamard(params, idx, iterate);
+             : measure_hadamard(params, idx ? *idx : all_terms_, iterate);
 }
 
 std::vector<std::size_t> EnergyEvaluator::gradient_share(
@@ -249,11 +271,9 @@ std::vector<double> EnergyEvaluator::gradient(
     std::vector<double> xp = x;
     for (std::size_t k : owned) {
       xp[k] = x[k] + eps;
-      const double ep =
-          constant_ + partial_energy(xp, all_terms_, /*iterate=*/false);
+      const double ep = constant_ + evaluate(xp, nullptr, /*iterate=*/false);
       xp[k] = x[k] - eps;
-      const double em =
-          constant_ + partial_energy(xp, all_terms_, /*iterate=*/false);
+      const double em = constant_ + evaluate(xp, nullptr, /*iterate=*/false);
       xp[k] = x[k];
       g[k] = (ep - em) / (2 * eps);
     }
@@ -281,8 +301,7 @@ std::vector<double> EnergyEvaluator::gradient(
         sim::Mps& state = sweep.branch_at(first_gate_[k]);
         state.run(compiled_, shifted, first_gate_[k], end);
         OBS_SPAN("vqe/measure");
-        e[side] = constant_ +
-                  reduce_terms(state, all_terms_, /*parallel_sweep=*/false);
+        e[side] = constant_ + measure_all(state, /*parallel_sweep=*/false);
       }
       shifted[k] = x[k];
       g[k] = (e[0] - e[1]) / (2 * eps);
@@ -342,7 +361,7 @@ std::vector<double> EnergyEvaluator::parameter_shift_gradient(
           state.apply(shifted, params);
           state.run(compiled_, params, at + 1, stream.size());
           shifted_e[2 * occ + side] =
-              reduce_terms(state, all_terms_, /*parallel_sweep=*/false);
+              measure_all(state, /*parallel_sweep=*/false);
         }
       }
     };
@@ -372,7 +391,7 @@ std::vector<double> EnergyEvaluator::parameter_shift_gradient(
       }
       sim::Mps state(ansatz_.n_qubits(), mps_options_);
       state.run(bind_parameters(shifted, params), {});
-      shifted_e[j] = reduce_terms(state, all_terms_, /*parallel_sweep=*/false);
+      shifted_e[j] = measure_all(state, /*parallel_sweep=*/false);
     });
   }
 
@@ -398,14 +417,15 @@ double EnergyEvaluator::reduce_terms(const sim::Mps& state,
       parallel_sweep ? par::resolve_threads(mps_options_.parallel) : 1;
   std::vector<double> contrib(idx.size());
   if (use_plan_) {
+    const pauli::MeasurementPlan& plan = this->plan();
     std::vector<char> selected(terms_.size(), 0);
     for (std::size_t k : idx) selected[k] = 1;
     std::vector<cplx> values(terms_.size());
     deal_lpt(
-        threads, plan_.blocks.size(),
-        [&](std::size_t b) { return double(plan_.blocks[b].transfers); },
+        threads, plan.blocks.size(),
+        [&](std::size_t b) { return double(plan.blocks[b].transfers); },
         [&](const std::vector<std::size_t>& blocks) {
-          state.sweep_plan(plan_, blocks, selected, values);
+          state.sweep_plan(plan, blocks, selected, values);
         });
     for (std::size_t j = 0; j < idx.size(); ++j)
       contrib[j] = (terms_[idx[j]].second * values[idx[j]]).real();
@@ -429,8 +449,14 @@ double EnergyEvaluator::reduce_terms(const sim::Mps& state,
   return e;
 }
 
+double EnergyEvaluator::measure_all(const sim::Mps& state,
+                                    bool parallel_sweep) const {
+  if (!use_mpo_) return reduce_terms(state, all_terms_, parallel_sweep);
+  return state.sweep_mpo(mpo_).real();
+}
+
 double EnergyEvaluator::measure_direct(const std::vector<double>& params,
-                                       const std::vector<std::size_t>& idx,
+                                       const std::vector<std::size_t>* idx,
                                        bool iterate) const {
   sim::Mps state(ansatz_.n_qubits(), mps_options_);
   if (use_compiled_) {
@@ -448,7 +474,8 @@ double EnergyEvaluator::measure_direct(const std::vector<double>& params,
     last_truncation_error_.store(state.truncation_error(),
                                  std::memory_order_relaxed);
   OBS_SPAN("vqe/measure");
-  return reduce_terms(state, idx, /*parallel_sweep=*/true);
+  return idx ? reduce_terms(state, *idx, /*parallel_sweep=*/true)
+             : measure_all(state, /*parallel_sweep=*/true);
 }
 
 double EnergyEvaluator::measure_hadamard(const std::vector<double>& params,

@@ -96,6 +96,7 @@ VqeResult optimize(const EnergyEvaluator& evaluator, const UccsdAnsatz& ansatz,
                  {"n_pauli_terms", evaluator.n_terms()},
                  {"transfers_per_evaluation",
                   evaluator.transfers_per_evaluation()},
+                 {"mpo_bond_max", evaluator.measurement_mpo().max_bond()},
                  {"compiled_gates", evaluator.compiled_ansatz().gates.size()},
                  {"swaps_elided", evaluator.compiled_ansatz().stats.swaps_elided},
                  {"circuit_gates", ansatz.circuit.size()}});

@@ -1,9 +1,11 @@
 // Circuit-compilation tests: permutation bookkeeping, lazy-reordering SWAP
 // elision and peephole cancellation, two-qubit fusion, the compiled-run
 // differential sweep (compiled MPS == statevector == eager-routed reference),
-// commuting-group and prefix-shared measurement planning, and the
-// bit-identity contract of the planned energy sweep on the H2/H4 goldens at
-// several thread counts, with its exact transfer count.
+// commuting-group and prefix-shared measurement planning, the bit-identity
+// contract of the planned energy sweep on the H2/H4 goldens at several
+// thread counts with its exact transfer count, and the measurement MPO:
+// its sweep against per-term expectations, its agreement with the plan on
+// H2/H4/H10, and its bits and exact work across threads and ranks.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -19,12 +21,15 @@
 #include "circuit/routing.hpp"
 #include "common/rng.hpp"
 #include "obs/metrics.hpp"
+#include "parallel/comm.hpp"
 #include "pauli/grouping.hpp"
+#include "pauli/measurement_mpo.hpp"
 #include "sim/mps.hpp"
 #include "sim/reference_mps.hpp"
 #include "sim/statevector.hpp"
 #include "vqe/energy.hpp"
 #include "vqe/uccsd.hpp"
+#include "vqe/vqe_driver.hpp"
 
 namespace q2 {
 namespace {
@@ -472,7 +477,8 @@ struct MolecularCase {
   pauli::QubitOperator hamiltonian;
 };
 
-MolecularCase h_chain_case(int n_h, double r, int n_alpha) {
+MolecularCase h_chain_case(int n_h, double r, int n_alpha,
+                           const vqe::UccsdOptions& ansatz = {}) {
   const chem::Molecule mol = n_h == 2 ? chem::Molecule::h2(r)
                                       : chem::Molecule::hydrogen_chain(n_h, r);
   const chem::BasisSet basis = chem::BasisSet::build(mol, "sto-3g");
@@ -480,7 +486,7 @@ MolecularCase h_chain_case(int n_h, double r, int n_alpha) {
   const chem::ScfResult scf = chem::rhf(mol, basis, ints);
   const chem::MoIntegrals mo = chem::transform_to_mo(
       ints, scf.coefficients, scf.nuclear_repulsion);
-  MolecularCase c{vqe::build_uccsd(mo.n_orbitals(), n_alpha, n_alpha, {}),
+  MolecularCase c{vqe::build_uccsd(mo.n_orbitals(), n_alpha, n_alpha, ansatz),
                   chem::molecular_qubit_hamiltonian(mo)};
   return c;
 }
@@ -535,8 +541,9 @@ TEST(GroupedEnergy, H4PlanTransfersAreExactAtEveryThreadCount) {
   for (std::size_t threads : {std::size_t(1), std::size_t(2), std::size_t(4)}) {
     sim::MpsOptions opts;
     opts.parallel.n_threads = threads;
-    const vqe::EnergyEvaluator evaluator(mc.ansatz.circuit, mc.hamiltonian,
-                                         opts);
+    const vqe::EnergyEvaluator evaluator(
+        mc.ansatz.circuit, mc.hamiltonian, opts, vqe::MeasurementMode::kDirect,
+        vqe::CircuitStorage::kMemoryEfficient, vqe::TermGrouping::kCommuting);
     EXPECT_EQ(evaluator.transfers_per_evaluation(), 561u);
     const std::uint64_t ops0 = ops.value(), sweeps0 = sweeps.value();
     evaluator.energy(params);
@@ -545,6 +552,210 @@ TEST(GroupedEnergy, H4PlanTransfersAreExactAtEveryThreadCount) {
     EXPECT_EQ(swept, evaluator.measurement_group_count());
     if (threads == 1) sweeps_one_thread = swept;
     EXPECT_EQ(swept, sweeps_one_thread) << "threads=" << threads;
+  }
+}
+
+
+// -------------------------------------------------------------------------
+// The measurement MPO: exact, so one sweep reproduces the per-term sum
+
+// Random Pauli sums on the state's qubits with Y letters and complex
+// coefficients, plus single-site terms and terms on the logical qubits that
+// sit on the first and last sites.
+struct PauliSum {
+  std::vector<PauliString> terms;
+  std::vector<cplx> coeffs;
+};
+
+PauliSum random_pauli_sum(const QubitPermutation& perm, Rng& rng) {
+  const std::size_t n = std::size_t(perm.size());
+  const std::size_t first = std::size_t(perm.logical_at(0));
+  const std::size_t last = std::size_t(perm.logical_at(int(n) - 1));
+  PauliSum sum;
+  sum.terms = random_terms(n, 30, rng);
+  PauliString edge(n), first_only(n), last_only(n);
+  edge.set(first, pauli::P::Y);
+  edge.set(last, pauli::P::X);
+  first_only.set(first, pauli::P::Z);
+  last_only.set(last, pauli::P::Y);
+  for (const PauliString& p : {edge, first_only, last_only})
+    sum.terms.push_back(p);
+  for (std::size_t i = 0; i < sum.terms.size(); ++i)
+    sum.coeffs.push_back({rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)});
+  return sum;
+}
+
+TEST(Mpo, SweepMatchesPerTermExpectations) {
+  Rng rng(9090);
+  int permuted_states = 0;
+  for (int n = 2; n <= 10; ++n) {
+    for (int trial = 0; trial < 3; ++trial) {
+      const Circuit c = random_long_range_circuit(n, 4 * n, rng);
+      sim::MpsOptions exact;
+      exact.max_bond = 64;
+      sim::Mps mps(n, exact);
+      mps.run(circ::compile_for_mps(c));
+      if (!mps.output_permutation().is_identity()) ++permuted_states;
+
+      const PauliSum sum = random_pauli_sum(mps.output_permutation(), rng);
+      cplx reference{};
+      double scale = 0.0;
+      for (std::size_t i = 0; i < sum.terms.size(); ++i) {
+        reference += sum.coeffs[i] * mps.expectation(sum.terms[i]);
+        scale += std::abs(sum.coeffs[i]);
+      }
+      const pauli::MeasurementMpo mpo = pauli::build_measurement_mpo(
+          sum.terms, sum.coeffs, mps.output_permutation().site_of_map());
+      EXPECT_NEAR(std::abs(mps.sweep_mpo(mpo) - reference), 0.0,
+                  1e-12 * scale)
+          << "n=" << n << " trial=" << trial;
+    }
+  }
+  EXPECT_GT(permuted_states, 0);  // the cases must exercise the remapping
+}
+
+TEST(Mpo, PermutationMismatchThrows) {
+  Rng rng(77);
+  const int n = 6;
+  sim::Mps mps(n);
+  QubitPermutation other(n);
+  other.swap_sites(0, 1);
+  const PauliSum sum = random_pauli_sum(other, rng);
+  const pauli::MeasurementMpo wrong =
+      pauli::build_measurement_mpo(sum.terms, sum.coeffs, other.site_of_map());
+  EXPECT_THROW(mps.sweep_mpo(wrong), Error);
+  const pauli::MeasurementMpo right = pauli::build_measurement_mpo(
+      sum.terms, sum.coeffs, mps.output_permutation().site_of_map());
+  EXPECT_NO_THROW(mps.sweep_mpo(right));
+  EXPECT_THROW(pauli::build_measurement_mpo(sum.terms, {}, other.site_of_map()),
+               Error);
+}
+
+// The H10 Hamiltonian in identity order: a guard on the builder's
+// optimality (each cut takes a minimum vertex cover).
+TEST(Mpo, H10IdentityOrderBondsStayMinimal) {
+  const MolecularCase mc = h_chain_case(10, 1.8, 5);
+  std::vector<PauliString> strings;
+  std::vector<cplx> coeffs;
+  for (const auto& [p, c] : mc.hamiltonian.sorted_terms()) {
+    if (p.is_identity()) continue;
+    strings.push_back(p);
+    coeffs.push_back(c);
+  }
+  ASSERT_EQ(strings.size(), 7150u);
+  const pauli::MeasurementMpo mpo = pauli::build_measurement_mpo(
+      strings, coeffs, QubitPermutation(20).site_of_map());
+  std::size_t sum = 0;
+  for (std::size_t b : mpo.bond) sum += b;
+  EXPECT_LE(mpo.max_bond(), 230u);
+  EXPECT_LE(sum, 1824u);
+  EXPECT_EQ(mpo.updates, sum + 20);  // every cut's states, plus the vacuum
+}
+
+// kMpo against the plan at several parameter points: equal to rounding.
+void expect_mpo_matches_plan(const MolecularCase& mc, std::size_t max_bond) {
+  sim::MpsOptions opts;
+  opts.max_bond = max_bond;
+  const vqe::EnergyEvaluator plan(mc.ansatz.circuit, mc.hamiltonian, opts,
+                                  vqe::MeasurementMode::kDirect,
+                                  vqe::CircuitStorage::kMemoryEfficient,
+                                  vqe::TermGrouping::kCommuting);
+  const vqe::EnergyEvaluator mpo(mc.ansatz.circuit, mc.hamiltonian, opts);
+  EXPECT_EQ(mpo.measurement_group_count(), 1u);
+  EXPECT_LT(mpo.transfers_per_evaluation(), plan.transfers_per_evaluation());
+  for (double scale : {0.02, 0.1, -0.25}) {
+    std::vector<double> params(mc.ansatz.n_parameters);
+    for (std::size_t i = 0; i < params.size(); ++i)
+      params[i] = scale * double(i + 1) / double(params.size());
+    EXPECT_NEAR(mpo.energy(params), plan.energy(params), 1e-10)
+        << "scale=" << scale;
+  }
+}
+
+TEST(MpoEnergy, H2AgreesWithPlan) {
+  expect_mpo_matches_plan(h_chain_case(2, 1.4, 1), 64);
+}
+
+TEST(MpoEnergy, H4AgreesWithPlan) {
+  expect_mpo_matches_plan(h_chain_case(4, 1.8, 2), 64);
+}
+
+TEST(MpoEnergy, H10AgreesWithPlan) {
+  vqe::UccsdOptions window;
+  window.distance_window = 2;
+  expect_mpo_matches_plan(h_chain_case(10, 1.8, 5, window), 16);
+}
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+// One MPO sweep per evaluation is serial, so energy() and every gradient
+// entry carry the same bits at any thread count, and a gradient assembled
+// from four ranks' shares equals the one-rank gradient.
+TEST(MpoEnergy, H4BitIdenticalAcrossThreadsAndRanks) {
+  const MolecularCase mc = h_chain_case(4, 1.8, 2);
+  std::vector<double> x(mc.ansatz.n_parameters);
+  for (std::size_t i = 0; i < x.size(); ++i) x[i] = 0.03 * double(i % 5) - 0.05;
+  const double eps = 1e-4;
+  sim::MpsOptions serial;
+  serial.parallel.n_threads = 1;
+  const vqe::EnergyEvaluator reference(mc.ansatz.circuit, mc.hamiltonian,
+                                       serial);
+  const double e1 = reference.energy(x);
+  const std::vector<double> g1 = reference.gradient(x, eps);
+  for (std::size_t threads : {std::size_t(2), std::size_t(4)}) {
+    sim::MpsOptions opts;
+    opts.parallel.n_threads = threads;
+    const vqe::EnergyEvaluator eval(mc.ansatz.circuit, mc.hamiltonian, opts);
+    const double e = eval.energy(x);
+    EXPECT_EQ(std::memcmp(&e, &e1, sizeof e), 0) << "threads=" << threads;
+    EXPECT_TRUE(same_bits(eval.gradient(x, eps), g1)) << "threads=" << threads;
+  }
+  for (int ranks : {1, 4}) {
+    std::vector<std::vector<double>> g(static_cast<std::size_t>(ranks));
+    std::vector<double> e(static_cast<std::size_t>(ranks));
+    par::World(ranks).run([&](par::Comm& comm) {
+      const vqe::EnergyEvaluator eval(mc.ansatz.circuit, mc.hamiltonian,
+                                      serial);
+      e[std::size_t(comm.rank())] = eval.energy(x);
+      g[std::size_t(comm.rank())] =
+          vqe::distributed_gradient(eval, x, eps, comm);
+    });
+    for (int r = 0; r < ranks; ++r) {
+      EXPECT_EQ(std::memcmp(&e[std::size_t(r)], &e1, sizeof e1), 0)
+          << "rank " << r << " of " << ranks;
+      EXPECT_TRUE(same_bits(g[std::size_t(r)], g1))
+          << "rank " << r << " of " << ranks;
+    }
+  }
+}
+
+// Exact measurement work: one kMpo energy() is one sweep of the MPO's 162
+// (site, in-state) updates at every thread count (561 through the plan).
+TEST(MpoEnergy, H4SiteOpsAreExactAtEveryThreadCount) {
+  const MolecularCase mc = h_chain_case(4, 1.8, 2);
+  const std::vector<double> params(mc.ansatz.n_parameters, 0.05);
+  obs::Counter& ops = obs::Registry::global().counter("mps.transfer_site_ops");
+  obs::Counter& sweeps = obs::Registry::global().counter("mps.transfer_sweeps");
+  for (std::size_t threads : {std::size_t(1), std::size_t(2), std::size_t(4)}) {
+    sim::MpsOptions opts;
+    opts.parallel.n_threads = threads;
+    const vqe::EnergyEvaluator evaluator(mc.ansatz.circuit, mc.hamiltonian,
+                                         opts);
+    EXPECT_EQ(evaluator.transfers_per_evaluation(), 162u);
+    EXPECT_EQ(evaluator.measurement_mpo().max_bond(), 48u);
+    std::uint64_t ops0 = ops.value(), sweeps0 = sweeps.value();
+    evaluator.energy(params);
+    EXPECT_EQ(ops.value() - ops0, 162u) << "threads=" << threads;
+    EXPECT_EQ(sweeps.value() - sweeps0, 1u) << "threads=" << threads;
+    ops0 = ops.value();
+    sweeps0 = sweeps.value();
+    evaluator.gradient(params, 1e-4);
+    const std::uint64_t evaluations = 2 * evaluator.n_parameters();
+    EXPECT_EQ(ops.value() - ops0, 162u * evaluations) << "threads=" << threads;
+    EXPECT_EQ(sweeps.value() - sweeps0, evaluations) << "threads=" << threads;
   }
 }
 

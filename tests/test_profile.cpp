@@ -4,6 +4,7 @@
 // and the JSON export round-tripped through the shared obs::Json parser.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -205,6 +206,36 @@ TEST_F(ProfileTest, PoolWorkersAdoptTheDispatchingSpanPath) {
   // Worker-recorded spans merge under the dispatching span's path, not under
   // per-worker roots: node identity is independent of which thread ran what.
   EXPECT_EQ(unit->path.rfind("test/fanout;", 0), 0u) << unit->path;
+}
+
+// A fan-out records its units on up to four threads while the parent span
+// runs once, so the units' summed time exceeds the parent's wall time. Self
+// time comes from each thread's own tree, so the adopted units never
+// subtract from the parent: every node keeps 0 <= self <= total (the
+// parent read about -3x its total when self was total minus all children).
+TEST_F(ProfileTest, SelfTimeIsNonNegativeUnderPoolFanOut) {
+  par::ParallelOptions opts;
+  opts.n_threads = 4;
+  opts.grain = 1;
+  {
+    OBS_SPAN("test/fanout_parent");
+    par::parallel_for(opts, 0, 4, [](std::size_t) {
+      OBS_SPAN("test/fanout_unit");
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    });
+  }
+  const std::vector<obs::ProfileNode> nodes = obs::profile_snapshot();
+  const obs::ProfileNode* parent = find_node(nodes, "test/fanout_parent");
+  const obs::ProfileNode* unit = find_node(nodes, "test/fanout_unit");
+  ASSERT_NE(parent, nullptr);
+  ASSERT_NE(unit, nullptr);
+  EXPECT_EQ(unit->count, 4u);
+  for (const obs::ProfileNode& n : nodes) {
+    EXPECT_GE(n.self_us, 0.0) << n.path;
+    EXPECT_LE(n.self_us, n.total_us) << n.path;
+  }
+  // The units sleep, so nearly all of their time is their own.
+  EXPECT_GE(unit->self_us, 0.9 * unit->total_us);
 }
 
 TEST_F(ProfileTest, JsonExportRoundTripsThroughTheSharedParser) {
