@@ -10,15 +10,15 @@
 //   (1) store-all vs memory-efficient circuit storage (memory, manage, exec);
 //   (2) eager SWAP routing vs compile_for_mps on the UCCSD ansatz — exact
 //       SWAP / two-site-update counts and MPS gate throughput;
-//   (3) planned direct measurement — QWC group count, transfer-sweep and
-//       exact transfer counts, bit-identity of the planned energy, and the
-//       measurement MPO's exact environment updates and its agreement with
-//       the plan.
+//   (3) direct measurement — QWC group count, the per-term sweep count,
+//       and the measurement MPO's exact environment updates and its
+//       agreement with the per-term energy.
 //
 // `--quick --json=BENCH_fig9_quick.json` is the shape the ctest `perf` label
 // runs through tools/bench_diff: the *_swaps / *_updates keys are exact
 // deterministic counts (hard-gated), the *_per_s keys are throughput floors.
 #include <functional>
+#include <numeric>
 #include <string>
 #include <thread>
 #include <vector>
@@ -233,9 +233,9 @@ bool compile_section(bench::BenchReport& report, bool quick) {
   return ok;
 }
 
-// --- Section 3: planned direct measurement ---------------------------------
-bool grouping_section(bench::BenchReport& report, bool quick) {
-  bench::header("Planned direct measurement: transfer work, H4 direct");
+// --- Section 3: direct measurement, per term and through the MPO ----------
+bool measurement_section(bench::BenchReport& report, bool quick) {
+  bench::header("Direct measurement: transfer work, H4 direct");
   bool ok = true;
 
   const bench::SolvedMolecule s =
@@ -246,86 +246,54 @@ bool grouping_section(bench::BenchReport& report, bool quick) {
 
   sim::MpsOptions opts;
   opts.max_bond = quick ? 24 : 48;
-  const vqe::EnergyEvaluator grouped(
-      ansatz.circuit, h, opts, vqe::MeasurementMode::kDirect,
-      vqe::CircuitStorage::kMemoryEfficient, vqe::TermGrouping::kCommuting);
-  const vqe::EnergyEvaluator flat(
-      ansatz.circuit, h, opts, vqe::MeasurementMode::kDirect,
-      vqe::CircuitStorage::kMemoryEfficient, vqe::TermGrouping::kNone);
-  const vqe::EnergyEvaluator mpo(
-      ansatz.circuit, h, opts, vqe::MeasurementMode::kDirect,
-      vqe::CircuitStorage::kMemoryEfficient, vqe::TermGrouping::kMpo);
+  const vqe::EnergyEvaluator evaluator(ansatz.circuit, h, opts);
   std::vector<pauli::PauliString> strings;
-  for (const auto& [p, c] : grouped.terms()) strings.push_back(p);
+  for (const auto& [p, c] : evaluator.terms()) strings.push_back(p);
   const std::size_t qwc_groups =
       pauli::group_qubitwise_commuting(strings).size();
+  std::vector<std::size_t> all(evaluator.n_terms());
+  std::iota(all.begin(), all.end(), std::size_t{0});
 
   obs::Counter& sweeps =
       obs::Registry::global().counter("mps.transfer_sweeps");
   obs::Counter& transfers =
       obs::Registry::global().counter("mps.transfer_site_ops");
   const std::uint64_t s0 = sweeps.value(), t0 = transfers.value();
-  const double e_flat = flat.energy(params);
+  const double e_flat =
+      evaluator.constant_term() + evaluator.partial_energy(params, all);
   const std::uint64_t flat_sweeps = sweeps.value() - s0;
   const std::uint64_t flat_transfers = transfers.value() - t0;
   const std::uint64_t s1 = sweeps.value(), t1 = transfers.value();
-  const double e_grouped = grouped.energy(params);
-  const std::uint64_t grouped_sweeps = sweeps.value() - s1;
-  const std::uint64_t plan_transfers = transfers.value() - t1;
-  const std::uint64_t s2 = sweeps.value(), t2 = transfers.value();
-  const double e_mpo = mpo.energy(params);
-  const std::uint64_t mpo_sweeps = sweeps.value() - s2;
-  const std::uint64_t mpo_updates = transfers.value() - t2;
+  const double e_mpo = evaluator.energy(params);
+  const std::uint64_t mpo_sweeps = sweeps.value() - s1;
+  const std::uint64_t mpo_updates = transfers.value() - t1;
 
-  bench::row({"pauli terms", std::to_string(grouped.n_terms())});
+  bench::row({"pauli terms", std::to_string(evaluator.n_terms())});
   bench::row({"QWC groups", std::to_string(qwc_groups)});
   bench::row({"measurement", "sweeps", "transfers"});
   bench::row({"per term", std::to_string(flat_sweeps),
               std::to_string(flat_transfers)});
-  bench::row({"plan", std::to_string(grouped_sweeps),
-              std::to_string(plan_transfers)});
   bench::row({"MPO", std::to_string(mpo_sweeps), std::to_string(mpo_updates)});
-  report.set("h4_pauli_terms", double(grouped.n_terms()));
+  report.set("h4_pauli_terms", double(evaluator.n_terms()));
   report.set("h4_measurement_groups", double(qwc_groups));
   report.set("h4_flat_transfer_sweeps", double(flat_sweeps));
-  report.set("h4_grouped_transfer_sweeps", double(grouped_sweeps));
-  // Exact transfer contractions of one planned evaluation: a change that
-  // loses prefix sharing raises it and fails the zero-tolerance gate.
-  report.set("h4_plan_transfer_updates", double(plan_transfers));
   // Exact (site, in-state) environment updates of one MPO sweep: a builder
-  // that loses its minimum covers raises it and fails the same gate.
+  // that loses its minimum covers raises it and fails the zero-tolerance
+  // gate.
   report.set("h4_mpo_env_updates", double(mpo_updates));
 
-  // The plan must do strictly less transfer work than one sweep per term
-  // and reproduce the per-term energy bit-identically (same transfer chain
-  // per term, reduction in fixed index order).
-  if (grouped_sweeps >= grouped.n_terms() || plan_transfers >= flat_transfers) {
-    std::printf("FAIL: plan sweeps %llu / transfers %llu not below per-term "
-                "%zu / %llu\n",
-                (unsigned long long)grouped_sweeps,
-                (unsigned long long)plan_transfers, grouped.n_terms(),
-                (unsigned long long)flat_transfers);
-    ok = false;
-  }
-  if (e_grouped != e_flat) {
-    std::printf("FAIL: planned energy %.17g != per-term %.17g\n", e_grouped,
-                e_flat);
-    ok = false;
-  }
-  bench::row({"plan == per term",
-              e_grouped == e_flat ? "bit-identical" : "MISMATCH"});
-
-  // The MPO is exact but sums in another order: it must agree with the plan
-  // to rounding, in one sweep, with fewer environment updates.
-  const double mpo_error = std::abs(e_mpo - e_grouped);
-  bench::row({"|MPO - plan| Ha", bench::fmte(mpo_error)});
+  // The MPO is exact but sums in another order: it must agree with the
+  // per-term energy to rounding, in one sweep, with fewer environment
+  // updates than the per-term transfers.
+  const double mpo_error = std::abs(e_mpo - e_flat);
+  bench::row({"|MPO - per term| Ha", bench::fmte(mpo_error)});
   if (!(mpo_error <= 1e-10) || mpo_sweeps != 1 ||
-      mpo_updates >= plan_transfers) {
-    std::printf("FAIL: MPO energy %.17g vs plan %.17g (%llu sweeps, %llu "
+      mpo_updates >= flat_transfers) {
+    std::printf("FAIL: MPO energy %.17g vs per term %.17g (%llu sweeps, %llu "
                 "updates against %llu transfers)\n",
-                e_mpo, e_grouped, (unsigned long long)mpo_sweeps,
+                e_mpo, e_flat, (unsigned long long)mpo_sweeps,
                 (unsigned long long)mpo_updates,
-                (unsigned long long)plan_transfers);
+                (unsigned long long)flat_transfers);
     ok = false;
   }
   return ok;
@@ -338,7 +306,7 @@ int run(const std::string& report_name, bool quick) {
 
   storage_section(report, quick);
   ok = compile_section(report, quick) && ok;
-  ok = grouping_section(report, quick) && ok;
+  ok = measurement_section(report, quick) && ok;
 
   if (!quick)
     std::printf(

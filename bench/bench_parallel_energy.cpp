@@ -102,9 +102,9 @@ void energy_section(const H4Case& c, std::size_t n_threads, int reps,
     report.set(std::string(k.name) + "_speedup", t1 / tN);
     report.set(std::string(k.name) + "_identical", identical);
     report.set(std::string(k.name) + "_energy", eN);
-    // The sweep count is part of the determinism contract: the measurement
-    // plan's blocks decide how many environment sweeps one evaluation
-    // takes, and the thread count must not change it.
+    // The sweep count is part of the determinism contract: one MPO sweep
+    // per direct evaluation, one per string in Hadamard-test mode, and the
+    // thread count must not change it.
     report.set(std::string(k.name) + "_transfer_sweeps",
                double(serial_sweeps));
   }

@@ -51,57 +51,6 @@ std::vector<MeasurementGroup> group_qubitwise_commuting(
   return groups;
 }
 
-MeasurementPlan plan_measurement(const std::vector<PauliString>& terms,
-                                 const std::vector<int>& site_of) {
-  MeasurementPlan plan;
-  plan.site_of = site_of;
-  std::vector<MeasurementPlan::Entry> order;
-  for (std::size_t i = 0; i < terms.size(); ++i) {
-    require(terms[i].n_qubits() == site_of.size(),
-            "plan_measurement: qubit count mismatch");
-    if (terms[i].is_identity()) {
-      plan.identity_terms.push_back(i);
-      continue;
-    }
-    const PauliString p = terms[i].permuted(site_of);
-    const auto [lo, hi] = p.support_range();
-    order.push_back({i, lo, hi, 0, plan.letters.size()});
-    for (std::size_t s = lo; s <= hi; ++s) plan.letters.push_back(p.get(s));
-  }
-  auto word = [&](const MeasurementPlan::Entry& e) {
-    const P* first = plan.letters.data() + e.letters;
-    return std::pair{first, first + (e.hi - e.lo + 1)};
-  };
-  // In lexicographic order, the longest prefix a string shares with any
-  // string before it is the one it shares with its predecessor, so counting
-  // each entry's letters beyond that prefix counts every distinct
-  // (start, prefix) pair exactly once.
-  std::stable_sort(order.begin(), order.end(),
-                   [&](const MeasurementPlan::Entry& a,
-                       const MeasurementPlan::Entry& b) {
-                     if (a.lo != b.lo) return a.lo < b.lo;
-                     const auto [a0, a1] = word(a);
-                     const auto [b0, b1] = word(b);
-                     return std::lexicographical_compare(a0, a1, b0, b1);
-                   });
-  for (std::size_t k = 0; k < order.size(); ++k) {
-    MeasurementPlan::Entry e = order[k];
-    if (k == 0 || order[k - 1].lo != e.lo) {
-      plan.blocks.push_back({k, k, 0});
-    } else {
-      const auto [a0, a1] = word(order[k - 1]);
-      const auto [b0, b1] = word(e);
-      e.shared = std::size_t(std::mismatch(a0, a1, b0, b1).first - a0);
-    }
-    MeasurementPlan::Block& block = plan.blocks.back();
-    block.end = k + 1;
-    block.transfers += (e.hi - e.lo + 1) - e.shared;
-    plan.transfers += (e.hi - e.lo + 1) - e.shared;
-    plan.entries.push_back(e);
-  }
-  return plan;
-}
-
 double support_cost(const PauliString& p) {
   if (p.is_identity()) return 0.0;
   const auto [lo, hi] = p.support_range();

@@ -8,8 +8,10 @@
 // cover of that graph (a maximum matching, by König's theorem) picks the
 // fewest states that carry every term across the next cut. Nothing is
 // compressed, so the MPO is Σ_k c_k P_k exactly. It shares both the prefixes
-// and the suffixes of the strings, where pauli::MeasurementPlan shares only
-// prefixes.
+// and the suffixes of the strings. It is the one way the library measures a
+// whole Pauli sum (sim::Mps::expectation(QubitOperator) and
+// vqe::EnergyEvaluator); sim::Mps::expectation(PauliString), one string at
+// a time, is the reference it is checked against.
 #pragma once
 
 #include <cstdint>

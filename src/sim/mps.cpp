@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <numeric>
 
 #include "circuit/routing.hpp"
 #include "linalg/gemm.hpp"
@@ -31,11 +30,9 @@ obs::Histogram& bond_hist() {
   return h;
 }
 // One "sweep" = one pass from a fresh initial environment: a standalone
-// expectation is one sweep, a plan sweep is one per block it visits however
-// many terms the block serves, and an MPO sweep is one for the whole sum.
+// expectation is one sweep, and an MPO sweep is one for the whole sum.
 // transfer_site_ops counts the environment updates: per-site transfers of a
-// string or a plan (where prefix sharing saves work), and (site, in-state)
-// updates of an MPO sweep (where suffix sharing saves more).
+// string, and (site, in-state) updates of an MPO sweep.
 obs::Counter& transfer_sweep_counter() {
   static obs::Counter& c =
       obs::Registry::global().counter("mps.transfer_sweeps");
@@ -453,94 +450,15 @@ cplx Mps::expectation(const pauli::PauliString& p) const {
 }
 
 cplx Mps::expectation(const pauli::QubitOperator& op) const {
+  require(int(op.n_qubits()) == n_, "Mps::expectation: qubit count mismatch");
   std::vector<pauli::PauliString> strings;
   std::vector<cplx> coeffs;
-  strings.reserve(op.size());
-  coeffs.reserve(op.size());
-  for (const auto& [p, c] : op.terms()) {
+  for (const auto& [p, c] : op.sorted_terms()) {
     strings.push_back(p);
     coeffs.push_back(c);
   }
-  const std::vector<cplx> values = expectation_batch(strings);
-  cplx e{};
-  for (std::size_t i = 0; i < values.size(); ++i) e += coeffs[i] * values[i];
-  return e;
-}
-
-std::vector<cplx> Mps::expectation_batch(
-    const std::vector<pauli::PauliString>& terms) const {
-  for (const pauli::PauliString& p : terms)
-    require(int(p.n_qubits()) == n_,
-            "Mps::expectation_batch: qubit count mismatch");
-  const pauli::MeasurementPlan plan =
-      pauli::plan_measurement(terms, perm_.site_of_map());
-  std::vector<cplx> out(terms.size());
-  if (!plan.identity_terms.empty()) {
-    const double nn = norm();
-    for (std::size_t i : plan.identity_terms) out[i] = nn * nn;
-  }
-  std::vector<std::size_t> blocks(plan.blocks.size());
-  std::iota(blocks.begin(), blocks.end(), std::size_t{0});
-  sweep_plan(plan, blocks, {}, out);
-  return out;
-}
-
-void Mps::sweep_plan(const pauli::MeasurementPlan& plan,
-                     std::span<const std::size_t> blocks,
-                     const std::vector<char>& selected,
-                     std::span<cplx> values) const {
-  OBS_SPAN("mps/sweep_plan");
-  require(plan.site_of == perm_.site_of_map(),
-          "Mps::sweep_plan: the plan was built for another qubit permutation");
-  const std::size_t n_terms = plan.entries.size() + plan.identity_terms.size();
-  require(values.size() == n_terms &&
-              (selected.empty() || selected.size() == n_terms),
-          "Mps::sweep_plan: one value (and selection) slot per planned term");
-  cplx pm[4][4];
-  for (int letter = 0; letter < 4; ++letter)
-    pauli::PauliString::single_qubit_matrix(pauli::P(letter), pm[letter]);
-
-  // env[d]: the environment after the first d transfers of the current
-  // entry's chain. Entries of a block are sorted, so the chain an entry
-  // shares with the last swept entry is the minimum of the `shared` counts
-  // in between — which keeps the stack exact when unselected entries are
-  // skipped.
-  std::vector<std::vector<cplx>> env(std::size_t(n_) + 1);
-  std::vector<cplx> ebi;
-  std::uint64_t sweeps = 0, site_ops = 0, streamed = 0, trace_adds = 0;
-  for (const std::size_t b : blocks) {
-    require(b < plan.blocks.size(), "Mps::sweep_plan: block out of range");
-    const pauli::MeasurementPlan::Block& block = plan.blocks[b];
-    std::size_t valid = 0;
-    bool started = false;
-    for (std::size_t k = block.begin; k < block.end; ++k) {
-      const pauli::MeasurementPlan::Entry& e = plan.entries[k];
-      valid = std::min(valid, e.shared);
-      if (!selected.empty() && !selected[e.term]) continue;
-      if (!started) {
-        initial_environment(e.lo, env[0]);
-        started = true;
-        ++sweeps;
-      }
-      const std::size_t len = e.hi - e.lo + 1;
-      for (std::size_t d = valid; d < len; ++d) {
-        const std::size_t s = e.lo + d;
-        env[d + 1].resize(dr_[s] * dr_[s]);
-        ebi.resize(dl_[s] * dr_[s]);
-        transfer(env[d].data(), tensors_[s].data(), dl_[s], dr_[s],
-                 pm[std::size_t(plan.letter(e, s))], ebi.data(),
-                 env[d + 1].data());
-        ++site_ops;
-        streamed += std::uint64_t(tensors_[s].size()) * sizeof(cplx);
-      }
-      valid = len;
-      values[e.term] = trace(env[len].data(), dr_[e.hi]);
-      trace_adds += dr_[e.hi];
-    }
-  }
-  transfer_sweep_counter().add(sweeps);
-  transfer_op_counter().add(site_ops);
-  obs::WorkCounter::charge(2 * trace_adds, streamed);
+  return sweep_mpo(
+      pauli::build_measurement_mpo(strings, coeffs, perm_.site_of_map()));
 }
 
 cplx Mps::sweep_mpo(const pauli::MeasurementMpo& mpo) const {

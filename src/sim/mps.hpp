@@ -7,14 +7,12 @@
 // Truncation error is accumulated and exposed, as the paper prescribes.
 #pragma once
 
-#include <span>
 #include <vector>
 
 #include "circuit/circuit.hpp"
 #include "circuit/reorder.hpp"
 #include "linalg/svd.hpp"
 #include "parallel/parallel_options.hpp"
-#include "pauli/grouping.hpp"
 #include "pauli/measurement_mpo.hpp"
 #include "pauli/qubit_operator.hpp"
 
@@ -97,31 +95,12 @@ class Mps {
   double norm() const;
 
   /// One string: a chain of one transfer per support site, then a trace.
-  /// The per-term reference every planned sweep reproduces bit for bit.
+  /// The per-term reference the MPO sweep is checked against, and the path
+  /// that measures a subset of a sum's terms.
   cplx expectation(const pauli::PauliString& p) const;
-  /// sum_k c_k <P_k> over the operator's terms in terms() order, the values
-  /// taken from one expectation_batch sweep.
+  /// Σ_k c_k <P_k>: builds the operator's MPO from its sorted_terms() for
+  /// this engine's output_permutation() and measures it in one sweep_mpo.
   cplx expectation(const pauli::QubitOperator& op) const;
-  /// Expectation of many strings: plans them for this engine's permutation
-  /// (pauli::plan_measurement) and sweeps every block of the plan, so terms
-  /// that share a start site and leading Pauli letters share those
-  /// transfers. Each value comes from exactly the transfer chain the
-  /// standalone `expectation(p)` computes — bit-identical, only shared.
-  std::vector<cplx> expectation_batch(
-      const std::vector<pauli::PauliString>& terms) const;
-  /// The sweep behind expectation_batch, over the listed blocks of a plan
-  /// built for this engine's output_permutation() (throws otherwise): for
-  /// each entry of those blocks whose term is selected (`selected` indexed
-  /// by term, empty = every term), writes values[entry.term]. `values` (and
-  /// a non-empty `selected`) hold one slot per planned term. Identity terms
-  /// are not swept. Adds one to mps.transfer_sweeps per block that holds a
-  /// selected entry and one to mps.transfer_site_ops per transfer, which is
-  /// plan.blocks[b].transfers when every term is selected — so the counts
-  /// do not depend on how blocks are dealt over threads.
-  void sweep_plan(const pauli::MeasurementPlan& plan,
-                  std::span<const std::size_t> blocks,
-                  const std::vector<char>& selected,
-                  std::span<cplx> values) const;
   /// Σ_k c_k <P_k> in one left-to-right environment sweep over an MPO
   /// built for this engine's output_permutation() (throws otherwise). At
   /// each site and for each in-state w it forms the blocks

@@ -8,6 +8,7 @@
 #include "obs/workload.hpp"
 #include "parallel/scheduler.hpp"
 #include "parallel/thread_pool.hpp"
+#include "pauli/grouping.hpp"
 #include "sim/hadamard_test.hpp"
 
 namespace q2::vqe {
@@ -133,8 +134,7 @@ class PrefixSweep {
 EnergyEvaluator::EnergyEvaluator(circ::Circuit ansatz,
                                  pauli::QubitOperator hamiltonian,
                                  sim::MpsOptions mps_options,
-                                 MeasurementMode mode, CircuitStorage storage,
-                                 TermGrouping grouping)
+                                 MeasurementMode mode, CircuitStorage storage)
     : ansatz_(std::move(ansatz)),
       hamiltonian_(std::move(hamiltonian)),
       mps_options_(mps_options),
@@ -163,13 +163,10 @@ EnergyEvaluator::EnergyEvaluator(circ::Circuit ansatz,
   use_compiled_ = mode_ == MeasurementMode::kDirect &&
                   storage_ == CircuitStorage::kMemoryEfficient;
   if (use_compiled_) compiled_ = circ::compile_for_mps(ansatz_);
-  const circ::QubitPermutation identity(ansatz_.n_qubits());
-  site_of_ = (use_compiled_ ? compiled_.output_perm : identity).site_of_map();
-  use_mpo_ = mode_ == MeasurementMode::kDirect &&
-             grouping == TermGrouping::kMpo;
-  use_plan_ = mode_ == MeasurementMode::kDirect &&
-              (grouping == TermGrouping::kCommuting || use_mpo_);
-  if (use_mpo_) {
+  if (mode_ == MeasurementMode::kDirect) {
+    // The measured states carry compiled_.output_perm on the compiled path
+    // and the identity on the eager one.
+    const circ::QubitPermutation identity(ansatz_.n_qubits());
     std::vector<pauli::PauliString> strings;
     std::vector<cplx> coeffs;
     strings.reserve(terms_.size());
@@ -178,7 +175,9 @@ EnergyEvaluator::EnergyEvaluator(circ::Circuit ansatz,
       strings.push_back(p);
       coeffs.push_back(c);
     }
-    mpo_ = pauli::build_measurement_mpo(strings, coeffs, site_of_);
+    mpo_ = pauli::build_measurement_mpo(
+        strings, coeffs,
+        (use_compiled_ ? compiled_.output_perm : identity).site_of_map());
   }
   transfers_gauge().set(double(transfers_per_evaluation()));
   all_terms_.resize(terms_.size());
@@ -196,16 +195,6 @@ EnergyEvaluator::EnergyEvaluator(circ::Circuit ansatz,
                    [&](std::size_t a, std::size_t b) {
                      return first_gate_[a] < first_gate_[b];
                    });
-}
-
-const pauli::MeasurementPlan& EnergyEvaluator::plan() const {
-  std::call_once(plan_once_, [this] {
-    std::vector<pauli::PauliString> strings;
-    strings.reserve(terms_.size());
-    for (const auto& [p, c] : terms_) strings.push_back(p);
-    plan_ = pauli::plan_measurement(strings, site_of_);
-  });
-  return plan_;
 }
 
 std::size_t EnergyEvaluator::stored_circuit_bytes() const {
@@ -301,7 +290,7 @@ std::vector<double> EnergyEvaluator::gradient(
         sim::Mps& state = sweep.branch_at(first_gate_[k]);
         state.run(compiled_, shifted, first_gate_[k], end);
         OBS_SPAN("vqe/measure");
-        e[side] = constant_ + measure_all(state, /*parallel_sweep=*/false);
+        e[side] = constant_ + measure_all(state);
       }
       shifted[k] = x[k];
       g[k] = (e[0] - e[1]) / (2 * eps);
@@ -360,8 +349,7 @@ std::vector<double> EnergyEvaluator::parameter_shift_gradient(
           sim::Mps& state = sweep.branch_at(at);
           state.apply(shifted, params);
           state.run(compiled_, params, at + 1, stream.size());
-          shifted_e[2 * occ + side] =
-              measure_all(state, /*parallel_sweep=*/false);
+          shifted_e[2 * occ + side] = measure_all(state);
         }
       }
     };
@@ -391,7 +379,7 @@ std::vector<double> EnergyEvaluator::parameter_shift_gradient(
       }
       sim::Mps state(ansatz_.n_qubits(), mps_options_);
       state.run(bind_parameters(shifted, params), {});
-      shifted_e[j] = measure_all(state, /*parallel_sweep=*/false);
+      shifted_e[j] = measure_all(state);
     });
   }
 
@@ -410,36 +398,19 @@ double EnergyEvaluator::reduce_terms(const sim::Mps& state,
                                      bool parallel_sweep) const {
   // Per-term contributions against the shared read-only state, reduced in
   // idx order below — the same addition sequence as a serial per-term loop,
-  // so the energy is bit-identical for every thread count and grouping mode
-  // (the plan sweep computes each value with the transfer chain of the
-  // standalone expectation).
+  // so the energy is bit-identical for every thread count.
   const std::size_t threads =
       parallel_sweep ? par::resolve_threads(mps_options_.parallel) : 1;
   std::vector<double> contrib(idx.size());
-  if (use_plan_) {
-    const pauli::MeasurementPlan& plan = this->plan();
-    std::vector<char> selected(terms_.size(), 0);
-    for (std::size_t k : idx) selected[k] = 1;
-    std::vector<cplx> values(terms_.size());
-    deal_lpt(
-        threads, plan.blocks.size(),
-        [&](std::size_t b) { return double(plan.blocks[b].transfers); },
-        [&](const std::vector<std::size_t>& blocks) {
-          state.sweep_plan(plan, blocks, selected, values);
-        });
-    for (std::size_t j = 0; j < idx.size(); ++j)
-      contrib[j] = (terms_[idx[j]].second * values[idx[j]]).real();
-  } else {
-    deal_lpt(
-        threads, idx.size(),
-        [&](std::size_t j) { return pauli::support_cost(terms_[idx[j]].first); },
-        [&](const std::vector<std::size_t>& items) {
-          for (std::size_t j : items) {
-            const auto& [p, c] = terms_[idx[j]];
-            contrib[j] = (c * state.expectation(p)).real();
-          }
-        });
-  }
+  deal_lpt(
+      threads, idx.size(),
+      [&](std::size_t j) { return pauli::support_cost(terms_[idx[j]].first); },
+      [&](const std::vector<std::size_t>& items) {
+        for (std::size_t j : items) {
+          const auto& [p, c] = terms_[idx[j]];
+          contrib[j] = (c * state.expectation(p)).real();
+        }
+      });
   double e = 0;
   for (double c : contrib) e += c;
   // The sweep's own arithmetic beyond the per-term expectations: one
@@ -449,9 +420,9 @@ double EnergyEvaluator::reduce_terms(const sim::Mps& state,
   return e;
 }
 
-double EnergyEvaluator::measure_all(const sim::Mps& state,
-                                    bool parallel_sweep) const {
-  if (!use_mpo_) return reduce_terms(state, all_terms_, parallel_sweep);
+double EnergyEvaluator::measure_all(const sim::Mps& state) const {
+  if (mode_ != MeasurementMode::kDirect)
+    return reduce_terms(state, all_terms_, /*parallel_sweep=*/false);
   return state.sweep_mpo(mpo_).real();
 }
 
@@ -463,19 +434,18 @@ double EnergyEvaluator::measure_direct(const std::vector<double>& params,
     // Compiled once in the constructor; parameters bind at apply time and
     // measurement maps through the residual permutation.
     state.run(compiled_, params);
-  } else if (storage_ == CircuitStorage::kStoreAll) {
-    // Baseline behaviour: re-materialize the bound circuit every call.
+  } else {
+    // kStoreAll, the baseline behaviour: re-materialize the bound circuit
+    // every call.
     const circ::Circuit bound = bind_parameters(ansatz_, params);
     state.run(bound, {});
-  } else {
-    state.run(ansatz_, params);
   }
   if (iterate)
     last_truncation_error_.store(state.truncation_error(),
                                  std::memory_order_relaxed);
   OBS_SPAN("vqe/measure");
   return idx ? reduce_terms(state, *idx, /*parallel_sweep=*/true)
-             : measure_all(state, /*parallel_sweep=*/true);
+             : measure_all(state);
 }
 
 double EnergyEvaluator::measure_hadamard(const std::vector<double>& params,

@@ -1,16 +1,15 @@
 // The VQE energy evaluator: prepares |psi(theta)> and measures
-// E = sum_k c_k <P_k>. Two measurement paths (direct MPS expectation, or one
-// Hadamard-test circuit per string — the hardware-faithful mode of Fig. 5)
+// E = sum_k c_k <P_k>. Two measurement paths (direct: one sweep of the
+// Hamiltonian's exact MPO on the prepared MPS, or one Hadamard-test circuit
+// per string — the hardware-faithful mode of Fig. 5)
 // and two circuit-storage modes (the Fig. 9 comparison: store all bound
 // circuits versus one parametric ansatz replica + on-the-fly tails).
 #pragma once
 
 #include <atomic>
-#include <mutex>
 #include <vector>
 
 #include "circuit/reorder.hpp"
-#include "pauli/grouping.hpp"
 #include "pauli/measurement_mpo.hpp"
 #include "pauli/qubit_operator.hpp"
 #include "sim/mps.hpp"
@@ -27,30 +26,12 @@ enum class CircuitStorage {
   kMemoryEfficient,  ///< one parametric ansatz replica (paper's scheme)
 };
 
-/// How the direct measurement sweeps the Pauli terms. kNone and kCommuting
-/// give the same bits (every term's value comes from the same transfer
-/// chain, reduced in term order) and are the references kMpo is checked
-/// against; kMpo agrees with them to rounding.
-enum class TermGrouping {
-  kNone,  ///< one sweep per Pauli term: the per-term reference path
-  /// One prefix-shared sweep over a pauli::MeasurementPlan built once by the
-  /// evaluator: terms sharing a start site and leading Pauli letters share
-  /// those transfers.
-  kCommuting,
-  /// One environment sweep over the exact MPO of the whole sum
-  /// (pauli::build_measurement_mpo), built once by the evaluator. energy()
-  /// and the gradients measure through it; partial_energy() over an index
-  /// list still sweeps the plan, since an MPO cannot measure a subset.
-  kMpo,
-};
-
 class EnergyEvaluator {
  public:
   EnergyEvaluator(circ::Circuit ansatz, pauli::QubitOperator hamiltonian,
                   sim::MpsOptions mps_options = {},
                   MeasurementMode mode = MeasurementMode::kDirect,
-                  CircuitStorage storage = CircuitStorage::kMemoryEfficient,
-                  TermGrouping grouping = TermGrouping::kMpo);
+                  CircuitStorage storage = CircuitStorage::kMemoryEfficient);
 
   std::size_t n_terms() const { return terms_.size(); }
   std::size_t n_parameters() const { return ansatz_.parameter_count(); }
@@ -61,8 +42,9 @@ class EnergyEvaluator {
   std::size_t stored_circuit_bytes() const;
 
   double energy(const std::vector<double>& params) const;
-  /// Contribution of a subset of Pauli terms (the unit of level-2 work).
-  /// Throws on an index >= n_terms() or one listed twice. `iterate` = false
+  /// Contribution of a subset of Pauli terms (the unit of level-2 work),
+  /// measured term by term and reduced in the listed order. Throws on an
+  /// index >= n_terms() or one listed twice. `iterate` = false
   /// marks an evaluation made only to differentiate (a finite-difference
   /// point): it leaves last_truncation_error() alone.
   double partial_energy(const std::vector<double>& params,
@@ -124,20 +106,11 @@ class EnergyEvaluator {
   }
   double constant_term() const { return constant_; }
 
-  /// Transfer sweeps one full evaluation makes: one through the MPO, the
-  /// measurement plan's blocks (one per start site), or n_terms() when
-  /// every term is its own sweep (TermGrouping::kNone, Hadamard-test mode).
-  std::size_t measurement_group_count() const {
-    return use_mpo_ ? 1 : use_plan_ ? plan().blocks.size() : terms_.size();
-  }
   /// Exact environment updates one full evaluation makes: the MPO's
-  /// (site, in-state) updates, or the plan's per-site transfers (0 when
-  /// terms are measured one by one). Also exported as the
-  /// "vqe.transfers_per_evaluation" gauge.
-  std::size_t transfers_per_evaluation() const {
-    return use_mpo_ ? mpo_.updates : use_plan_ ? plan().transfers : 0;
-  }
-  /// The measurement MPO (empty unless TermGrouping::kMpo in direct mode).
+  /// (site, in-state) updates (0 in Hadamard-test mode). Also exported as
+  /// the "vqe.transfers_per_evaluation" gauge.
+  std::size_t transfers_per_evaluation() const { return mpo_.updates; }
+  /// The measurement MPO (empty in Hadamard-test mode).
   const pauli::MeasurementMpo& measurement_mpo() const { return mpo_; }
   /// The cached compiled ansatz (empty circuit when the eager baseline path
   /// is active, i.e. kStoreAll or Hadamard-test mode).
@@ -153,19 +126,16 @@ class EnergyEvaluator {
   double measure_hadamard(const std::vector<double>& params,
                           const std::vector<std::size_t>& idx,
                           bool iterate) const;
-  /// Measures the idx-subset of terms on a prepared state (the plan's
-  /// selected entries when it is on, one expectation per term otherwise)
-  /// and reduces contributions in idx order — bit-identical to the serial
-  /// per-term sweep for every thread count and grouping mode. A parallel
-  /// sweep deals whole plan blocks over the pool, longest first.
+  /// Measures the idx-subset of terms on a prepared state, one expectation
+  /// per term, and reduces contributions in idx order — bit-identical to
+  /// the serial per-term sweep for every thread count. A parallel sweep
+  /// deals the terms over the pool, longest first.
   double reduce_terms(const sim::Mps& state,
                       const std::vector<std::size_t>& idx,
                       bool parallel_sweep) const;
-  /// Σ_k c_k <P_k> over every term on a prepared state: one MPO sweep when
-  /// it is on, reduce_terms over all terms otherwise.
-  double measure_all(const sim::Mps& state, bool parallel_sweep) const;
-  /// plan_, built on the first call.
-  const pauli::MeasurementPlan& plan() const;
+  /// Σ_k c_k <P_k> over every term on a prepared state: one MPO sweep in
+  /// direct mode, a serial reduce_terms over all terms otherwise.
+  double measure_all(const sim::Mps& state) const;
 
   circ::Circuit ansatz_;
   pauli::QubitOperator hamiltonian_;
@@ -178,18 +148,10 @@ class EnergyEvaluator {
   /// bind at run time, so energy/gradient calls never re-route.
   circ::CompiledCircuit compiled_;
   bool use_compiled_ = false;
-  /// The logical→site map the measured states carry: compiled_.output_perm
-  /// on the compiled path, else the identity.
-  std::vector<int> site_of_;
-  /// Prefix-shared plan over terms_ for site_of_, built on first use when
-  /// use_plan_: kCommuting sweeps it every evaluation, kMpo only for
-  /// partial_energy's subsets (a full solve never builds it).
-  mutable std::once_flag plan_once_;
-  mutable pauli::MeasurementPlan plan_;
-  bool use_plan_ = false;
-  /// Exact MPO of Σ c_k P_k for site_of_; set when use_mpo_.
+  /// Exact MPO of Σ c_k P_k in the measured states' site order
+  /// (compiled_.output_perm on the compiled path, else the identity); built
+  /// in direct mode only.
   pauli::MeasurementMpo mpo_;
-  bool use_mpo_ = false;
   /// 0..n_terms()-1: the term list of a full energy evaluation.
   std::vector<std::size_t> all_terms_;
   /// Per parameter: index of its first gate in the stream the gradients

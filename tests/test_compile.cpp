@@ -1,16 +1,15 @@
 // Circuit-compilation tests: permutation bookkeeping, lazy-reordering SWAP
 // elision and peephole cancellation, two-qubit fusion, the compiled-run
 // differential sweep (compiled MPS == statevector == eager-routed reference),
-// commuting-group and prefix-shared measurement planning, the bit-identity
-// contract of the planned energy sweep on the H2/H4 goldens at several
-// thread counts with its exact transfer count, and the measurement MPO:
-// its sweep against per-term expectations, its agreement with the plan on
+// qubit-wise commuting grouping, the bit-identity of per-term partial
+// energies on the H2/H4 goldens at several thread counts, and the
+// measurement MPO: its sweep (and Mps::expectation of an operator) against
+// per-term expectations, its agreement with the per-term energy on
 // H2/H4/H10, and its bits and exact work across threads and ranks.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
-#include <set>
 #include <string>
 
 #include "chem/hamiltonian.hpp"
@@ -280,7 +279,7 @@ TEST(Fusion, AdjacentTwoQubitGatesMergePreservingState) {
 }
 
 // Random strings of weight 1-4, plus a duplicate, a single-site string and
-// the identity — every case the measurement plan treats specially.
+// the identity — every case the MPO builder treats specially.
 std::vector<PauliString> random_terms(std::size_t n, int count, Rng& rng) {
   std::vector<PauliString> terms;
   for (int t = 0; t < count; ++t) {
@@ -296,57 +295,8 @@ std::vector<PauliString> random_terms(std::size_t n, int count, Rng& rng) {
   return terms;
 }
 
-bool same_bits(cplx a, cplx b) { return std::memcmp(&a, &b, sizeof a) == 0; }
-
-TEST(Compile, ExpectationBatchIsBitIdenticalToStandalone) {
-  Rng rng(4242);
-  int permuted_states = 0;
-  for (int n = 6; n <= 10; ++n) {
-    const Circuit c = random_long_range_circuit(n, 4 * n, rng);
-    const CompiledCircuit cc = circ::compile_for_mps(c);
-    sim::MpsOptions exact;
-    exact.max_bond = 64;
-    sim::Mps mps(n, exact);
-    mps.run(cc);
-    if (!mps.output_permutation().is_identity()) ++permuted_states;
-
-    const std::vector<PauliString> terms =
-        random_terms(std::size_t(n), 40, rng);
-    const std::vector<cplx> batch = mps.expectation_batch(terms);
-    ASSERT_EQ(batch.size(), terms.size());
-    for (std::size_t i = 0; i < terms.size(); ++i)
-      EXPECT_TRUE(same_bits(batch[i], mps.expectation(terms[i])))
-          << "n=" << n << " " << terms[i].str();
-
-    // The sweep over a subset of the terms computes exactly their values.
-    const pauli::MeasurementPlan plan =
-        pauli::plan_measurement(terms, mps.output_permutation().site_of_map());
-    std::vector<char> selected(terms.size(), 0);
-    for (std::size_t i = 0; i < terms.size(); i += 3) selected[i] = 1;
-    std::vector<std::size_t> blocks(plan.blocks.size());
-    for (std::size_t b = 0; b < blocks.size(); ++b) blocks[b] = b;
-    std::vector<cplx> subset(terms.size());
-    mps.sweep_plan(plan, blocks, selected, subset);
-    for (std::size_t i = 0; i < terms.size(); ++i) {
-      if (selected[i] && !terms[i].is_identity()) {
-        EXPECT_TRUE(same_bits(subset[i], batch[i])) << terms[i].str();
-      }
-    }
-
-    // A plan made for another placement of the qubits must not be swept.
-    QubitPermutation other = mps.output_permutation();
-    other.swap_sites(0, 1);
-    const pauli::MeasurementPlan wrong =
-        pauli::plan_measurement(terms, other.site_of_map());
-    EXPECT_THROW(mps.sweep_plan(wrong, blocks, {}, subset), Error);
-    std::vector<cplx> short_values(terms.size() - 1);
-    EXPECT_THROW(mps.sweep_plan(plan, blocks, {}, short_values), Error);
-  }
-  EXPECT_GT(permuted_states, 0);  // the cases must exercise the remapping
-}
-
 // -------------------------------------------------------------------------
-// Measurement planning
+// Measurement grouping
 
 TEST(Grouping, QubitwiseCompatibilityMatchesDefinition) {
   const auto compat = [](const char* a, const char* b) {
@@ -393,75 +343,6 @@ TEST(Grouping, PartitionCoversEveryTermOnceAndIsCompatible) {
     EXPECT_EQ(again[g].members, groups[g].members);
 }
 
-// The plan's transfer count is the number of distinct (start site, letter
-// prefix) pairs, its blocks partition the entries by start site, and the
-// same input gives the same plan.
-TEST(Grouping, PlanCountsDistinctPrefixesAndPartitionsIntoBlocks) {
-  Rng rng(31);
-  for (int trial = 0; trial < 20; ++trial) {
-    const std::size_t n = 4 + rng.index(7);
-    const std::vector<PauliString> terms = random_terms(n, 60, rng);
-    std::vector<int> site_of(n);
-    for (std::size_t q = 0; q < n; ++q) site_of[q] = int(q);
-    for (std::size_t q = n; q-- > 1;)
-      std::swap(site_of[q], site_of[rng.index(q + 1)]);
-    const pauli::MeasurementPlan plan = pauli::plan_measurement(terms, site_of);
-
-    std::set<std::pair<std::size_t, std::string>> prefixes;
-    std::size_t identities = 0;
-    for (const PauliString& t : terms) {
-      if (t.is_identity()) {
-        ++identities;
-        continue;
-      }
-      const PauliString p = t.permuted(site_of);
-      const auto [lo, hi] = p.support_range();
-      std::string prefix;
-      for (std::size_t s = lo; s <= hi; ++s) {
-        prefix += char('0' + int(p.get(s)));
-        prefixes.insert({lo, prefix});
-      }
-    }
-    EXPECT_EQ(plan.transfers, prefixes.size());
-    EXPECT_EQ(plan.identity_terms.size(), identities);
-    EXPECT_EQ(plan.entries.size() + identities, terms.size());
-
-    std::vector<int> seen(terms.size(), 0);
-    for (const auto& e : plan.entries) ++seen[e.term];
-    for (std::size_t i : plan.identity_terms) ++seen[i];
-    for (int count : seen) EXPECT_EQ(count, 1);
-
-    std::size_t next = 0, transfers = 0;
-    for (const auto& b : plan.blocks) {
-      ASSERT_EQ(b.begin, next);
-      ASSERT_LT(b.begin, b.end);
-      std::size_t block_transfers = 0;
-      for (std::size_t k = b.begin; k < b.end; ++k) {
-        const auto& e = plan.entries[k];
-        EXPECT_EQ(e.lo, plan.entries[b.begin].lo);
-        EXPECT_LE(e.shared, e.hi - e.lo + 1);
-        block_transfers += e.hi - e.lo + 1 - e.shared;
-      }
-      EXPECT_EQ(plan.entries[b.begin].shared, 0u);
-      EXPECT_EQ(b.transfers, block_transfers);
-      if (b.end < plan.entries.size()) {
-        EXPECT_LT(plan.entries[b.begin].lo, plan.entries[b.end].lo);
-      }
-      transfers += b.transfers;
-      next = b.end;
-    }
-    EXPECT_EQ(next, plan.entries.size());
-    EXPECT_EQ(transfers, plan.transfers);
-
-    const pauli::MeasurementPlan again = pauli::plan_measurement(terms, site_of);
-    ASSERT_EQ(again.entries.size(), plan.entries.size());
-    for (std::size_t k = 0; k < plan.entries.size(); ++k) {
-      EXPECT_EQ(again.entries[k].term, plan.entries[k].term);
-      EXPECT_EQ(again.entries[k].shared, plan.entries[k].shared);
-    }
-  }
-}
-
 TEST(Grouping, SharedSupportCostModel) {
   EXPECT_EQ(pauli::support_cost(PauliString(4)), 0.0);
   EXPECT_EQ(pauli::support_cost(PauliString::parse(8, "Z3")), 2.0);
@@ -470,7 +351,7 @@ TEST(Grouping, SharedSupportCostModel) {
 }
 
 // -------------------------------------------------------------------------
-// Planned energies: bit-identical to the per-term serial sweep
+// Per-term energies: bit-identical at every thread count
 
 struct MolecularCase {
   vqe::UccsdAnsatz ansatz;
@@ -491,70 +372,35 @@ MolecularCase h_chain_case(int n_h, double r, int n_alpha,
   return c;
 }
 
-void expect_grouped_bit_identical(const MolecularCase& mc) {
+void expect_per_term_bit_identical(const MolecularCase& mc) {
   std::vector<double> params(mc.ansatz.n_parameters, 0.0);
   for (std::size_t i = 0; i < params.size(); ++i)
     params[i] = 0.02 * double(i + 1);
 
-  // Serial ungrouped sweep: one expectation per term, reduced in term order.
-  sim::MpsOptions serial;
-  serial.parallel.n_threads = 1;
-  const vqe::EnergyEvaluator reference(mc.ansatz.circuit, mc.hamiltonian,
-                                       serial, vqe::MeasurementMode::kDirect,
-                                       vqe::CircuitStorage::kMemoryEfficient,
-                                       vqe::TermGrouping::kNone);
-  const double e_reference = reference.energy(params);
-
+  // partial_energy over every term: one expectation per term, dealt over
+  // the pool and reduced in term order.
+  double e_serial = 0.0;
   for (std::size_t threads : {std::size_t(1), std::size_t(2), std::size_t(4)}) {
     sim::MpsOptions opts;
     opts.parallel.n_threads = threads;
-    const vqe::EnergyEvaluator grouped(mc.ansatz.circuit, mc.hamiltonian,
-                                       opts, vqe::MeasurementMode::kDirect,
-                                       vqe::CircuitStorage::kMemoryEfficient,
-                                       vqe::TermGrouping::kCommuting);
-    EXPECT_LT(grouped.measurement_group_count(), grouped.n_terms());
-    const double e_grouped = grouped.energy(params);
-    // Exact double equality: grouping and threading change the schedule,
-    // never the arithmetic.
-    EXPECT_EQ(e_grouped, e_reference) << "threads=" << threads;
+    const vqe::EnergyEvaluator evaluator(mc.ansatz.circuit, mc.hamiltonian,
+                                         opts);
+    std::vector<std::size_t> all(evaluator.n_terms());
+    for (std::size_t k = 0; k < all.size(); ++k) all[k] = k;
+    const double e = evaluator.partial_energy(params, all);
+    if (threads == 1) e_serial = e;
+    // Threading changes the schedule, never the arithmetic.
+    EXPECT_EQ(std::memcmp(&e, &e_serial, sizeof e), 0) << "threads=" << threads;
   }
 }
 
 TEST(GroupedEnergy, H2BitIdenticalAcrossGroupingAndThreads) {
-  expect_grouped_bit_identical(h_chain_case(2, 1.4, 1));
+  expect_per_term_bit_identical(h_chain_case(2, 1.4, 1));
 }
 
 TEST(GroupedEnergy, H4BitIdenticalAcrossGroupingAndThreads) {
-  expect_grouped_bit_identical(h_chain_case(4, 1.8, 2));
+  expect_per_term_bit_identical(h_chain_case(4, 1.8, 2));
 }
-
-// Exact measurement work: one H4 UCCSD energy() makes the plan's 561
-// transfers (838 with QWC groups sharing only inside a group, 184 sweeps
-// one per term) at every thread count, because threads are dealt whole
-// blocks.
-TEST(GroupedEnergy, H4PlanTransfersAreExactAtEveryThreadCount) {
-  const MolecularCase mc = h_chain_case(4, 1.8, 2);
-  const std::vector<double> params(mc.ansatz.n_parameters, 0.05);
-  obs::Counter& ops = obs::Registry::global().counter("mps.transfer_site_ops");
-  obs::Counter& sweeps = obs::Registry::global().counter("mps.transfer_sweeps");
-  std::uint64_t sweeps_one_thread = 0;
-  for (std::size_t threads : {std::size_t(1), std::size_t(2), std::size_t(4)}) {
-    sim::MpsOptions opts;
-    opts.parallel.n_threads = threads;
-    const vqe::EnergyEvaluator evaluator(
-        mc.ansatz.circuit, mc.hamiltonian, opts, vqe::MeasurementMode::kDirect,
-        vqe::CircuitStorage::kMemoryEfficient, vqe::TermGrouping::kCommuting);
-    EXPECT_EQ(evaluator.transfers_per_evaluation(), 561u);
-    const std::uint64_t ops0 = ops.value(), sweeps0 = sweeps.value();
-    evaluator.energy(params);
-    EXPECT_EQ(ops.value() - ops0, 561u) << "threads=" << threads;
-    const std::uint64_t swept = sweeps.value() - sweeps0;
-    EXPECT_EQ(swept, evaluator.measurement_group_count());
-    if (threads == 1) sweeps_one_thread = swept;
-    EXPECT_EQ(swept, sweeps_one_thread) << "threads=" << threads;
-  }
-}
-
 
 // -------------------------------------------------------------------------
 // The measurement MPO: exact, so one sweep reproduces the per-term sum
@@ -609,6 +455,13 @@ TEST(Mpo, SweepMatchesPerTermExpectations) {
       EXPECT_NEAR(std::abs(mps.sweep_mpo(mpo) - reference), 0.0,
                   1e-12 * scale)
           << "n=" << n << " trial=" << trial;
+      // The same sum as an operator, measured through its own MPO.
+      pauli::QubitOperator op{std::size_t(n)};
+      for (std::size_t i = 0; i < sum.terms.size(); ++i)
+        op.add(sum.terms[i], sum.coeffs[i]);
+      EXPECT_NEAR(std::abs(mps.expectation(op) - reference), 0.0,
+                  1e-12 * scale)
+          << "n=" << n << " trial=" << trial;
     }
   }
   EXPECT_GT(permuted_states, 0);  // the cases must exercise the remapping
@@ -652,38 +505,39 @@ TEST(Mpo, H10IdentityOrderBondsStayMinimal) {
   EXPECT_EQ(mpo.updates, sum + 20);  // every cut's states, plus the vacuum
 }
 
-// kMpo against the plan at several parameter points: equal to rounding.
-void expect_mpo_matches_plan(const MolecularCase& mc, std::size_t max_bond) {
+// The MPO energy against the per-term sum (constant plus partial_energy
+// over every term) at several parameter points: equal to rounding.
+void expect_mpo_matches_per_term(const MolecularCase& mc,
+                                 std::size_t max_bond) {
   sim::MpsOptions opts;
   opts.max_bond = max_bond;
-  const vqe::EnergyEvaluator plan(mc.ansatz.circuit, mc.hamiltonian, opts,
-                                  vqe::MeasurementMode::kDirect,
-                                  vqe::CircuitStorage::kMemoryEfficient,
-                                  vqe::TermGrouping::kCommuting);
-  const vqe::EnergyEvaluator mpo(mc.ansatz.circuit, mc.hamiltonian, opts);
-  EXPECT_EQ(mpo.measurement_group_count(), 1u);
-  EXPECT_LT(mpo.transfers_per_evaluation(), plan.transfers_per_evaluation());
+  const vqe::EnergyEvaluator evaluator(mc.ansatz.circuit, mc.hamiltonian,
+                                       opts);
+  std::vector<std::size_t> all(evaluator.n_terms());
+  for (std::size_t k = 0; k < all.size(); ++k) all[k] = k;
   for (double scale : {0.02, 0.1, -0.25}) {
     std::vector<double> params(mc.ansatz.n_parameters);
     for (std::size_t i = 0; i < params.size(); ++i)
       params[i] = scale * double(i + 1) / double(params.size());
-    EXPECT_NEAR(mpo.energy(params), plan.energy(params), 1e-10)
+    const double per_term =
+        evaluator.constant_term() + evaluator.partial_energy(params, all);
+    EXPECT_NEAR(evaluator.energy(params), per_term, 1e-10)
         << "scale=" << scale;
   }
 }
 
-TEST(MpoEnergy, H2AgreesWithPlan) {
-  expect_mpo_matches_plan(h_chain_case(2, 1.4, 1), 64);
+TEST(MpoEnergy, H2AgreesWithPerTerm) {
+  expect_mpo_matches_per_term(h_chain_case(2, 1.4, 1), 64);
 }
 
-TEST(MpoEnergy, H4AgreesWithPlan) {
-  expect_mpo_matches_plan(h_chain_case(4, 1.8, 2), 64);
+TEST(MpoEnergy, H4AgreesWithPerTerm) {
+  expect_mpo_matches_per_term(h_chain_case(4, 1.8, 2), 64);
 }
 
-TEST(MpoEnergy, H10AgreesWithPlan) {
+TEST(MpoEnergy, H10AgreesWithPerTerm) {
   vqe::UccsdOptions window;
   window.distance_window = 2;
-  expect_mpo_matches_plan(h_chain_case(10, 1.8, 5, window), 16);
+  expect_mpo_matches_per_term(h_chain_case(10, 1.8, 5, window), 16);
 }
 
 bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
@@ -732,8 +586,8 @@ TEST(MpoEnergy, H4BitIdenticalAcrossThreadsAndRanks) {
   }
 }
 
-// Exact measurement work: one kMpo energy() is one sweep of the MPO's 162
-// (site, in-state) updates at every thread count (561 through the plan).
+// Exact measurement work: one energy() is one sweep of the MPO's 162
+// (site, in-state) updates at every thread count.
 TEST(MpoEnergy, H4SiteOpsAreExactAtEveryThreadCount) {
   const MolecularCase mc = h_chain_case(4, 1.8, 2);
   const std::vector<double> params(mc.ansatz.n_parameters, 0.05);

@@ -1,6 +1,7 @@
-// Measurement utilities: direct energy measurement guards, Hadamard-test
-// equivalence on MPS and state-vector backends, and qubit-wise commuting
-// grouping invariants on a molecular Hamiltonian.
+// Measurement utilities: the energy evaluator's Hermiticity guard, MPS
+// operator expectations against the state vector, Hadamard-test equivalence
+// on MPS and state-vector backends, and qubit-wise commuting grouping
+// invariants on a molecular Hamiltonian.
 #include <gtest/gtest.h>
 
 #include "chem/hamiltonian.hpp"
@@ -8,8 +9,10 @@
 #include "circuit/builder.hpp"
 #include "common/rng.hpp"
 #include "pauli/grouping.hpp"
-#include "sim/expectation.hpp"
 #include "sim/hadamard_test.hpp"
+#include "sim/mps.hpp"
+#include "sim/statevector.hpp"
+#include "vqe/energy.hpp"
 
 namespace q2::sim {
 namespace {
@@ -26,8 +29,7 @@ pauli::QubitOperator h2_hamiltonian() {
 
 TEST(Expectation, MeasureEnergyRejectsNonHermitian) {
   pauli::QubitOperator bad = pauli::QubitOperator::term(2, "X0", cplx(0, 1));
-  Mps mps(2);
-  EXPECT_THROW(measure_energy(mps, bad), Error);
+  EXPECT_THROW(vqe::EnergyEvaluator(circ::Circuit(2), bad), Error);
 }
 
 TEST(Expectation, MpsAndStateVectorEnergiesMatch) {
@@ -37,7 +39,7 @@ TEST(Expectation, MpsAndStateVectorEnergiesMatch) {
   mps.run(prep);
   StateVector sv(4);
   sv.run(prep);
-  EXPECT_NEAR(measure_energy(mps, h), measure_energy(sv, h), 1e-10);
+  EXPECT_NEAR(mps.expectation(h).real(), sv.expectation(h).real(), 1e-10);
 }
 
 TEST(HadamardTest, MatchesDirectExpectationOnMps) {

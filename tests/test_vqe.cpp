@@ -172,8 +172,8 @@ TEST(EnergyEvaluator, PartialEnergiesSumToTotal) {
   EXPECT_NEAR(total, eval.energy(params), 1e-10);
 }
 
-// The H2 evaluators of every measurement path: the plan, per-term sweeps,
-// and the Hadamard test.
+// The H2 evaluators of both measurement paths: direct (partial energies
+// measured term by term) and the Hadamard test.
 std::vector<std::unique_ptr<EnergyEvaluator>> h2_evaluators(
     const UccsdAnsatz& ansatz) {
   const Solved s = solve(chem::Molecule::h2(1.4));
@@ -181,15 +181,11 @@ std::vector<std::unique_ptr<EnergyEvaluator>> h2_evaluators(
   std::vector<std::unique_ptr<EnergyEvaluator>> evals;
   evals.push_back(std::make_unique<EnergyEvaluator>(ansatz.circuit, h));
   evals.push_back(std::make_unique<EnergyEvaluator>(
-      ansatz.circuit, h, sim::MpsOptions{}, MeasurementMode::kDirect,
-      CircuitStorage::kMemoryEfficient, TermGrouping::kNone));
-  evals.push_back(std::make_unique<EnergyEvaluator>(
       ansatz.circuit, h, sim::MpsOptions{}, MeasurementMode::kHadamardTest));
   return evals;
 }
 
-// An index past the term list wrote past the plan's slot table, and read
-// past the terms on the per-term paths.
+// An index past the term list would read past the terms.
 TEST(EnergyEvaluator, PartialEnergyRejectsOutOfRangeIndex) {
   const UccsdAnsatz ansatz = build_uccsd(2, 1, 1);
   const std::vector<double> params = initial_parameters(ansatz, 0.1);
@@ -199,7 +195,7 @@ TEST(EnergyEvaluator, PartialEnergyRejectsOutOfRangeIndex) {
   }
 }
 
-// A repeated index counted once with the plan and twice without it.
+// A repeated index would count its term twice.
 TEST(EnergyEvaluator, PartialEnergyRejectsRepeatedIndex) {
   const UccsdAnsatz ansatz = build_uccsd(2, 1, 1);
   const std::vector<double> params = initial_parameters(ansatz, 0.1);

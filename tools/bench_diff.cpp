@@ -23,7 +23,9 @@
 //   * "*_s" / "*_seconds" / "*_error"    — absolute timings and accuracy,
 //                                          lower-better but machine-dependent;
 //                                          informational unless --strict.
-// Everything else (and keys present on only one side) is informational.
+// Everything else is informational, and so is a key only the candidate
+// has. A baseline key of a gated class that the candidate no longer emits is
+// a regression: a deleted counter must leave its baseline in the same change.
 //
 // When both reports record `hardware_threads` and they differ, a warning is
 // printed (scaling/speedup floors are only meaningful between hosts with the
@@ -160,8 +162,10 @@ int run(int argc, char** argv) {
   for (const auto& [key, base_v] : base) {
     const auto it = cand.find(key);
     if (it == cand.end()) {
+      const bool gated = classify(key, strict) != Direction::kInfo;
+      if (gated) ++regressions;
       std::printf("%-44s %14.6g %14s %8s  %s\n", key.c_str(), base_v, "-", "-",
-                  "missing (info)");
+                  gated ? "MISSING" : "missing (info)");
       continue;
     }
     const double cand_v = it->second;
@@ -199,7 +203,8 @@ int run(int argc, char** argv) {
     return 2;
   }
   if (regressions > 0) {
-    std::printf("bench_diff: %d metric(s) regressed beyond tolerance %.2f\n",
+    std::printf("bench_diff: %d metric(s) missing or regressed beyond "
+                "tolerance %.2f\n",
                 regressions, tol);
     return 1;
   }
