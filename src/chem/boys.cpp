@@ -6,13 +6,12 @@
 
 namespace q2::chem {
 
-std::vector<double> boys(int n_max, double x) {
+void boys(int n_max, double x, double* f) {
   require(n_max >= 0 && x >= 0, "boys: bad arguments");
-  std::vector<double> f(std::size_t(n_max) + 1);
 
   if (x < 1e-13) {
-    for (int n = 0; n <= n_max; ++n) f[std::size_t(n)] = 1.0 / (2 * n + 1);
-    return f;
+    for (int n = 0; n <= n_max; ++n) f[n] = 1.0 / (2 * n + 1);
+    return;
   }
 
   if (x < 35.0) {
@@ -27,10 +26,10 @@ std::vector<double> boys(int n_max, double x) {
       sum += term;
       if (term < 1e-17 * sum) break;
     }
-    f[std::size_t(n_max)] = ex * sum;
+    f[n_max] = ex * sum;
     for (int n = n_max; n >= 1; --n)
-      f[std::size_t(n - 1)] = (2.0 * x * f[std::size_t(n)] + ex) / (2 * n - 1);
-    return f;
+      f[n - 1] = (2.0 * x * f[n] + ex) / (2 * n - 1);
+    return;
   }
 
   // Large x: F_0 ~ sqrt(pi / x) / 2 (the e^{-x} tail is below machine
@@ -38,8 +37,7 @@ std::vector<double> boys(int n_max, double x) {
   const double ex = std::exp(-x);
   f[0] = 0.5 * std::sqrt(kPi / x);
   for (int n = 0; n < n_max; ++n)
-    f[std::size_t(n + 1)] = ((2 * n + 1) * f[std::size_t(n)] - ex) / (2.0 * x);
-  return f;
+    f[n + 1] = ((2 * n + 1) * f[n] - ex) / (2.0 * x);
 }
 
 }  // namespace q2::chem

@@ -2,13 +2,11 @@
 // at the heart of every Gaussian Coulomb integral.
 #pragma once
 
-#include <vector>
-
 namespace q2::chem {
 
-/// F_0 .. F_{n_max} evaluated at x (x >= 0), numerically stable across the
-/// small-x (series + downward recursion) and large-x (asymptotic + upward
-/// recursion) regimes.
-std::vector<double> boys(int n_max, double x);
+/// F_0 .. F_{n_max} evaluated at x (x >= 0) into f[0 .. n_max], numerically
+/// stable across the small-x (series + downward recursion) and large-x
+/// (asymptotic + upward recursion) regimes.
+void boys(int n_max, double x, double* f);
 
 }  // namespace q2::chem

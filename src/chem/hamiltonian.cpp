@@ -2,15 +2,22 @@
 
 #include <unordered_set>
 
+#include "obs/trace.hpp"
+
 namespace q2::chem {
 namespace {
 
 constexpr double kCoeffCut = 1e-12;
 
-pauli::FermionOperator weighted_fermion_operator(
+// The Jordan-Wigner image of H = sum h_pq a+_p a_q + 1/2 sum (pq|rs)
+// a+_{p s1} a+_{r s2} a_{s s2} a_{q s1}, each term scaled by its fragment
+// weight when `fragment` is set, streamed product by product in
+// (p, q, r, s, sigma, tau) order.
+pauli::QubitOperator weighted_qubit_operator(
     const MoIntegrals& mo, const std::unordered_set<std::size_t>* fragment) {
+  OBS_SPAN("chem/jordan_wigner");
   const std::size_t n = mo.n_orbitals();
-  pauli::FermionOperator op(2 * n);
+  pauli::JordanWignerAccumulator jw(2 * n);
 
   auto weight1 = [&](std::size_t p, std::size_t q) {
     if (!fragment) return 1.0;
@@ -28,8 +35,11 @@ pauli::FermionOperator weighted_fermion_operator(
       const double w = weight1(p, q);
       const double hpq = mo.h(p, q) * w;
       if (std::abs(hpq) < kCoeffCut) continue;
-      for (std::size_t sigma = 0; sigma < 2; ++sigma)
-        op.add_term({{2 * p + sigma, true}, {2 * q + sigma, false}}, hpq);
+      for (std::size_t sigma = 0; sigma < 2; ++sigma) {
+        const pauli::Ladder ops[] = {{2 * p + sigma, true},
+                                     {2 * q + sigma, false}};
+        jw.add(ops, hpq);
+      }
     }
   }
   for (std::size_t p = 0; p < n; ++p)
@@ -42,24 +52,20 @@ pauli::FermionOperator weighted_fermion_operator(
           for (std::size_t sigma = 0; sigma < 2; ++sigma)
             for (std::size_t tau = 0; tau < 2; ++tau) {
               // a+_{p sigma} a+_{r tau} a_{s tau} a_{q sigma}
-              op.add_term({{2 * p + sigma, true},
-                           {2 * r + tau, true},
-                           {2 * s + tau, false},
-                           {2 * q + sigma, false}},
-                          g);
+              const pauli::Ladder ops[] = {{2 * p + sigma, true},
+                                           {2 * r + tau, true},
+                                           {2 * s + tau, false},
+                                           {2 * q + sigma, false}};
+              jw.add(ops, g);
             }
         }
-  return op;
+  return jw.take();
 }
 
 }  // namespace
 
-pauli::FermionOperator molecular_fermion_operator(const MoIntegrals& mo) {
-  return weighted_fermion_operator(mo, nullptr);
-}
-
 pauli::QubitOperator molecular_qubit_hamiltonian(const MoIntegrals& mo) {
-  pauli::QubitOperator h = pauli::jordan_wigner(molecular_fermion_operator(mo));
+  pauli::QubitOperator h = weighted_qubit_operator(mo, nullptr);
   h += pauli::QubitOperator::identity(2 * mo.n_orbitals(), mo.core_energy());
   h.compress(1e-10);
   return h;
@@ -69,26 +75,26 @@ pauli::QubitOperator fragment_weighted_hamiltonian(
     const MoIntegrals& mo, const std::vector<std::size_t>& fragment_orbitals) {
   const std::unordered_set<std::size_t> frag(fragment_orbitals.begin(),
                                              fragment_orbitals.end());
-  pauli::QubitOperator h =
-      pauli::jordan_wigner(weighted_fermion_operator(mo, &frag));
+  pauli::QubitOperator h = weighted_qubit_operator(mo, &frag);
   h.compress(1e-10);
   return h;
 }
 
 pauli::QubitOperator one_body_qubit_operator(const la::RMatrix& coeff) {
   require(coeff.rows() == coeff.cols(), "one_body_qubit_operator: not square");
+  OBS_SPAN("chem/jordan_wigner");
   const std::size_t n = coeff.rows();
-  pauli::FermionOperator op(2 * n);
+  pauli::JordanWignerAccumulator jw(2 * n);
   for (std::size_t p = 0; p < n; ++p)
     for (std::size_t q = 0; q < n; ++q) {
       if (std::abs(coeff(p, q)) < kCoeffCut) continue;
-      for (std::size_t sigma = 0; sigma < 2; ++sigma)
-        op.add_term({{2 * p + sigma, true}, {2 * q + sigma, false}},
-                    coeff(p, q));
+      for (std::size_t sigma = 0; sigma < 2; ++sigma) {
+        const pauli::Ladder ops[] = {{2 * p + sigma, true},
+                                     {2 * q + sigma, false}};
+        jw.add(ops, coeff(p, q));
+      }
     }
-  pauli::QubitOperator out = pauli::jordan_wigner(op);
-  out.compress(1e-12);
-  return out;
+  return jw.take();
 }
 
 pauli::QubitOperator number_operator(std::size_t n_spatial,

@@ -9,12 +9,11 @@
 
 namespace q2::chem {
 
-/// The electronic Hamiltonian as a fermionic operator:
-/// H = sum h_pq a+_p a_q + 1/2 sum (pq|rs) a+_{p s1} a+_{r s2} a_{s s2} a_{q s1}.
-pauli::FermionOperator molecular_fermion_operator(const MoIntegrals& mo);
-
-/// Jordan-Wigner qubit Hamiltonian (includes the core energy as an identity
-/// term). For H2/STO-3G this yields the 15 Pauli strings of Fig. 5.
+/// Jordan-Wigner image of the electronic Hamiltonian
+/// H = sum h_pq a+_p a_q + 1/2 sum (pq|rs) a+_{p s1} a+_{r s2} a_{s s2} a_{q s1},
+/// streamed from the integrals through pauli::JordanWignerAccumulator, plus
+/// the core energy as an identity term. For H2/STO-3G this yields the 15
+/// Pauli strings of Fig. 5.
 pauli::QubitOperator molecular_qubit_hamiltonian(const MoIntegrals& mo);
 
 /// Fragment-weighted Hamiltonian: each one-/two-body term is scaled by the

@@ -1,9 +1,11 @@
 #include "chem/integrals.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "chem/boys.hpp"
 #include "common/types.hpp"
+#include "obs/trace.hpp"
 
 namespace q2::chem {
 namespace {
@@ -25,47 +27,59 @@ double hermite_e(int i, int j, int t, double qx, double a, double b) {
          (t + 1) * hermite_e(i, j - 1, t + 1, qx, a, b);
 }
 
+// Scratch reused across hermite_coulomb calls, so the primitive loops
+// allocate nothing: the Boys values and two R^n layers.
+struct CoulombScratch {
+  std::vector<double> f, r;
+};
+
 // Hermite Coulomb tensor R^0_{tuv}(p, PC) built by downward-n recursion.
-// Returns R[t][u][v] for t <= tmax etc.
-std::vector<double> hermite_coulomb(int tmax, int umax, int vmax, double p,
-                                    const std::array<double, 3>& pc) {
+// Returns R[t][u][v] for t <= tmax etc. (row-major), held in `w` until the
+// next call.
+const double* hermite_coulomb(int tmax, int umax, int vmax, double p,
+                              const std::array<double, 3>& pc,
+                              CoulombScratch& w) {
   const double r2 = pc[0] * pc[0] + pc[1] * pc[1] + pc[2] * pc[2];
   const int nmax = tmax + umax + vmax;
-  const std::vector<double> f = boys(nmax, p * r2);
+  w.f.resize(std::size_t(nmax) + 1);
+  boys(nmax, p * r2, w.f.data());
 
   const int dt = tmax + 1, du = umax + 1, dv = vmax + 1;
   auto idx = [&](int t, int u, int v) { return (t * du + u) * dv + v; };
-  // r[n] holds R^n_{tuv}; build from n = nmax down to 0.
-  std::vector<std::vector<double>> r(std::size_t(nmax) + 1,
-                                     std::vector<double>(std::size_t(dt * du * dv), 0.0));
+  // R^n is layer n % 2 of r: each layer reads only the one above it. Built
+  // from n = nmax down to 0; R^nmax is zero beyond its first entry, and
+  // every lower layer is written in full.
+  const std::size_t size = std::size_t(dt * du * dv);
+  w.r.resize(2 * size);
+  std::fill_n(w.r.data() + std::size_t(nmax % 2) * size, size, 0.0);
   for (int n = nmax; n >= 0; --n) {
     double pw = 1.0;
     for (int k = 0; k < n; ++k) pw *= -2.0 * p;
-    r[std::size_t(n)][std::size_t(idx(0, 0, 0))] = pw * f[std::size_t(n)];
+    double* cur = w.r.data() + std::size_t(n % 2) * size;
+    cur[idx(0, 0, 0)] = pw * w.f[std::size_t(n)];
     if (n == nmax) continue;
-    const auto& up = r[std::size_t(n + 1)];
-    auto& cur = r[std::size_t(n)];
+    const double* up = w.r.data() + std::size_t((n + 1) % 2) * size;
     for (int t = 0; t <= tmax; ++t) {
       for (int u = 0; u <= umax; ++u) {
         for (int v = 0; v <= vmax; ++v) {
           if (t + u + v == 0) continue;
           double val = 0;
           if (t > 0) {
-            val = pc[0] * up[std::size_t(idx(t - 1, u, v))];
-            if (t > 1) val += (t - 1) * up[std::size_t(idx(t - 2, u, v))];
+            val = pc[0] * up[idx(t - 1, u, v)];
+            if (t > 1) val += (t - 1) * up[idx(t - 2, u, v)];
           } else if (u > 0) {
-            val = pc[1] * up[std::size_t(idx(t, u - 1, v))];
-            if (u > 1) val += (u - 1) * up[std::size_t(idx(t, u - 2, v))];
+            val = pc[1] * up[idx(t, u - 1, v)];
+            if (u > 1) val += (u - 1) * up[idx(t, u - 2, v)];
           } else {
-            val = pc[2] * up[std::size_t(idx(t, u, v - 1))];
-            if (v > 1) val += (v - 1) * up[std::size_t(idx(t, u, v - 2))];
+            val = pc[2] * up[idx(t, u, v - 1)];
+            if (v > 1) val += (v - 1) * up[idx(t, u, v - 2)];
           }
-          cur[std::size_t(idx(t, u, v))] = val;
+          cur[idx(t, u, v)] = val;
         }
       }
     }
   }
-  return r[0];
+  return w.r.data();
 }
 
 // Precomputed primitive-pair data for one pair of contracted functions.
@@ -146,11 +160,12 @@ double nuclear_integral(const BasisFunction& a, const BasisFunction& b,
   const int tmax = a.lmn[0] + b.lmn[0];
   const int umax = a.lmn[1] + b.lmn[1];
   const int vmax = a.lmn[2] + b.lmn[2];
+  CoulombScratch scratch;
   double v_total = 0;
   for (const PrimPair& pp : make_pairs(a, b)) {
     std::array<double, 3> pc;
     for (int d = 0; d < 3; ++d) pc[d] = pp.center[d] - nucleus[d];
-    const std::vector<double> r = hermite_coulomb(tmax, umax, vmax, pp.p, pc);
+    const double* r = hermite_coulomb(tmax, umax, vmax, pp.p, pc, scratch);
     auto idx = [&](int t, int u, int v) {
       return std::size_t((t * (umax + 1) + u) * (vmax + 1) + v);
     };
@@ -168,15 +183,16 @@ double nuclear_integral(const BasisFunction& a, const BasisFunction& b,
 namespace {
 
 double eri_from_pairs(const std::vector<PrimPair>& bra, int tb, int ub, int vb,
-                      const std::vector<PrimPair>& ket, int tk, int uk, int vk) {
+                      const std::vector<PrimPair>& ket, int tk, int uk, int vk,
+                      CoulombScratch& scratch) {
   double total = 0;
   for (const PrimPair& b : bra) {
     for (const PrimPair& k : ket) {
       const double alpha = b.p * k.p / (b.p + k.p);
       std::array<double, 3> pq;
       for (int d = 0; d < 3; ++d) pq[d] = b.center[d] - k.center[d];
-      const std::vector<double> r =
-          hermite_coulomb(tb + tk, ub + uk, vb + vk, alpha, pq);
+      const double* r =
+          hermite_coulomb(tb + tk, ub + uk, vb + vk, alpha, pq, scratch);
       const int du = ub + uk + 1, dv = vb + vk + 1;
       auto idx = [&](int t, int u, int v) {
         return std::size_t((t * du + u) * dv + v);
@@ -212,12 +228,14 @@ double eri_integral(const BasisFunction& a, const BasisFunction& b,
                     const BasisFunction& c, const BasisFunction& d) {
   const auto bra = make_pairs(a, b);
   const auto ket = make_pairs(c, d);
+  CoulombScratch scratch;
   return eri_from_pairs(bra, a.lmn[0] + b.lmn[0], a.lmn[1] + b.lmn[1],
                         a.lmn[2] + b.lmn[2], ket, c.lmn[0] + d.lmn[0],
-                        c.lmn[1] + d.lmn[1], c.lmn[2] + d.lmn[2]);
+                        c.lmn[1] + d.lmn[1], c.lmn[2] + d.lmn[2], scratch);
 }
 
 IntegralTables compute_integrals(const Molecule& molecule, const BasisSet& basis) {
+  OBS_SPAN("chem/compute_integrals");
   const std::size_t n = basis.size();
   IntegralTables out;
   out.overlap = la::RMatrix(n, n);
@@ -252,11 +270,13 @@ IntegralTables compute_integrals(const Molecule& molecule, const BasisSet& basis
     }
   }
   const std::size_t npairs = pair_cache.size();
+  CoulombScratch scratch;
   std::vector<double> schwarz(npairs);
   for (std::size_t i = 0; i < npairs; ++i) {
     const auto& l = pair_l[i];
-    schwarz[i] = std::sqrt(std::abs(eri_from_pairs(
-        pair_cache[i], l[0], l[1], l[2], pair_cache[i], l[0], l[1], l[2])));
+    schwarz[i] = std::sqrt(std::abs(eri_from_pairs(pair_cache[i], l[0], l[1],
+                                                   l[2], pair_cache[i], l[0],
+                                                   l[1], l[2], scratch)));
   }
 
   constexpr double kScreen = 1e-12;
@@ -268,7 +288,7 @@ IntegralTables compute_integrals(const Molecule& molecule, const BasisSet& basis
       const auto& lj = pair_l[j];
       const double value =
           eri_from_pairs(pair_cache[i], li[0], li[1], li[2], pair_cache[j],
-                         lj[0], lj[1], lj[2]);
+                         lj[0], lj[1], lj[2], scratch);
       out.eri.set(pair_fn[i].first, pair_fn[i].second, pair_fn[j].first,
                   pair_fn[j].second, value);
     }

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <tuple>
 
+#include "obs/trace.hpp"
+
 namespace q2::pauli {
 namespace {
 
@@ -136,11 +138,10 @@ std::size_t MeasurementMpo::max_bond() const {
   return b;
 }
 
-MeasurementMpo build_measurement_mpo(const std::vector<PauliString>& terms,
-                                     const std::vector<cplx>& coeffs,
-                                     const std::vector<int>& site_of) {
-  require(coeffs.size() == terms.size(),
-          "build_measurement_mpo: one coefficient per term");
+MeasurementMpo build_measurement_mpo(
+    const std::vector<std::pair<PauliString, cplx>>& terms,
+    const std::vector<int>& site_of) {
+  OBS_SPAN("pauli/build_mpo");
   // Terms, states and edges are numbered in 32 bits.
   require(terms.size() < kNone, "build_measurement_mpo: too many terms");
   const std::size_t n = site_of.size();
@@ -155,12 +156,13 @@ MeasurementMpo build_measurement_mpo(const std::vector<PauliString>& terms,
       offset(terms.size() + 1, 0);
   std::vector<P> letters;
   for (std::size_t t = 0; t < terms.size(); ++t) {
-    require(terms[t].n_qubits() == n,
+    const PauliString& term = terms[t].first;
+    require(term.n_qubits() == n,
             "build_measurement_mpo: qubit count mismatch");
-    if (terms[t].is_identity()) {
+    if (term.is_identity()) {
       letters.push_back(P::I);
     } else {
-      const PauliString p = terms[t].permuted(site_of);
+      const PauliString p = term.permuted(site_of);
       std::tie(lo[t], hi[t]) = p.support_range();
       for (std::size_t s = lo[t]; s <= hi[t]; ++s) letters.push_back(p.get(s));
     }
@@ -208,7 +210,7 @@ MeasurementMpo build_measurement_mpo(const std::vector<PauliString>& terms,
   for (std::size_t k = 0; k < n; ++k) {
     for (std::uint32_t t = 0; t < terms.size(); ++t)
       if (lo[t] == k) open.push_back({MeasurementMpo::kVacuum, node_of[t],
-                                      coeffs[t]});
+                                      terms[t].second});
 
     // Terms ending on this site close into the sum; the others form the
     // graph. Sorting by (left vertex, right vertex, order) numbers the left

@@ -54,12 +54,13 @@ struct MeasurementMpo {
   std::size_t max_bond() const;
 };
 
-/// The exact MPO of Σ_k coeffs[k] · terms[k] for states carrying the
-/// logical→site map `site_of` (a permutation of [0, n)). An identity term
-/// enters as the letter I on site 0, so it measures ⟨ψ|ψ⟩ in the canonical
-/// gauge. Deterministic: depends only on the inputs and their order.
-MeasurementMpo build_measurement_mpo(const std::vector<PauliString>& terms,
-                                     const std::vector<cplx>& coeffs,
-                                     const std::vector<int>& site_of);
+/// The exact MPO of Σ_k c_k · P_k over the (P_k, c_k) pairs in `terms`, for
+/// states carrying the logical→site map `site_of` (a permutation of
+/// [0, n)). An identity term enters as the letter I on site 0, so it
+/// measures ⟨ψ|ψ⟩ in the canonical gauge. Deterministic: depends only on
+/// the inputs and their order.
+MeasurementMpo build_measurement_mpo(
+    const std::vector<std::pair<PauliString, cplx>>& terms,
+    const std::vector<int>& site_of);
 
 }  // namespace q2::pauli

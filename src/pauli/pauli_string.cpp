@@ -1,5 +1,6 @@
 #include "pauli/pauli_string.hpp"
 
+#include <algorithm>
 #include <sstream>
 
 namespace q2::pauli {
@@ -111,23 +112,33 @@ PauliString PauliString::permuted(const std::vector<int>& site_of) const {
 
 std::string PauliString::str() const {
   if (is_identity()) return "I";
-  std::ostringstream out;
-  bool first = true;
+  std::string out;
   for (std::size_t q = 0; q < n_; ++q) {
     const P p = get(q);
     if (p == P::I) continue;
-    if (!first) out << ' ';
-    first = false;
-    out << "IXZY"[int(p)] << q;
+    if (!out.empty()) out += ' ';
+    out += "IXZY"[int(p)];
+    out += std::to_string(q);
   }
-  return out.str();
+  return out;
+}
+
+void PauliString::assign_masks(const std::uint64_t* x, const std::uint64_t* z) {
+  std::copy(x, x + x_.size(), x_.begin());
+  std::copy(z, z + z_.size(), z_.begin());
+}
+
+std::size_t PauliString::hash_masks(std::size_t n, const std::uint64_t* x,
+                                    const std::uint64_t* z) {
+  const std::size_t words = words_for(n);
+  std::size_t h = n * 0x9e3779b97f4a7c15ull;
+  for (std::size_t i = 0; i < words; ++i) h = (h ^ x[i]) * 0x100000001b3ull;
+  for (std::size_t i = 0; i < words; ++i) h = (h ^ z[i]) * 0x100000001b3ull;
+  return h;
 }
 
 std::size_t PauliString::Hash::operator()(const PauliString& s) const {
-  std::size_t h = s.n_qubits() * 0x9e3779b97f4a7c15ull;
-  for (auto w : s.x_mask()) h = (h ^ w) * 0x100000001b3ull;
-  for (auto w : s.z_mask()) h = (h ^ w) * 0x100000001b3ull;
-  return h;
+  return hash_masks(s.n_, s.x_.data(), s.z_.data());
 }
 
 void PauliString::single_qubit_matrix(P p, cplx out[4]) {

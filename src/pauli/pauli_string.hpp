@@ -51,12 +51,19 @@ class PauliString {
   struct Hash {
     std::size_t operator()(const PauliString& s) const;
   };
+  /// Hash's value for the string on n qubits with these masks ((n + 63) / 64
+  /// words each), without building it.
+  static std::size_t hash_masks(std::size_t n, const std::uint64_t* x,
+                                const std::uint64_t* z);
 
   /// 2x2 matrix of the Pauli at site q (row-major, basis |0>, |1>).
   static void single_qubit_matrix(P p, cplx out[4]);
 
   const std::vector<std::uint64_t>& x_mask() const { return x_; }
   const std::vector<std::uint64_t>& z_mask() const { return z_; }
+  /// Overwrites both masks in place from (n + 63) / 64 words each; bits at
+  /// or above n must be clear.
+  void assign_masks(const std::uint64_t* x, const std::uint64_t* z);
 
  private:
   std::size_t n_ = 0;

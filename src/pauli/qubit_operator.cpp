@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <sstream>
+#include <tuple>
 
 namespace q2::pauli {
 namespace {
@@ -92,12 +93,23 @@ cplx QubitOperator::constant() const {
 }
 
 std::vector<std::pair<PauliString, cplx>> QubitOperator::sorted_terms() const {
-  std::vector<std::pair<PauliString, cplx>> v(terms_.begin(), terms_.end());
-  std::sort(v.begin(), v.end(), [](const auto& a, const auto& b) {
-    if (a.first.weight() != b.first.weight())
-      return a.first.weight() < b.first.weight();
-    return a.first.str() < b.first.str();
+  // Each term's (weight, label) key is built once, not per comparison.
+  // Labels are unique, so the order is total.
+  struct Keyed {
+    std::size_t weight;
+    std::string label;
+    const TermMap::value_type* term;
+  };
+  std::vector<Keyed> keyed;
+  keyed.reserve(terms_.size());
+  for (const auto& t : terms_)
+    keyed.push_back({t.first.weight(), t.first.str(), &t});
+  std::sort(keyed.begin(), keyed.end(), [](const Keyed& a, const Keyed& b) {
+    return std::tie(a.weight, a.label) < std::tie(b.weight, b.label);
   });
+  std::vector<std::pair<PauliString, cplx>> v;
+  v.reserve(keyed.size());
+  for (const Keyed& k : keyed) v.push_back(*k.term);
   return v;
 }
 

@@ -50,8 +50,9 @@ class QubitOperator {
   /// Coefficient of the identity string (energy shift).
   cplx constant() const;
 
-  /// Terms as a stable, deterministic list (sorted by string label) — the
-  /// circuit-per-Pauli-term distribution of Fig. 4 iterates this.
+  /// Terms as a stable, deterministic list (sorted by weight, then by
+  /// str() label) — the circuit-per-Pauli-term distribution of Fig. 4
+  /// iterates this.
   std::vector<std::pair<PauliString, cplx>> sorted_terms() const;
 
   std::string str(std::size_t max_terms = 12) const;

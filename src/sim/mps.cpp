@@ -451,14 +451,8 @@ cplx Mps::expectation(const pauli::PauliString& p) const {
 
 cplx Mps::expectation(const pauli::QubitOperator& op) const {
   require(int(op.n_qubits()) == n_, "Mps::expectation: qubit count mismatch");
-  std::vector<pauli::PauliString> strings;
-  std::vector<cplx> coeffs;
-  for (const auto& [p, c] : op.sorted_terms()) {
-    strings.push_back(p);
-    coeffs.push_back(c);
-  }
   return sweep_mpo(
-      pauli::build_measurement_mpo(strings, coeffs, perm_.site_of_map()));
+      pauli::build_measurement_mpo(op.sorted_terms(), perm_.site_of_map()));
 }
 
 cplx Mps::sweep_mpo(const pauli::MeasurementMpo& mpo) const {

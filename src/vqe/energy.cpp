@@ -140,15 +140,16 @@ EnergyEvaluator::EnergyEvaluator(circ::Circuit ansatz,
       mps_options_(mps_options),
       mode_(mode),
       storage_(storage) {
+  OBS_SPAN("vqe/evaluator_init");
   require(std::size_t(ansatz_.n_qubits()) == hamiltonian_.n_qubits(),
           "EnergyEvaluator: qubit count mismatch");
   require(hamiltonian_.is_hermitian(1e-8),
           "EnergyEvaluator: Hamiltonian must be Hermitian");
-  for (const auto& [p, c] : hamiltonian_.sorted_terms()) {
+  for (auto& [p, c] : hamiltonian_.sorted_terms()) {
     if (p.is_identity())
       constant_ += c.real();
     else
-      terms_.emplace_back(p, c);
+      terms_.emplace_back(std::move(p), c);
   }
   if (storage_ == CircuitStorage::kStoreAll &&
       mode_ == MeasurementMode::kHadamardTest) {
@@ -167,16 +168,8 @@ EnergyEvaluator::EnergyEvaluator(circ::Circuit ansatz,
     // The measured states carry compiled_.output_perm on the compiled path
     // and the identity on the eager one.
     const circ::QubitPermutation identity(ansatz_.n_qubits());
-    std::vector<pauli::PauliString> strings;
-    std::vector<cplx> coeffs;
-    strings.reserve(terms_.size());
-    coeffs.reserve(terms_.size());
-    for (const auto& [p, c] : terms_) {
-      strings.push_back(p);
-      coeffs.push_back(c);
-    }
     mpo_ = pauli::build_measurement_mpo(
-        strings, coeffs,
+        terms_,
         (use_compiled_ ? compiled_.output_perm : identity).site_of_map());
   }
   transfers_gauge().set(double(transfers_per_evaluation()));

@@ -1,9 +1,11 @@
 // Integral-engine tests: Boys function identities, analytic s-Gaussian
-// results, Szabo-Ostlund H2/STO-3G anchor values, and permutational
-// symmetries of the ERI tensor.
+// results, Szabo-Ostlund H2/STO-3G anchor values, permutational symmetries
+// of the ERI tensor, and the pinned bits of the H2O tables.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "chem/basis.hpp"
 #include "chem/boys.hpp"
@@ -14,15 +16,16 @@ namespace q2::chem {
 namespace {
 
 TEST(Boys, ZeroArgument) {
-  const auto f = boys(4, 0.0);
-  for (int n = 0; n <= 4; ++n)
-    EXPECT_NEAR(f[std::size_t(n)], 1.0 / (2 * n + 1), 1e-14);
+  double f[5];
+  boys(4, 0.0, f);
+  for (int n = 0; n <= 4; ++n) EXPECT_NEAR(f[n], 1.0 / (2 * n + 1), 1e-14);
 }
 
 TEST(Boys, ClosedFormF0) {
   // F_0(x) = sqrt(pi/x)/2 * erf(sqrt(x)).
   for (double x : {0.1, 0.5, 1.0, 3.0, 10.0, 40.0}) {
-    const auto f = boys(0, x);
+    double f[1];
+    boys(0, x, f);
     const double expect = 0.5 * std::sqrt(kPi / x) * std::erf(std::sqrt(x));
     EXPECT_NEAR(f[0], expect, 1e-12) << "x=" << x;
   }
@@ -31,10 +34,10 @@ TEST(Boys, ClosedFormF0) {
 TEST(Boys, DownwardRecursionIdentity) {
   // F_{n-1}(x) = (2x F_n(x) + e^{-x}) / (2n - 1) everywhere.
   for (double x : {0.2, 1.7, 8.0, 25.0, 50.0}) {
-    const auto f = boys(6, x);
+    double f[7];
+    boys(6, x, f);
     for (int n = 6; n >= 1; --n) {
-      EXPECT_NEAR(f[std::size_t(n - 1)],
-                  (2 * x * f[std::size_t(n)] + std::exp(-x)) / (2 * n - 1),
+      EXPECT_NEAR(f[n - 1], (2 * x * f[n] + std::exp(-x)) / (2 * n - 1),
                   1e-11)
           << "x=" << x << " n=" << n;
     }
@@ -42,11 +45,11 @@ TEST(Boys, DownwardRecursionIdentity) {
 }
 
 TEST(Boys, MonotoneInOrderAndArgument) {
-  const auto f1 = boys(5, 1.0);
-  for (int n = 1; n <= 5; ++n)
-    EXPECT_LT(f1[std::size_t(n)], f1[std::size_t(n - 1)]);
-  const auto f2 = boys(5, 2.0);
-  for (int n = 0; n <= 5; ++n) EXPECT_LT(f2[std::size_t(n)], f1[std::size_t(n)]);
+  double f1[6], f2[6];
+  boys(5, 1.0, f1);
+  for (int n = 1; n <= 5; ++n) EXPECT_LT(f1[n], f1[n - 1]);
+  boys(5, 2.0, f2);
+  for (int n = 0; n <= 5; ++n) EXPECT_LT(f2[n], f1[n]);
 }
 
 TEST(BasisSet, FunctionsAreNormalized) {
@@ -127,18 +130,91 @@ TEST(Integrals, EriEightFoldSymmetry) {
 }
 
 TEST(Integrals, TablesMatchDirectEvaluation) {
-  const Molecule mol = Molecule::h2(1.4);
-  const BasisSet basis = BasisSet::build(mol, "sto-3g");
-  const IntegralTables t = compute_integrals(mol, basis);
-  EXPECT_NEAR(t.overlap(0, 1), overlap_integral(basis[0], basis[1]), 1e-12);
-  EXPECT_NEAR(t.kinetic(1, 1), kinetic_integral(basis[1], basis[1]), 1e-12);
-  EXPECT_NEAR(t.eri(0, 1, 1, 0),
-              eri_integral(basis[0], basis[1], basis[1], basis[0]), 1e-12);
-  // Nuclear table sums attraction to both nuclei.
-  double v = 0;
-  for (const Atom& a : mol.atoms())
-    v += nuclear_integral(basis[0], basis[0], a.xyz, a.z);
-  EXPECT_NEAR(t.nuclear(0, 0), v, 1e-12);
+  // Every table entry equals the direct evaluation exactly, in the table's
+  // own argument order (p >= q, pair (p, q) >= pair (r, s)); an ERI whose
+  // Schwarz bound sqrt((pq|pq)) * sqrt((rs|rs)) is below 1e-12 is screened
+  // to 0.
+  for (const Molecule& mol : {Molecule::hydrogen_chain(4, 1.8), Molecule::h2o()}) {
+    const BasisSet basis = BasisSet::build(mol, "sto-3g");
+    const IntegralTables t = compute_integrals(mol, basis);
+    const std::size_t n = basis.size();
+    std::vector<std::pair<std::size_t, std::size_t>> pairs;
+    std::vector<double> schwarz;
+    for (std::size_t p = 0; p < n; ++p)
+      for (std::size_t q = 0; q <= p; ++q) {
+        EXPECT_EQ(t.overlap(p, q), overlap_integral(basis[p], basis[q]));
+        EXPECT_EQ(t.overlap(q, p), t.overlap(p, q));
+        EXPECT_EQ(t.kinetic(p, q), kinetic_integral(basis[p], basis[q]));
+        EXPECT_EQ(t.kinetic(q, p), t.kinetic(p, q));
+        double v = 0;
+        for (const Atom& a : mol.atoms())
+          v += nuclear_integral(basis[p], basis[q], a.xyz, a.z);
+        EXPECT_EQ(t.nuclear(p, q), v);
+        EXPECT_EQ(t.nuclear(q, p), v);
+        pairs.emplace_back(p, q);
+        schwarz.push_back(std::sqrt(std::abs(
+            eri_integral(basis[p], basis[q], basis[p], basis[q]))));
+      }
+    for (std::size_t i = 0; i < pairs.size(); ++i)
+      for (std::size_t j = 0; j <= i; ++j) {
+        const auto [p, q] = pairs[i];
+        const auto [r, s] = pairs[j];
+        const double want =
+            schwarz[i] == 0 || schwarz[i] * schwarz[j] < 1e-12
+                ? 0.0
+                : eri_integral(basis[p], basis[q], basis[r], basis[s]);
+        EXPECT_EQ(t.eri(p, q, r, s), want)
+            << "(" << p << q << "|" << r << s << ")";
+      }
+  }
+}
+
+TEST(Integrals, H2OEntriesKeepTheirBits) {
+  // Pinned bits of the H2O STO-3G tables (basis O 1s, 2s, 2px, 2py, 2pz,
+  // H 1s, H 1s): a digest of every overlap, kinetic, nuclear and ERI entry,
+  // and a few entries by name, p functions up to (pp|pp) among them. A
+  // change to the operations of the Boys function or the Hermite-Coulomb
+  // recursion, or to their order, shows here. The bits also follow libm's
+  // exp and sqrt and a build that does not contract to FMA (no -march).
+  const Molecule mol = Molecule::h2o();
+  const IntegralTables t =
+      compute_integrals(mol, BasisSet::build(mol, "sto-3g"));
+  const std::size_t n = t.overlap.rows();
+  ASSERT_EQ(n, 7u);
+  auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  std::uint64_t digest = 0xcbf29ce484222325ull;  // FNV-1a over 64-bit words
+  auto mix = [&](double x) { digest = (digest ^ bits(x)) * 0x100000001b3ull; };
+  for (const la::RMatrix* m : {&t.overlap, &t.kinetic, &t.nuclear})
+    for (std::size_t p = 0; p < n; ++p)
+      for (std::size_t q = 0; q < n; ++q) mix((*m)(p, q));
+  for (std::size_t p = 0; p < n; ++p)
+    for (std::size_t q = 0; q < n; ++q)
+      for (std::size_t r = 0; r < n; ++r)
+        for (std::size_t s = 0; s < n; ++s) mix(t.eri(p, q, r, s));
+  EXPECT_EQ(digest, 0xb4ee2f3918e9cd57ull);
+
+  struct Nuclear {
+    std::size_t p, q;
+    std::uint64_t bits;
+  };
+  for (const Nuclear& e : {Nuclear{0, 0, 0xc04edc921d76914full},
+                           Nuclear{2, 2, 0xc0244887830da32full},
+                           Nuclear{5, 3, 0xbffd134f246f517dull},
+                           Nuclear{6, 2, 0x400203f6c99b0bf7ull}})
+    EXPECT_EQ(bits(t.nuclear(e.p, e.q)), e.bits)
+        << "V(" << e.p << "," << e.q << ")";
+  struct Eri {
+    std::size_t p, q, r, s;
+    std::uint64_t bits;
+  };
+  for (const Eri& e : {Eri{0, 0, 0, 0, 0x401323e82f79b980ull},
+                       Eri{2, 2, 2, 2, 0x3fec2a43672a549eull},
+                       Eri{2, 0, 5, 2, 0x3f8a051cb79de616ull},
+                       Eri{3, 3, 5, 0, 0x3fade8d7148c15daull},
+                       Eri{6, 2, 5, 3, 0xbfa24b33e9cee6cdull},
+                       Eri{3, 2, 6, 5, 0xbc08000000000000ull}})  // -1.6e-19
+    EXPECT_EQ(bits(t.eri(e.p, e.q, e.r, e.s)), e.bits)
+        << "(" << e.p << e.q << "|" << e.r << e.s << ")";
 }
 
 TEST(Integrals, PFunctionOverlapOrthogonality) {

@@ -408,26 +408,24 @@ TEST(GroupedEnergy, H4BitIdenticalAcrossGroupingAndThreads) {
 // Random Pauli sums on the state's qubits with Y letters and complex
 // coefficients, plus single-site terms and terms on the logical qubits that
 // sit on the first and last sites.
-struct PauliSum {
-  std::vector<PauliString> terms;
-  std::vector<cplx> coeffs;
-};
+using PauliSum = std::vector<std::pair<PauliString, cplx>>;
 
 PauliSum random_pauli_sum(const QubitPermutation& perm, Rng& rng) {
   const std::size_t n = std::size_t(perm.size());
   const std::size_t first = std::size_t(perm.logical_at(0));
   const std::size_t last = std::size_t(perm.logical_at(int(n) - 1));
-  PauliSum sum;
-  sum.terms = random_terms(n, 30, rng);
+  std::vector<PauliString> terms = random_terms(n, 30, rng);
   PauliString edge(n), first_only(n), last_only(n);
   edge.set(first, pauli::P::Y);
   edge.set(last, pauli::P::X);
   first_only.set(first, pauli::P::Z);
   last_only.set(last, pauli::P::Y);
   for (const PauliString& p : {edge, first_only, last_only})
-    sum.terms.push_back(p);
-  for (std::size_t i = 0; i < sum.terms.size(); ++i)
-    sum.coeffs.push_back({rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)});
+    terms.push_back(p);
+  PauliSum sum;
+  for (PauliString& p : terms)
+    sum.emplace_back(std::move(p),
+                     cplx{rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)});
   return sum;
 }
 
@@ -446,19 +444,18 @@ TEST(Mpo, SweepMatchesPerTermExpectations) {
       const PauliSum sum = random_pauli_sum(mps.output_permutation(), rng);
       cplx reference{};
       double scale = 0.0;
-      for (std::size_t i = 0; i < sum.terms.size(); ++i) {
-        reference += sum.coeffs[i] * mps.expectation(sum.terms[i]);
-        scale += std::abs(sum.coeffs[i]);
+      for (const auto& [p, c] : sum) {
+        reference += c * mps.expectation(p);
+        scale += std::abs(c);
       }
       const pauli::MeasurementMpo mpo = pauli::build_measurement_mpo(
-          sum.terms, sum.coeffs, mps.output_permutation().site_of_map());
+          sum, mps.output_permutation().site_of_map());
       EXPECT_NEAR(std::abs(mps.sweep_mpo(mpo) - reference), 0.0,
                   1e-12 * scale)
           << "n=" << n << " trial=" << trial;
       // The same sum as an operator, measured through its own MPO.
       pauli::QubitOperator op{std::size_t(n)};
-      for (std::size_t i = 0; i < sum.terms.size(); ++i)
-        op.add(sum.terms[i], sum.coeffs[i]);
+      for (const auto& [p, c] : sum) op.add(p, c);
       EXPECT_NEAR(std::abs(mps.expectation(op) - reference), 0.0,
                   1e-12 * scale)
           << "n=" << n << " trial=" << trial;
@@ -475,29 +472,23 @@ TEST(Mpo, PermutationMismatchThrows) {
   other.swap_sites(0, 1);
   const PauliSum sum = random_pauli_sum(other, rng);
   const pauli::MeasurementMpo wrong =
-      pauli::build_measurement_mpo(sum.terms, sum.coeffs, other.site_of_map());
+      pauli::build_measurement_mpo(sum, other.site_of_map());
   EXPECT_THROW(mps.sweep_mpo(wrong), Error);
-  const pauli::MeasurementMpo right = pauli::build_measurement_mpo(
-      sum.terms, sum.coeffs, mps.output_permutation().site_of_map());
+  const pauli::MeasurementMpo right =
+      pauli::build_measurement_mpo(sum, mps.output_permutation().site_of_map());
   EXPECT_NO_THROW(mps.sweep_mpo(right));
-  EXPECT_THROW(pauli::build_measurement_mpo(sum.terms, {}, other.site_of_map()),
-               Error);
 }
 
 // The H10 Hamiltonian in identity order: a guard on the builder's
 // optimality (each cut takes a minimum vertex cover).
 TEST(Mpo, H10IdentityOrderBondsStayMinimal) {
   const MolecularCase mc = h_chain_case(10, 1.8, 5);
-  std::vector<PauliString> strings;
-  std::vector<cplx> coeffs;
-  for (const auto& [p, c] : mc.hamiltonian.sorted_terms()) {
-    if (p.is_identity()) continue;
-    strings.push_back(p);
-    coeffs.push_back(c);
-  }
-  ASSERT_EQ(strings.size(), 7150u);
-  const pauli::MeasurementMpo mpo = pauli::build_measurement_mpo(
-      strings, coeffs, QubitPermutation(20).site_of_map());
+  std::vector<std::pair<PauliString, cplx>> terms;
+  for (auto& [p, c] : mc.hamiltonian.sorted_terms())
+    if (!p.is_identity()) terms.emplace_back(std::move(p), c);
+  ASSERT_EQ(terms.size(), 7150u);
+  const pauli::MeasurementMpo mpo =
+      pauli::build_measurement_mpo(terms, QubitPermutation(20).site_of_map());
   std::size_t sum = 0;
   for (std::size_t b : mpo.bond) sum += b;
   EXPECT_LE(mpo.max_bond(), 230u);

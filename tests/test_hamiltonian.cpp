@@ -1,12 +1,17 @@
 // Qubit-Hamiltonian tests: the H2/STO-3G Hamiltonian has the 15 Pauli terms
-// of Fig. 5, its expectation on the HF state reproduces the SCF energy, and
-// the fragment-weighted operators tile back to the full Hamiltonian.
+// of Fig. 5, its expectation on the HF state reproduces the SCF energy, the
+// fragment-weighted operators tile back to the full Hamiltonian, and the
+// streamed builders equal the ladder-product path coefficient for
+// coefficient.
 #include <gtest/gtest.h>
+
+#include <unordered_set>
 
 #include "chem/fci.hpp"
 #include "chem/hamiltonian.hpp"
 #include "chem/scf.hpp"
 #include "circuit/builder.hpp"
+#include "jw_oracle.hpp"
 #include "sim/statevector.hpp"
 
 namespace q2::chem {
@@ -100,6 +105,81 @@ TEST(Hamiltonian, GroundEnergyBelowHf) {
   guess[0b0011] = 1.0;
   const double e0 = sim::qubit_ground_energy(h, guess);
   EXPECT_LT(e0, s.scf.energy);
+}
+
+// The product path the streamed builders replace: the fermionic operator
+// of the (fragment-weighted) Hamiltonian, term by term in (p, q, r, s,
+// sigma, tau) order, through the ladder-product Jordan-Wigner oracle.
+pauli::FermionOperator weighted_fermion_operator(
+    const MoIntegrals& mo, const std::vector<std::size_t>* fragment_orbitals) {
+  const std::size_t n = mo.n_orbitals();
+  std::unordered_set<std::size_t> frag;
+  if (fragment_orbitals)
+    frag.insert(fragment_orbitals->begin(), fragment_orbitals->end());
+  auto in = [&](std::size_t p) { return double(frag.count(p)); };
+  pauli::FermionOperator op(2 * n);
+  for (std::size_t p = 0; p < n; ++p)
+    for (std::size_t q = 0; q < n; ++q) {
+      const double w = fragment_orbitals ? 0.5 * (in(p) + in(q)) : 1.0;
+      const double hpq = mo.h(p, q) * w;
+      if (std::abs(hpq) < 1e-12) continue;
+      for (std::size_t sigma = 0; sigma < 2; ++sigma)
+        op.add_term({{2 * p + sigma, true}, {2 * q + sigma, false}}, hpq);
+    }
+  for (std::size_t p = 0; p < n; ++p)
+    for (std::size_t q = 0; q < n; ++q)
+      for (std::size_t r = 0; r < n; ++r)
+        for (std::size_t s = 0; s < n; ++s) {
+          const double w =
+              fragment_orbitals ? 0.25 * (in(p) + in(q) + in(r) + in(s)) : 1.0;
+          const double g = 0.5 * mo.eri(p, q, r, s) * w;
+          if (std::abs(g) < 1e-12) continue;
+          for (std::size_t sigma = 0; sigma < 2; ++sigma)
+            for (std::size_t tau = 0; tau < 2; ++tau)
+              op.add_term({{2 * p + sigma, true},
+                           {2 * r + tau, true},
+                           {2 * s + tau, false},
+                           {2 * q + sigma, false}},
+                          g);
+        }
+  return op;
+}
+
+TEST(Hamiltonian, StreamedMatchesProductPath) {
+  for (const auto& mol :
+       {Molecule::h2(1.4), Molecule::hydrogen_chain(4, 1.8),
+        Molecule::hydrogen_chain(6, 1.8)}) {
+    const Solved s = solve(mol);
+    const std::size_t n = s.mo.n_orbitals();
+    pauli::QubitOperator want =
+        test::ladder_product_jw(weighted_fermion_operator(s.mo, nullptr));
+    want += pauli::QubitOperator::identity(2 * n, s.mo.core_energy());
+    want.compress(1e-10);
+    test::expect_same_terms(molecular_qubit_hamiltonian(s.mo), want);
+  }
+
+  const Solved s = solve(Molecule::hydrogen_chain(4, 1.8));
+  const std::vector<std::size_t> frag{1, 2};
+  pauli::QubitOperator want =
+      test::ladder_product_jw(weighted_fermion_operator(s.mo, &frag));
+  want.compress(1e-10);
+  test::expect_same_terms(fragment_weighted_hamiltonian(s.mo, frag), want);
+
+  // A one-body operator with every entry set, and one below the cut.
+  const std::size_t n = s.mo.n_orbitals();
+  la::RMatrix c(n, n);
+  for (std::size_t p = 0; p < n; ++p)
+    for (std::size_t q = 0; q < n; ++q) c(p, q) = s.mo.h(p, q) + 0.1 * double(p);
+  c(0, n - 1) = 1e-13;
+  pauli::FermionOperator one(2 * n);
+  for (std::size_t p = 0; p < n; ++p)
+    for (std::size_t q = 0; q < n; ++q) {
+      if (std::abs(c(p, q)) < 1e-12) continue;
+      for (std::size_t sigma = 0; sigma < 2; ++sigma)
+        one.add_term({{2 * p + sigma, true}, {2 * q + sigma, false}}, c(p, q));
+    }
+  test::expect_same_terms(one_body_qubit_operator(c),
+                          test::ladder_product_jw(one));
 }
 
 }  // namespace

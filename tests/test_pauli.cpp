@@ -1,8 +1,13 @@
 // Pauli algebra and Jordan-Wigner tests: multiplication phase table,
-// commutation symplectic form, operator algebra, and the canonical
-// anticommutation relations of the JW images.
+// commutation symplectic form, operator algebra, the sorted term order, the
+// canonical anticommutation relations of the JW images, and the streamed
+// transform against the ladder-product oracle.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "common/rng.hpp"
+#include "jw_oracle.hpp"
 #include "pauli/jordan_wigner.hpp"
 #include "pauli/pauli_string.hpp"
 #include "pauli/qubit_operator.hpp"
@@ -124,6 +129,45 @@ TEST(QubitOperator, CompressRemovesZeros) {
   EXPECT_EQ(a.size(), 1u);
 }
 
+TEST(QubitOperator, SortedTermsOrderIsWeightThenLabel) {
+  // The reference: std::sort with a comparator that builds both labels on
+  // every comparison. Labels are unique, so the order is total.
+  auto by_weight_then_label = [](const auto& a, const auto& b) {
+    if (a.first.weight() != b.first.weight())
+      return a.first.weight() < b.first.weight();
+    return a.first.str() < b.first.str();
+  };
+  Rng rng(2024);
+  for (int trial = 0; trial < 5; ++trial) {
+    QubitOperator op(24);
+    // Labels compare as text: "X10" sorts before "X2".
+    op.add(PauliString::parse(24, "X2"), 1.0);
+    op.add(PauliString::parse(24, "X10"), 2.0);
+    for (int t = 0; t < 300; ++t) {
+      PauliString p(24);
+      const std::size_t weight = 1 + rng.index(6);
+      for (std::size_t k = 0; k < weight; ++k)
+        p.set(rng.index(24), P(1 + rng.index(3)));
+      op.add(p, rng.complex_normal());
+    }
+    std::vector<std::pair<PauliString, cplx>> want(op.terms().begin(),
+                                                   op.terms().end());
+    std::sort(want.begin(), want.end(), by_weight_then_label);
+    const auto got = op.sorted_terms();
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].first, want[i].first) << i;
+      EXPECT_EQ(got[i].second, want[i].second) << i;
+    }
+    const auto at = [&](const std::string& label) {
+      for (std::size_t i = 0; i < got.size(); ++i)
+        if (got[i].first.str() == label) return i;
+      return got.size();
+    };
+    EXPECT_LT(at("X10"), at("X2"));
+  }
+}
+
 TEST(JordanWigner, NumberOperatorForm) {
   const QubitOperator n = jw_number(3, 1);
   // (I - Z1)/2
@@ -202,6 +246,54 @@ TEST(JordanWigner, HermitianGeneratorMapsToAntiHermitianImage) {
   const QubitOperator g = jordan_wigner(t);
   EXPECT_GT(g.size(), 0u);
   for (const auto& [p, c] : g.terms()) EXPECT_LT(std::abs(c.real()), 1e-12);
+}
+
+// Random ladder products of 1, 2 and 4 operators whose orbitals often
+// coincide (drawn from a small pool), with complex coefficients.
+FermionOperator random_fermion_operator(std::size_t n, Rng& rng) {
+  FermionOperator f(n);
+  std::vector<std::size_t> pool(3);
+  for (int t = 0; t < 120; ++t) {
+    for (auto& o : pool) o = rng.index(n);
+    const std::size_t k = std::size_t(1) << rng.index(3);  // 1, 2 or 4
+    std::vector<Ladder> ops;
+    for (std::size_t j = 0; j < k; ++j)
+      ops.push_back({rng.uniform() < 0.5 ? pool[rng.index(3)] : rng.index(n),
+                     rng.uniform() < 0.5});
+    f.add_term(std::move(ops), rng.complex_normal());
+  }
+  return f;
+}
+
+TEST(JordanWigner, StreamedMatchesLadderProducts) {
+  Rng rng(31337);
+  for (std::size_t n : {3u, 20u, 70u}) {
+    FermionOperator f = random_fermion_operator(n, rng);
+    const std::size_t p = n - 1, q = n / 2, r = 1;
+    // Coincident indices: a+_p a_p, a+_p a+_p (zero), a+_p a+_r a_r a_p,
+    // a_p a+_p, a+_p a_q a+_q a_p.
+    f.add_term({{p, true}, {p, false}}, cplx(0.3, -0.7));
+    f.add_term({{p, true}, {p, true}}, 1.0);
+    f.add_term({{p, true}, {r, true}, {r, false}, {p, false}}, cplx(-1.1, 0.2));
+    f.add_term({{p, false}, {p, true}}, 0.9);
+    f.add_term({{p, true}, {q, false}, {q, true}, {p, false}}, cplx(0, 0.4));
+    // Products whose strings sit just above and just below the 1e-14 drop
+    // (|coeff| * 2^-k), each on top of the same product at full size so a
+    // kept or dropped contribution shows in the summed coefficient.
+    for (double side : {1.0 + 1e-6, 1.0 - 1e-6}) {
+      for (std::size_t k : {1u, 2u, 4u}) {
+        std::vector<Ladder> ops;
+        for (std::size_t j = 0; j < k; ++j)
+          ops.push_back({(q + 3 * j) % n, j < k / 2});
+        const double phase = rng.uniform(0.0, 6.283185307179586);
+        const double size = std::ldexp(1e-14 * side, int(k));
+        f.add_term(ops, cplx(0.25, -0.5));
+        f.add_term(ops, std::polar(size, phase));
+      }
+    }
+    q2::test::expect_same_terms(jordan_wigner(f),
+                                q2::test::ladder_product_jw(f));
+  }
 }
 
 }  // namespace

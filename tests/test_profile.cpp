@@ -1,7 +1,8 @@
 // Span-aggregation profile: call-tree construction from nested and threaded
 // spans, self-vs-total invariants, exactness and thread-count invariance of
 // the GEMM/SVD FLOP accounting, cross-thread path adoption through the pool,
-// and the JSON export round-tripped through the shared obs::Json parser.
+// the set-up spans, and the JSON export round-tripped through the shared
+// obs::Json parser.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -10,6 +11,8 @@
 #include <thread>
 #include <vector>
 
+#include "chem/hamiltonian.hpp"
+#include "chem/scf.hpp"
 #include "common/rng.hpp"
 #include "linalg/gemm.hpp"
 #include "linalg/svd.hpp"
@@ -17,6 +20,8 @@
 #include "parallel/thread_pool.hpp"
 #include "sim/mps.hpp"
 #include "circuit/builder.hpp"
+#include "vqe/energy.hpp"
+#include "vqe/uccsd.hpp"
 
 namespace q2 {
 namespace {
@@ -236,6 +241,33 @@ TEST_F(ProfileTest, SelfTimeIsNonNegativeUnderPoolFanOut) {
   }
   // The units sleep, so nearly all of their time is their own.
   EXPECT_GE(unit->self_us, 0.9 * unit->total_us);
+}
+
+// Set-up is visible from the library's own spans: the integrals, the
+// streamed Jordan-Wigner build, and the evaluator's constructor with its
+// MPO build nested inside.
+TEST_F(ProfileTest, SetupSpansAppearWithSelfWithinTotal) {
+  const chem::Molecule mol = chem::Molecule::h2(1.4);
+  const chem::BasisSet basis = chem::BasisSet::build(mol, "sto-3g");
+  const chem::IntegralTables ints = chem::compute_integrals(mol, basis);
+  const chem::ScfResult scf = chem::rhf(mol, basis, ints);
+  const chem::MoIntegrals mo =
+      chem::transform_to_mo(ints, scf.coefficients, scf.nuclear_repulsion);
+  const pauli::QubitOperator h = chem::molecular_qubit_hamiltonian(mo);
+  const vqe::UccsdAnsatz ansatz = vqe::build_uccsd(mo.n_orbitals(), 1, 1);
+  const vqe::EnergyEvaluator evaluator(ansatz.circuit, h);
+
+  const std::vector<obs::ProfileNode> nodes = obs::profile_snapshot();
+  for (const char* name : {"chem/compute_integrals", "chem/jordan_wigner",
+                           "vqe/evaluator_init", "pauli/build_mpo"}) {
+    const obs::ProfileNode* node = find_node(nodes, name);
+    ASSERT_NE(node, nullptr) << name;
+    EXPECT_EQ(node->count, 1u) << name;
+    EXPECT_GE(node->self_us, 0.0) << name;
+    EXPECT_LE(node->self_us, node->total_us) << name;
+  }
+  EXPECT_EQ(find_node(nodes, "pauli/build_mpo")->path,
+            "vqe/evaluator_init;pauli/build_mpo");
 }
 
 TEST_F(ProfileTest, JsonExportRoundTripsThroughTheSharedParser) {

@@ -53,6 +53,12 @@ TEST(Robustness, FermionOperatorValidation) {
   pauli::FermionOperator f(2);
   EXPECT_THROW(f.add_term({{5, true}}, 1.0), Error);
   EXPECT_THROW(pauli::jw_creation(3, 3), Error);
+  pauli::JordanWignerAccumulator jw(2);
+  const pauli::Ladder out_of_range[] = {{2, true}};
+  EXPECT_THROW(jw.add(out_of_range, 1.0), Error);
+  const std::vector<pauli::Ladder> too_long(
+      pauli::JordanWignerAccumulator::kMaxLadders + 1, {0, true});
+  EXPECT_THROW(jw.add(too_long, 1.0), Error);
 }
 
 TEST(Robustness, MpsGuards) {
