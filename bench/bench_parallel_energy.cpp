@@ -1,9 +1,10 @@
 // On-node and distributed parallel evaluation of a full H4/STO-3G UCCSD
 // energy and its gradients: the level-2 Pauli-measurement sweep, the
-// parameter-shift gradient, and the central-difference gradient dealt over
-// pool workers and over ranks, each against its serial run. Verifies that
-// every parallel result is byte-identical to serial — the index-order
-// reduction and single-owner gradient guarantees.
+// parameter-shift gradient, the central-difference gradient dealt over
+// pool workers and over ranks, each against its serial run, and the adjoint
+// gradient against the parameter-shift one. Verifies that every parallel
+// result is byte-identical to serial — the index-order reduction and
+// single-owner gradient guarantees.
 //
 //   ./bench_parallel_energy [--threads=N] [--quick] [--json=BENCH_x.json]
 //                           [reps]
@@ -14,8 +15,11 @@
 // exact two-site-update counts (zero tolerance in bench_diff, so a change
 // that loses prefix sharing fails on any host), wall times sit in
 // informational `*_s` keys, and `perf_floor_ok` holds the byte-identity of
-// the serial, threaded and 4-rank gradients.
+// the serial, threaded and 4-rank gradients and the adjoint gradient's two
+// floors (1e-10 of parameter shift, 5x fewer updates than central
+// differences).
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -111,9 +115,12 @@ void energy_section(const H4Case& c, std::size_t n_threads, int reps,
   std::printf("\nenergy(serial) = %.17g\nenergy(parallel) = %.17g\n", e1, eN);
 }
 
-// Central-difference and parameter-shift gradients: exact update counts
-// (serial, worst rank of kRanks) and byte-identity across serial, threaded
-// and distributed runs. Returns whether every gradient matched serial.
+// Central-difference, parameter-shift and adjoint gradients: exact update
+// counts (serial, worst rank of kRanks) and byte-identity across serial,
+// threaded and distributed runs. Returns whether every gradient matched
+// serial and the adjoint gradient held its floors: every entry within 1e-10
+// of the parameter-shift gradient, and at least 5x fewer two-site updates
+// than central differences.
 bool gradient_section(const H4Case& c, std::size_t n_threads, bool quick,
                       bench::BenchReport& report) {
   const double eps = vqe::VqeOptions{}.gradient_eps;
@@ -160,6 +167,19 @@ bool gradient_section(const H4Case& c, std::size_t n_threads, bool quick,
       g_ps_threads = parallel.parameter_shift_gradient(c.params);
     }).second;
 
+  // The adjoint gradient: one forward and two backward passes, checked
+  // entry by entry against the exact parameter-shift gradient.
+  std::vector<double> g_adjoint;
+  const auto [adjoint_updates, adjoint_serial_s] = measure(kReps, [&] {
+    g_adjoint = serial.adjoint_gradient(c.params).value_or(
+        std::vector<double>{});
+  });
+  double adjoint_gap = g_adjoint.size() == g_ps.size() ? 0.0 : 1e300;
+  for (std::size_t k = 0; k < g_adjoint.size() && k < g_ps.size(); ++k)
+    adjoint_gap = std::max(adjoint_gap, std::abs(g_adjoint[k] - g_ps[k]));
+  const bool adjoint_ok = adjoint_gap <= 1e-10 &&
+                          5 * adjoint_updates <= fd_updates;
+
   const bool threads_identical = same_bits(g_threads, g_serial);
   const bool ps_identical = quick || same_bits(g_ps_threads, g_ps);
   bench::row({"fd_gradient", bench::fmte(fd_serial_s),
@@ -175,10 +195,14 @@ bool gradient_section(const H4Case& c, std::size_t n_threads, bool quick,
                 bench::fmt(ps_serial_s / ps_threads_s, 2),
                 ps_identical ? "yes" : "NO"});
   std::printf("\ntwo-site updates: fd serial %llu, fd worst of %d ranks %llu, "
-              "parameter shift serial %llu\n",
+              "parameter shift serial %llu, adjoint %llu\n",
               (unsigned long long)fd_updates, kRanks,
               (unsigned long long)max_rank_updates,
-              (unsigned long long)ps_updates);
+              (unsigned long long)ps_updates,
+              (unsigned long long)adjoint_updates);
+  std::printf("adjoint gradient: %.3e s serial, max |adjoint - parameter "
+              "shift| = %.2e (bound 1e-10), %s\n",
+              adjoint_serial_s, adjoint_gap, adjoint_ok ? "ok" : "FAIL");
 
   report.set("h4_parameters", double(c.ansatz.n_parameters));
   report.set("h4_fd_gradient_updates", double(fd_updates));
@@ -189,7 +213,9 @@ bool gradient_section(const H4Case& c, std::size_t n_threads, bool quick,
   report.set("h4_fd_gradient_ranks_s", fd_ranks_s);
   report.set("h4_ps_gradient_serial_s", ps_serial_s);
   if (!quick) report.set("h4_ps_gradient_threads_s", ps_threads_s);
-  return threads_identical && ranks_identical && ps_identical;
+  report.set("h4_adjoint_gradient_updates", double(adjoint_updates));
+  report.set("h4_adjoint_gradient_serial_s", adjoint_serial_s);
+  return threads_identical && ranks_identical && ps_identical && adjoint_ok;
 }
 
 }  // namespace

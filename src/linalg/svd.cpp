@@ -456,8 +456,9 @@ TruncatedSpectrum svd_truncated_ws(SvdWorkspace& ws, const cplx* a,
   while (keep > 1 && s[order[keep - 1]] <= cutoff * smax) --keep;
   // Never keep exact zeros (they carry no state weight).
   while (keep > 1 && s[order[keep - 1]] == 0.0) --keep;
-  double kept = 0.0;
+  double kept = 0.0, dropped = 0.0;
   for (std::size_t r = 0; r < keep; ++r) kept += s[order[r]] * s[order[r]];
+  for (std::size_t r = keep; r < N; ++r) dropped += s[order[r]] * s[order[r]];
 
   form_factors(ws, g, keep, /*zero_small=*/false);
 
@@ -465,6 +466,7 @@ TruncatedSpectrum svd_truncated_ws(SvdWorkspace& ws, const cplx* a,
   out.keep = keep;
   out.sweeps = g.sweeps;
   out.truncation_error = total > 0 ? std::max(0.0, 1.0 - kept / total) : 0.0;
+  out.discarded = total > 0 ? dropped / total : 0.0;
   out.s = ws.out_s.data();
   out.vh = ws.out_vh.data();
   out.u = want_u ? ws.out_u.data() : nullptr;
@@ -482,6 +484,7 @@ TruncatedSvd svd_truncated(const CMatrix& a, std::size_t max_rank,
                        max_rank, cutoff, /*want_u=*/true);
   TruncatedSvd r;
   r.truncation_error = f.truncation_error;
+  r.discarded = f.discarded;
   r.sweeps = f.sweeps;
   r.s.assign(f.s, f.s + f.keep);
   r.u = CMatrix(a.rows(), f.keep);

@@ -40,8 +40,10 @@ struct TruncatedSvd {
   std::vector<double> s;
   CMatrix vh;
   /// Discarded weight: sum of squared dropped singular values divided by the
-  /// total squared norm — the truncation-error monitor the paper describes.
+  /// total squared norm — the truncation-error monitor the paper describes —
+  /// as 1 - kept / total (see TruncatedSpectrum).
   double truncation_error = 0.0;
+  double discarded = 0.0;  ///< the same weight summed directly
   int sweeps = 0;  ///< implicit-QR sweeps (bulge chases) to convergence.
 };
 
@@ -80,7 +82,12 @@ struct TruncatedSpectrum {
   const cplx* u = nullptr;     ///< m x keep row-major; nullptr if !want_u
   const cplx* vh = nullptr;    ///< keep x n row-major
   std::size_t keep = 0;
+  /// 1 - kept / total: what a caller renormalizing the kept part divides
+  /// by. Its rounding is a few ulp even when nothing is dropped.
   double truncation_error = 0.0;
+  /// Sum of the dropped squares / total, summed directly: exactly 0 when
+  /// nothing is dropped, and accurate to rounding relative to itself.
+  double discarded = 0.0;
   int sweeps = 0;              ///< implicit-QR sweeps (bulge chases)
 };
 

@@ -147,7 +147,7 @@ cplx DensityMatrix::expectation(const pauli::PauliString& p) const {
 
 cplx DensityMatrix::expectation(const pauli::QubitOperator& op) const {
   cplx e{};
-  for (const auto& [p, c] : op.terms()) e += c * expectation(p);
+  for (const auto& [p, c] : op.sorted_terms()) e += c * expectation(p);
   return e;
 }
 

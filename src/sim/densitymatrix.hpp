@@ -29,6 +29,7 @@ class DensityMatrix {
   double purity() const;  ///< tr(rho^2); 1 for pure states
 
   cplx expectation(const pauli::PauliString& p) const;
+  /// Σ_k c_k <P_k> in op.sorted_terms() order.
   cplx expectation(const pauli::QubitOperator& op) const;
 
  private:

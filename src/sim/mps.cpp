@@ -88,7 +88,7 @@ Mps Mps::from_statevector(int n_qubits, const std::vector<cplx>& amps,
     la::TruncatedSvd f =
         la::svd_truncated(m, options.max_bond, options.svd_cutoff);
     const std::size_t k = f.s.size();
-    mps.truncation_error_ += f.truncation_error;
+    mps.truncation_error_ += f.discarded;
     mps.tensors_[site].assign(k * cols, cplx{});
     for (std::size_t r = 0; r < k; ++r)
       for (std::size_t col = 0; col < cols; ++col)
@@ -230,7 +230,7 @@ void Mps::apply_two_adjacent(int n, const std::array<cplx, 16>& m_in,
   svd_sweep_counter().add(std::uint64_t(f.sweeps));
   const std::size_t k = f.keep;
   bond_hist().observe(double(k));
-  truncation_error_ += f.truncation_error;
+  truncation_error_ += f.discarded;
 
   // Compensate the weight dropped by this truncation (relative, so it is
   // exact even when the canonical gauge has drifted and ||M'|| != 1).
@@ -265,15 +265,36 @@ void Mps::apply_two_adjacent(int n, const std::array<cplx, 16>& m_in,
 }
 
 void Mps::apply(const circ::Gate& g, const std::vector<double>& params) {
+  apply_gate(g, params, /*adjoint=*/false);
+}
+
+void Mps::apply_adjoint(const circ::Gate& g,
+                        const std::vector<double>& params) {
+  apply_gate(g, params, /*adjoint=*/true);
+}
+
+void Mps::apply_gate(const circ::Gate& g, const std::vector<double>& params,
+                     bool adjoint) {
+  // The conjugate transpose of a d x d row-major matrix.
+  auto dagger = [](auto m, std::size_t d) {
+    auto out = m;
+    for (std::size_t r = 0; r < d; ++r)
+      for (std::size_t c = 0; c < d; ++c)
+        out[c * d + r] = std::conj(m[r * d + c]);
+    return out;
+  };
   if (!g.is_two_qubit()) {
-    apply_single(g.qubits[0], g.matrix1(params));
+    const std::array<cplx, 4> m = g.matrix1(params);
+    apply_single(g.qubits[0], adjoint ? dagger(m, 2) : m);
     return;
   }
   const int a = g.qubits[0], b = g.qubits[1];
   require(std::abs(a - b) == 1,
           "Mps::apply: two-qubit gates must be nearest-neighbour (route first)");
   const int left = std::min(a, b);
-  apply_two_adjacent(left, g.matrix2(params), /*left_is_hi=*/a == left);
+  const std::array<cplx, 16> m = g.matrix2(params);
+  apply_two_adjacent(left, adjoint ? dagger(m, 4) : m,
+                     /*left_is_hi=*/a == left);
 }
 
 void Mps::run(const circ::Circuit& c, const std::vector<double>& params) {
@@ -310,26 +331,51 @@ void Mps::run(const circ::CompiledCircuit& c, const std::vector<double>& params,
 
 namespace {
 
-// Transfer E across one site: E' = sum_{i',i} P[i',i] B_{i'}^dagger (E B_i),
-// with E dl x dl and the (dl, 2, dr) site tensor t; E' (dr x dr) is written
-// to `out` and `ebi` (dl x dr) is scratch. B_i is read in place as a strided
-// dl x dr matrix — base t + i*dr, row stride 2*dr — and B_{i'}^dagger through
-// the adjoint of the same view, so nothing is copied out of the tensor. E'
-// starts from zeros and every product accumulates into it (beta = 1) in the
-// fixed (i, i') order.
-void transfer(const cplx* e, const cplx* t, std::size_t dl, std::size_t dr,
-              const cplx p[4], cplx* ebi, cplx* out) {
-  std::fill(out, out + dr * dr, cplx{});
+// A (dl, 2, dr) site tensor, read in place: B_i is the strided dl x dr
+// matrix at base t + i*dr with row stride 2*dr, and B_i^dagger the adjoint
+// of the same view, so nothing is copied out of the tensor.
+struct Site {
+  const cplx* t;
+  std::size_t dl, dr;
+  const cplx* slice(int i) const { return t + std::size_t(i) * dr; }
+  std::size_t ld() const { return 2 * dr; }
+};
+
+// Transfer E across one site from the left: E' = sum_{i',i} P[i',i]
+// A_{i'}^dagger (E B_i) with E a.dl x b.dl, for a bra tensor `a` and a ket
+// tensor `b` (the same one for an expectation); E' (a.dr x b.dr) is written
+// to `out` and `ebi` (a.dl x b.dr) is scratch. E' starts from zeros and every
+// product accumulates into it (beta = 1) in the fixed (i, i') order.
+void transfer(const cplx* e, Site a, Site b, const cplx p[4], cplx* ebi,
+              cplx* out) {
+  std::fill(out, out + a.dr * b.dr, cplx{});
   for (int i = 0; i < 2; ++i) {
-    la::gemm_raw(dl, dl, dr, cplx{1}, e, dl, la::Op::kNone,
-                 t + std::size_t(i) * dr, 2 * dr, la::Op::kNone, cplx{0}, ebi,
-                 dr);
+    la::gemm_raw(a.dl, b.dl, b.dr, cplx{1}, e, b.dl, la::Op::kNone,
+                 b.slice(i), b.ld(), la::Op::kNone, cplx{0}, ebi, b.dr);
     for (int ip = 0; ip < 2; ++ip) {
       const cplx coeff = p[ip * 2 + i];
       if (coeff == cplx{}) continue;
-      la::gemm_raw(dr, dl, dr, coeff, t + std::size_t(ip) * dr, 2 * dr,
-                   la::Op::kAdjoint, ebi, dr, la::Op::kNone, cplx{1}, out, dr);
+      la::gemm_raw(a.dr, a.dl, b.dr, coeff, a.slice(ip), a.ld(),
+                   la::Op::kAdjoint, ebi, b.dr, la::Op::kNone, cplx{1}, out,
+                   b.dr);
     }
+  }
+}
+
+void transfer(const cplx* e, Site t, const cplx p[4], cplx* ebi, cplx* out) {
+  transfer(e, t, t, p, ebi, out);
+}
+
+// Transfer R across one site from the right with the identity:
+// R' = sum_i B_i R A_i^dagger with R b.dr x a.dr (ket rows, bra columns);
+// R' (b.dl x a.dl) is written to `out`, `rb` (b.dl x a.dr) is scratch.
+void transfer_right(const cplx* r, Site a, Site b, cplx* rb, cplx* out) {
+  std::fill(out, out + b.dl * a.dl, cplx{});
+  for (int i = 0; i < 2; ++i) {
+    la::gemm_raw(b.dl, b.dr, a.dr, cplx{1}, b.slice(i), b.ld(), la::Op::kNone,
+                 r, a.dr, la::Op::kNone, cplx{0}, rb, a.dr);
+    la::gemm_raw(b.dl, a.dr, a.dl, cplx{1}, rb, a.dr, la::Op::kNone,
+                 a.slice(i), a.ld(), la::Op::kAdjoint, cplx{1}, out, a.dl);
   }
 }
 
@@ -403,8 +449,8 @@ double Mps::norm() const {
   for (int s = 0; s < n_; ++s) {
     next.resize(dr_[s] * dr_[s]);
     ebi.resize(dl_[s] * dr_[s]);
-    transfer(e.data(), tensors_[s].data(), dl_[s], dr_[s], kIdent, ebi.data(),
-             next.data());
+    transfer(e.data(), {tensors_[s].data(), dl_[s], dr_[s]}, kIdent,
+             ebi.data(), next.data());
     e.swap(next);
   }
   return std::sqrt(std::abs(e[0].real()));
@@ -436,7 +482,7 @@ cplx Mps::expectation(const pauli::PauliString& p) const {
     pauli::PauliString::single_qubit_matrix(ps.get(s), pm);
     next.resize(dr_[s] * dr_[s]);
     ebi.resize(dl_[s] * dr_[s]);
-    transfer(e.data(), tensors_[s].data(), dl_[s], dr_[s], pm, ebi.data(),
+    transfer(e.data(), {tensors_[s].data(), dl_[s], dr_[s]}, pm, ebi.data(),
              next.data());
     e.swap(next);
     streamed += std::uint64_t(tensors_[s].size()) * sizeof(cplx);
@@ -545,6 +591,131 @@ cplx Mps::sweep_mpo(const pauli::MeasurementMpo& mpo) const {
   return sum;
 }
 
+Mps Mps::apply_mpo(const pauli::MeasurementMpo& mpo, double& norm) const {
+  OBS_SPAN("mps/apply_mpo");
+  require(mpo.site_of == perm_.site_of_map(),
+          "Mps::apply_mpo: the MPO was built for another qubit permutation");
+  require(mpo.bond.size() + 1 == std::size_t(n_) &&
+              mpo.first_edge.size() == std::size_t(n_) + 1,
+          "Mps::apply_mpo: malformed MPO");
+  using Mpo = pauli::MeasurementMpo;
+  // Channels on the cut right of site k (k = -1: the left boundary): the
+  // MPO's explicit states, then the vacuum (no letter yet) unless k is the
+  // last site, then the done channel (a closed term) unless k is -1. The
+  // left boundary is the vacuum alone, the right one the done channel alone.
+  auto explicit_states = [&](int k) {
+    return k >= 0 && k + 1 < n_ ? mpo.bond[std::size_t(k)] : 0;
+  };
+  auto vacuum = [&](int k) { return explicit_states(k); };
+  auto done = [&](int k) { return explicit_states(k) + (k + 1 < n_ ? 1 : 0); };
+  auto width = [&](int k) { return done(k) + (k >= 0 ? 1 : 0); };
+  struct Step {
+    std::size_t in, out;
+    pauli::P letter;
+    cplx coeff;
+  };
+  constexpr std::size_t kAll = ~std::size_t{0};
+  la::SvdWorkspace ws;
+
+  Mps out(n_, options_);
+  out.perm_ = perm_;
+  // Pass 1, left to right. `carry` (r x width(k-1)·dl) is the state right
+  // of the orthonormal tensors written so far, indexed by (channel, psi
+  // bond); site k turns it into M[(rho, i), (channel', beta)].
+  std::vector<cplx> carry{cplx{1}}, g, m;
+  std::vector<Step> steps;
+  std::size_t r = 1;
+  for (int k = 0; k < n_; ++k) {
+    const std::size_t dl = dl_[k], dr = dr_[k], wl = width(k - 1),
+                      wr = width(k), cols = wr * dr;
+    steps.clear();
+    for (std::size_t e = mpo.first_edge[k]; e < mpo.first_edge[k + 1]; ++e) {
+      const Mpo::Edge& edge = mpo.edges[e];
+      steps.push_back({edge.in == Mpo::kVacuum ? vacuum(k - 1) : edge.in,
+                       edge.out == Mpo::kClose ? done(k) : edge.out,
+                       edge.letter, edge.coeff});
+    }
+    if (k + 1 < n_)
+      steps.push_back({vacuum(k - 1), vacuum(k), pauli::P::I, 1});
+    if (k > 0) steps.push_back({done(k - 1), done(k), pauli::P::I, 1});
+    std::stable_sort(steps.begin(), steps.end(),
+                     [](const Step& a, const Step& b) { return a.in < b.in; });
+    m.assign(r * 2 * cols, cplx{});
+    g.resize(r * 2 * dr);
+    for (std::size_t j = 0; j < steps.size(); ++j) {
+      // G = carry's channel block times [B_0 | B_1], once per in-channel.
+      if (j == 0 || steps[j].in != steps[j - 1].in)
+        la::gemm_raw(r, dl, 2 * dr, carry.data() + steps[j].in * dl, wl * dl,
+                     la::Op::kNone, tensors_[k].data(), 2 * dr, la::Op::kNone,
+                     g.data(), 2 * dr, options_.parallel);
+      cplx sigma[4];
+      pauli::PauliString::single_qubit_matrix(steps[j].letter, sigma);
+      for (int i = 0; i < 2; ++i)
+        for (int ip = 0; ip < 2; ++ip) {
+          const cplx f = steps[j].coeff * sigma[i * 2 + ip];
+          if (f == cplx{}) continue;
+          for (std::size_t rho = 0; rho < r; ++rho)
+            axpy(f, g.data() + rho * 2 * dr + std::size_t(ip) * dr,
+                 m.data() + (rho * 2 + std::size_t(i)) * cols +
+                     steps[j].out * dr,
+                 dr);
+        }
+    }
+    const la::TruncatedSpectrum f =
+        la::svd_truncated_ws(ws, m.data(), r * 2, cols, cols, nullptr, kAll,
+                             options_.svd_cutoff, /*want_u=*/true);
+    out.truncation_error_ += f.discarded;
+    out.tensors_[k].assign(f.u, f.u + r * 2 * f.keep);
+    out.dl_[k] = r;
+    out.dr_[k] = f.keep;
+    carry.resize(f.keep * cols);
+    for (std::size_t j = 0; j < f.keep; ++j)
+      for (std::size_t c = 0; c < cols; ++c)
+        carry[j * cols + c] = f.s[j] * f.vh[j * cols + c];
+    r = f.keep;
+  }
+  // Pass 2, right to left: carry (r x r') holds U·S of the cut right of
+  // site k. M = A_k · carry, read as dl x 2r', splits into a right-canonical
+  // V^H and the Schmidt values of the cut left of k.
+  std::size_t rp = 1;  // carry is the 1 x 1 remainder of pass 1
+  for (int k = n_ - 1; k >= 0; --k) {
+    const std::size_t dl = out.dl_[k], dr = out.dr_[k];
+    m.resize(dl * 2 * rp);
+    la::gemm_raw(dl * 2, dr, rp, out.tensors_[k].data(), dr, la::Op::kNone,
+                 carry.data(), rp, la::Op::kNone, m.data(), rp,
+                 options_.parallel);
+    if (k == 0) {
+      double sum = 0;
+      for (const cplx& z : m) sum += norm2(z);
+      norm = std::sqrt(sum);
+      for (cplx& z : m) z = norm > 0 ? z / norm : cplx{};
+      out.tensors_[0] = m;
+      out.dr_[0] = rp;
+      break;
+    }
+    const la::TruncatedSpectrum f =
+        la::svd_truncated_ws(ws, m.data(), dl, 2 * rp, 2 * rp, nullptr, kAll,
+                             options_.svd_cutoff, /*want_u=*/true);
+    out.truncation_error_ += f.discarded;
+    out.tensors_[k].assign(f.vh, f.vh + f.keep * 2 * rp);
+    out.dl_[k] = f.keep;
+    out.dr_[k] = rp;
+    double kept = 0;
+    for (std::size_t j = 0; j < f.keep; ++j) kept += f.s[j] * f.s[j];
+    kept = std::sqrt(kept);
+    std::vector<double>& lam = out.lambda_[std::size_t(k) - 1];
+    lam.resize(f.keep);
+    for (std::size_t j = 0; j < f.keep; ++j)
+      lam[j] = kept > 0 ? f.s[j] / kept : 0.0;
+    carry.resize(dl * f.keep);
+    for (std::size_t a = 0; a < dl; ++a)
+      for (std::size_t j = 0; j < f.keep; ++j)
+        carry[a * f.keep + j] = f.u[a * f.keep + j] * f.s[j];
+    rp = f.keep;
+  }
+  return out;
+}
+
 std::vector<cplx> Mps::to_statevector() const {
   require(n_ <= 24, "Mps::to_statevector: too many qubits");
   // Accumulate left-to-right: rows enumerate (i_0 ... i_s) with i_0 slowest.
@@ -621,6 +792,61 @@ Mps Mps::import_state(const MpsState& state,
   mps.lambda_ = state.lambda;
   mps.truncation_error_ = state.truncation_error;
   return mps;
+}
+
+MpsOverlap::MpsOverlap(const Mps& bra, const Mps& ket)
+    : bra_(bra),
+      ket_(ket),
+      left_(std::size_t(ket.n_)),
+      right_(std::size_t(ket.n_)),
+      right_valid_(ket.n_ - 1) {
+  require(bra.n_ == ket.n_, "MpsOverlap: qubit count mismatch");
+  left_[0] = {cplx{1}};
+  right_[std::size_t(ket.n_) - 1] = {cplx{1}};
+  transfer_sweep_counter().add();
+}
+
+void MpsOverlap::touched(int lo, int hi) {
+  require(0 <= lo && lo <= hi && hi < ket_.n_, "MpsOverlap: bad site range");
+  left_valid_ = std::min(left_valid_, lo);
+  right_valid_ = std::max(right_valid_, hi);
+}
+
+cplx MpsOverlap::local(int site, const std::array<cplx, 4>& op) {
+  require(0 <= site && site < ket_.n_, "MpsOverlap: bad site");
+  auto at = [](const Mps& m, int s) {
+    const std::size_t k = std::size_t(s);
+    return Site{m.tensors_[k].data(), m.dl_[k], m.dr_[k]};
+  };
+  std::uint64_t updates = 0;
+  for (; left_valid_ < site; ++left_valid_, ++updates) {
+    const Site a = at(bra_, left_valid_), b = at(ket_, left_valid_);
+    scratch_.resize(a.dl * b.dr);
+    left_[left_valid_ + 1].resize(a.dr * b.dr);
+    transfer(left_[left_valid_].data(), a, b, kIdent, scratch_.data(),
+             left_[left_valid_ + 1].data());
+  }
+  for (; right_valid_ > site; --right_valid_, ++updates) {
+    const Site a = at(bra_, right_valid_), b = at(ket_, right_valid_);
+    scratch_.resize(b.dl * a.dr);
+    right_[right_valid_ - 1].resize(b.dl * a.dl);
+    transfer_right(right_[right_valid_].data(), a, b, scratch_.data(),
+                   right_[right_valid_ - 1].data());
+  }
+  // <bra|op|ket> = tr(E R), E = sum op[i',i] A_{i'}^dagger L B_i.
+  const Site a = at(bra_, site), b = at(ket_, site);
+  scratch_.resize(a.dl * b.dr);
+  insert_.resize(a.dr * b.dr);
+  transfer(left_[site].data(), a, b, op.data(), scratch_.data(),
+           insert_.data());
+  ++updates;
+  const std::vector<cplx>& r = right_[site];
+  cplx sum{};
+  for (std::size_t c = 0; c < a.dr; ++c)
+    for (std::size_t d = 0; d < b.dr; ++d)
+      sum += insert_[c * b.dr + d] * r[d * a.dr + c];
+  transfer_op_counter().add(updates);
+  return sum;
 }
 
 }  // namespace q2::sim

@@ -63,10 +63,18 @@ class Mps {
   /// Total tensor storage in bytes — the Fig. 2(c) memory axis.
   std::size_t memory_bytes() const;
 
-  /// Accumulated relative truncation error over all gate applications.
+  /// Accumulated relative truncation error over all gate applications: per
+  /// SVD, the dropped squared singular values over the total, summed
+  /// directly, so an update that drops nothing adds exactly 0 (the
+  /// renormalization still divides by 1 - kept / total).
   double truncation_error() const { return truncation_error_; }
 
   void apply(const circ::Gate& g, const std::vector<double>& params = {});
+  /// Applies g^† (the conjugate transpose of g's matrix at `params`): the
+  /// step of a backward walk along a gate stream, as in the adjoint
+  /// gradient. Same two-site update, so the same truncation rules.
+  void apply_adjoint(const circ::Gate& g,
+                     const std::vector<double>& params = {});
   /// Runs a circuit; long-range two-qubit gates are routed internally
   /// (eagerly — prefer the compiled overload for repeated runs).
   void run(const circ::Circuit& c, const std::vector<double>& params = {});
@@ -113,6 +121,20 @@ class Mps {
   /// mps.transfer_site_ops.
   cplx sweep_mpo(const pauli::MeasurementMpo& mpo) const;
 
+  /// O|psi> / ||O|psi>|| for the MPO O = `mpo` (built for this engine's
+  /// output_permutation(), else it throws), as an engine in this one's form:
+  /// right-canonical tensors with exact Schmidt vectors, unit norm, the same
+  /// permutation and options. ||O|psi>|| goes to `norm` (0 leaves the
+  /// returned state zero). One left-to-right pass applies the MPO site by
+  /// site — explicit states plus a vacuum and a done channel — and
+  /// SVD-compresses each product into left-orthonormal tensors; one
+  /// right-to-left SVD pass then makes the tensors right-canonical, with the
+  /// true Schmidt values, since everything left of each cut is orthonormal.
+  /// Both passes drop only singular values at or below svd_cutoff · s_max:
+  /// the bond cap does not apply. Serial; the GEMMs follow options().parallel
+  /// and are bit-identical at every thread count.
+  Mps apply_mpo(const pauli::MeasurementMpo& mpo, double& norm) const;
+
   /// Contract everything (n <= ~24) — the test oracle path.
   std::vector<cplx> to_statevector() const;
 
@@ -125,6 +147,10 @@ class Mps {
                           const par::ParallelOptions& parallel = {});
 
  private:
+  friend class MpsOverlap;
+
+  void apply_gate(const circ::Gate& g, const std::vector<double>& params,
+                  bool adjoint);
   void apply_single(int site, const std::array<cplx, 4>& m);
   /// The environment left of site `lo` (dl_[lo] x dl_[lo], row-major).
   void initial_environment(std::size_t lo, std::vector<cplx>& e) const;
@@ -165,6 +191,33 @@ class Mps {
   // this scratch are all unsynchronized. Concurrent drivers (distributed VQE,
   // the thread pool) each own a private Mps.
   TwoSiteScratch scratch_;
+};
+
+/// <bra| O_site |ket> for two engines on the same sites, with the overlap
+/// environments kept between calls: left_[s] contracts sites < s (bra rows,
+/// ket columns), right_[s] sites > s (ket rows, bra columns). A caller that
+/// changes sites [lo, hi] of either engine says so with touched(lo, hi),
+/// which drops only the environments containing one of those sites; the
+/// next local() extends the rest from the nearest valid ones. Both engines
+/// must outlive the object. Serial; each environment update is one
+/// transfer (two GEMMs per physical index), counted in
+/// mps.transfer_site_ops, and the object counts one mps.transfer_sweeps.
+class MpsOverlap {
+ public:
+  MpsOverlap(const Mps& bra, const Mps& ket);
+
+  /// Sites lo..hi of either engine changed since the last call.
+  void touched(int lo, int hi);
+  /// <bra| op_site |ket>, op a 2x2 matrix row-major in |0>, |1>.
+  cplx local(int site, const std::array<cplx, 4>& op);
+
+ private:
+  const Mps& bra_;
+  const Mps& ket_;
+  std::vector<std::vector<cplx>> left_, right_;
+  int left_valid_ = 0;   ///< left_[0..left_valid_] are current
+  int right_valid_ = 0;  ///< right_[right_valid_..n-1] are current
+  std::vector<cplx> scratch_, insert_;
 };
 
 }  // namespace q2::sim

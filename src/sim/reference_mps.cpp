@@ -188,7 +188,7 @@ cplx ReferenceMps::expectation(const pauli::PauliString& p) const {
 
 cplx ReferenceMps::expectation(const pauli::QubitOperator& op) const {
   cplx e{};
-  for (const auto& [p, c] : op.terms()) e += c * expectation(p);
+  for (const auto& [p, c] : op.sorted_terms()) e += c * expectation(p);
   return e;
 }
 

@@ -30,6 +30,7 @@ class ReferenceMps {
 
   double norm() const;
   cplx expectation(const pauli::PauliString& p) const;
+  /// Σ_k c_k <P_k> in op.sorted_terms() order.
   cplx expectation(const pauli::QubitOperator& op) const;
   std::vector<cplx> to_statevector() const;
 

@@ -123,7 +123,7 @@ cplx StateVector::expectation(const pauli::PauliString& p) const {
 
 cplx StateVector::expectation(const pauli::QubitOperator& op) const {
   cplx e{};
-  for (const auto& [p, c] : op.terms()) e += c * expectation(p);
+  for (const auto& [p, c] : op.sorted_terms()) e += c * expectation(p);
   return e;
 }
 
@@ -137,17 +137,20 @@ void accumulate_pauli_apply(const pauli::PauliString& p, cplx coeff,
   }
 }
 
-std::vector<cplx> apply_qubit_operator(const pauli::QubitOperator& op,
-                                       const std::vector<cplx>& x) {
+namespace {
+
+using Terms = std::vector<std::pair<pauli::PauliString, cplx>>;
+
+std::vector<cplx> apply_terms(const Terms& terms, const std::vector<cplx>& x) {
   std::vector<cplx> y(x.size(), cplx{});
-  for (const auto& [p, c] : op.terms()) accumulate_pauli_apply(p, c, x, y);
+  for (const auto& [p, c] : terms) accumulate_pauli_apply(p, c, x, y);
   return y;
 }
 
-std::vector<double> qubit_operator_diagonal(const pauli::QubitOperator& op) {
-  const std::size_t dim = std::size_t(1) << op.n_qubits();
+std::vector<double> terms_diagonal(const Terms& terms, std::size_t n_qubits) {
+  const std::size_t dim = std::size_t(1) << n_qubits;
   std::vector<double> d(dim, 0.0);
-  for (const auto& [p, c] : op.terms()) {
+  for (const auto& [p, c] : terms) {
     const PauliMasks m = masks_of(p);
     if (m.x != 0) continue;  // off-diagonal term
     for (std::size_t i = 0; i < dim; ++i) {
@@ -158,12 +161,25 @@ std::vector<double> qubit_operator_diagonal(const pauli::QubitOperator& op) {
   return d;
 }
 
+}  // namespace
+
+std::vector<cplx> apply_qubit_operator(const pauli::QubitOperator& op,
+                                       const std::vector<cplx>& x) {
+  return apply_terms(op.sorted_terms(), x);
+}
+
+std::vector<double> qubit_operator_diagonal(const pauli::QubitOperator& op) {
+  return terms_diagonal(op.sorted_terms(), op.n_qubits());
+}
+
 double qubit_ground_energy(const pauli::QubitOperator& op,
                            const std::vector<cplx>& guess) {
-  auto apply = [&op](const std::vector<cplx>& x) {
-    return apply_qubit_operator(op, x);
+  // Sorted once: Davidson's matvec runs apply_terms on the same list.
+  const Terms terms = op.sorted_terms();
+  auto apply = [&terms](const std::vector<cplx>& x) {
+    return apply_terms(terms, x);
   };
-  const auto diag = qubit_operator_diagonal(op);
+  const auto diag = terms_diagonal(terms, op.n_qubits());
   la::DavidsonOptions opts;
   opts.tolerance = 1e-9;
   const auto r = la::davidson_lowest_hermitian(apply, diag, guess, opts);

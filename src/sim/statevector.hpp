@@ -35,6 +35,9 @@ class StateVector {
   double probability(int q, int bit) const;
 
   cplx expectation(const pauli::PauliString& p) const;
+  /// Σ_k c_k <P_k>, summed in op.sorted_terms() order, so the bits do not
+  /// depend on the order the operator was built in. So are the operator
+  /// sums below, and those of DensityMatrix and ReferenceMps.
   cplx expectation(const pauli::QubitOperator& op) const;
 
  private:
@@ -56,7 +59,8 @@ std::vector<cplx> apply_qubit_operator(const pauli::QubitOperator& op,
 std::vector<double> qubit_operator_diagonal(const pauli::QubitOperator& op);
 
 /// Lowest eigenvalue of a qubit Hamiltonian via Davidson on the state-vector
-/// representation — the qubit-side ground-state oracle.
+/// representation — the qubit-side ground-state oracle. Sorts the terms
+/// once; every matvec sums them in that order.
 double qubit_ground_energy(const pauli::QubitOperator& op,
                            const std::vector<cplx>& guess);
 

@@ -24,6 +24,11 @@ obs::Counter& term_counter() {
       obs::Registry::global().counter("vqe.pauli_terms_measured");
   return c;
 }
+obs::Counter& adjoint_counter() {
+  static obs::Counter& c =
+      obs::Registry::global().counter("vqe.adjoint_gradients");
+  return c;
+}
 obs::Gauge& transfers_gauge() {
   static obs::Gauge& g =
       obs::Registry::global().gauge("vqe.transfers_per_evaluation");
@@ -164,6 +169,9 @@ EnergyEvaluator::EnergyEvaluator(circ::Circuit ansatz,
   use_compiled_ = mode_ == MeasurementMode::kDirect &&
                   storage_ == CircuitStorage::kMemoryEfficient;
   if (use_compiled_) compiled_ = circ::compile_for_mps(ansatz_);
+  const std::size_t half = std::size_t(ansatz_.n_qubits()) / 2;
+  adjoint_exact_ = use_compiled_ && half < 64 &&
+                   mps_options_.max_bond >= (std::size_t(1) << half);
   if (mode_ == MeasurementMode::kDirect) {
     // The measured states carry compiled_.output_perm on the compiled path
     // and the identity on the eager one.
@@ -290,6 +298,70 @@ std::vector<double> EnergyEvaluator::gradient(
     }
   };
   deal_sweeps(mps_options_.parallel, order, sweep_share);
+  return g;
+}
+
+std::optional<sim::Mps> EnergyEvaluator::exact_state(
+    const std::vector<double>& x) const {
+  require(x.size() == n_parameters(),
+          "EnergyEvaluator: parameter count mismatch");
+  if (!adjoint_exact_) return std::nullopt;
+  sim::Mps psi(ansatz_.n_qubits(), mps_options_);
+  psi.run(compiled_, x);
+  if (psi.truncation_error() > kAdjointTruncationBound) return std::nullopt;
+  return psi;
+}
+
+bool EnergyEvaluator::adjoint_applies(const std::vector<double>& x) const {
+  return exact_state(x).has_value();
+}
+
+std::optional<std::vector<double>> EnergyEvaluator::adjoint_gradient(
+    const std::vector<double>& x) const {
+  if (!adjoint_exact_) return std::nullopt;  // no span where none can run
+  OBS_SPAN("vqe/adjoint_gradient");
+  std::optional<sim::Mps> psi = exact_state(x);
+  if (!psi) return std::nullopt;
+  adjoint_counter().add();
+  std::vector<double> g(n_parameters(), 0.0);
+  double norm = 0.0;
+  sim::Mps lambda = [&] {
+    OBS_SPAN("vqe/adjoint_lambda");
+    return psi->apply_mpo(mpo_, norm);
+  }();
+  if (norm == 0.0) return g;  // H|psi> = 0: every entry is 0
+
+  // Gates before the first parametric one never need undoing.
+  const std::vector<circ::Gate>& gates = compiled_.gates.gates();
+  std::size_t first = gates.size();
+  for (std::size_t f : first_gate_) first = std::min(first, f);
+  sim::MpsOverlap overlap(lambda, *psi);
+  for (std::size_t i = gates.size(); i-- > first;) {
+    const circ::Gate& gate = gates[i];
+    const bool two = gate.is_two_qubit();
+    const int lo = two ? std::min(gate.qubits[0], gate.qubits[1])
+                       : gate.qubits[0];
+    const int hi = two ? lo + 1 : lo;
+    if (gate.is_parametric()) {
+      // d/dtheta exp(-i theta G / 2) = (-i/2) G exp(-i theta G / 2).
+      constexpr cplx kZero{}, kHalf{0.5, 0.0}, kHalfI{0.0, 0.5};
+      std::array<cplx, 4> op;
+      switch (gate.kind) {
+        case circ::GateKind::kRx: op = {kZero, -kHalfI, -kHalfI, kZero}; break;
+        case circ::GateKind::kRy: op = {kZero, -kHalf, kHalf, kZero}; break;
+        case circ::GateKind::kRz: op = {-kHalfI, kZero, kZero, kHalfI}; break;
+        default:
+          throw Error("EnergyEvaluator::adjoint_gradient: a parameter binds "
+                      "a gate that is not a rotation");
+      }
+      g[std::size_t(gate.param_index)] +=
+          gate.param_scale * 2 * overlap.local(lo, op).real() * norm;
+    }
+    if (i == first) break;
+    psi->apply_adjoint(gate, x);
+    lambda.apply_adjoint(gate, x);
+    overlap.touched(lo, hi);
+  }
   return g;
 }
 

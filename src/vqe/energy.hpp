@@ -3,10 +3,14 @@
 // Hamiltonian's exact MPO on the prepared MPS, or one Hadamard-test circuit
 // per string — the hardware-faithful mode of Fig. 5)
 // and two circuit-storage modes (the Fig. 9 comparison: store all bound
-// circuits versus one parametric ansatz replica + on-the-fly tails).
+// circuits versus one parametric ansatz replica + on-the-fly tails). Three
+// gradients: the adjoint pass where the MPS is exact, central differences
+// everywhere (what the drivers fall back to), and the parameter-shift rule
+// (the exact reference the other two are tested against).
 #pragma once
 
 #include <atomic>
+#include <optional>
 #include <vector>
 
 #include "circuit/reorder.hpp"
@@ -53,6 +57,7 @@ class EnergyEvaluator {
 
   /// Central-difference gradient over the parameters in `owned`: entry k is
   /// (E(x + eps e_k) - E(x - eps e_k)) / (2 eps), every other entry is 0.0.
+  /// The VQE drivers take it where adjoint_gradient() returns nothing.
   /// Byte-identical to finite_difference_gradient over energy(), at any
   /// thread count and for any split of the parameters into owned subsets —
   /// so ranks that each compute a share assemble the serial gradient.
@@ -75,14 +80,45 @@ class EnergyEvaluator {
   std::vector<std::size_t> gradient_share(std::size_t worker,
                                           std::size_t n_workers) const;
 
+  /// The truncation error (sim::Mps::truncation_error) a preparation may
+  /// have and still count as exact for adjoint_gradient. At the default
+  /// svd_cutoff (1e-12 · s_max) an exact-bond H4 preparation reads 7e-30 to
+  /// 2e-25, and at most 1 248 · 16 · 1e-24 ≈ 2e-20. A discarded weight of
+  /// 1e-20 moves the state by about 1e-10 per truncating update, the size
+  /// of central differences' own error at eps = 1e-5 (DESIGN.md "Adjoint
+  /// gradient").
+  static constexpr double kAdjointTruncationBound = 1e-20;
+
+  /// The exact gradient by one backward pass (Jones & Gacon, arXiv:2009.02823)
+  /// where the MPS is exact, else nullopt. It needs the compiled direct path
+  /// with a bond cap that cannot bind (max_bond >= 2^floor(n/2)) and a
+  /// preparation of psi(x) that discards at most kAdjointTruncationBound.
+  /// Then lambda = sum_k c_k P_k |psi> comes from the measurement MPO
+  /// (sim::Mps::apply_mpo), and the pass walks the compiled stream
+  /// backwards once, applying each gate's adjoint to psi and lambda; at each
+  /// parametric rotation exp(-i theta G / 2), theta = scale · x_k, it adds
+  /// scale · 2 Re<lambda|(-i/2) G|psi> to entry k. Three preparations' worth
+  /// of two-site updates in all, whatever the parameter count. Serial (the
+  /// GEMMs follow the evaluator's thread count), so the bits are the same
+  /// at every thread count and on every rank. Counted in
+  /// vqe.adjoint_gradients; spans vqe/adjoint_gradient and, inside it,
+  /// vqe/adjoint_lambda.
+  std::optional<std::vector<double>> adjoint_gradient(
+      const std::vector<double>& x) const;
+  /// Whether adjoint_gradient(x) returns a gradient: one preparation of
+  /// psi(x) when the static conditions hold, none otherwise.
+  bool adjoint_applies(const std::vector<double>& x) const;
+
   /// Exact gradient via the parameter-shift rule: every occurrence of a
   /// parameter is an exp(-i phi/2 P) rotation, so dE/dphi =
   /// (E(phi + pi/2) - E(phi - pi/2)) / 2 per occurrence, chain-ruled through
   /// the occurrence's scale. This is what differentiation costs on hardware
-  /// (two circuit evaluations per rotation); classical drivers may prefer
-  /// finite differences. On the compiled path the occurrences share prefixes
-  /// the same way gradient() does: one forward sweep per pool worker, each
-  /// shifted evaluation replaying only the suffix from its own gate.
+  /// (two circuit evaluations per rotation); the drivers here use
+  /// adjoint_gradient() or central differences, and this stays as the exact
+  /// reference they are tested against. On the compiled path the
+  /// occurrences share prefixes the same way gradient() does: one forward
+  /// sweep per pool worker, each shifted evaluation replaying only the
+  /// suffix from its own gate.
   std::vector<double> parameter_shift_gradient(
       const std::vector<double>& params) const;
 
@@ -136,6 +172,8 @@ class EnergyEvaluator {
   /// Σ_k c_k <P_k> over every term on a prepared state: one MPO sweep in
   /// direct mode, a serial reduce_terms over all terms otherwise.
   double measure_all(const sim::Mps& state) const;
+  /// psi(x) when the adjoint gradient applies at x (see adjoint_gradient).
+  std::optional<sim::Mps> exact_state(const std::vector<double>& x) const;
 
   circ::Circuit ansatz_;
   pauli::QubitOperator hamiltonian_;
@@ -148,6 +186,9 @@ class EnergyEvaluator {
   /// bind at run time, so energy/gradient calls never re-route.
   circ::CompiledCircuit compiled_;
   bool use_compiled_ = false;
+  /// The compiled direct path with max_bond >= 2^floor(n/2): no cut of an
+  /// n-qubit state needs more, so the cap never truncates.
+  bool adjoint_exact_ = false;
   /// Exact MPO of Σ c_k P_k in the measured states' site order
   /// (compiled_.output_perm on the compiled path, else the identity); built
   /// in direct mode only.

@@ -1,6 +1,7 @@
 #include "vqe/optimizer.hpp"
 
 #include <cmath>
+#include <string>
 
 #include "common/types.hpp"
 
@@ -87,10 +88,34 @@ void step_adam(const EnergyFn& f, const GradientFn& grad,
 
 // ---- L-BFGS ----------------------------------------------------------------
 
+// A NaN energy fails every Armijo test and a NaN gradient poisons the
+// curvature pairs, so L-BFGS checks each value as it arrives and throws,
+// naming the iteration (0 for the starting point).
+double finite_energy(const EnergyFn& f, const std::vector<double>& x,
+                     int iteration) {
+  const double e = f(x);
+  if (!std::isfinite(e))
+    throw Error("lbfgs: iteration " + std::to_string(iteration) +
+                ": the energy is not finite (" + std::to_string(e) + ")");
+  return e;
+}
+
+std::vector<double> finite_gradient(const GradientFn& grad,
+                                    const std::vector<double>& x,
+                                    int iteration) {
+  std::vector<double> g = grad(x);
+  for (std::size_t k = 0; k < g.size(); ++k)
+    if (!std::isfinite(g[k]))
+      throw Error("lbfgs: iteration " + std::to_string(iteration) +
+                  ": gradient entry " + std::to_string(k) +
+                  " is not finite (" + std::to_string(g[k]) + ")");
+  return g;
+}
+
 void init_lbfgs(const EnergyFn& f, const GradientFn& grad,
                 OptimizerState& state) {
-  state.energy = f(state.parameters);
-  state.gradient = grad(state.parameters);
+  state.energy = finite_energy(f, state.parameters, 0);
+  state.gradient = finite_gradient(grad, state.parameters, 0);
   state.history.assign(1, state.energy);
   state.initialized = true;
 }
@@ -146,12 +171,12 @@ void step_lbfgs(const EnergyFn& f, const GradientFn& grad,
   for (int ls = 0; ls < 40; ++ls) {
     for (std::size_t k = 0; k < n; ++k)
       x_new[k] = state.parameters[k] + step * d[k];
-    e_new = f(x_new);
+    e_new = finite_energy(f, x_new, it);
     if (e_new <= state.energy + 1e-4 * step * dot(g, d)) break;
     step *= 0.5;
   }
 
-  const std::vector<double> g_new = grad(x_new);
+  const std::vector<double> g_new = finite_gradient(grad, x_new, it);
   std::vector<double> s(n), y(n);
   for (std::size_t k = 0; k < n; ++k) {
     s[k] = x_new[k] - state.parameters[k];

@@ -76,6 +76,8 @@ OptimizerResult minimize_adam(const EnergyFn& f, const GradientFn& grad,
                               std::vector<double> x0,
                               const OptimizerOptions& options = {});
 
+/// Throws q2::Error as soon as an energy or a gradient entry is not finite,
+/// naming the iteration (0: the starting point) and the first such entry.
 OptimizerResult minimize_lbfgs(const EnergyFn& f, const GradientFn& grad,
                                std::vector<double> x0,
                                const OptimizerOptions& options = {});

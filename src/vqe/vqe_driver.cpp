@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "chem/hamiltonian.hpp"
@@ -99,7 +100,9 @@ VqeResult optimize(const EnergyEvaluator& evaluator, const UccsdAnsatz& ansatz,
                  {"mpo_bond_max", evaluator.measurement_mpo().max_bond()},
                  {"compiled_gates", evaluator.compiled_ansatz().gates.size()},
                  {"swaps_elided", evaluator.compiled_ansatz().stats.swaps_elided},
-                 {"circuit_gates", ansatz.circuit.size()}});
+                 {"circuit_gates", ansatz.circuit.size()},
+                 {"gradient",
+                  evaluator.adjoint_applies(x0) ? "adjoint" : "central"}});
     iter_timer = std::make_shared<Timer>();
     const IterationObserver user_observer = opt_options.iteration_observer;
     opt_options.iteration_observer = [&evaluator, iter_timer, user_observer](
@@ -180,6 +183,9 @@ VqeResult run_vqe_on(const pauli::QubitOperator& hamiltonian,
                                   options.measurement);
   EnergyFn f = [&](const std::vector<double>& x) { return evaluator.energy(x); };
   GradientFn g = [&](const std::vector<double>& x) {
+    if (std::optional<std::vector<double>> adjoint =
+            evaluator.adjoint_gradient(x))
+      return std::move(*adjoint);
     return evaluator.gradient(x, options.gradient_eps);
   };
   return optimize(evaluator, ansatz, options, f, g);
@@ -229,12 +235,18 @@ VqeResult run_vqe_distributed(const chem::MoIntegrals& mo, int n_alpha,
     // Direct mode prepares one state per evaluation, so splitting its terms
     // would make every rank prepare every state. Each rank instead evaluates
     // the line-search energies itself (no collective: every rank computes
-    // the same bits) and owns a share of the gradient entries, assembled by
-    // one allgather per gradient.
+    // the same bits). Where the MPS is exact, each rank also computes the
+    // whole adjoint gradient itself, again without a collective; otherwise
+    // it owns a share of the central-difference entries, assembled by one
+    // allgather per gradient. Whether the adjoint applies depends only on
+    // the evaluator and x, so every rank takes the same branch.
     EnergyFn f = [&](const std::vector<double>& x) {
       return evaluator.energy(x);
     };
     GradientFn g = [&](const std::vector<double>& x) {
+      if (std::optional<std::vector<double>> adjoint =
+              evaluator.adjoint_gradient(x))
+        return std::move(*adjoint);
       return distributed_gradient(evaluator, x, options.gradient_eps, comm);
     };
     return optimize(evaluator, ansatz, options, f, g, report);

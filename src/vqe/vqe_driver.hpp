@@ -1,10 +1,12 @@
 // The complete MPS-VQE solver: UCCSD ansatz + energy evaluator + optimizer.
 // Both drivers take the L-BFGS/Adam gradient from
+// EnergyEvaluator::adjoint_gradient where the MPS is exact (one backward
+// pass, the same on every rank), and otherwise from
 // EnergyEvaluator::gradient, whose central differences replay only the
-// circuit suffix each shifted parameter changes. run_vqe_on deals the
-// gradient entries over the pool workers; run_vqe_distributed deals them
-// over the ranks of a (simulated) MPI communicator in direct mode, and keeps
-// the paper's per-Pauli-string split (Fig. 4) in Hadamard-test mode, where
+// circuit suffix each shifted parameter changes. run_vqe_on deals those
+// entries over the pool workers; run_vqe_distributed deals them over the
+// ranks of a (simulated) MPI communicator in direct mode, and keeps the
+// paper's per-Pauli-string split (Fig. 4) in Hadamard-test mode, where
 // every string is its own circuit.
 #pragma once
 
@@ -62,10 +64,12 @@ VqeResult run_vqe_on(const pauli::QubitOperator& hamiltonian,
 
 /// Level-2-parallel VQE: every rank of `comm` executes the same optimizer
 /// trajectory. Direct mode: every rank evaluates the line-search energies
-/// itself and computes its gradient_share() of the gradient entries; one
-/// allgather per gradient assembles the vector. Hadamard-test mode: each
-/// energy evaluation is split over ranks by Pauli string (LPT) and summed
-/// with Allreduce. In direct mode energy, parameters and history are
+/// itself; where the adjoint gradient applies every rank computes it whole,
+/// and otherwise each computes its gradient_share() of the central
+/// differences, one allgather per gradient assembling the vector.
+/// Hadamard-test mode: each energy evaluation is split over ranks by Pauli
+/// string (LPT) and summed with Allreduce. In direct mode energy,
+/// parameters and history are
 /// bit-identical to run_vqe at any rank and thread count; in Hadamard-test
 /// mode every rank holds the same bits (the Allreduce sums in rank order),
 /// which match run_vqe to rounding.

@@ -1,8 +1,8 @@
 // Span-aggregation profile: call-tree construction from nested and threaded
 // spans, self-vs-total invariants, exactness and thread-count invariance of
 // the GEMM/SVD FLOP accounting, cross-thread path adoption through the pool,
-// the set-up spans, and the JSON export round-tripped through the shared
-// obs::Json parser.
+// the set-up and adjoint-gradient spans, and the JSON export round-tripped
+// through the shared obs::Json parser.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -268,6 +268,33 @@ TEST_F(ProfileTest, SetupSpansAppearWithSelfWithinTotal) {
   }
   EXPECT_EQ(find_node(nodes, "pauli/build_mpo")->path,
             "vqe/evaluator_init;pauli/build_mpo");
+}
+
+// The adjoint gradient shows as one span with the lambda build nested
+// inside it.
+TEST_F(ProfileTest, AdjointGradientSpansAppearWithSelfWithinTotal) {
+  const chem::Molecule mol = chem::Molecule::h2(1.4);
+  const chem::BasisSet basis = chem::BasisSet::build(mol, "sto-3g");
+  const chem::IntegralTables ints = chem::compute_integrals(mol, basis);
+  const chem::ScfResult scf = chem::rhf(mol, basis, ints);
+  const chem::MoIntegrals mo =
+      chem::transform_to_mo(ints, scf.coefficients, scf.nuclear_repulsion);
+  const vqe::UccsdAnsatz ansatz = vqe::build_uccsd(mo.n_orbitals(), 1, 1);
+  const vqe::EnergyEvaluator evaluator(ansatz.circuit,
+                                       chem::molecular_qubit_hamiltonian(mo));
+  obs::clear_profile();
+  ASSERT_TRUE(evaluator.adjoint_gradient(vqe::initial_parameters(ansatz, 0.1)));
+
+  const std::vector<obs::ProfileNode> nodes = obs::profile_snapshot();
+  for (const char* name : {"vqe/adjoint_gradient", "vqe/adjoint_lambda"}) {
+    const obs::ProfileNode* node = find_node(nodes, name);
+    ASSERT_NE(node, nullptr) << name;
+    EXPECT_EQ(node->count, 1u) << name;
+    EXPECT_GE(node->self_us, 0.0) << name;
+    EXPECT_LE(node->self_us, node->total_us) << name;
+  }
+  EXPECT_EQ(find_node(nodes, "vqe/adjoint_lambda")->path,
+            "vqe/adjoint_gradient;vqe/adjoint_lambda");
 }
 
 TEST_F(ProfileTest, JsonExportRoundTripsThroughTheSharedParser) {

@@ -1,10 +1,17 @@
 // State-vector simulator tests: gate-by-gate analytic checks, expectation
-// values, and the qubit-Hamiltonian ground-state oracle.
+// values, the qubit-Hamiltonian ground-state oracle, and the reference
+// operator sums' independence of how an operator was built.
 #include <gtest/gtest.h>
+
+#include <cstring>
+#include <string>
+#include <vector>
 
 #include "circuit/builder.hpp"
 #include "common/rng.hpp"
 #include "linalg/eigh.hpp"
+#include "sim/densitymatrix.hpp"
+#include "sim/reference_mps.hpp"
 #include "sim/statevector.hpp"
 
 namespace q2::sim {
@@ -175,6 +182,55 @@ TEST(StateVector, GroundEnergyOfTransverseFieldIsing) {
   std::vector<cplx> guess(4, cplx{0.25, 0});
   const double e0 = qubit_ground_energy(h, guess);
   EXPECT_NEAR(e0, eg.values[0], 1e-8);
+}
+
+TEST(OperatorSums, IndependentOfInsertionOrder) {
+  // One Hermitian operator built in two insertion orders: terms() walks the
+  // two hash maps in different orders, but every reference sum goes through
+  // sorted_terms(), so each result is the same to the last bit.
+  const std::size_t n = 6;
+  Rng rng(11);
+  std::vector<std::pair<PauliString, cplx>> list;
+  for (int t = 0; t < 150; ++t) {
+    PauliString p(n);
+    for (std::size_t q = 0; q < n; ++q) p.set(q, pauli::P(rng.index(4)));
+    list.emplace_back(p, cplx{rng.normal(), 0.0});
+  }
+  QubitOperator forward(n), backward(n);
+  for (const auto& [p, c] : list) forward.add(p, c);
+  for (auto it = list.rbegin(); it != list.rend(); ++it)
+    backward.add(it->first, it->second);
+  std::vector<std::string> order_f, order_b;
+  for (const auto& [p, c] : forward.terms()) order_f.push_back(p.str());
+  for (const auto& [p, c] : backward.terms()) order_b.push_back(p.str());
+  ASSERT_NE(order_f, order_b) << "the two builds iterate alike: no test";
+
+  auto same = [](const auto& a, const auto& b) {
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(a[0])) == 0;
+  };
+  auto same1 = [&](cplx a, cplx b) {
+    return same(std::vector<cplx>{a}, std::vector<cplx>{b});
+  };
+  const int nq = int(n);
+  const circ::Circuit c = circ::brickwork_circuit(nq, 4, rng);
+  StateVector sv(nq);
+  sv.run(c);
+  DensityMatrix dm(nq);
+  dm.run(c);
+  ReferenceMps ref(nq);
+  ref.run(c);
+  EXPECT_TRUE(same1(sv.expectation(forward), sv.expectation(backward)));
+  EXPECT_TRUE(same1(dm.expectation(forward), dm.expectation(backward)));
+  EXPECT_TRUE(same1(ref.expectation(forward), ref.expectation(backward)));
+  EXPECT_TRUE(same(apply_qubit_operator(forward, sv.amplitudes()),
+                   apply_qubit_operator(backward, sv.amplitudes())));
+  EXPECT_TRUE(same(qubit_operator_diagonal(forward),
+                   qubit_operator_diagonal(backward)));
+  const std::vector<cplx> guess(std::size_t(1) << n, cplx{0.125, 0.0});
+  const double e_f = qubit_ground_energy(forward, guess);
+  const double e_b = qubit_ground_energy(backward, guess);
+  EXPECT_EQ(std::memcmp(&e_f, &e_b, sizeof(double)), 0) << e_f << " " << e_b;
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
 // End-to-end VQE tests: H2 to chemical accuracy against FCI, agreement of
 // the measurement paths (direct vs Hadamard test) and storage modes, the
-// optimizers on analytic functions, the prefix-sharing gradients against
-// plain finite differences, and distributed == threaded == serial
-// determinism.
+// optimizers on analytic functions (and L-BFGS failing loudly on a NaN),
+// the prefix-sharing gradients against plain finite differences, the
+// adjoint gradient against parameter shift and central differences with
+// its fallback, and distributed == threaded == serial determinism.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,6 +13,7 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <optional>
 
 #include "chem/fci.hpp"
 #include "chem/hamiltonian.hpp"
@@ -20,6 +22,7 @@
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
 #include "parallel/comm.hpp"
+#include "sim/statevector.hpp"
 #include "vqe/vqe_driver.hpp"
 
 namespace q2::vqe {
@@ -114,6 +117,79 @@ TEST(Optimizer, SpsaReducesEnergy) {
   opts.learning_rate = 0.3;
   const OptimizerResult r = minimize_spsa(f, {1.0, -1.0}, rng, opts);
   EXPECT_LT(r.energy, 0.3);
+}
+
+// A quadratic bowl whose energy or gradient turns NaN at a chosen call.
+// It records how many calls had been made, and which iteration was running
+// (completed iterations + 1; 0 before the starting point is done), when the
+// NaN went out.
+struct NanAt {
+  int energy_nan_at = -1, gradient_nan_at = -1;
+  int energy_calls = 0, gradient_calls = 0, completed = 0;
+  bool started = false;
+  int calls_at_nan = -1, iteration_at_nan = -1;
+
+  int calls() const { return energy_calls + gradient_calls; }
+  void mark() {
+    calls_at_nan = calls();
+    iteration_at_nan = started ? completed + 1 : 0;
+  }
+  std::string run() {
+    EnergyFn f = [this](const std::vector<double>& x) {
+      ++energy_calls;
+      if (energy_calls == energy_nan_at) {
+        mark();
+        return std::nan("");
+      }
+      return (x[0] - 1) * (x[0] - 1) + 2 * (x[1] + 0.5) * (x[1] + 0.5);
+    };
+    GradientFn g = [this](const std::vector<double>& x) {
+      ++gradient_calls;
+      std::vector<double> d{2 * (x[0] - 1), 4 * (x[1] + 0.5)};
+      if (gradient_calls == gradient_nan_at) {
+        mark();
+        d[1] = std::nan("");
+      }
+      started = true;  // the starting point's gradient closes iteration 0
+      return d;
+    };
+    OptimizerOptions opts;
+    opts.iteration_observer = [this](int, double, double) { ++completed; };
+    try {
+      minimize_lbfgs(f, g, {3.0, 2.0}, opts);
+    } catch (const Error& e) {
+      return e.what();
+    }
+    return "";
+  }
+};
+
+TEST(Optimizer, LbfgsThrowsOnNonFiniteEnergy) {
+  for (int at : {1, 2, 4}) {
+    NanAt probe;
+    probe.energy_nan_at = at;
+    const std::string what = probe.run();
+    ASSERT_GE(probe.calls_at_nan, 1) << "call " << at;
+    EXPECT_NE(what.find("iteration " + std::to_string(probe.iteration_at_nan) +
+                        ": the energy is not finite"),
+              std::string::npos)
+        << what;
+    EXPECT_LE(probe.calls() - probe.calls_at_nan, 1) << "call " << at;
+  }
+}
+
+TEST(Optimizer, LbfgsThrowsOnNonFiniteGradient) {
+  for (int at : {1, 2, 3}) {
+    NanAt probe;
+    probe.gradient_nan_at = at;
+    const std::string what = probe.run();
+    ASSERT_GE(probe.calls_at_nan, 1) << "call " << at;
+    EXPECT_NE(what.find("iteration " + std::to_string(probe.iteration_at_nan) +
+                        ": gradient entry 1 is not finite"),
+              std::string::npos)
+        << what;
+    EXPECT_LE(probe.calls() - probe.calls_at_nan, 1) << "call " << at;
+  }
 }
 
 TEST(EnergyEvaluator, HfEnergyAtZeroParameters) {
@@ -628,6 +704,217 @@ TEST(Vqe, DistributedMatchesSerial_H4) {
   opts.optimizer.max_iterations = 3;
   expect_distributed_matches_serial(
       solve(chem::Molecule::hydrogen_chain(4, 1.8)), 2, opts);
+}
+
+// The adjoint gradient against the two references: the parameter-shift
+// rule (exact, so 1e-10 per entry) and central differences at eps = 1e-5
+// (1e-7: their own truncation and rounding error).
+void expect_adjoint_matches_references(const EnergyEvaluator& eval,
+                                       const std::vector<double>& x,
+                                       const std::string& what) {
+  const std::optional<std::vector<double>> adjoint = eval.adjoint_gradient(x);
+  ASSERT_TRUE(adjoint.has_value()) << what;
+  const std::vector<double> ps = eval.parameter_shift_gradient(x);
+  const std::vector<double> fd = eval.gradient(x, 1e-5);
+  ASSERT_EQ(adjoint->size(), ps.size()) << what;
+  for (std::size_t k = 0; k < ps.size(); ++k) {
+    EXPECT_NEAR((*adjoint)[k], ps[k], 1e-10) << what << " entry " << k;
+    EXPECT_NEAR((*adjoint)[k], fd[k], 1e-7) << what << " entry " << k;
+  }
+}
+
+// A point off the initial_parameters line, so no two entries are equal.
+std::vector<double> skewed(std::vector<double> x) {
+  for (std::size_t k = 0; k < x.size(); ++k) x[k] += 0.03 * std::sin(1.0 + k);
+  return x;
+}
+
+TEST(AdjointGradient, MatchesParameterShiftAndCentralDifferences_H2) {
+  const Solved s = solve(chem::Molecule::h2(1.4));
+  const UccsdAnsatz ansatz = build_uccsd(2, 1, 1);
+  const EnergyEvaluator eval(ansatz.circuit,
+                             chem::molecular_qubit_hamiltonian(s.mo));
+  expect_adjoint_matches_references(
+      eval, skewed(initial_parameters(ansatz, 0.15)), "H2");
+}
+
+TEST(AdjointGradient, MatchesParameterShiftAndCentralDifferences_H4) {
+  const Solved s = solve(chem::Molecule::hydrogen_chain(4, 1.8));
+  const UccsdAnsatz ansatz = build_uccsd(4, 2, 2);
+  sim::MpsOptions exact;
+  exact.max_bond = 16;  // 2^4: the exact bond of 8 qubits
+  const EnergyEvaluator eval(ansatz.circuit,
+                             chem::molecular_qubit_hamiltonian(s.mo), exact);
+  expect_adjoint_matches_references(
+      eval, skewed(initial_parameters(ansatz, 0.1)), "H4 near HF");
+  expect_adjoint_matches_references(
+      eval, skewed(initial_parameters(ansatz, 0.4)), "H4 far from HF");
+}
+
+TEST(AdjointGradient, LambdaMatchesStateVectorOracle) {
+  // lambda = H|psi> from the measurement MPO, against the state-vector
+  // product: the MPO carries no identity term, so the oracle drops the
+  // constant, and both sides are compared in logical qubit order (the
+  // engines carry the compiled output permutation).
+  struct Case {
+    chem::Molecule mol;
+    int n_orb, n_occ;
+    bool permuted;  ///< the compiled stream ends off the identity
+  };
+  for (const Case& c :
+       {Case{chem::Molecule::h2(1.4), 2, 1, false},
+        Case{chem::Molecule::hydrogen_chain(4, 1.8), 4, 2, true}}) {
+    const Solved s = solve(c.mol);
+    const pauli::QubitOperator h = chem::molecular_qubit_hamiltonian(s.mo);
+    const UccsdAnsatz ansatz = build_uccsd(c.n_orb, c.n_occ, c.n_occ);
+    const EnergyEvaluator eval(ansatz.circuit, h);
+    sim::Mps psi(ansatz.circuit.n_qubits());
+    psi.run(eval.compiled_ansatz(), skewed(initial_parameters(ansatz, 0.2)));
+    ASSERT_EQ(!psi.output_permutation().is_identity(), c.permuted);
+    double norm = 0.0;
+    const sim::Mps lambda = psi.apply_mpo(eval.measurement_mpo(), norm);
+    EXPECT_EQ(lambda.output_permutation(), psi.output_permutation());
+    EXPECT_NEAR(lambda.norm(), 1.0, 1e-13);
+
+    const std::vector<cplx> amps = psi.to_statevector();
+    std::vector<cplx> oracle = sim::apply_qubit_operator(h, amps);
+    for (std::size_t i = 0; i < amps.size(); ++i)
+      oracle[i] -= eval.constant_term() * amps[i];
+    const std::vector<cplx> got = lambda.to_statevector();
+    double err = 0.0, ref = 0.0;
+    for (std::size_t i = 0; i < amps.size(); ++i) {
+      err += std::norm(norm * got[i] - oracle[i]);
+      ref += std::norm(oracle[i]);
+    }
+    EXPECT_NEAR(norm, std::sqrt(ref), 1e-12 * std::sqrt(ref));
+    EXPECT_LE(std::sqrt(err), 1e-12 * std::sqrt(ref)) << c.n_orb << " orbitals";
+  }
+}
+
+TEST(AdjointGradient, MakesThreePreparationsOfUpdates) {
+  // One forward preparation, then psi and lambda each walk back to the first
+  // parametric gate: the two-site updates follow from the compiled stream
+  // exactly, at least 5x fewer than central differences' 40 849.
+  const Solved s = solve(chem::Molecule::hydrogen_chain(4, 1.8));
+  const UccsdAnsatz ansatz = build_uccsd(4, 2, 2);
+  sim::MpsOptions serial;
+  serial.max_bond = 16;
+  serial.parallel.n_threads = 1;
+  const EnergyEvaluator eval(ansatz.circuit,
+                             chem::molecular_qubit_hamiltonian(s.mo), serial);
+  const std::vector<circ::Gate>& gates = eval.compiled_ansatz().gates.gates();
+  std::size_t first = gates.size();
+  for (std::size_t i = gates.size(); i-- > 0;)
+    if (gates[i].is_parametric()) first = i;
+  std::uint64_t expected = 0;
+  for (std::size_t i = 0; i < gates.size(); ++i)
+    expected += gates[i].is_two_qubit() * (i > first ? 3 : 1);
+
+  obs::Counter& updates = obs::Registry::global().counter("mps.gates");
+  obs::Counter& adjoints =
+      obs::Registry::global().counter("vqe.adjoint_gradients");
+  const std::uint64_t before = updates.value(), adjoints_before =
+                                                    adjoints.value();
+  ASSERT_TRUE(eval.adjoint_gradient(initial_parameters(ansatz, 0.1)));
+  EXPECT_EQ(updates.value() - before, expected);
+  EXPECT_EQ(expected, 3736u);
+  EXPECT_LE(5 * expected, 40849u);
+  EXPECT_EQ(adjoints.value() - adjoints_before, 1u);
+}
+
+TEST(AdjointGradient, BitIdenticalAcrossThreadsAndRanks) {
+  const Solved s = solve(chem::Molecule::hydrogen_chain(4, 1.8));
+  const pauli::QubitOperator h = chem::molecular_qubit_hamiltonian(s.mo);
+  const UccsdAnsatz ansatz = build_uccsd(4, 2, 2);
+  const std::vector<double> x = skewed(initial_parameters(ansatz, 0.2));
+  auto adjoint_at = [&](std::size_t threads) {
+    sim::MpsOptions opts;
+    opts.parallel.n_threads = threads;
+    const EnergyEvaluator eval(ansatz.circuit, h, opts);
+    return *eval.adjoint_gradient(x);
+  };
+  const std::vector<double> serial = adjoint_at(1);
+  for (std::size_t threads : {2, 4})
+    expect_same_bits(adjoint_at(threads), serial,
+                     "threads=" + std::to_string(threads));
+  std::vector<std::vector<double>> ranks(4);
+  par::World(4).run([&](par::Comm& comm) {
+    ranks[std::size_t(comm.rank())] = adjoint_at(1);
+  });
+  for (std::size_t r = 0; r < ranks.size(); ++r)
+    expect_same_bits(ranks[r], serial, "rank " + std::to_string(r));
+}
+
+// The gradient path the vqe_setup record of run_vqe_on names.
+std::string reported_gradient_path(const pauli::QubitOperator& h,
+                                   const UccsdAnsatz& ansatz,
+                                   const VqeOptions& opts, VqeResult& r) {
+  const std::string path = testing::TempDir() + "q2_vqe_gradient_path.jsonl";
+  EXPECT_TRUE(obs::RunReport::global().open(path));
+  r = run_vqe_on(h, ansatz, opts);
+  obs::RunReport::global().close();
+  std::string method;
+  std::ifstream in(path);
+  for (std::string line; std::getline(in, line);) {
+    const obs::Json j = obs::Json::parse(line);
+    if (j.at("kind").string == "vqe_setup") method = j.at("gradient").string;
+  }
+  std::remove(path.c_str());
+  return method;
+}
+
+TEST(AdjointGradient, FallsBackToCentralDifferencesWhereTheMpsTruncates) {
+  // A bond cap below the exact bond, a cutoff that truncates at the exact
+  // bond, and H10 at D = 16 keep central differences: the run follows
+  // gradient(x, eps) bit for bit and says so in its vqe_setup record. At
+  // the exact bond the same record says "adjoint".
+  const Solved h4 = solve(chem::Molecule::hydrogen_chain(4, 1.8));
+  const Solved h10 = solve(chem::Molecule::hydrogen_chain(10, 1.8));
+  UccsdOptions window;
+  window.distance_window = 2;
+  struct Case {
+    std::string name;
+    pauli::QubitOperator h;
+    UccsdAnsatz ansatz;
+    sim::MpsOptions mps;
+  };
+  sim::MpsOptions capped, cut, d16;
+  capped.max_bond = 4;
+  cut.max_bond = 16;
+  cut.svd_cutoff = 1e-3;
+  d16.max_bond = 16;
+  const pauli::QubitOperator h4_op = chem::molecular_qubit_hamiltonian(h4.mo);
+  const std::vector<Case> cases = {
+      {"H4 D=4", h4_op, build_uccsd(4, 2, 2), capped},
+      {"H4 cutoff 1e-3", h4_op, build_uccsd(4, 2, 2), cut},
+      {"H10 window 2", chem::molecular_qubit_hamiltonian(h10.mo),
+       build_uccsd(10, 5, 5, window), d16}};
+  for (const Case& c : cases) {
+    VqeOptions opts;
+    opts.mps = c.mps;
+    opts.optimizer.max_iterations = 1;
+    const EnergyEvaluator eval(c.ansatz.circuit, c.h, c.mps);
+    const std::vector<double> x0 = initial_parameters(c.ansatz);
+    EXPECT_FALSE(eval.adjoint_gradient(x0).has_value()) << c.name;
+    VqeResult run;
+    EXPECT_EQ(reported_gradient_path(c.h, c.ansatz, opts, run), "central")
+        << c.name;
+    const OptimizerResult central = minimize_lbfgs(
+        [&](const std::vector<double>& x) { return eval.energy(x); },
+        [&](const std::vector<double>& x) {
+          return eval.gradient(x, opts.gradient_eps);
+        },
+        x0, opts.optimizer);
+    EXPECT_EQ(run.iterations, central.iterations) << c.name;
+    expect_same_bits(run.parameters, central.parameters, c.name);
+    expect_same_bits(run.history, central.history, c.name);
+  }
+  VqeOptions exact;
+  exact.mps = d16;
+  exact.optimizer.max_iterations = 1;
+  VqeResult run;
+  EXPECT_EQ(reported_gradient_path(h4_op, build_uccsd(4, 2, 2), exact, run),
+            "adjoint");
 }
 
 }  // namespace
