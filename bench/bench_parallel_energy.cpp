@@ -13,7 +13,9 @@
 // meaningful with >= N hardware cores. `--quick` runs only the gradient
 // section, the shape the ctest `perf` label gates: its `*_updates` keys are
 // exact two-site-update counts (zero tolerance in bench_diff, so a change
-// that loses prefix sharing fails on any host), wall times sit in
+// that loses prefix sharing fails on any host; `h4_lbfgs_run_updates` is a
+// whole 3-iteration L-BFGS run, whose gradients start from the states the
+// energy evaluations kept), wall times sit in
 // informational `*_s` keys, and `perf_floor_ok` holds the byte-identity of
 // the serial, threaded and 4-rank gradients and the adjoint gradient's two
 // floors (1e-10 of parameter shift, 5x fewer updates than central
@@ -215,6 +217,20 @@ bool gradient_section(const H4Case& c, std::size_t n_threads, bool quick,
   if (!quick) report.set("h4_ps_gradient_threads_s", ps_threads_s);
   report.set("h4_adjoint_gradient_updates", double(adjoint_updates));
   report.set("h4_adjoint_gradient_serial_s", adjoint_serial_s);
+
+  // A whole run as run_vqe_on makes it (3 L-BFGS iterations, one thread,
+  // D = 16): 5 energies of 1 248 updates and 4 gradients, each of which
+  // walks back from the state its point's energy evaluation kept (2 488).
+  vqe::VqeOptions run_options;
+  run_options.mps.max_bond = 16;
+  run_options.mps.parallel.n_threads = 1;
+  run_options.optimizer.max_iterations = 3;
+  const auto [run_updates, run_s] = measure(
+      1, [&] { vqe::run_vqe_on(c.h, c.ansatz, run_options); });
+  std::printf("3-iteration L-BFGS run: %llu two-site updates, %.3e s\n",
+              (unsigned long long)run_updates, run_s);
+  report.set("h4_lbfgs_run_updates", double(run_updates));
+  report.set("h4_lbfgs_run_s", run_s);
   return threads_identical && ranks_identical && ps_identical && adjoint_ok;
 }
 

@@ -59,12 +59,16 @@ FragmentSolver make_vqe_solver(const vqe::VqeOptions& options) {
         canonical.n_orbitals(), prob.n_alpha, prob.n_beta, options.ansatz);
     vqe::VqeOptions solve_options = options;
     solve_options.initial_parameters = prob.initial_parameters;
-    const vqe::VqeResult r = vqe::run_vqe_on(h, ansatz, solve_options);
+    const vqe::EnergyEvaluator evaluator(ansatz.circuit, h, options.mps,
+                                         options.measurement);
+    const vqe::VqeResult r = vqe::run_vqe_on(evaluator, ansatz, solve_options);
 
     // Fragment energy and electron count are measured on the optimized state
-    // as plain Pauli expectations — exactly what hardware would report.
-    sim::Mps state(ansatz.circuit.n_qubits(), options.mps);
-    state.run(ansatz.circuit, r.parameters);
+    // as plain Pauli expectations — exactly what hardware would report. The
+    // optimum is the last point L-BFGS evaluated, so state_at hands back the
+    // state the evaluator kept there: the fragment is measured on the state
+    // it was optimized on, with no further preparation.
+    const sim::Mps state = evaluator.state_at(r.parameters);
     const pauli::QubitOperator hx = chem::molecular_qubit_hamiltonian(
         rotate_orbitals(
             fragment_weighted_integrals(prob.energy, prob.fragment_orbitals),

@@ -38,6 +38,8 @@ FragmentSolver make_fci_solver();
 /// MPS-VQE fragment solver — the paper's high-level method. Each solve
 /// starts from problem.initial_parameters (options.initial_parameters is
 /// replaced by it) and returns its optimum in FragmentSolution::parameters.
+/// The fragment energy and electron count are measured on the state the
+/// VQE's evaluator prepared at that optimum (EnergyEvaluator::state_at).
 FragmentSolver make_vqe_solver(const vqe::VqeOptions& options);
 
 struct DmetOptions {

@@ -1,7 +1,9 @@
 #include "vqe/energy.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <numeric>
+#include <string>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -49,6 +51,11 @@ circ::Circuit bind_parameters(const circ::Circuit& c,
     out.append(std::move(g));
   }
   return out;
+}
+
+// Whether a preparation counts as exact for the adjoint gradient.
+bool exact(const sim::Mps& psi) {
+  return psi.truncation_error() <= EnergyEvaluator::kAdjointTruncationBound;
 }
 
 // Deals items [0, n) over up to `threads` pool workers, longest first (LPT
@@ -251,8 +258,16 @@ std::vector<double> EnergyEvaluator::gradient(
   OBS_SPAN("vqe/gradient");
   require(x.size() == n_parameters(),
           "EnergyEvaluator::gradient: parameter count mismatch");
-  for (std::size_t k : owned)
+  // A parameter listed twice would be computed twice, and on the compiled
+  // path two workers could write its entry at once.
+  std::vector<char> listed(n_parameters(), 0);
+  for (std::size_t k : owned) {
     require(k < n_parameters(), "EnergyEvaluator::gradient: bad parameter");
+    if (listed[k])
+      throw Error("EnergyEvaluator::gradient: parameter " + std::to_string(k) +
+                  " listed twice");
+    listed[k] = 1;
+  }
   std::vector<double> g(n_parameters(), 0.0);
 
   // The expression finite_difference_gradient evaluates, entry by entry:
@@ -301,33 +316,81 @@ std::vector<double> EnergyEvaluator::gradient(
   return g;
 }
 
-std::optional<sim::Mps> EnergyEvaluator::exact_state(
+sim::Mps EnergyEvaluator::prepare(const std::vector<double>& x) const {
+  sim::Mps state(ansatz_.n_qubits(), mps_options_);
+  if (use_compiled_) {
+    // Compiled once in the constructor; parameters bind at apply time and
+    // measurement maps through the residual permutation.
+    state.run(compiled_, x);
+  } else {
+    // The eager baseline (kStoreAll, or state_at in Hadamard-test mode):
+    // re-materialize the bound circuit every call.
+    state.run(bind_parameters(ansatz_, x), {});
+  }
+  return state;
+}
+
+std::shared_ptr<const EnergyEvaluator::PreparedState> EnergyEvaluator::kept_at(
     const std::vector<double>& x) const {
-  require(x.size() == n_parameters(),
-          "EnergyEvaluator: parameter count mismatch");
-  if (!adjoint_exact_) return std::nullopt;
-  sim::Mps psi(ansatz_.n_qubits(), mps_options_);
-  psi.run(compiled_, x);
-  if (psi.truncation_error() > kAdjointTruncationBound) return std::nullopt;
-  return psi;
+  if (!adjoint_exact_) return nullptr;
+  std::shared_ptr<const PreparedState> kept;
+  {
+    std::lock_guard<std::mutex> lock(kept_mutex_);
+    kept = kept_;
+  }
+  // Compared by bits: a kept state serves only the exact point it was
+  // prepared at.
+  if (kept && kept->x.size() == x.size() &&
+      std::memcmp(kept->x.data(), x.data(), x.size() * sizeof(double)) == 0)
+    return kept;
+  return nullptr;
+}
+
+std::shared_ptr<const EnergyEvaluator::PreparedState>
+EnergyEvaluator::kept_or_prepared(const std::vector<double>& x) const {
+  if (std::shared_ptr<const PreparedState> kept = kept_at(x)) return kept;
+  const std::shared_ptr<const PreparedState> fresh =
+      std::make_shared<const PreparedState>(PreparedState{x, prepare(x)});
+  if (!adjoint_exact_) return fresh;
+  std::shared_ptr<const PreparedState> previous = fresh;
+  {
+    std::lock_guard<std::mutex> lock(kept_mutex_);
+    kept_.swap(previous);
+  }
+  return fresh;  // the previous slot is released here, outside the lock
 }
 
 bool EnergyEvaluator::adjoint_applies(const std::vector<double>& x) const {
-  return exact_state(x).has_value();
+  require(x.size() == n_parameters(),
+          "EnergyEvaluator: parameter count mismatch");
+  return adjoint_exact_ && exact(kept_or_prepared(x)->psi);
+}
+
+sim::Mps EnergyEvaluator::state_at(const std::vector<double>& x) const {
+  require(x.size() == n_parameters(),
+          "EnergyEvaluator: parameter count mismatch");
+  if (const std::shared_ptr<const PreparedState> kept = kept_at(x))
+    return kept->psi;
+  return prepare(x);
 }
 
 std::optional<std::vector<double>> EnergyEvaluator::adjoint_gradient(
     const std::vector<double>& x) const {
   if (!adjoint_exact_) return std::nullopt;  // no span where none can run
   OBS_SPAN("vqe/adjoint_gradient");
-  std::optional<sim::Mps> psi = exact_state(x);
-  if (!psi) return std::nullopt;
+  require(x.size() == n_parameters(),
+          "EnergyEvaluator: parameter count mismatch");
+  // The walk consumes its state: a copy of the kept psi(x), or else a fresh
+  // preparation, which nothing else would read and so is not kept.
+  const std::shared_ptr<const PreparedState> kept = kept_at(x);
+  sim::Mps psi = kept ? kept->psi : prepare(x);
+  if (!exact(psi)) return std::nullopt;
   adjoint_counter().add();
   std::vector<double> g(n_parameters(), 0.0);
   double norm = 0.0;
   sim::Mps lambda = [&] {
     OBS_SPAN("vqe/adjoint_lambda");
-    return psi->apply_mpo(mpo_, norm);
+    return psi.apply_mpo(mpo_, norm);
   }();
   if (norm == 0.0) return g;  // H|psi> = 0: every entry is 0
 
@@ -335,7 +398,7 @@ std::optional<std::vector<double>> EnergyEvaluator::adjoint_gradient(
   const std::vector<circ::Gate>& gates = compiled_.gates.gates();
   std::size_t first = gates.size();
   for (std::size_t f : first_gate_) first = std::min(first, f);
-  sim::MpsOverlap overlap(lambda, *psi);
+  sim::MpsOverlap overlap(lambda, psi);
   for (std::size_t i = gates.size(); i-- > first;) {
     const circ::Gate& gate = gates[i];
     const bool two = gate.is_two_qubit();
@@ -358,7 +421,7 @@ std::optional<std::vector<double>> EnergyEvaluator::adjoint_gradient(
           gate.param_scale * 2 * overlap.local(lo, op).real() * norm;
     }
     if (i == first) break;
-    psi->apply_adjoint(gate, x);
+    psi.apply_adjoint(gate, x);
     lambda.apply_adjoint(gate, x);
     overlap.touched(lo, hi);
   }
@@ -494,17 +557,13 @@ double EnergyEvaluator::measure_all(const sim::Mps& state) const {
 double EnergyEvaluator::measure_direct(const std::vector<double>& params,
                                        const std::vector<std::size_t>* idx,
                                        bool iterate) const {
-  sim::Mps state(ansatz_.n_qubits(), mps_options_);
-  if (use_compiled_) {
-    // Compiled once in the constructor; parameters bind at apply time and
-    // measurement maps through the residual permutation.
-    state.run(compiled_, params);
-  } else {
-    // kStoreAll, the baseline behaviour: re-materialize the bound circuit
-    // every call.
-    const circ::Circuit bound = bind_parameters(ansatz_, params);
-    state.run(bound, {});
-  }
+  // A full evaluation of an iterate reads the kept slot and refills it; a
+  // subset of the terms or a finite-difference point keeps nothing.
+  const std::shared_ptr<const PreparedState> prepared =
+      !idx && iterate ? kept_or_prepared(params)
+                      : std::make_shared<const PreparedState>(
+                            PreparedState{params, prepare(params)});
+  const sim::Mps& state = prepared->psi;
   if (iterate)
     last_truncation_error_.store(state.truncation_error(),
                                  std::memory_order_relaxed);

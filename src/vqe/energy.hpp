@@ -10,6 +10,8 @@
 #pragma once
 
 #include <atomic>
+#include <memory>
+#include <mutex>
 #include <optional>
 #include <vector>
 
@@ -45,6 +47,13 @@ class EnergyEvaluator {
   /// Bytes held in stored circuits — the Fig. 9 memory axis.
   std::size_t stored_circuit_bytes() const;
 
+  /// The full energy at `params`. Where the adjoint gradient can apply
+  /// (the static cap test of adjoint_gradient), energy() reads and refills
+  /// the evaluator's kept slot: the parameter bits and the MPS of the last
+  /// point it (or adjoint_applies) prepared. At the kept point it measures
+  /// the kept state instead of preparing it again; anywhere else it
+  /// prepares psi(params), measures it and keeps it. A kept state is the
+  /// same deterministic preparation, so every energy keeps its bits.
   double energy(const std::vector<double>& params) const;
   /// Contribution of a subset of Pauli terms (the unit of level-2 work),
   /// measured term by term and reduced in the listed order. Throws on an
@@ -57,7 +66,10 @@ class EnergyEvaluator {
 
   /// Central-difference gradient over the parameters in `owned`: entry k is
   /// (E(x + eps e_k) - E(x - eps e_k)) / (2 eps), every other entry is 0.0.
-  /// The VQE drivers take it where adjoint_gradient() returns nothing.
+  /// Throws on a parameter >= n_parameters() or one listed twice (two
+  /// workers would write its entry). The shifted points never touch the
+  /// kept slot. The VQE drivers take it where adjoint_gradient() returns
+  /// nothing.
   /// Byte-identical to finite_difference_gradient over energy(), at any
   /// thread count and for any split of the parameters into owned subsets —
   /// so ranks that each compute a share assemble the serial gradient.
@@ -97,17 +109,31 @@ class EnergyEvaluator {
   /// (sim::Mps::apply_mpo), and the pass walks the compiled stream
   /// backwards once, applying each gate's adjoint to psi and lambda; at each
   /// parametric rotation exp(-i theta G / 2), theta = scale · x_k, it adds
-  /// scale · 2 Re<lambda|(-i/2) G|psi> to entry k. Three preparations' worth
-  /// of two-site updates in all, whatever the parameter count. Serial (the
-  /// GEMMs follow the evaluator's thread count), so the bits are the same
-  /// at every thread count and on every rank. Counted in
-  /// vqe.adjoint_gradients; spans vqe/adjoint_gradient and, inside it,
-  /// vqe/adjoint_lambda.
+  /// scale · 2 Re<lambda|(-i/2) G|psi> to entry k. Where the energy was
+  /// just evaluated at x (x's bits equal the kept point's, by memcmp), as
+  /// L-BFGS always asks, the walk starts from a copy of the kept state (the
+  /// walk destroys its copy; the slot keeps the original), and the gradient
+  /// costs two preparations' worth of two-site updates, the backward walks.
+  /// Anywhere else it prepares psi(x) itself, keeps nothing, and costs
+  /// three. Either way the cost does not grow with the parameter count, and
+  /// the exactness test applies to a kept state as to a fresh one. Serial
+  /// (the GEMMs follow the evaluator's thread count), so the bits are the
+  /// same at every thread count, on every rank and from a kept or a fresh
+  /// state. Counted in vqe.adjoint_gradients; spans vqe/adjoint_gradient
+  /// and, inside it, vqe/adjoint_lambda.
   std::optional<std::vector<double>> adjoint_gradient(
       const std::vector<double>& x) const;
-  /// Whether adjoint_gradient(x) returns a gradient: one preparation of
-  /// psi(x) when the static conditions hold, none otherwise.
+  /// Whether adjoint_gradient(x) returns a gradient. When the static
+  /// conditions hold it reads the kept state at x, or prepares psi(x) once
+  /// and keeps it, so the energy and gradient that follow at x prepare
+  /// nothing more; otherwise it prepares nothing.
   bool adjoint_applies(const std::vector<double>& x) const;
+  /// psi(x) to measure: a copy of the kept state when x's bits equal the
+  /// kept point's, else one preparation by the evaluator's own path (the
+  /// compiled stream, or the bound circuit run eagerly). Fills no slot. The
+  /// DMET fragment solver measures its observables on it, so they are read
+  /// from the state its VQE optimized.
+  sim::Mps state_at(const std::vector<double>& x) const;
 
   /// Exact gradient via the parameter-shift rule: every occurrence of a
   /// parameter is an exp(-i phi/2 P) rotation, so dE/dphi =
@@ -172,8 +198,24 @@ class EnergyEvaluator {
   /// Σ_k c_k <P_k> over every term on a prepared state: one MPO sweep in
   /// direct mode, a serial reduce_terms over all terms otherwise.
   double measure_all(const sim::Mps& state) const;
-  /// psi(x) when the adjoint gradient applies at x (see adjoint_gradient).
-  std::optional<sim::Mps> exact_state(const std::vector<double>& x) const;
+
+  /// A prepared state and the parameter bits it was prepared at. Immutable
+  /// once built, so threads may read (and copy) one concurrently.
+  struct PreparedState {
+    std::vector<double> x;
+    sim::Mps psi;
+  };
+  /// psi(x) by the evaluator's own path: the compiled stream, or the bound
+  /// circuit run eagerly.
+  sim::Mps prepare(const std::vector<double>& x) const;
+  /// The kept state when its bits equal x's (memcmp), else null; always null
+  /// where the static cap test fails, since nothing is kept there.
+  std::shared_ptr<const PreparedState> kept_at(
+      const std::vector<double>& x) const;
+  /// The kept state at x, or else psi(x) prepared now and, where the static
+  /// cap test holds, kept in place of the previous one.
+  std::shared_ptr<const PreparedState> kept_or_prepared(
+      const std::vector<double>& x) const;
 
   circ::Circuit ansatz_;
   pauli::QubitOperator hamiltonian_;
@@ -205,6 +247,15 @@ class EnergyEvaluator {
   /// Relaxed atomic: one evaluator may be shared by threads that each
   /// evaluate energies; any of their values is an equally valid report entry.
   mutable std::atomic<double> last_truncation_error_{0.0};
+  /// The kept slot: the last point energy() or adjoint_applies() prepared,
+  /// filled only where the static cap test holds (adjoint_exact_). The
+  /// mutex guards the pointer alone: a reader copies the pointer under it
+  /// and compares bits, measures or copies the state outside it, and a
+  /// writer swaps in a state it prepared outside it. Threads
+  /// sharing one evaluator may overwrite each other's point; a reader that
+  /// misses prepares its own state, with the same bits.
+  mutable std::mutex kept_mutex_;
+  mutable std::shared_ptr<const PreparedState> kept_;
   /// kStoreAll + kHadamardTest: the full per-string circuits, pre-built.
   std::vector<circ::Circuit> stored_circuits_;
 };

@@ -181,6 +181,11 @@ VqeResult run_vqe_on(const pauli::QubitOperator& hamiltonian,
                      const UccsdAnsatz& ansatz, const VqeOptions& options) {
   const EnergyEvaluator evaluator(ansatz.circuit, hamiltonian, options.mps,
                                   options.measurement);
+  return run_vqe_on(evaluator, ansatz, options);
+}
+
+VqeResult run_vqe_on(const EnergyEvaluator& evaluator,
+                     const UccsdAnsatz& ansatz, const VqeOptions& options) {
   EnergyFn f = [&](const std::vector<double>& x) { return evaluator.energy(x); };
   GradientFn g = [&](const std::vector<double>& x) {
     if (std::optional<std::vector<double>> adjoint =

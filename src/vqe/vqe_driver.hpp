@@ -58,8 +58,16 @@ struct VqeResult {
 VqeResult run_vqe(const chem::MoIntegrals& mo, int n_alpha, int n_beta,
                   const VqeOptions& options = {});
 
-/// VQE on a pre-built Hamiltonian/ansatz pair (used by DMET and benches).
+/// VQE on a pre-built Hamiltonian/ansatz pair (used by benches).
 VqeResult run_vqe_on(const pauli::QubitOperator& hamiltonian,
+                     const UccsdAnsatz& ansatz, const VqeOptions& options);
+/// The same on the caller's evaluator of ansatz.circuit, which then fixes
+/// the MPS options and the measurement mode (options.mps and
+/// options.measurement are not read). The evaluator outlives the run, so
+/// the caller can measure the optimum on the state the run's last energy
+/// evaluation kept (EnergyEvaluator::state_at), as the DMET fragment
+/// solver does.
+VqeResult run_vqe_on(const EnergyEvaluator& evaluator,
                      const UccsdAnsatz& ansatz, const VqeOptions& options);
 
 /// Level-2-parallel VQE: every rank of `comm` executes the same optimizer

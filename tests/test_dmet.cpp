@@ -1,8 +1,8 @@
 // DMET tests: bath dimensions, the single-fragment == FCI identity, the H4
 // ring against FCI (the Fig. 7a acceptance criterion, < 0.5 % relative
 // error), chemical-potential fit behaviour and cost, the canonical-orbital
-// sign gauge the warm starts rely on, and bit identity across threads and
-// ranks.
+// sign gauge the warm starts rely on, the VQE fragment measured on the
+// state its VQE kept, and bit identity across threads and ranks.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,6 +20,7 @@
 #include "dmet/dmet_driver.hpp"
 #include "linalg/gemm.hpp"
 #include "obs/json.hpp"
+#include "obs/metrics.hpp"
 #include "obs/report.hpp"
 
 namespace q2::dmet {
@@ -266,12 +267,17 @@ TEST(Dmet, EmbeddingProblemShapes) {
   EXPECT_NEAR(prob.solver.eri(0, 0, 1, 1), prob.energy.eri(0, 0, 1, 1), 1e-12);
 }
 
-TEST(Dmet, RingFragmentAdjointGradientMatchesReferences) {
-  // The benchmark ring's fragment VQE (H10, one-atom fragments, D = 16) is
-  // exact: 4 qubits never need a bond above 4, so its gradients take the
-  // adjoint path. On one fragment's canonicalized embedding problem, as
-  // make_vqe_solver builds it, the adjoint gradient matches the
-  // parameter-shift rule to 1e-10 and central differences to 1e-7.
+void expect_bits(double a, double b) {
+  EXPECT_EQ(0, std::memcmp(&a, &b, sizeof(double))) << a << " vs " << b;
+}
+
+void expect_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) expect_bits(a[i], b[i]);
+}
+
+// Fragment 0 of the benchmark ring (H10, one-atom fragments, 1.8 bohr).
+EmbeddingProblem ring_fragment_problem() {
   const chem::Molecule mol = chem::Molecule::hydrogen_ring(10, 1.8);
   const chem::BasisSet basis = chem::BasisSet::build(mol, "sto-3g");
   const chem::IntegralTables ints = chem::compute_integrals(mol, basis);
@@ -280,8 +286,57 @@ TEST(Dmet, RingFragmentAdjointGradientMatchesReferences) {
   const la::RMatrix p = oao_density(lb, scf.density);
   const auto frags =
       make_fragments(basis, mol.n_atoms(), uniform_atom_groups(10, 1));
-  const EmbeddingProblem prob =
-      make_embedding(ints, lb, p, make_bath(p, frags[0]));
+  return make_embedding(ints, lb, p, make_bath(p, frags[0]));
+}
+
+TEST(Dmet, VqeFragmentIsMeasuredOnTheStateItsVqeKept) {
+  // make_vqe_solver measures the fragment on the state its VQE's last
+  // energy evaluation kept: the solve makes exactly the two-site updates of
+  // the VQE alone, and its energy and electron count carry the bits of an
+  // independent compiled preparation at the optimum.
+  const EmbeddingProblem prob = ring_fragment_problem();
+  vqe::VqeOptions opts;
+  opts.mps.max_bond = 16;
+  opts.mps.parallel.n_threads = 1;
+  opts.optimizer.max_iterations = 4;
+  obs::Counter& updates = obs::Registry::global().counter("mps.gates");
+  std::uint64_t before = updates.value();
+  const FragmentSolution sol = make_vqe_solver(opts)(prob, prob.solver);
+  const std::uint64_t solve_updates = updates.value() - before;
+
+  const la::RMatrix u = embedding_canonical_orbitals(prob.solver, prob.n_alpha);
+  const chem::MoIntegrals canonical = rotate_orbitals(prob.solver, u);
+  const vqe::UccsdAnsatz ansatz = vqe::build_uccsd(
+      canonical.n_orbitals(), prob.n_alpha, prob.n_beta);
+  before = updates.value();
+  const vqe::VqeResult r = vqe::run_vqe_on(
+      chem::molecular_qubit_hamiltonian(canonical), ansatz, opts);
+  EXPECT_EQ(solve_updates, updates.value() - before);
+  expect_bits(sol.parameters, r.parameters);
+
+  sim::Mps psi(ansatz.circuit.n_qubits(), opts.mps);
+  psi.run(circ::compile_for_mps(ansatz.circuit), r.parameters);
+  const pauli::QubitOperator hx = chem::molecular_qubit_hamiltonian(
+      rotate_orbitals(
+          fragment_weighted_integrals(prob.energy, prob.fragment_orbitals),
+          u));
+  const std::size_t m = canonical.n_orbitals();
+  la::RMatrix proj(m, m);
+  for (std::size_t f : prob.fragment_orbitals)
+    for (std::size_t p = 0; p < m; ++p)
+      for (std::size_t q = 0; q < m; ++q) proj(p, q) += u(f, p) * u(f, q);
+  expect_bits(sol.energy, psi.expectation(hx).real());
+  expect_bits(sol.electrons,
+              psi.expectation(chem::one_body_qubit_operator(proj)).real());
+}
+
+TEST(Dmet, RingFragmentAdjointGradientMatchesReferences) {
+  // The benchmark ring's fragment VQE (H10, one-atom fragments, D = 16) is
+  // exact: 4 qubits never need a bond above 4, so its gradients take the
+  // adjoint path. On one fragment's canonicalized embedding problem, as
+  // make_vqe_solver builds it, the adjoint gradient matches the
+  // parameter-shift rule to 1e-10 and central differences to 1e-7.
+  const EmbeddingProblem prob = ring_fragment_problem();
   const chem::MoIntegrals canonical = rotate_orbitals(
       prob.solver, embedding_canonical_orbitals(prob.solver, prob.n_alpha));
   const vqe::UccsdAnsatz ansatz = vqe::build_uccsd(
@@ -303,14 +358,6 @@ TEST(Dmet, RingFragmentAdjointGradientMatchesReferences) {
   }
 }
 
-void expect_bits(double a, double b) {
-  EXPECT_EQ(0, std::memcmp(&a, &b, sizeof(double))) << a << " vs " << b;
-}
-
-void expect_bits(const std::vector<double>& a, const std::vector<double>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) expect_bits(a[i], b[i]);
-}
 
 // Energy, µ and the per-fragment arrays carry the same bits.
 void expect_same_fit(const DmetResult& a, const DmetResult& b) {

@@ -3,7 +3,8 @@
 // optimizers on analytic functions (and L-BFGS failing loudly on a NaN),
 // the prefix-sharing gradients against plain finite differences, the
 // adjoint gradient against parameter shift and central differences with
-// its fallback, and distributed == threaded == serial determinism.
+// its fallback and the state it keeps from the energy evaluation, and
+// distributed == threaded == serial determinism.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,6 +15,7 @@
 #include <fstream>
 #include <memory>
 #include <optional>
+#include <thread>
 
 #include "chem/fci.hpp"
 #include "chem/hamiltonian.hpp"
@@ -277,6 +279,28 @@ TEST(EnergyEvaluator, PartialEnergyRejectsRepeatedIndex) {
   const std::vector<double> params = initial_parameters(ansatz, 0.1);
   for (const auto& eval : h2_evaluators(ansatz))
     EXPECT_THROW(eval->partial_energy(params, {1, 0, 1}), Error);
+}
+
+// A parameter listed twice would be computed twice, and two pool workers
+// could write its entry at once.
+TEST(EnergyEvaluator, GradientRejectsParameterListedTwice) {
+  const Solved s = solve(chem::Molecule::h2(1.4));
+  const UccsdAnsatz ansatz = build_uccsd(2, 1, 1);
+  sim::MpsOptions threaded;
+  threaded.parallel.n_threads = 4;
+  const EnergyEvaluator eval(ansatz.circuit,
+                             chem::molecular_qubit_hamiltonian(s.mo), threaded);
+  const std::vector<double> x = initial_parameters(ansatz, 0.1);
+  ASSERT_GE(ansatz.n_parameters, 2u);
+  try {
+    eval.gradient(x, 1e-5, {1, 0, 1});
+    ADD_FAILURE() << "a parameter listed twice was accepted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("parameter 1 listed twice"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_NO_THROW(eval.gradient(x, 1e-5, {1, 0}));
 }
 
 TEST(EnergyEvaluator, ParameterShiftMatchesFiniteDifferences) {
@@ -820,6 +844,140 @@ TEST(AdjointGradient, MakesThreePreparationsOfUpdates) {
   EXPECT_EQ(expected, 3736u);
   EXPECT_LE(5 * expected, 40849u);
   EXPECT_EQ(adjoints.value() - adjoints_before, 1u);
+}
+
+// H4 at the exact bond D = 16 on one thread: the case of the kept-state
+// tests below.
+struct H4Exact {
+  pauli::QubitOperator h;
+  UccsdAnsatz ansatz = build_uccsd(4, 2, 2);
+  sim::MpsOptions mps;
+  H4Exact()
+      : h(chem::molecular_qubit_hamiltonian(
+            solve(chem::Molecule::hydrogen_chain(4, 1.8)).mo)) {
+    mps.max_bond = 16;
+    mps.parallel.n_threads = 1;
+  }
+  /// The gradient at x from an evaluator that has kept nothing.
+  std::vector<double> cold_gradient(const std::vector<double>& x) const {
+    return *EnergyEvaluator(ansatz.circuit, h, mps).adjoint_gradient(x);
+  }
+};
+
+std::uint64_t two_site_updates() {
+  return obs::Registry::global().counter("mps.gates").value();
+}
+
+TEST(AdjointGradient, StartsFromTheStateTheEnergyKept) {
+  // After energy(x), adjoint_gradient(x) skips the forward preparation: its
+  // two backward walks make 2 488 of the cold 3 736 updates. One ulp away
+  // from the kept point it prepares psi(y) itself. Both carry the bits of a
+  // gradient from an evaluator that kept nothing.
+  const H4Exact c;
+  const EnergyEvaluator eval(c.ansatz.circuit, c.h, c.mps);
+  const std::vector<double> x = skewed(initial_parameters(c.ansatz, 0.1));
+  eval.energy(x);
+  std::uint64_t before = two_site_updates();
+  const std::optional<std::vector<double>> kept = eval.adjoint_gradient(x);
+  ASSERT_TRUE(kept.has_value());
+  EXPECT_EQ(two_site_updates() - before, 2488u);
+  expect_same_bits(*kept, c.cold_gradient(x), "kept state");
+
+  std::vector<double> y = x;
+  y[3] = std::nextafter(y[3], 1.0);
+  before = two_site_updates();
+  const std::optional<std::vector<double>> moved = eval.adjoint_gradient(y);
+  ASSERT_TRUE(moved.has_value());
+  EXPECT_EQ(two_site_updates() - before, 3736u);
+  expect_same_bits(*moved, c.cold_gradient(y), "one ulp off the kept point");
+
+  // The walk consumed a copy: the slot still serves x, and state_at hands
+  // back the kept state without a preparation.
+  before = two_site_updates();
+  expect_same_bits(*eval.adjoint_gradient(x), *kept, "kept state, again");
+  const std::vector<cplx> amps = eval.state_at(x).to_statevector();
+  EXPECT_EQ(two_site_updates() - before, 2488u);
+  sim::Mps fresh(c.ansatz.circuit.n_qubits(), c.mps);
+  fresh.run(eval.compiled_ansatz(), x);
+  const std::vector<cplx> fresh_amps = fresh.to_statevector();
+  ASSERT_EQ(amps.size(), fresh_amps.size());
+  EXPECT_EQ(std::memcmp(amps.data(), fresh_amps.data(),
+                        amps.size() * sizeof(cplx)),
+            0);
+}
+
+TEST(AdjointGradient, LbfgsRunPreparesEachIterateOnce) {
+  // L-BFGS asks for the gradient where it has just measured the energy, so
+  // a 3-iteration run (5 energies, 4 gradients) makes 5 x 1 248 + 4 x 2 488
+  // two-site updates, and follows the trajectory of cold gradients bit for
+  // bit. An open run report asks adjoint_applies(x0), whose preparation
+  // then serves f(x0) and g(x0): the same updates, the same bits.
+  const H4Exact c;
+  VqeOptions opts;
+  opts.mps = c.mps;
+  opts.optimizer.max_iterations = 3;
+  std::uint64_t before = two_site_updates();
+  const VqeResult run = run_vqe_on(c.h, c.ansatz, opts);
+  const std::uint64_t run_updates = two_site_updates() - before;
+  EXPECT_EQ(run_updates, 5u * 1248u + 4u * 2488u);
+  EXPECT_EQ(run.history.size(), 4u);
+
+  const EnergyEvaluator reference(c.ansatz.circuit, c.h, c.mps);
+  const OptimizerResult cold = minimize_lbfgs(
+      [&](const std::vector<double>& x) { return reference.energy(x); },
+      [&](const std::vector<double>& x) { return c.cold_gradient(x); },
+      initial_parameters(c.ansatz), opts.optimizer);
+  EXPECT_EQ(run.iterations, cold.iterations);
+  expect_same_bits({run.energy}, {cold.energy}, "energy");
+  expect_same_bits(run.parameters, cold.parameters, "parameters");
+  expect_same_bits(run.history, cold.history, "history");
+
+  const std::string path = testing::TempDir() + "q2_vqe_kept_report.jsonl";
+  ASSERT_TRUE(obs::RunReport::global().open(path));
+  before = two_site_updates();
+  const VqeResult reported = run_vqe_on(c.h, c.ansatz, opts);
+  const std::uint64_t reported_updates = two_site_updates() - before;
+  obs::RunReport::global().close();
+  std::remove(path.c_str());
+  EXPECT_EQ(reported_updates, run_updates);
+  expect_same_result(reported, run, "with a run report open");
+}
+
+TEST(AdjointGradient, SharedEvaluatorKeepsEachThreadsBits) {
+  // Four threads share one evaluator and interleave energy(x_t) and
+  // adjoint_gradient(x_t) at distinct points, so each may find the slot
+  // holding its own point or another thread's. Every energy and gradient
+  // carries the bits of a cold one.
+  const H4Exact c;
+  const EnergyEvaluator shared(c.ansatz.circuit, c.h, c.mps);
+  constexpr std::size_t kThreads = 4, kRounds = 2;
+  std::vector<std::vector<double>> points;
+  for (std::size_t t = 0; t < kThreads; ++t)
+    points.push_back(skewed(initial_parameters(c.ansatz, 0.05 * double(t + 1))));
+  std::vector<std::vector<double>> energies(kThreads), gradients(kThreads);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      for (std::size_t r = 0; r < kRounds; ++r) {
+        energies[t].push_back(shared.energy(points[t]));
+        const std::vector<double> g = *shared.adjoint_gradient(points[t]);
+        gradients[t].insert(gradients[t].end(), g.begin(), g.end());
+      }
+    });
+  for (std::thread& th : threads) th.join();
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    const EnergyEvaluator cold(c.ansatz.circuit, c.h, c.mps);
+    const double e = cold.energy(points[t]);
+    const std::vector<double> g = c.cold_gradient(points[t]);
+    std::vector<double> e_expected, g_expected;
+    for (std::size_t r = 0; r < kRounds; ++r) {
+      e_expected.push_back(e);
+      g_expected.insert(g_expected.end(), g.begin(), g.end());
+    }
+    const std::string tag = "thread " + std::to_string(t);
+    expect_same_bits(energies[t], e_expected, tag + " energies");
+    expect_same_bits(gradients[t], g_expected, tag + " gradients");
+  }
 }
 
 TEST(AdjointGradient, BitIdenticalAcrossThreadsAndRanks) {
