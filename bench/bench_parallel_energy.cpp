@@ -13,13 +13,16 @@
 // meaningful with >= N hardware cores. `--quick` runs only the gradient
 // section, the shape the ctest `perf` label gates: its `*_updates` keys are
 // exact two-site-update counts (zero tolerance in bench_diff, so a change
-// that loses prefix sharing fails on any host; `h4_lbfgs_run_updates` is a
-// whole 3-iteration L-BFGS run, whose gradients start from the states the
-// energy evaluations kept), wall times sit in
-// informational `*_s` keys, and `perf_floor_ok` holds the byte-identity of
-// the serial, threaded and 4-rank gradients and the adjoint gradient's two
-// floors (1e-10 of parameter shift, 5x fewer updates than central
-// differences).
+// that loses prefix sharing, or walks psi back again instead of restoring
+// it, fails on any host): `h4_adjoint_gradient_updates` is a cold adjoint
+// gradient (one recorded preparation and lambda's walk, 2 492), and
+// `h4_lbfgs_run_updates` a whole 3-iteration L-BFGS run, whose gradients
+// restore psi from the recordings the energy evaluations kept (11 216).
+// Wall times sit in informational `*_s` keys, the bytes one H4 recording
+// holds in the informational `h4_adjoint_recorded_bytes`, and
+// `perf_floor_ok` holds the byte-identity of the serial, threaded and
+// 4-rank gradients and the adjoint gradient's two floors (1e-10 of
+// parameter shift, 5x fewer updates than central differences).
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -169,8 +172,9 @@ bool gradient_section(const H4Case& c, std::size_t n_threads, bool quick,
       g_ps_threads = parallel.parameter_shift_gradient(c.params);
     }).second;
 
-  // The adjoint gradient: one forward and two backward passes, checked
-  // entry by entry against the exact parameter-shift gradient.
+  // The adjoint gradient, cold: one recorded forward preparation and one
+  // backward walk of lambda, checked entry by entry against the exact
+  // parameter-shift gradient.
   std::vector<double> g_adjoint;
   const auto [adjoint_updates, adjoint_serial_s] = measure(kReps, [&] {
     g_adjoint = serial.adjoint_gradient(c.params).value_or(
@@ -218,9 +222,20 @@ bool gradient_section(const H4Case& c, std::size_t n_threads, bool quick,
   report.set("h4_adjoint_gradient_updates", double(adjoint_updates));
   report.set("h4_adjoint_gradient_serial_s", adjoint_serial_s);
 
+  // The bytes one recorded preparation copies (the kept slot's recording
+  // after one energy evaluation).
+  obs::Counter& recorded = obs::Registry::global().counter("mps.recorded_bytes");
+  const std::uint64_t recorded_before = recorded.value();
+  serial.energy(c.params);
+  const std::uint64_t recorded_bytes = recorded.value() - recorded_before;
+  std::printf("one recorded H4 preparation: %llu bytes\n",
+              (unsigned long long)recorded_bytes);
+  report.set("h4_adjoint_recorded_bytes", double(recorded_bytes));
+
   // A whole run as run_vqe_on makes it (3 L-BFGS iterations, one thread,
   // D = 16): 5 energies of 1 248 updates and 4 gradients, each of which
-  // walks back from the state its point's energy evaluation kept (2 488).
+  // restores psi from the recording its point's energy evaluation kept and
+  // walks only lambda back (1 244).
   vqe::VqeOptions run_options;
   run_options.mps.max_bond = 16;
   run_options.mps.parallel.n_threads = 1;

@@ -43,6 +43,12 @@ obs::Counter& transfer_op_counter() {
       obs::Registry::global().counter("mps.transfer_site_ops");
   return c;
 }
+// Tensor and Schmidt-vector bytes copied into MpsRecordings.
+obs::Counter& recorded_bytes_counter() {
+  static obs::Counter& c =
+      obs::Registry::global().counter("mps.recorded_bytes");
+  return c;
+}
 
 }  // namespace
 
@@ -318,6 +324,56 @@ void Mps::run(const circ::CompiledCircuit& c,
 
 void Mps::run(const circ::CompiledCircuit& c, const std::vector<double>& params,
               std::size_t first_gate, std::size_t last_gate) {
+  run_compiled(c, params, first_gate, last_gate, nullptr);
+}
+
+void Mps::run(const circ::CompiledCircuit& c, const std::vector<double>& params,
+              MpsRecording& recording) {
+  // Lay out the segments from the stream alone: per segment, the sites its
+  // gates change (bit 1) and the bonds right of them (bit 2). A first pass
+  // counts them so that every array is allocated once, at its size.
+  const std::vector<circ::Gate>& gates = c.gates.gates();
+  auto segments = [&](auto&& close) {
+    std::vector<unsigned char> changes(std::size_t(n_), 0);
+    bool open = false;  // the first parametric gate opens segment 0
+    for (const circ::Gate& g : gates) {
+      if (open && g.is_two_qubit()) {
+        const int lo = std::min(g.qubits[0], g.qubits[1]);
+        changes[std::size_t(lo)] |= 3;
+        changes[std::size_t(lo) + 1] |= 1;
+      } else if (open) {
+        changes[std::size_t(g.qubits[0])] |= 1;
+      }
+      if (g.is_parametric()) {
+        if (open) close(changes);
+        std::fill(changes.begin(), changes.end(), 0);
+        open = true;
+      }
+    }
+    if (open) close(changes);
+  };
+  std::size_t n_segments = 0, n_sites = 0;
+  segments([&](const std::vector<unsigned char>& changes) {
+    ++n_segments;
+    for (unsigned char ch : changes) n_sites += ch != 0;
+  });
+  recording = MpsRecording{};
+  recording.n_ = n_;
+  recording.ends_permuted_ = !gates.empty() && gates.back().is_parametric();
+  recording.sites_.reserve(n_sites);
+  recording.segments_.reserve(n_segments);
+  segments([&](const std::vector<unsigned char>& changes) {
+    recording.segments_.emplace_back().first = recording.sites_.size();
+    for (int s = 0; s < n_; ++s)
+      if (changes[std::size_t(s)])
+        recording.sites_.push_back({s, (changes[std::size_t(s)] & 2) != 0});
+  });
+  run_compiled(c, params, 0, gates.size(), &recording);
+}
+
+void Mps::run_compiled(const circ::CompiledCircuit& c,
+                       const std::vector<double>& params, std::size_t first_gate,
+                       std::size_t last_gate, MpsRecording* recording) {
   OBS_SPAN("mps/run");
   require(c.gates.n_qubits() == n_, "Mps::run: qubit count mismatch");
   require(first_gate <= last_gate && last_gate <= c.gates.size(),
@@ -325,8 +381,67 @@ void Mps::run(const circ::CompiledCircuit& c, const std::vector<double>& params,
   require(perm_.is_identity(),
           "Mps::run: compiled circuits assume the identity input placement");
   const std::vector<circ::Gate>& gates = c.gates.gates();
-  for (std::size_t i = first_gate; i < last_gate; ++i) apply(gates[i], params);
+  std::size_t segment = 0;
+  for (std::size_t i = first_gate; i < last_gate; ++i) {
+    apply(gates[i], params);
+    if (recording && gates[i].is_parametric())
+      record_segment(*recording, segment++);
+  }
   if (last_gate == gates.size()) perm_ = c.output_perm;
+}
+
+void Mps::record_segment(MpsRecording& recording, std::size_t k) const {
+  MpsRecording::Segment& segment = recording.segments_[k];
+  const auto [begin, end] = recording.site_range(k);
+  std::size_t n_tensor = 0, n_lambda = 0;
+  for (std::size_t j = begin; j < end; ++j) {
+    MpsRecording::Site& e = recording.sites_[j];
+    const std::size_t s = std::size_t(e.site);
+    e.dl = dl_[s];
+    e.dr = dr_[s];
+    n_tensor += tensors_[s].size();
+    if (e.bond) n_lambda += lambda_[s].size();
+  }
+  segment.tensors.reserve(n_tensor);
+  segment.lambdas.reserve(n_lambda);
+  for (std::size_t j = begin; j < end; ++j) {
+    const MpsRecording::Site& e = recording.sites_[j];
+    const std::size_t s = std::size_t(e.site);
+    segment.tensors.insert(segment.tensors.end(), tensors_[s].begin(),
+                           tensors_[s].end());
+    if (e.bond)
+      segment.lambdas.insert(segment.lambdas.end(), lambda_[s].begin(),
+                             lambda_[s].end());
+  }
+  segment.truncation_error = truncation_error_;
+  const std::size_t bytes = n_tensor * sizeof(cplx) + n_lambda * sizeof(double);
+  recording.bytes_ += bytes;
+  recorded_bytes_counter().add(bytes);
+}
+
+void Mps::restore(const MpsRecording& recording, std::size_t k) {
+  require(recording.n_ == n_ && k < recording.segments(),
+          "Mps::restore: no such segment in this recording");
+  const MpsRecording::Segment& segment = recording.segments_[k];
+  const auto [begin, end] = recording.site_range(k);
+  const cplx* t = segment.tensors.data();
+  const double* l = segment.lambdas.data();
+  for (std::size_t j = begin; j < end; ++j) {
+    const MpsRecording::Site& e = recording.sites_[j];
+    const std::size_t s = std::size_t(e.site), size = e.dl * 2 * e.dr;
+    tensors_[s].assign(t, t + size);
+    t += size;
+    dl_[s] = e.dl;
+    dr_[s] = e.dr;
+    if (e.bond) {  // the bond right of s has dimension dr
+      lambda_[s].assign(l, l + e.dr);
+      l += e.dr;
+    }
+  }
+  truncation_error_ = segment.truncation_error;
+  // Only a state at the stream's end carries the output permutation.
+  const bool at_end = recording.ends_permuted_ && k + 1 == recording.segments();
+  if (!at_end && !perm_.is_identity()) perm_ = circ::QubitPermutation(n_);
 }
 
 namespace {
@@ -619,10 +734,16 @@ Mps Mps::apply_mpo(const pauli::MeasurementMpo& mpo, double& norm) const {
 
   Mps out(n_, options_);
   out.perm_ = perm_;
-  // Pass 1, left to right. `carry` (r x width(k-1)·dl) is the state right
+  // Pass 1, left to right. `rest` (r x width(k-1)·dl) is the state right
   // of the orthonormal tensors written so far, indexed by (channel, psi
-  // bond); site k turns it into M[(rho, i), (channel', beta)].
-  std::vector<cplx> carry{cplx{1}}, g, m;
+  // bond); site k turns it into M[(rho, i), (channel', beta)]. It is the
+  // previous site's S·V^H, scaled in place in the SVD workspace: the next
+  // SVD overwrites V^H only after M is formed, and so the widest cut holds
+  // one copy of it fewer.
+  const cplx one{1};
+  const cplx* rest = &one;
+  std::size_t rest_size = 1;
+  std::vector<cplx> g, m;
   std::vector<Step> steps;
   std::size_t r = 1;
   for (int k = 0; k < n_; ++k) {
@@ -643,9 +764,9 @@ Mps Mps::apply_mpo(const pauli::MeasurementMpo& mpo, double& norm) const {
     m.assign(r * 2 * cols, cplx{});
     g.resize(r * 2 * dr);
     for (std::size_t j = 0; j < steps.size(); ++j) {
-      // G = carry's channel block times [B_0 | B_1], once per in-channel.
+      // G = rest's channel block times [B_0 | B_1], once per in-channel.
       if (j == 0 || steps[j].in != steps[j - 1].in)
-        la::gemm_raw(r, dl, 2 * dr, carry.data() + steps[j].in * dl, wl * dl,
+        la::gemm_raw(r, dl, 2 * dr, rest + steps[j].in * dl, wl * dl,
                      la::Op::kNone, tensors_[k].data(), 2 * dr, la::Op::kNone,
                      g.data(), 2 * dr, options_.parallel);
       cplx sigma[4];
@@ -668,15 +789,18 @@ Mps Mps::apply_mpo(const pauli::MeasurementMpo& mpo, double& norm) const {
     out.tensors_[k].assign(f.u, f.u + r * 2 * f.keep);
     out.dl_[k] = r;
     out.dr_[k] = f.keep;
-    carry.resize(f.keep * cols);
+    cplx* sv = ws.out_vh.data();  // f.vh, keep x cols
     for (std::size_t j = 0; j < f.keep; ++j)
       for (std::size_t c = 0; c < cols; ++c)
-        carry[j * cols + c] = f.s[j] * f.vh[j * cols + c];
+        sv[j * cols + c] = f.s[j] * sv[j * cols + c];
+    rest = sv;
+    rest_size = f.keep * cols;
     r = f.keep;
   }
   // Pass 2, right to left: carry (r x r') holds U·S of the cut right of
   // site k. M = A_k · carry, read as dl x 2r', splits into a right-canonical
   // V^H and the Schmidt values of the cut left of k.
+  std::vector<cplx> carry(rest, rest + rest_size);
   std::size_t rp = 1;  // carry is the 1 x 1 remainder of pass 1
   for (int k = n_ - 1; k >= 0; --k) {
     const std::size_t dl = out.dl_[k], dr = out.dr_[k];

@@ -7,6 +7,7 @@
 // Truncation error is accumulated and exposed, as the paper prescribes.
 #pragma once
 
+#include <utility>
 #include <vector>
 
 #include "circuit/circuit.hpp"
@@ -42,6 +43,55 @@ struct MpsState {
   std::vector<std::size_t> dl, dr;          ///< per-site bond dimensions
   std::vector<std::vector<double>> lambda;  ///< Schmidt vectors per bond
   double truncation_error = 0.0;            ///< accumulated truncation error
+};
+
+/// What a compiled run overwrites between its parametric gates, saved on the
+/// way forward so that a backward walk can restore the state at each
+/// parametric gate instead of applying every gate's adjoint to it. Segment k
+/// starts after the k-th parametric gate of the stream and ends with the
+/// next one (the last segment, with the stream). It holds, as they were at
+/// its start: every site tensor a gate of the segment changes, with its
+/// bond dimensions; the Schmidt vector of every bond a two-site gate of the
+/// segment changes; and the accumulated truncation error. A segment's
+/// tensors share one buffer allocated at their total size, and so do its
+/// Schmidt vectors. Mps::run(compiled, params, recording) fills it and
+/// Mps::restore reads it; nothing else sees the format.
+class MpsRecording {
+ public:
+  /// One per parametric gate of the recorded stream.
+  std::size_t segments() const { return segments_.size(); }
+  /// Site tensors saved over all segments.
+  std::size_t tensors() const { return sites_.size(); }
+  /// Bytes of saved tensor and Schmidt-vector data.
+  std::size_t bytes() const { return bytes_; }
+
+ private:
+  friend class Mps;
+  /// A site a segment changes, with its bond dimensions at the segment's
+  /// start. `bond`: the bond right of it changes too.
+  struct Site {
+    int site = 0;
+    bool bond = false;
+    std::size_t dl = 0, dr = 0;
+  };
+  struct Segment {
+    std::size_t first = 0;  ///< its sites start at sites_[first]
+    std::vector<cplx> tensors;    ///< its sites' tensors, in site order
+    std::vector<double> lambdas;  ///< its changed bonds' Schmidt vectors
+    double truncation_error = 0.0;
+  };
+  /// Segment k's sites: sites_[begin, end).
+  std::pair<std::size_t, std::size_t> site_range(std::size_t k) const {
+    return {segments_[k].first,
+            k + 1 < segments_.size() ? segments_[k + 1].first : sites_.size()};
+  }
+  int n_ = 0;
+  std::vector<Site> sites_;  ///< segment by segment, ascending in each
+  std::vector<Segment> segments_;
+  /// The last segment starts at the stream's end (a final parametric gate),
+  /// so its state carries the compiled output permutation.
+  bool ends_permuted_ = false;
+  std::size_t bytes_ = 0;
 };
 
 class Mps {
@@ -95,6 +145,19 @@ class Mps {
   /// gradients replay only the suffix a shifted parameter changes.
   void run(const circ::CompiledCircuit& c, const std::vector<double>& params,
            std::size_t first_gate, std::size_t last_gate);
+  /// run(c, params) that also fills `recording` (replacing its contents):
+  /// after each parametric gate it copies the tensors the gates up to the
+  /// next one will overwrite. Copies only, so the state carries the bits of
+  /// an unrecorded run. One mps/run span; the copied bytes are counted in
+  /// mps.recorded_bytes.
+  void run(const circ::CompiledCircuit& c, const std::vector<double>& params,
+           MpsRecording& recording);
+  /// Takes the state from its value after parametric gate k + 1 of the
+  /// recorded run (after the whole run, for the last segment) back to its
+  /// value after parametric gate k, bit for bit: the bits of
+  /// run(c, params, 0, g + 1) with g that gate's index. So segments are
+  /// restored last to first, starting from the recorded run's final state.
+  void restore(const MpsRecording& recording, std::size_t k);
 
   /// Residual logical→site placement left by compiled runs (identity on a
   /// fresh engine and after plain runs).
@@ -151,6 +214,13 @@ class Mps {
 
   void apply_gate(const circ::Gate& g, const std::vector<double>& params,
                   bool adjoint);
+  /// Gates [first_gate, last_gate) of a compiled run; with a recording
+  /// (laid out for the whole stream), saves each segment as it starts.
+  void run_compiled(const circ::CompiledCircuit& c,
+                    const std::vector<double>& params, std::size_t first_gate,
+                    std::size_t last_gate, MpsRecording* recording);
+  /// Copies segment k's sites, bonds and truncation error into `recording`.
+  void record_segment(MpsRecording& recording, std::size_t k) const;
   void apply_single(int site, const std::array<cplx, 4>& m);
   /// The environment left of site `lo` (dl_[lo] x dl_[lo], row-major).
   void initial_environment(std::size_t lo, std::vector<cplx>& e) const;

@@ -347,17 +347,38 @@ std::shared_ptr<const EnergyEvaluator::PreparedState> EnergyEvaluator::kept_at(
 }
 
 std::shared_ptr<const EnergyEvaluator::PreparedState>
+EnergyEvaluator::recorded(const std::vector<double>& x) const {
+  sim::Mps psi(ansatz_.n_qubits(), mps_options_);
+  sim::MpsRecording recording;
+  psi.run(compiled_, x, recording);
+  // Moved, not run in place: a moved engine leaves its update scratch
+  // behind, so the kept state holds no workspace.
+  return std::make_shared<const PreparedState>(
+      PreparedState{x, std::move(psi), std::move(recording)});
+}
+
+std::shared_ptr<const EnergyEvaluator::PreparedState>
 EnergyEvaluator::kept_or_prepared(const std::vector<double>& x) const {
   if (std::shared_ptr<const PreparedState> kept = kept_at(x)) return kept;
-  const std::shared_ptr<const PreparedState> fresh =
-      std::make_shared<const PreparedState>(PreparedState{x, prepare(x)});
-  if (!adjoint_exact_) return fresh;
-  std::shared_ptr<const PreparedState> previous = fresh;
+  if (!adjoint_exact_)
+    return std::make_shared<const PreparedState>(
+        PreparedState{x, prepare(x), {}});
+  // The previous state and its recording go before the next is recorded,
+  // released outside the lock.
+  std::shared_ptr<const PreparedState> previous;
   {
     std::lock_guard<std::mutex> lock(kept_mutex_);
     kept_.swap(previous);
   }
-  return fresh;  // the previous slot is released here, outside the lock
+  previous.reset();
+  const std::shared_ptr<const PreparedState> fresh = recorded(x);
+  previous = fresh;
+  {
+    std::lock_guard<std::mutex> lock(kept_mutex_);
+    kept_.swap(previous);
+  }
+  return fresh;  // another thread's state, if one was swapped in meanwhile,
+                 // is released here, outside the lock
 }
 
 bool EnergyEvaluator::adjoint_applies(const std::vector<double>& x) const {
@@ -380,24 +401,30 @@ std::optional<std::vector<double>> EnergyEvaluator::adjoint_gradient(
   OBS_SPAN("vqe/adjoint_gradient");
   require(x.size() == n_parameters(),
           "EnergyEvaluator: parameter count mismatch");
-  // The walk consumes its state: a copy of the kept psi(x), or else a fresh
+  // The kept psi(x) and its recording, or else a fresh recorded
   // preparation, which nothing else would read and so is not kept.
-  const std::shared_ptr<const PreparedState> kept = kept_at(x);
-  sim::Mps psi = kept ? kept->psi : prepare(x);
-  if (!exact(psi)) return std::nullopt;
+  std::shared_ptr<const PreparedState> prepared = kept_at(x);
+  if (!prepared) prepared = recorded(x);
+  if (!exact(prepared->psi)) return std::nullopt;
   adjoint_counter().add();
   std::vector<double> g(n_parameters(), 0.0);
   double norm = 0.0;
   sim::Mps lambda = [&] {
     OBS_SPAN("vqe/adjoint_lambda");
-    return psi.apply_mpo(mpo_, norm);
+    return prepared->psi.apply_mpo(mpo_, norm);
   }();
   if (norm == 0.0) return g;  // H|psi> = 0: every entry is 0
 
+  // Only lambda walks back. psi, a copy the restores overwrite, is taken
+  // back to each rotation's state from the recording; the recording's
+  // segments change exactly the sites the lambda walk marks touched since
+  // the previous rotation, so the overlap environments stay consistent.
   // Gates before the first parametric one never need undoing.
   const std::vector<circ::Gate>& gates = compiled_.gates.gates();
   std::size_t first = gates.size();
   for (std::size_t f : first_gate_) first = std::min(first, f);
+  sim::Mps psi = prepared->psi;
+  std::size_t segment = prepared->recording.segments();
   sim::MpsOverlap overlap(lambda, psi);
   for (std::size_t i = gates.size(); i-- > first;) {
     const circ::Gate& gate = gates[i];
@@ -406,6 +433,7 @@ std::optional<std::vector<double>> EnergyEvaluator::adjoint_gradient(
                        : gate.qubits[0];
     const int hi = two ? lo + 1 : lo;
     if (gate.is_parametric()) {
+      psi.restore(prepared->recording, --segment);
       // d/dtheta exp(-i theta G / 2) = (-i/2) G exp(-i theta G / 2).
       constexpr cplx kZero{}, kHalf{0.5, 0.0}, kHalfI{0.0, 0.5};
       std::array<cplx, 4> op;
@@ -421,7 +449,6 @@ std::optional<std::vector<double>> EnergyEvaluator::adjoint_gradient(
           gate.param_scale * 2 * overlap.local(lo, op).real() * norm;
     }
     if (i == first) break;
-    psi.apply_adjoint(gate, x);
     lambda.apply_adjoint(gate, x);
     overlap.touched(lo, hi);
   }
@@ -562,7 +589,7 @@ double EnergyEvaluator::measure_direct(const std::vector<double>& params,
   const std::shared_ptr<const PreparedState> prepared =
       !idx && iterate ? kept_or_prepared(params)
                       : std::make_shared<const PreparedState>(
-                            PreparedState{params, prepare(params)});
+                            PreparedState{params, prepare(params), {}});
   const sim::Mps& state = prepared->psi;
   if (iterate)
     last_truncation_error_.store(state.truncation_error(),

@@ -49,11 +49,12 @@ class EnergyEvaluator {
 
   /// The full energy at `params`. Where the adjoint gradient can apply
   /// (the static cap test of adjoint_gradient), energy() reads and refills
-  /// the evaluator's kept slot: the parameter bits and the MPS of the last
-  /// point it (or adjoint_applies) prepared. At the kept point it measures
-  /// the kept state instead of preparing it again; anywhere else it
-  /// prepares psi(params), measures it and keeps it. A kept state is the
-  /// same deterministic preparation, so every energy keeps its bits.
+  /// the evaluator's kept slot: the parameter bits, the MPS and the
+  /// recording of the last point it (or adjoint_applies) prepared. At the
+  /// kept point it measures the kept state instead of preparing it again;
+  /// anywhere else it releases the kept state, then prepares and records
+  /// psi(params), measures it and keeps it. A recording only copies
+  /// tensors, so every energy keeps the bits of an unrecorded preparation.
   double energy(const std::vector<double>& params) const;
   /// Contribution of a subset of Pauli terms (the unit of level-2 work),
   /// measured term by term and reduced in the listed order. Throws on an
@@ -107,24 +108,25 @@ class EnergyEvaluator {
   /// preparation of psi(x) that discards at most kAdjointTruncationBound.
   /// Then lambda = sum_k c_k P_k |psi> comes from the measurement MPO
   /// (sim::Mps::apply_mpo), and the pass walks the compiled stream
-  /// backwards once, applying each gate's adjoint to psi and lambda; at each
-  /// parametric rotation exp(-i theta G / 2), theta = scale · x_k, it adds
-  /// scale · 2 Re<lambda|(-i/2) G|psi> to entry k. Where the energy was
-  /// just evaluated at x (x's bits equal the kept point's, by memcmp), as
-  /// L-BFGS always asks, the walk starts from a copy of the kept state (the
-  /// walk destroys its copy; the slot keeps the original), and the gradient
-  /// costs two preparations' worth of two-site updates, the backward walks.
-  /// Anywhere else it prepares psi(x) itself, keeps nothing, and costs
-  /// three. Either way the cost does not grow with the parameter count, and
-  /// the exactness test applies to a kept state as to a fresh one. Serial
-  /// (the GEMMs follow the evaluator's thread count), so the bits are the
-  /// same at every thread count, on every rank and from a kept or a fresh
-  /// state. Counted in vqe.adjoint_gradients; spans vqe/adjoint_gradient
-  /// and, inside it, vqe/adjoint_lambda.
+  /// backwards once, applying each gate's adjoint to lambda; at each
+  /// parametric rotation exp(-i theta G / 2), theta = scale · x_k, it
+  /// restores psi to its state after that rotation from the preparation's
+  /// recording (sim::MpsRecording) and adds scale · 2 Re<lambda|(-i/2) G|psi>
+  /// to entry k. Where the energy was just evaluated at x (x's bits equal
+  /// the kept point's, by memcmp), as L-BFGS always asks, the walk restores
+  /// a copy of the kept state from the kept recording, and the gradient
+  /// costs one preparation's worth of two-site updates, lambda's walk.
+  /// Anywhere else it records psi(x) itself, keeps nothing, and costs two.
+  /// Either way the cost does not grow with the parameter count, and the
+  /// exactness test applies to a kept state as to a fresh one. Serial (the
+  /// GEMMs follow the evaluator's thread count), so the bits are the same at
+  /// every thread count, on every rank and from a kept or a fresh state.
+  /// Counted in vqe.adjoint_gradients; spans vqe/adjoint_gradient and,
+  /// inside it, vqe/adjoint_lambda.
   std::optional<std::vector<double>> adjoint_gradient(
       const std::vector<double>& x) const;
   /// Whether adjoint_gradient(x) returns a gradient. When the static
-  /// conditions hold it reads the kept state at x, or prepares psi(x) once
+  /// conditions hold it reads the kept state at x, or records psi(x) once
   /// and keeps it, so the energy and gradient that follow at x prepare
   /// nothing more; otherwise it prepares nothing.
   bool adjoint_applies(const std::vector<double>& x) const;
@@ -199,21 +201,28 @@ class EnergyEvaluator {
   /// direct mode, a serial reduce_terms over all terms otherwise.
   double measure_all(const sim::Mps& state) const;
 
-  /// A prepared state and the parameter bits it was prepared at. Immutable
-  /// once built, so threads may read (and copy) one concurrently.
+  /// A prepared state, the parameter bits it was prepared at and, where the
+  /// static cap test holds, its recording. Immutable once built, so threads
+  /// may read (and copy) one concurrently.
   struct PreparedState {
     std::vector<double> x;
     sim::Mps psi;
+    sim::MpsRecording recording;  ///< empty unless recorded()
   };
   /// psi(x) by the evaluator's own path: the compiled stream, or the bound
   /// circuit run eagerly.
   sim::Mps prepare(const std::vector<double>& x) const;
+  /// psi(x) run along the compiled stream with its recording; only where
+  /// the static cap test holds.
+  std::shared_ptr<const PreparedState> recorded(
+      const std::vector<double>& x) const;
   /// The kept state when its bits equal x's (memcmp), else null; always null
   /// where the static cap test fails, since nothing is kept there.
   std::shared_ptr<const PreparedState> kept_at(
       const std::vector<double>& x) const;
   /// The kept state at x, or else psi(x) prepared now and, where the static
-  /// cap test holds, kept in place of the previous one.
+  /// cap test holds, recorded and kept in place of the previous one, which
+  /// is released first.
   std::shared_ptr<const PreparedState> kept_or_prepared(
       const std::vector<double>& x) const;
 
@@ -248,10 +257,12 @@ class EnergyEvaluator {
   /// evaluate energies; any of their values is an equally valid report entry.
   mutable std::atomic<double> last_truncation_error_{0.0};
   /// The kept slot: the last point energy() or adjoint_applies() prepared,
-  /// filled only where the static cap test holds (adjoint_exact_). The
-  /// mutex guards the pointer alone: a reader copies the pointer under it
-  /// and compares bits, measures or copies the state outside it, and a
-  /// writer swaps in a state it prepared outside it. Threads
+  /// with its recording, filled only where the static cap test holds
+  /// (adjoint_exact_). The mutex guards the pointer alone: a reader copies
+  /// the pointer under it and compares bits, measures or copies the state
+  /// outside it, and a writer empties the slot, records a state outside the
+  /// lock and swaps it in, so an evaluator one thread uses holds at most
+  /// one recording at a time. Threads
   /// sharing one evaluator may overwrite each other's point; a reader that
   /// misses prepares its own state, with the same bits.
   mutable std::mutex kept_mutex_;

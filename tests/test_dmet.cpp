@@ -14,6 +14,7 @@
 #include <set>
 #include <utility>
 
+#include "adjoint_oracle.hpp"
 #include "chem/fci.hpp"
 #include "chem/hamiltonian.hpp"
 #include "chem/scf.hpp"
@@ -335,7 +336,8 @@ TEST(Dmet, RingFragmentAdjointGradientMatchesReferences) {
   // exact: 4 qubits never need a bond above 4, so its gradients take the
   // adjoint path. On one fragment's canonicalized embedding problem, as
   // make_vqe_solver builds it, the adjoint gradient matches the
-  // parameter-shift rule to 1e-10 and central differences to 1e-7.
+  // parameter-shift rule to 1e-10, central differences to 1e-7 and the
+  // two-walk pass (tests/adjoint_oracle.hpp) to 1e-12.
   const EmbeddingProblem prob = ring_fragment_problem();
   const chem::MoIntegrals canonical = rotate_orbitals(
       prob.solver, embedding_canonical_orbitals(prob.solver, prob.n_alpha));
@@ -352,9 +354,12 @@ TEST(Dmet, RingFragmentAdjointGradientMatchesReferences) {
   ASSERT_TRUE(adjoint.has_value());
   const std::vector<double> ps = eval.parameter_shift_gradient(x);
   const std::vector<double> fd = eval.gradient(x, 1e-5);
+  const std::vector<double> oracle =
+      test::two_walk_adjoint_gradient(eval, mps, x);
   for (std::size_t k = 0; k < ps.size(); ++k) {
     EXPECT_NEAR((*adjoint)[k], ps[k], 1e-10) << "entry " << k;
     EXPECT_NEAR((*adjoint)[k], fd[k], 1e-7) << "entry " << k;
+    EXPECT_NEAR((*adjoint)[k], oracle[k], 1e-12) << "entry " << k;
   }
 }
 

@@ -4,9 +4,11 @@
 // the paper describes (monitored, monotone in D).
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <limits>
 
 #include "circuit/builder.hpp"
+#include "circuit/reorder.hpp"
 #include "circuit/routing.hpp"
 #include "common/rng.hpp"
 #include "sim/mps.hpp"
@@ -240,6 +242,49 @@ TEST(Mps, NanGateAngleThrowsInsteadOfPoisoningTheState) {
   for (int q = 0; q + 1 < 4; ++q) c.append(circ::make_cnot(q, q + 1));
   Mps mps(4);
   EXPECT_THROW(mps.run(c, {std::numeric_limits<double>::quiet_NaN()}), Error);
+}
+
+TEST(Mps, RecordingRestoresThePermutationOnlyAtTheStreamsEnd) {
+  // A compiled stream that ends in a rotation after an elided SWAP: the
+  // state after that rotation is the final one and keeps the output
+  // permutation, while the state after an earlier rotation is unpermuted.
+  // Each restored state has the amplitudes of the ranged run that stops
+  // there.
+  Circuit c(4);
+  c.append(circ::make_h(0));
+  c.append(circ::make_rz_param(0, 0, 1.0));
+  c.append(circ::make_cnot(0, 1));
+  c.append(circ::make_swap(0, 3));
+  c.append(circ::make_rz_param(3, 1, 0.5));
+  const circ::CompiledCircuit cc = circ::compile_for_mps(c);
+  const std::vector<circ::Gate>& gates = cc.gates.gates();
+  ASSERT_TRUE(gates.back().is_parametric());
+  ASSERT_FALSE(cc.output_perm.is_identity());
+  std::size_t first = 0;
+  while (!gates[first].is_parametric()) ++first;
+  ASSERT_LT(first + 1, gates.size());
+
+  const std::vector<double> x = {0.3, -0.7};
+  Mps psi(4, exact_opts(4));
+  MpsRecording recording;
+  psi.run(cc, x, recording);
+  ASSERT_EQ(recording.segments(), 2u);
+  auto expect_amplitudes = [&](const Mps& ref, const char* what) {
+    EXPECT_EQ(psi.output_permutation(), ref.output_permutation()) << what;
+    const std::vector<cplx> a = psi.to_statevector(), b = ref.to_statevector();
+    EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(cplx)), 0)
+        << what;
+  };
+  Mps end(4, exact_opts(4));
+  end.run(cc, x);
+  psi.restore(recording, 1);
+  expect_amplitudes(end, "after the final rotation");
+  Mps mid(4, exact_opts(4));
+  mid.run(cc, x, 0, first + 1);
+  psi.restore(recording, 0);
+  EXPECT_TRUE(psi.output_permutation().is_identity());
+  expect_amplitudes(mid, "after the first rotation");
+  EXPECT_THROW(psi.restore(recording, 2), Error);
 }
 
 }  // namespace

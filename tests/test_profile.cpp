@@ -1,7 +1,8 @@
 // Span-aggregation profile: call-tree construction from nested and threaded
 // spans, self-vs-total invariants, exactness and thread-count invariance of
 // the GEMM/SVD FLOP accounting, cross-thread path adoption through the pool,
-// the set-up and adjoint-gradient spans, and the JSON export round-tripped
+// the set-up and adjoint-gradient spans, one state-preparation span per
+// preparation of an L-BFGS run, and the JSON export round-tripped
 // through the shared obs::Json parser.
 #include <gtest/gtest.h>
 
@@ -22,6 +23,7 @@
 #include "circuit/builder.hpp"
 #include "vqe/energy.hpp"
 #include "vqe/uccsd.hpp"
+#include "vqe/vqe_driver.hpp"
 
 namespace q2 {
 namespace {
@@ -295,6 +297,44 @@ TEST_F(ProfileTest, AdjointGradientSpansAppearWithSelfWithinTotal) {
   }
   EXPECT_EQ(find_node(nodes, "vqe/adjoint_lambda")->path,
             "vqe/adjoint_gradient;vqe/adjoint_lambda");
+}
+
+// A recorded preparation is one mps/run span, and a gradient that restores
+// psi from the kept recording opens none: a 3-iteration H4 L-BFGS run (5
+// energies, 4 adjoint gradients) opens exactly one mps/run per energy
+// evaluation, the state-preparation count perfbench reads.
+TEST_F(ProfileTest, LbfgsRunOpensOneMpsRunSpanPerPreparation) {
+  const chem::Molecule mol = chem::Molecule::hydrogen_chain(4, 1.8);
+  const chem::BasisSet basis = chem::BasisSet::build(mol, "sto-3g");
+  const chem::IntegralTables ints = chem::compute_integrals(mol, basis);
+  const chem::ScfResult scf = chem::rhf(mol, basis, ints);
+  const chem::MoIntegrals mo =
+      chem::transform_to_mo(ints, scf.coefficients, scf.nuclear_repulsion);
+  vqe::VqeOptions opts;
+  opts.mps.max_bond = 16;
+  opts.mps.parallel.n_threads = 1;
+  opts.optimizer.max_iterations = 3;
+  obs::Counter& evaluations =
+      obs::Registry::global().counter("vqe.energy_evaluations");
+  obs::Counter& adjoints =
+      obs::Registry::global().counter("vqe.adjoint_gradients");
+  const std::uint64_t evaluations_before = evaluations.value(),
+                      adjoints_before = adjoints.value();
+  obs::clear_profile();
+  vqe::run_vqe_on(chem::molecular_qubit_hamiltonian(mo),
+                  vqe::build_uccsd(mo.n_orbitals(), 2, 2), opts);
+
+  std::uint64_t runs = 0, in_gradient = 0;
+  for (const obs::ProfileNode& n : obs::profile_snapshot())
+    if (n.name == "mps/run") {
+      runs += n.count;
+      if (n.path.find("vqe/adjoint_gradient") != std::string::npos)
+        in_gradient += n.count;
+    }
+  EXPECT_EQ(evaluations.value() - evaluations_before, 5u);
+  EXPECT_EQ(adjoints.value() - adjoints_before, 4u);
+  EXPECT_EQ(runs, 5u);
+  EXPECT_EQ(in_gradient, 0u);
 }
 
 TEST_F(ProfileTest, JsonExportRoundTripsThroughTheSharedParser) {

@@ -2,8 +2,9 @@
 // the measurement paths (direct vs Hadamard test) and storage modes, the
 // optimizers on analytic functions (and L-BFGS failing loudly on a NaN),
 // the prefix-sharing gradients against plain finite differences, the
-// adjoint gradient against parameter shift and central differences with
-// its fallback and the state it keeps from the energy evaluation, and
+// adjoint gradient against parameter shift, central differences and the
+// two-walk oracle, with its fallback, the recording it restores psi from
+// and the state it keeps from the energy evaluation, and
 // distributed == threaded == serial determinism.
 #include <gtest/gtest.h>
 
@@ -24,6 +25,7 @@
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
 #include "parallel/comm.hpp"
+#include "adjoint_oracle.hpp"
 #include "sim/statevector.hpp"
 #include "vqe/vqe_driver.hpp"
 
@@ -816,9 +818,11 @@ TEST(AdjointGradient, LambdaMatchesStateVectorOracle) {
 }
 
 TEST(AdjointGradient, MakesThreePreparationsOfUpdates) {
-  // One forward preparation, then psi and lambda each walk back to the first
-  // parametric gate: the two-site updates follow from the compiled stream
-  // exactly, at least 5x fewer than central differences' 40 849.
+  // One recorded forward preparation, then lambda alone walks back to the
+  // first parametric gate (psi is restored from the recording, which costs
+  // no update): the two-site updates follow from the compiled stream
+  // exactly, two preparations' worth where the two-walk pass made three,
+  // and at least 5x fewer than central differences' 40 849.
   const Solved s = solve(chem::Molecule::hydrogen_chain(4, 1.8));
   const UccsdAnsatz ansatz = build_uccsd(4, 2, 2);
   sim::MpsOptions serial;
@@ -832,7 +836,7 @@ TEST(AdjointGradient, MakesThreePreparationsOfUpdates) {
     if (gates[i].is_parametric()) first = i;
   std::uint64_t expected = 0;
   for (std::size_t i = 0; i < gates.size(); ++i)
-    expected += gates[i].is_two_qubit() * (i > first ? 3 : 1);
+    expected += gates[i].is_two_qubit() * (i > first ? 2 : 1);
 
   obs::Counter& updates = obs::Registry::global().counter("mps.gates");
   obs::Counter& adjoints =
@@ -841,7 +845,7 @@ TEST(AdjointGradient, MakesThreePreparationsOfUpdates) {
                                                     adjoints.value();
   ASSERT_TRUE(eval.adjoint_gradient(initial_parameters(ansatz, 0.1)));
   EXPECT_EQ(updates.value() - before, expected);
-  EXPECT_EQ(expected, 3736u);
+  EXPECT_EQ(expected, 2492u);
   EXPECT_LE(5 * expected, 40849u);
   EXPECT_EQ(adjoints.value() - adjoints_before, 1u);
 }
@@ -870,8 +874,8 @@ std::uint64_t two_site_updates() {
 
 TEST(AdjointGradient, StartsFromTheStateTheEnergyKept) {
   // After energy(x), adjoint_gradient(x) skips the forward preparation: its
-  // two backward walks make 2 488 of the cold 3 736 updates. One ulp away
-  // from the kept point it prepares psi(y) itself. Both carry the bits of a
+  // backward walk makes 1 244 of the cold 2 492 updates. One ulp away from
+  // the kept point it records psi(y) itself. Both carry the bits of a
   // gradient from an evaluator that kept nothing.
   const H4Exact c;
   const EnergyEvaluator eval(c.ansatz.circuit, c.h, c.mps);
@@ -880,7 +884,7 @@ TEST(AdjointGradient, StartsFromTheStateTheEnergyKept) {
   std::uint64_t before = two_site_updates();
   const std::optional<std::vector<double>> kept = eval.adjoint_gradient(x);
   ASSERT_TRUE(kept.has_value());
-  EXPECT_EQ(two_site_updates() - before, 2488u);
+  EXPECT_EQ(two_site_updates() - before, 1244u);
   expect_same_bits(*kept, c.cold_gradient(x), "kept state");
 
   std::vector<double> y = x;
@@ -888,15 +892,15 @@ TEST(AdjointGradient, StartsFromTheStateTheEnergyKept) {
   before = two_site_updates();
   const std::optional<std::vector<double>> moved = eval.adjoint_gradient(y);
   ASSERT_TRUE(moved.has_value());
-  EXPECT_EQ(two_site_updates() - before, 3736u);
+  EXPECT_EQ(two_site_updates() - before, 2492u);
   expect_same_bits(*moved, c.cold_gradient(y), "one ulp off the kept point");
 
-  // The walk consumed a copy: the slot still serves x, and state_at hands
+  // The walk restored a copy: the slot still serves x, and state_at hands
   // back the kept state without a preparation.
   before = two_site_updates();
   expect_same_bits(*eval.adjoint_gradient(x), *kept, "kept state, again");
   const std::vector<cplx> amps = eval.state_at(x).to_statevector();
-  EXPECT_EQ(two_site_updates() - before, 2488u);
+  EXPECT_EQ(two_site_updates() - before, 1244u);
   sim::Mps fresh(c.ansatz.circuit.n_qubits(), c.mps);
   fresh.run(eval.compiled_ansatz(), x);
   const std::vector<cplx> fresh_amps = fresh.to_statevector();
@@ -908,7 +912,7 @@ TEST(AdjointGradient, StartsFromTheStateTheEnergyKept) {
 
 TEST(AdjointGradient, LbfgsRunPreparesEachIterateOnce) {
   // L-BFGS asks for the gradient where it has just measured the energy, so
-  // a 3-iteration run (5 energies, 4 gradients) makes 5 x 1 248 + 4 x 2 488
+  // a 3-iteration run (5 energies, 4 gradients) makes 5 x 1 248 + 4 x 1 244
   // two-site updates, and follows the trajectory of cold gradients bit for
   // bit. An open run report asks adjoint_applies(x0), whose preparation
   // then serves f(x0) and g(x0): the same updates, the same bits.
@@ -919,7 +923,8 @@ TEST(AdjointGradient, LbfgsRunPreparesEachIterateOnce) {
   std::uint64_t before = two_site_updates();
   const VqeResult run = run_vqe_on(c.h, c.ansatz, opts);
   const std::uint64_t run_updates = two_site_updates() - before;
-  EXPECT_EQ(run_updates, 5u * 1248u + 4u * 2488u);
+  EXPECT_EQ(run_updates, 5u * 1248u + 4u * 1244u);
+  EXPECT_EQ(run_updates, 11216u);
   EXPECT_EQ(run.history.size(), 4u);
 
   const EnergyEvaluator reference(c.ansatz.circuit, c.h, c.mps);
@@ -941,6 +946,205 @@ TEST(AdjointGradient, LbfgsRunPreparesEachIterateOnce) {
   std::remove(path.c_str());
   EXPECT_EQ(reported_updates, run_updates);
   expect_same_result(reported, run, "with a run report open");
+}
+
+TEST(AdjointGradient, MatchesTheTwoWalkOracle) {
+  // Restoring psi from the recording instead of walking it back moves only
+  // rounding: against the two-walk pass (tests/adjoint_oracle.hpp) every
+  // entry agrees to 1e-12, on H2 and at two H4 points, and a gradient from
+  // the kept state carries the cold bits.
+  struct Case {
+    std::string name;
+    chem::Molecule mol;
+    int n_orb, n_occ;
+    double scale;
+  };
+  sim::MpsOptions exact;
+  exact.max_bond = 16;
+  for (const Case& c :
+       {Case{"H2", chem::Molecule::h2(1.4), 2, 1, 0.15},
+        Case{"H4 near HF", chem::Molecule::hydrogen_chain(4, 1.8), 4, 2, 0.1},
+        Case{"H4 far from HF", chem::Molecule::hydrogen_chain(4, 1.8), 4, 2,
+             0.4}}) {
+    const UccsdAnsatz ansatz = build_uccsd(c.n_orb, c.n_occ, c.n_occ);
+    const EnergyEvaluator eval(
+        ansatz.circuit, chem::molecular_qubit_hamiltonian(solve(c.mol).mo),
+        exact);
+    const std::vector<double> x = skewed(initial_parameters(ansatz, c.scale));
+    const std::vector<double> oracle =
+        test::two_walk_adjoint_gradient(eval, exact, x);
+    const std::vector<double> cold = *eval.adjoint_gradient(x);
+    eval.energy(x);
+    expect_same_bits(*eval.adjoint_gradient(x), cold, c.name + " kept");
+    ASSERT_EQ(cold.size(), oracle.size()) << c.name;
+    for (std::size_t k = 0; k < cold.size(); ++k)
+      EXPECT_NEAR(cold[k], oracle[k], 1e-12) << c.name << " entry " << k;
+  }
+}
+
+// Every array of two unpermuted engines' exported states, by bytes.
+void expect_same_state(const sim::Mps& a, const sim::Mps& b,
+                       const std::string& what) {
+  const sim::MpsState sa = a.export_state(), sb = b.export_state();
+  ASSERT_EQ(sa.dl, sb.dl) << what;
+  ASSERT_EQ(sa.dr, sb.dr) << what;
+  for (std::size_t k = 0; k < sa.tensors.size(); ++k)
+    EXPECT_EQ(std::memcmp(sa.tensors[k].data(), sb.tensors[k].data(),
+                          sa.tensors[k].size() * sizeof(cplx)),
+              0)
+        << what << " site " << k;
+  for (std::size_t k = 0; k < sa.lambda.size(); ++k) {
+    ASSERT_EQ(sa.lambda[k].size(), sb.lambda[k].size()) << what;
+    EXPECT_EQ(std::memcmp(sa.lambda[k].data(), sb.lambda[k].data(),
+                          sa.lambda[k].size() * sizeof(double)),
+              0)
+        << what << " bond " << k;
+  }
+  expect_same_bits({sa.truncation_error}, {sb.truncation_error},
+                   what + " truncation error");
+}
+
+TEST(AdjointGradient, RecordingRestoresEachRotationsState) {
+  // A recorded run carries the bits of an unrecorded one. Restoring its
+  // segments last to first from the final state then gives, at every
+  // parametric gate i of H4's stream, the bits of run(compiled, x, 0, i + 1).
+  const H4Exact c;
+  const EnergyEvaluator eval(c.ansatz.circuit, c.h, c.mps);
+  const circ::CompiledCircuit& compiled = eval.compiled_ansatz();
+  const std::vector<circ::Gate>& gates = compiled.gates.gates();
+  const int n = c.ansatz.circuit.n_qubits();
+  const std::vector<double> x = skewed(initial_parameters(c.ansatz, 0.3));
+  sim::Mps psi(n, c.mps), plain(n, c.mps);
+  sim::MpsRecording recording;
+  psi.run(compiled, x, recording);
+  plain.run(compiled, x);
+  EXPECT_EQ(psi.output_permutation(), plain.output_permutation());
+  const std::vector<cplx> a = psi.to_statevector(), b = plain.to_statevector();
+  EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(cplx)), 0);
+
+  std::vector<std::size_t> rotations;
+  for (std::size_t i = 0; i < gates.size(); ++i)
+    if (gates[i].is_parametric()) rotations.push_back(i);
+  ASSERT_EQ(recording.segments(), rotations.size());
+  ASSERT_LT(rotations.back() + 1, gates.size());
+  // The size DESIGN.md quotes: 862 site tensors, under 1.4 MB.
+  EXPECT_EQ(recording.tensors(), 862u);
+  EXPECT_LE(recording.bytes(), 1400000u);
+  for (std::size_t k = rotations.size(); k-- > 0;) {
+    psi.restore(recording, k);
+    sim::Mps reference(n, c.mps);
+    reference.run(compiled, x, 0, rotations[k] + 1);
+    expect_same_state(psi, reference,
+                      "rotation " + std::to_string(k) + " (gate " +
+                          std::to_string(rotations[k]) + ")");
+  }
+}
+
+TEST(AdjointGradient, RecordedEnergyKeepsTheUnrecordedBits) {
+  // energy(x) records its preparation where the cap cannot bind. The
+  // recording only copies tensors, so the energy carries the bits of an
+  // unrecorded preparation measured through the same MPO.
+  const H4Exact c;
+  const EnergyEvaluator eval(c.ansatz.circuit, c.h, c.mps);
+  obs::Counter& recorded =
+      obs::Registry::global().counter("mps.recorded_bytes");
+  for (double scale : {0.1, 0.4}) {
+    const std::vector<double> x = skewed(initial_parameters(c.ansatz, scale));
+    const std::uint64_t before = recorded.value();
+    const double e = eval.energy(x);
+    EXPECT_GT(recorded.value() - before, 0u);
+    sim::Mps plain(c.ansatz.circuit.n_qubits(), c.mps);
+    plain.run(eval.compiled_ansatz(), x);
+    expect_same_bits(
+        {e}, {eval.constant_term() + plain.sweep_mpo(eval.measurement_mpo()).real()},
+        "scale " + std::to_string(scale));
+  }
+}
+
+TEST(AdjointGradient, RecordsNothingWhereTheCapBinds) {
+  // H4 at D = 4 and H10 window 2 at D = 16 fail the static cap test: their
+  // energies and central-difference gradients record and keep nothing, and
+  // make exactly the updates of the compiled stream, one preparation per
+  // energy and the shared-prefix replays per gradient.
+  const Solved h10 = solve(chem::Molecule::hydrogen_chain(10, 1.8));
+  UccsdOptions window;
+  window.distance_window = 2;
+  const H4Exact h4;
+  sim::MpsOptions capped = h4.mps, d16 = h4.mps;
+  capped.max_bond = 4;
+  struct Case {
+    std::string name;
+    pauli::QubitOperator h;
+    UccsdAnsatz ansatz;
+    sim::MpsOptions mps;
+  };
+  const std::vector<Case> cases = {
+      {"H4 D=4", h4.h, h4.ansatz, capped},
+      {"H10 window 2", chem::molecular_qubit_hamiltonian(h10.mo),
+       build_uccsd(10, 5, 5, window), d16}};
+  obs::Counter& recorded =
+      obs::Registry::global().counter("mps.recorded_bytes");
+  for (const Case& c : cases) {
+    const EnergyEvaluator eval(c.ansatz.circuit, c.h, c.mps);
+    const std::vector<circ::Gate>& gates =
+        eval.compiled_ansatz().gates.gates();
+    auto updates = [&](std::size_t from) {
+      std::uint64_t n = 0;
+      for (std::size_t i = from; i < gates.size(); ++i)
+        n += gates[i].is_two_qubit();
+      return n;
+    };
+    std::vector<std::size_t> first(c.ansatz.n_parameters, gates.size());
+    for (std::size_t i = gates.size(); i-- > 0;)
+      if (gates[i].is_parametric())
+        first[std::size_t(gates[i].param_index)] = i;
+    const std::size_t last_first = *std::max_element(first.begin(), first.end());
+    std::uint64_t gradient_updates = updates(0) - updates(last_first);
+    for (std::size_t f : first) gradient_updates += 2 * updates(f);
+
+    const std::vector<double> x = initial_parameters(c.ansatz, 0.1);
+    const std::uint64_t recorded_before = recorded.value();
+    std::uint64_t before = two_site_updates();
+    eval.energy(x);
+    EXPECT_EQ(two_site_updates() - before, updates(0)) << c.name;
+    before = two_site_updates();
+    eval.gradient(x, 1e-5);
+    EXPECT_EQ(two_site_updates() - before, gradient_updates) << c.name;
+    EXPECT_FALSE(eval.adjoint_gradient(x).has_value()) << c.name;
+    EXPECT_EQ(recorded.value() - recorded_before, 0u) << c.name;
+    if (c.name == "H4 D=4") {
+      EXPECT_EQ(updates(0), 1248u);
+      EXPECT_EQ(gradient_updates, 40849u);
+    }
+  }
+}
+
+TEST(AdjointGradient, EvaluatorHoldsOneRecording) {
+  // energy(x1) keeps psi(x1) with its recording; energy(x2) releases both
+  // before it records psi(x2), and keeps that one alone: the gradient at x2
+  // makes only lambda's walk, and the one at x1 is cold again. A cold
+  // gradient records for itself and leaves the slot alone, so the gradient
+  // at x2 still finds its recording afterwards.
+  const H4Exact c;
+  const EnergyEvaluator eval(c.ansatz.circuit, c.h, c.mps);
+  const std::vector<double> x1 = skewed(initial_parameters(c.ansatz, 0.1)),
+                            x2 = skewed(initial_parameters(c.ansatz, 0.2));
+  obs::Counter& recorded =
+      obs::Registry::global().counter("mps.recorded_bytes");
+  std::uint64_t before = recorded.value();
+  eval.energy(x1);
+  eval.energy(x2);
+  EXPECT_GT(recorded.value() - before, 0u);
+
+  before = two_site_updates();
+  ASSERT_TRUE(eval.adjoint_gradient(x2).has_value());
+  EXPECT_EQ(two_site_updates() - before, 1244u);
+  before = two_site_updates();
+  ASSERT_TRUE(eval.adjoint_gradient(x1).has_value());
+  EXPECT_EQ(two_site_updates() - before, 2492u);
+  before = two_site_updates();
+  ASSERT_TRUE(eval.adjoint_gradient(x2).has_value());
+  EXPECT_EQ(two_site_updates() - before, 1244u);
 }
 
 TEST(AdjointGradient, SharedEvaluatorKeepsEachThreadsBits) {
