@@ -6,26 +6,16 @@ namespace {
 // Per-type tags guard against sections being decoded as the wrong type after
 // a format mix-up; bumping a tag is the cheap way to version one serializer.
 // Tags are part of the on-disk format: keep their values so existing
-// snapshots still load.
-constexpr std::uint8_t kTagRng = 0x14;
+// snapshots still load. Retired: 0x14 (an mt19937_64 stream) and 0x16 (the
+// optimizer state with Adam's moments).
 constexpr std::uint8_t kTagMps = 0x15;
-constexpr std::uint8_t kTagOptimizer = 0x16;
+constexpr std::uint8_t kTagOptimizer = 0x17;
 
 void expect_tag(ByteReader& r, std::uint8_t tag) {
   require(r.u8() == tag, "ckpt: section type tag mismatch");
 }
 
 }  // namespace
-
-void write_rng(ByteWriter& w, const Rng& rng) {
-  w.u8(kTagRng);
-  w.str(rng.state_string());
-}
-
-void read_rng(ByteReader& r, Rng& rng) {
-  expect_tag(r, kTagRng);
-  rng.set_state_string(r.str());
-}
 
 void write_mps(ByteWriter& w, const sim::MpsState& s) {
   w.u8(kTagMps);
@@ -64,12 +54,9 @@ void write_optimizer_state(ByteWriter& w, const vqe::OptimizerState& s) {
   w.b(s.converged);
   w.i32(s.iteration);
   w.f64(s.energy);
-  w.f64(s.e_prev);
   w.vec(s.parameters);
   w.vec(s.gradient);
   w.vec(s.history);
-  w.vec(s.adam_m);
-  w.vec(s.adam_v);
   w.vec(s.lbfgs_s);
   w.vec(s.lbfgs_y);
   w.vec(s.lbfgs_rho);
@@ -83,12 +70,9 @@ vqe::OptimizerState read_optimizer_state(ByteReader& r) {
   s.converged = r.b();
   s.iteration = r.i32();
   s.energy = r.f64();
-  s.e_prev = r.f64();
   s.parameters = r.vec_f64();
   s.gradient = r.vec_f64();
   s.history = r.vec_f64();
-  s.adam_m = r.vec_f64();
-  s.adam_v = r.vec_f64();
   s.lbfgs_s = r.vec_vec_f64();
   s.lbfgs_y = r.vec_vec_f64();
   s.lbfgs_rho = r.vec_f64();

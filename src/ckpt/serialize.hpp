@@ -2,8 +2,8 @@
 // ByteReader move fixed-width little-endian integers and raw IEEE-754 bit
 // patterns (no decimal round trips), so every serialized double restores
 // bit-for-bit — the foundation of the resume determinism contract. On top sit
-// serializers for the live run-state types: the MPS simulator state, the
-// optimizer state, and the mt19937_64 stream.
+// serializers for the live run-state types: the MPS simulator state and the
+// optimizer state.
 #pragma once
 
 #include <cstdint>
@@ -11,7 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "common/rng.hpp"
 #include "common/types.hpp"
 #include "sim/mps.hpp"
 #include "vqe/optimizer.hpp"
@@ -172,9 +171,6 @@ class ByteReader {
 // ---- Domain serializers ----------------------------------------------------
 // Each pair round-trips its type exactly; readers validate internal
 // consistency and throw q2::Error on malformed input.
-
-void write_rng(ByteWriter& w, const Rng& rng);
-void read_rng(ByteReader& r, Rng& rng);
 
 void write_mps(ByteWriter& w, const sim::MpsState& s);
 sim::MpsState read_mps(ByteReader& r);

@@ -4,7 +4,6 @@
 
 #include <cstdint>
 #include <random>
-#include <string>
 #include <vector>
 
 #include "common/types.hpp"
@@ -35,14 +34,6 @@ class Rng {
     for (auto& z : v) z = complex_normal();
     return v;
   }
-
-  std::mt19937_64& engine() { return engine_; }
-
-  /// Exact engine-state round trip for the checkpoint layer: the standard
-  /// guarantees operator<</>> on mt19937_64 restore the stream bit-for-bit,
-  /// so a resumed run draws the identical sequence.
-  std::string state_string() const;
-  void set_state_string(const std::string& s);
 
  private:
   std::mt19937_64 engine_;

@@ -216,13 +216,23 @@ Evaluation evaluate(const Prepared& prep, double mu,
   return ev;
 }
 
+// The chemical-potential fit's budget. The first bracket step from µ = 0 (+
+// when N(0) is below the target, − otherwise):
+constexpr double kMuBracket = 0.5;
+// While N stays on µ = 0's side, the bracket's inner end moves to the new
+// point and the step doubles, at most this many times before the fit is
+// declared failed (result.converged = false):
+constexpr int kMaxBracketExpansions = 6;
+// Illinois steps allowed inside the bracket:
+constexpr int kMaxMuIterations = 30;
+
 // The chemical-potential fit as an explicit state machine. Each step
 // performs at most one µ-evaluation (one full fragment-solve sweep), and
 // everything step k+1 reads lives in MuLoopState, so the checkpoint layer can
 // persist the fit between any two sweeps and resume it bit-identically.
 //
 // N(µ) increases with µ. The fit evaluates µ = 0, then brackets the root from
-// that side only: it steps by mu_bracket toward the root, doubling the step
+// that side only: it steps by kMuBracket toward the root, doubling the step
 // while N stays on the same side of the target. Inside the bracket it takes
 // Illinois steps (regula falsi whose stale endpoint residual is halved when
 // the same endpoint is replaced twice in a row), with the midpoint as the
@@ -363,12 +373,12 @@ bool mu_loop_step(MuLoopState& st, const Prepared& prep, double target,
       } else if (f < 0.0) {
         st.ev_lo = st.ev;
         st.f_lo = f;
-        st.step = options.mu_bracket;
+        st.step = kMuBracket;
         st.phase = MuLoopState::kBracket;
       } else {
         st.ev_hi = st.ev;
         st.f_hi = f;
-        st.step = -options.mu_bracket;
+        st.step = -kMuBracket;
         st.phase = MuLoopState::kBracket;
       }
       return true;
@@ -385,7 +395,7 @@ bool mu_loop_step(MuLoopState& st, const Prepared& prep, double target,
         (up ? st.ev_hi : st.ev_lo) = st.ev;
         (up ? st.f_hi : st.f_lo) = f;
         st.phase = MuLoopState::kSecant;
-      } else if (st.expansions < options.max_bracket_expansions) {
+      } else if (st.expansions < kMaxBracketExpansions) {
         inner = st.ev;
         (up ? st.f_lo : st.f_hi) = f;
         st.step *= 2.0;
@@ -408,7 +418,7 @@ bool mu_loop_step(MuLoopState& st, const Prepared& prep, double target,
       double mu = lo - st.f_lo * (hi - lo) / (st.f_hi - st.f_lo);
       if (!(mu > lo && mu < hi)) mu = 0.5 * (lo + hi);
       // Out of steps, or the bracket has shrunk to adjacent doubles.
-      if (st.secant_steps >= options.max_mu_iterations ||
+      if (st.secant_steps >= kMaxMuIterations ||
           !(mu > lo && mu < hi)) {
         st.phase = MuLoopState::kDone;
         return false;
@@ -442,7 +452,6 @@ DmetResult drive(const chem::Molecule& molecule, const DmetOptions& options,
                  const std::function<bool(std::size_t)>& mine,
                  par::Comm* comm) {
   OBS_SPAN("dmet/drive");
-  require(options.mu_bracket > 0.0, "run_dmet: mu_bracket must be positive");
   Prepared prep = prepare(molecule, options);
   const double target = double(molecule.n_electrons());
 

@@ -52,15 +52,6 @@ struct DmetOptions {
   /// units): solve fragment 0 once and replicate its solution.
   bool equivalent_fragments = false;
   double electron_tolerance = 1e-5;
-  /// Illinois steps allowed inside the bracket.
-  int max_mu_iterations = 30;
-  /// First bracket step from µ = 0, taken toward the root only (+ when
-  /// N(0) is below the target, − otherwise).
-  double mu_bracket = 0.5;
-  /// While N stays on µ = 0's side, the bracket's inner end moves to the new
-  /// point and the step doubles, at most this many times before the fit is
-  /// declared failed (result.converged = false).
-  int max_bracket_expansions = 6;
   /// On-node parallelism across non-equivalent fragment solves (level 1 of
   /// the paper's hierarchy, folded onto the shared-memory pool). Fragment
   /// solves nest VQE term sweeps; the pool is nesting-safe.

@@ -9,6 +9,8 @@ namespace q2::vqe {
 namespace {
 
 constexpr std::size_t kLbfgsMemory = 10;
+// The first step along steepest descent after a direction lost descent.
+constexpr double kSteepestDescentStep = 0.1;
 
 double nrm2(const std::vector<double>& v) {
   double s = 0;
@@ -40,53 +42,6 @@ void notify(const OptimizerOptions& options, const OptimizerState& state,
     options.iteration_observer(it, e, gnorm);
   if (options.state_observer) options.state_observer(state);
 }
-
-// ---- Adam ------------------------------------------------------------------
-
-void init_adam(const EnergyFn& f, OptimizerState& state) {
-  const std::size_t n = state.parameters.size();
-  state.adam_m.assign(n, 0.0);
-  state.adam_v.assign(n, 0.0);
-  state.energy = f(state.parameters);
-  state.e_prev = state.energy;
-  state.history.assign(1, state.energy);
-  state.initialized = true;
-}
-
-void step_adam(const EnergyFn& f, const GradientFn& grad,
-               OptimizerState& state, const OptimizerOptions& options) {
-  constexpr double kBeta1 = 0.9, kBeta2 = 0.999, kEps = 1e-8;
-  const std::size_t n = state.parameters.size();
-  const int it = ++state.iteration;
-
-  const std::vector<double> g = grad(state.parameters);
-  const double gnorm = nrm2(g);
-  if (gnorm < options.gradient_tolerance) {
-    state.converged = state.finished = true;
-    notify(options, state, it, state.energy, gnorm, false);
-    return;
-  }
-  // Bias correction uses the *global* iteration count, so a resumed run
-  // applies the same effective step sizes as an uninterrupted one.
-  for (std::size_t i = 0; i < n; ++i) {
-    state.adam_m[i] = kBeta1 * state.adam_m[i] + (1 - kBeta1) * g[i];
-    state.adam_v[i] = kBeta2 * state.adam_v[i] + (1 - kBeta2) * g[i] * g[i];
-    const double mh = state.adam_m[i] / (1 - std::pow(kBeta1, it));
-    const double vh = state.adam_v[i] / (1 - std::pow(kBeta2, it));
-    state.parameters[i] -=
-        options.learning_rate * mh / (std::sqrt(vh) + kEps);
-  }
-  const double e = f(state.parameters);
-  state.history.push_back(e);
-  if (std::abs(e - state.e_prev) < options.energy_tolerance)
-    state.converged = state.finished = true;
-  state.e_prev = e;
-  state.energy = e;
-  if (it >= options.max_iterations) state.finished = true;
-  notify(options, state, it, e, gnorm, true);
-}
-
-// ---- L-BFGS ----------------------------------------------------------------
 
 // A NaN energy fails every Armijo test and a NaN gradient poisons the
 // curvature pairs, so L-BFGS checks each value as it arrives and throws,
@@ -164,7 +119,7 @@ void step_lbfgs(const EnergyFn& f, const GradientFn& grad,
     state.lbfgs_s.clear();
     state.lbfgs_y.clear();
     state.lbfgs_rho.clear();
-    step = options.learning_rate;
+    step = kSteepestDescentStep;
   }
   std::vector<double> x_new(n);
   double e_new = state.energy;
@@ -198,7 +153,6 @@ void step_lbfgs(const EnergyFn& f, const GradientFn& grad,
   state.parameters = x_new;
   state.gradient = g_new;
   state.energy = e_new;
-  state.e_prev = e_prev;
   state.history.push_back(e_new);
   if (std::abs(e_new - e_prev) < options.energy_tolerance)
     state.converged = state.finished = true;
@@ -206,56 +160,7 @@ void step_lbfgs(const EnergyFn& f, const GradientFn& grad,
   notify(options, state, it, e_new, nrm2(state.gradient), true);
 }
 
-// ---- SPSA ------------------------------------------------------------------
-
-void init_spsa(const EnergyFn& f, OptimizerState& state) {
-  state.energy = f(state.parameters);
-  state.history.assign(1, state.energy);
-  state.initialized = true;
-}
-
-void step_spsa(const EnergyFn& f, OptimizerState& state, Rng& rng,
-               const OptimizerOptions& options) {
-  const std::size_t n = state.parameters.size();
-  const int it = ++state.iteration;
-
-  // Standard SPSA gain sequences (Spall 1998); both decay on the global
-  // iteration count, which is exactly the "schedule position" the snapshot
-  // carries across a resume.
-  const double a = options.learning_rate, c0 = 0.1;
-  constexpr double kAlpha = 0.602, kGamma = 0.101, kStability = 10.0;
-  const double ak = a / std::pow(it + kStability, kAlpha);
-  const double ck = c0 / std::pow(it, kGamma);
-  std::vector<double> delta(n), xp(n), xm(n);
-  for (std::size_t k = 0; k < n; ++k) {
-    delta[k] = rng.uniform() < 0.5 ? -1.0 : 1.0;
-    xp[k] = state.parameters[k] + ck * delta[k];
-    xm[k] = state.parameters[k] - ck * delta[k];
-  }
-  const double diff = (f(xp) - f(xm)) / (2.0 * ck);
-  for (std::size_t k = 0; k < n; ++k)
-    state.parameters[k] -= ak * diff / delta[k];
-  const double e = f(state.parameters);
-  state.history.push_back(e);
-  state.e_prev = state.energy;
-  state.energy = e;
-  if (it >= options.max_iterations) {
-    state.finished = true;
-    state.converged = true;  // SPSA runs a fixed budget by design
-  }
-  notify(options, state, it, e, -1.0, true);
-}
-
 }  // namespace
-
-OptimizerResult minimize_adam_from(const EnergyFn& f, const GradientFn& grad,
-                                   OptimizerState& state,
-                                   const OptimizerOptions& options) {
-  if (!state.initialized) init_adam(f, state);
-  while (!state.finished && state.iteration < options.max_iterations)
-    step_adam(f, grad, state, options);
-  return result_from(state);
-}
 
 OptimizerResult minimize_lbfgs_from(const EnergyFn& f, const GradientFn& grad,
                                     OptimizerState& state,
@@ -266,39 +171,12 @@ OptimizerResult minimize_lbfgs_from(const EnergyFn& f, const GradientFn& grad,
   return result_from(state);
 }
 
-OptimizerResult minimize_spsa_from(const EnergyFn& f, OptimizerState& state,
-                                   Rng& rng, const OptimizerOptions& options) {
-  if (!state.initialized) init_spsa(f, state);
-  while (!state.finished && state.iteration < options.max_iterations)
-    step_spsa(f, state, rng, options);
-  if (state.iteration >= options.max_iterations) {
-    state.finished = true;
-    state.converged = true;
-  }
-  return result_from(state);
-}
-
-OptimizerResult minimize_adam(const EnergyFn& f, const GradientFn& grad,
-                              std::vector<double> x0,
-                              const OptimizerOptions& options) {
-  OptimizerState state;
-  state.parameters = std::move(x0);
-  return minimize_adam_from(f, grad, state, options);
-}
-
 OptimizerResult minimize_lbfgs(const EnergyFn& f, const GradientFn& grad,
                                std::vector<double> x0,
                                const OptimizerOptions& options) {
   OptimizerState state;
   state.parameters = std::move(x0);
   return minimize_lbfgs_from(f, grad, state, options);
-}
-
-OptimizerResult minimize_spsa(const EnergyFn& f, std::vector<double> x0,
-                              Rng& rng, const OptimizerOptions& options) {
-  OptimizerState state;
-  state.parameters = std::move(x0);
-  return minimize_spsa_from(f, state, rng, options);
 }
 
 std::vector<double> finite_difference_gradient(const EnergyFn& f,

@@ -95,26 +95,22 @@ UccsdAnsatz build_uccsd(std::size_t n_spatial, int n_alpha, int n_beta,
       }
     }
   } else {
-    if (options.include_singles) {
-      for (std::size_t i : occ)
-        for (std::size_t a : virt) {
-          if ((i ^ a) & 1) continue;  // spin conserving
-          const Excitation ex{{i}, {a}};
-          if (within_window(ex)) excitations.push_back(ex);
-        }
-    }
-    if (options.include_doubles) {
-      for (std::size_t x = 0; x < occ.size(); ++x)
-        for (std::size_t y = x + 1; y < occ.size(); ++y)
-          for (std::size_t u = 0; u < virt.size(); ++u)
-            for (std::size_t v = u + 1; v < virt.size(); ++v) {
-              const std::size_t i = occ[x], j = occ[y];
-              const std::size_t a = virt[u], b = virt[v];
-              if (((i & 1) + (j & 1)) != ((a & 1) + (b & 1))) continue;
-              const Excitation ex{{i, j}, {a, b}};
-              if (within_window(ex)) excitations.push_back(ex);
-            }
-    }
+    for (std::size_t i : occ)
+      for (std::size_t a : virt) {
+        if ((i ^ a) & 1) continue;  // spin conserving
+        const Excitation ex{{i}, {a}};
+        if (within_window(ex)) excitations.push_back(ex);
+      }
+    for (std::size_t x = 0; x < occ.size(); ++x)
+      for (std::size_t y = x + 1; y < occ.size(); ++y)
+        for (std::size_t u = 0; u < virt.size(); ++u)
+          for (std::size_t v = u + 1; v < virt.size(); ++v) {
+            const std::size_t i = occ[x], j = occ[y];
+            const std::size_t a = virt[u], b = virt[v];
+            if (((i & 1) + (j & 1)) != ((a & 1) + (b & 1))) continue;
+            const Excitation ex{{i, j}, {a, b}};
+            if (within_window(ex)) excitations.push_back(ex);
+          }
   }
 
   ansatz.n_parameters = excitations.size();

@@ -28,8 +28,6 @@ struct UccsdOptions {
   /// Distance truncation (Fig. 10 regime): a double excitation is kept only
   /// if max spatial-orbital distance among its indices <= window; -1 = full.
   int distance_window = -1;
-  bool include_singles = true;
-  bool include_doubles = true;
   /// Local generalized ansatz: orbital-neighbourhood excitations a+_p a_q
   /// and pair doubles for |p - q| <= distance_window, regardless of the
   /// occupied/virtual split. This is the fixed-depth-per-qubit circuit of

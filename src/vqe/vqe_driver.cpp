@@ -16,49 +16,51 @@ namespace q2::vqe {
 namespace {
 
 constexpr const char* kSnapshotKind = "vqe";
+// Layout 1 had no version: its "meta" held (kind, i32 optimizer kind 0-2,
+// u64 count), as long as a (kind, u64 count, u32 layout) meta, with an
+// optimizer kind where a version would sit. So the version has a section of
+// its own, and a snapshot without one is layout 1.
+constexpr std::uint32_t kSnapshotLayout = 2;
 
-// Snapshot layout for a VQE run: a "meta" section guarding against resuming
-// with a different method/ansatz, the full optimizer state, and (SPSA only)
-// the exact rng stream.
-ckpt::Snapshot encode_vqe_snapshot(const VqeOptions& options,
-                                   std::size_t n_parameters,
-                                   const OptimizerState& state,
-                                   const Rng& spsa_rng) {
+// Snapshot layout for a VQE run: its layout version, a "meta" section
+// guarding against resuming with a different ansatz, and the full optimizer
+// state.
+ckpt::Snapshot encode_vqe_snapshot(std::size_t n_parameters,
+                                   const OptimizerState& state) {
   ckpt::Snapshot snap;
+  ckpt::ByteWriter layout;
+  layout.u32(kSnapshotLayout);
+  snap.set("layout", layout.take());
   ckpt::ByteWriter meta;
   meta.str(kSnapshotKind);
-  meta.i32(int(options.method));
   meta.u64(n_parameters);
   snap.set("meta", meta.take());
   ckpt::ByteWriter opt;
   ckpt::write_optimizer_state(opt, state);
   snap.set("optimizer", opt.take());
-  if (options.method == OptimizerKind::kSpsa) {
-    ckpt::ByteWriter rng;
-    ckpt::write_rng(rng, spsa_rng);
-    snap.set("rng", rng.take());
-  }
   return snap;
 }
 
-void decode_vqe_snapshot(const ckpt::Snapshot& snap, const VqeOptions& options,
-                         std::size_t n_parameters, OptimizerState& state,
-                         Rng& spsa_rng) {
+OptimizerState decode_vqe_snapshot(const ckpt::Snapshot& snap,
+                                   std::size_t n_parameters) {
   ckpt::ByteReader meta(snap.at("meta"));
   require(meta.str() == kSnapshotKind,
           "vqe: snapshot was not written by a VQE run");
-  require(meta.i32() == int(options.method),
-          "vqe: snapshot was written with a different optimizer");
+  const auto* layout_bytes = snap.find("layout");
+  const std::uint32_t layout =
+      layout_bytes ? ckpt::ByteReader(*layout_bytes).u32() : 1;
+  if (layout != kSnapshotLayout)
+    throw Error("vqe: snapshot layout version " + std::to_string(layout) +
+                " found, version " + std::to_string(kSnapshotLayout) +
+                " expected; restart the run without resuming");
   require(meta.u64() == n_parameters,
           "vqe: snapshot ansatz parameter count mismatch");
   ckpt::ByteReader opt(snap.at("optimizer"));
-  state = ckpt::read_optimizer_state(opt);
+  OptimizerState state = ckpt::read_optimizer_state(opt);
+  require(opt.at_end(), "vqe: snapshot optimizer section has trailing bytes");
   require(state.parameters.size() == n_parameters,
           "vqe: snapshot optimizer state is inconsistent");
-  if (const auto* bytes = snap.find("rng")) {
-    ckpt::ByteReader rng(*bytes);
-    ckpt::read_rng(rng, spsa_rng);
-  }
+  return state;
 }
 
 // The caller's starting point, or the ansatz default when none is given. A
@@ -125,39 +127,26 @@ VqeResult optimize(const EnergyEvaluator& evaluator, const UccsdAnsatz& ansatz,
   // resumed trajectory is bit-identical to the uninterrupted one because the
   // state carries every input of the next iteration in exact binary form.
   OptimizerState state;
-  Rng spsa_rng(7);
   std::unique_ptr<ckpt::CheckpointManager> manager;
   if (options.checkpoint.enabled()) {
     manager = std::make_unique<ckpt::CheckpointManager>(options.checkpoint,
                                                         /*writer=*/report);
     if (const auto snap = manager->load_latest_valid())
-      decode_vqe_snapshot(*snap, options, ansatz.n_parameters, state,
-                          spsa_rng);
+      state = decode_vqe_snapshot(*snap, ansatz.n_parameters);
     // user_observer dies with this block — the lambda must own its copy.
     const StateObserver user_observer = opt_options.state_observer;
     opt_options.state_observer = [&, user_observer](const OptimizerState& st) {
       if (user_observer) user_observer(st);
       if (!manager->due(st.iteration, st.finished)) return;
       OBS_SPAN("ckpt/save");
-      manager->save(st.iteration, encode_vqe_snapshot(
-                                      options, ansatz.n_parameters, st,
-                                      spsa_rng));
+      manager->save(st.iteration,
+                    encode_vqe_snapshot(ansatz.n_parameters, st));
     };
   }
   if (!state.initialized) state.parameters = x0;
 
-  OptimizerResult opt;
-  switch (options.method) {
-    case OptimizerKind::kLbfgs:
-      opt = minimize_lbfgs_from(energy_fn, grad_fn, state, opt_options);
-      break;
-    case OptimizerKind::kAdam:
-      opt = minimize_adam_from(energy_fn, grad_fn, state, opt_options);
-      break;
-    case OptimizerKind::kSpsa:
-      opt = minimize_spsa_from(energy_fn, state, spsa_rng, opt_options);
-      break;
-  }
+  OptimizerResult opt =
+      minimize_lbfgs_from(energy_fn, grad_fn, state, opt_options);
 
   VqeResult r;
   r.converged = opt.converged;

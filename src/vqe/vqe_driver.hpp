@@ -1,5 +1,5 @@
-// The complete MPS-VQE solver: UCCSD ansatz + energy evaluator + optimizer.
-// Both drivers take the L-BFGS/Adam gradient from
+// The complete MPS-VQE solver: UCCSD ansatz + energy evaluator + L-BFGS.
+// Both drivers take the L-BFGS gradient from
 // EnergyEvaluator::adjoint_gradient where the MPS is exact (one backward
 // pass, the same on every rank), and otherwise from
 // EnergyEvaluator::gradient, whose central differences replay only the
@@ -19,14 +19,11 @@
 
 namespace q2::vqe {
 
-enum class OptimizerKind { kLbfgs, kAdam, kSpsa };
-
 struct VqeOptions {
   sim::MpsOptions mps;
   UccsdOptions ansatz;
   OptimizerOptions optimizer;
   MeasurementMode measurement = MeasurementMode::kDirect;
-  OptimizerKind method = OptimizerKind::kLbfgs;
   double gradient_eps = 1e-5;
   /// Starting point of the optimizer; empty means initial_parameters(ansatz).
   /// Must hold one finite entry per ansatz parameter (checked, never
@@ -35,11 +32,12 @@ struct VqeOptions {
   /// from its optimum at the nearest chemical potential already evaluated.
   std::vector<double> initial_parameters;
   /// Durable snapshot/resume of the optimizer loop (src/ckpt). When enabled,
-  /// the full resumable optimizer state (plus the SPSA rng stream) is
-  /// written every `every_n_iterations`; an interrupted run restarted with
-  /// the same options resumes mid-optimization and produces bit-identical
-  /// final energy, parameters and iteration history. In a distributed run
-  /// only rank 0 writes; every rank loads the same snapshot.
+  /// the full resumable L-BFGS state is written every `every_n_iterations`;
+  /// an interrupted run restarted with the same options resumes
+  /// mid-optimization and produces bit-identical final energy, parameters
+  /// and iteration history. In a distributed run only rank 0 writes; every
+  /// rank loads the same snapshot. Snapshots carry a layout version; one
+  /// written by an older layout is rejected with an error.
   ckpt::CheckpointOptions checkpoint;
 };
 

@@ -1,10 +1,11 @@
 // Crash–resume equivalence: a run killed mid-flight by an injected fault and
 // restarted from its snapshot family must reproduce the uninterrupted run
 // bit for bit — final energy, parameters, iteration history, µ bracket, the
-// lot. Covers all three VQE optimizers (SPSA additionally round-trips the
-// mt19937_64 stream), the DMET chemical-potential fit and its warm starts,
-// fallback past a corrupted newest snapshot, rejection of an old snapshot
-// layout, and resume-after-completion.
+// lot. Covers the VQE's L-BFGS loop and the DMET chemical-potential fit with
+// its warm starts, fallback past a corrupted or truncated newest snapshot,
+// resume-after-completion, and the snapshots a resume must refuse: an older
+// layout, trailing bytes in a section, a different ansatz, and the other
+// solver's snapshot family.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,6 +13,8 @@
 #include <cstring>
 #include <filesystem>
 #include <mutex>
+#include <random>
+#include <sstream>
 #include <tuple>
 
 #include "chem/mo.hpp"
@@ -64,9 +67,10 @@ const chem::MoIntegrals& h4_mo() {
   return mo;
 }
 
-vqe::VqeOptions vqe_opts(vqe::OptimizerKind method, int max_iterations) {
+// H4 at max_bond 16 is exact, so L-BFGS takes adjoint gradients and an
+// iteration stays cheap.
+vqe::VqeOptions vqe_opts(int max_iterations) {
   vqe::VqeOptions o;
-  o.method = method;
   o.optimizer.max_iterations = max_iterations;
   o.mps.max_bond = 16;
   return o;
@@ -104,79 +108,165 @@ vqe::VqeResult crash_then_resume(const chem::MoIntegrals& mo,
   return vqe::run_vqe(mo, 2, 2, options);
 }
 
-// The goldens are shared across several tests; compute each once.
-const vqe::VqeResult& golden_spsa() {
+// The golden is shared across several tests; compute it once.
+constexpr int kVqeIterations = 5;
+const vqe::VqeResult& golden_lbfgs() {
   static const vqe::VqeResult r =
-      vqe::run_vqe(h4_mo(), 2, 2, vqe_opts(vqe::OptimizerKind::kSpsa, 10));
+      vqe::run_vqe(h4_mo(), 2, 2, vqe_opts(kVqeIterations));
   return r;
 }
 
+// Resuming `options`' snapshot family must throw a q2::Error whose message
+// contains `expected`.
+void expect_resume_refused(vqe::VqeOptions options,
+                           const std::string& expected) {
+  options.checkpoint.resume = true;
+  try {
+    vqe::run_vqe(h4_mo(), 2, 2, options);
+    FAIL() << "the snapshot was resumed";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(expected), std::string::npos) << what;
+  }
+}
+
 TEST(VqeResume, LbfgsCrashResumeBitIdentical) {
-  const vqe::VqeOptions options = vqe_opts(vqe::OptimizerKind::kLbfgs, 5);
-  const vqe::VqeResult golden = vqe::run_vqe(h4_mo(), 2, 2, options);
   const vqe::VqeResult resumed = crash_then_resume(
-      h4_mo(), options, scratch("lbfgs"), /*crash_at=*/2);
-  expect_same(golden, resumed);
-}
-
-TEST(VqeResume, AdamCrashResumeBitIdentical) {
-  // H2 keeps the two gradient-driven goldens affordable; L-BFGS already
-  // covers H4. The tiny problem converges in a couple of Adam steps at the
-  // default tolerances, so tighten them to keep the run alive past the
-  // injected crash.
-  const chem::MoIntegrals mo = mo_for(chem::Molecule::hydrogen_chain(2, 1.8));
-  vqe::VqeOptions options = vqe_opts(vqe::OptimizerKind::kAdam, 6);
-  options.optimizer.gradient_tolerance = 0.0;
-  options.optimizer.energy_tolerance = 0.0;
-  const vqe::VqeResult golden = vqe::run_vqe(mo, 2, 2, options);
-  const vqe::VqeResult resumed =
-      crash_then_resume(mo, options, scratch("adam"), /*crash_at=*/3);
-  expect_same(golden, resumed);
-}
-
-TEST(VqeResume, SpsaCrashResumeBitIdentical) {
-  // SPSA draws its perturbations from the snapshotted mt19937_64 stream, so
-  // this is the end-to-end rng round-trip check.
-  const vqe::VqeResult resumed =
-      crash_then_resume(h4_mo(), vqe_opts(vqe::OptimizerKind::kSpsa, 10),
-                        scratch("spsa"), /*crash_at=*/4);
-  expect_same(golden_spsa(), resumed);
+      h4_mo(), vqe_opts(kVqeIterations), scratch("lbfgs"), /*crash_at=*/2);
+  expect_same(golden_lbfgs(), resumed);
 }
 
 TEST(VqeResume, CheckpointingItselfDoesNotPerturbTheRun) {
-  vqe::VqeOptions options = vqe_opts(vqe::OptimizerKind::kSpsa, 10);
+  vqe::VqeOptions options = vqe_opts(kVqeIterations);
   options.checkpoint.path = scratch("undisturbed");
   options.checkpoint.resume = false;
   const vqe::VqeResult r = vqe::run_vqe(h4_mo(), 2, 2, options);
-  expect_same(golden_spsa(), r);
+  expect_same(golden_lbfgs(), r);
 }
 
 TEST(VqeResume, FallsBackPastCorruptedNewestSnapshot) {
   const vqe::VqeResult resumed = crash_then_resume(
-      h4_mo(), vqe_opts(vqe::OptimizerKind::kSpsa, 10), scratch("corrupt"),
-      /*crash_at=*/4, ckpt::FaultPlan::Corruption::kFlipByte);
-  expect_same(golden_spsa(), resumed);
+      h4_mo(), vqe_opts(kVqeIterations), scratch("corrupt"),
+      /*crash_at=*/3, ckpt::FaultPlan::Corruption::kFlipByte);
+  expect_same(golden_lbfgs(), resumed);
 }
 
 TEST(VqeResume, TruncatedNewestSnapshotAlsoFallsBack) {
   const vqe::VqeResult resumed = crash_then_resume(
-      h4_mo(), vqe_opts(vqe::OptimizerKind::kSpsa, 10), scratch("truncated"),
-      /*crash_at=*/4, ckpt::FaultPlan::Corruption::kTruncate);
-  expect_same(golden_spsa(), resumed);
+      h4_mo(), vqe_opts(kVqeIterations), scratch("truncated"),
+      /*crash_at=*/3, ckpt::FaultPlan::Corruption::kTruncate);
+  expect_same(golden_lbfgs(), resumed);
 }
 
 TEST(VqeResume, ResumeAfterCompletionReturnsIdenticalResult) {
-  vqe::VqeOptions options = vqe_opts(vqe::OptimizerKind::kSpsa, 10);
+  vqe::VqeOptions options = vqe_opts(kVqeIterations);
   options.checkpoint.path = scratch("completed");
   options.checkpoint.resume = false;
   const vqe::VqeResult first = vqe::run_vqe(h4_mo(), 2, 2, options);
-  expect_same(golden_spsa(), first);
+  expect_same(golden_lbfgs(), first);
 
   // The terminal snapshot carries finished = true: the resumed run loads it,
   // skips the optimizer loop entirely and reports the same result.
   options.checkpoint.resume = true;
   const vqe::VqeResult again = vqe::run_vqe(h4_mo(), 2, 2, options);
   expect_same(first, again);
+}
+
+TEST(VqeResume, OldLayoutSnapshotIsRejectedNamingBothVersions) {
+  // Layout 1, byte for byte: "meta" held the kind, the optimizer (0 L-BFGS,
+  // 1 Adam, 2 SPSA) and the parameter count; "optimizer" (tag 0x16) held
+  // e_prev after the energy and Adam's two moment vectors after the history;
+  // an SPSA run added its mt19937_64 stream as "rng" (tag 0x14).
+  const std::size_t n =
+      vqe::build_uccsd(h4_mo().n_orbitals(), 2, 2).n_parameters;
+  for (int kind : {0, 1, 2}) {
+    SCOPED_TRACE("optimizer kind " + std::to_string(kind));
+    vqe::VqeOptions options = vqe_opts(kVqeIterations);
+    options.checkpoint.path =
+        scratch("vqe_old_layout_" + std::to_string(kind));
+    options.checkpoint.resume = false;
+    ckpt::Snapshot snap;
+    ckpt::ByteWriter meta;
+    meta.str("vqe");
+    meta.i32(kind);
+    meta.u64(n);
+    snap.set("meta", meta.take());
+    const std::vector<double> x(n, 0.01), g(n, 1e-3);
+    ckpt::ByteWriter opt;
+    opt.u8(0x16);
+    opt.b(true);    // initialized
+    opt.b(false);   // finished
+    opt.b(false);   // converged
+    opt.i32(2);     // iteration
+    opt.f64(-2.0);  // energy
+    opt.f64(-1.9);  // e_prev
+    opt.vec(x);     // parameters
+    opt.vec(kind == 0 ? g : std::vector<double>{});  // gradient (L-BFGS)
+    opt.vec(std::vector<double>{-1.8, -1.9, -2.0});  // history
+    opt.vec(kind == 1 ? g : std::vector<double>{});  // Adam's m
+    opt.vec(kind == 1 ? g : std::vector<double>{});  // Adam's v
+    // L-BFGS's curvature pairs: s, y and rho.
+    const std::vector<std::vector<double>> pairs(kind == 0 ? 2 : 0, g);
+    opt.vec(pairs);
+    opt.vec(pairs);
+    opt.vec(std::vector<double>(pairs.size(), 1.0));
+    snap.set("optimizer", opt.take());
+    if (kind == 2) {
+      std::ostringstream stream;
+      stream << std::mt19937_64(7);
+      ckpt::ByteWriter rng;
+      rng.u8(0x14);
+      rng.str(stream.str());
+      snap.set("rng", rng.take());
+    }
+    ckpt::CheckpointManager(options.checkpoint).save(2, snap);
+    expect_resume_refused(options, "version 1 found, version 2 expected");
+  }
+}
+
+TEST(VqeResume, TrailingBytesInTheOptimizerSectionAreRejected) {
+  vqe::VqeOptions options = vqe_opts(1);
+  options.checkpoint.path = scratch("vqe_trailing");
+  options.checkpoint.resume = false;
+  vqe::run_vqe(h4_mo(), 2, 2, options);
+
+  options.checkpoint.resume = true;
+  const auto latest =
+      ckpt::CheckpointManager(options.checkpoint).load_latest_valid();
+  ASSERT_TRUE(latest.has_value());
+  ckpt::Snapshot padded = *latest;
+  std::vector<std::uint8_t> opt = padded.at("optimizer");
+  opt.push_back(0);
+  padded.set("optimizer", opt);
+  ckpt::CheckpointManager(options.checkpoint).save(99, padded);
+  expect_resume_refused(options, "optimizer section has trailing bytes");
+}
+
+TEST(VqeResume, AnsatzWithADifferentParameterCountIsRejected) {
+  vqe::VqeOptions options = vqe_opts(1);
+  options.checkpoint.path = scratch("vqe_ansatz");
+  options.checkpoint.resume = false;
+  vqe::run_vqe(h4_mo(), 2, 2, options);
+
+  // The distance window drops H4's long-range doubles.
+  options.ansatz.distance_window = 1;
+  ASSERT_NE(vqe::build_uccsd(h4_mo().n_orbitals(), 2, 2).n_parameters,
+            vqe::build_uccsd(h4_mo().n_orbitals(), 2, 2, options.ansatz)
+                .n_parameters);
+  expect_resume_refused(options, "ansatz parameter count mismatch");
+}
+
+TEST(VqeResume, DmetSnapshotFamilyAtTheVqePathIsRejected) {
+  dmet::DmetOptions dmet_options;
+  dmet_options.fragments = {{0}, {1}};
+  dmet_options.checkpoint.path = scratch("vqe_at_dmet_path");
+  dmet_options.checkpoint.resume = false;
+  dmet::run_dmet(chem::Molecule::h2(1.4), dmet_options,
+                 dmet::make_fci_solver());
+
+  vqe::VqeOptions options = vqe_opts(kVqeIterations);
+  options.checkpoint.path = dmet_options.checkpoint.path;
+  expect_resume_refused(options, "not written by a VQE run");
 }
 
 // ---- DMET µ-loop ----------------------------------------------------------

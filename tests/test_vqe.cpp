@@ -1,6 +1,6 @@
 // End-to-end VQE tests: H2 to chemical accuracy against FCI, agreement of
-// the measurement paths (direct vs Hadamard test) and storage modes, the
-// optimizers on analytic functions (and L-BFGS failing loudly on a NaN),
+// the measurement paths (direct vs Hadamard test) and storage modes, L-BFGS
+// on analytic functions (and failing loudly on a NaN),
 // the prefix-sharing gradients against plain finite differences, the
 // adjoint gradient against parameter shift, central differences and the
 // two-walk oracle, with its fallback, the recording it restores psi from
@@ -64,20 +64,6 @@ void expect_same_result(const VqeResult& a, const VqeResult& b,
   expect_same_bits(a.history, b.history, what + " history");
 }
 
-TEST(Optimizer, AdamQuadraticBowl) {
-  EnergyFn f = [](const std::vector<double>& x) {
-    return (x[0] - 1) * (x[0] - 1) + 2 * (x[1] + 0.5) * (x[1] + 0.5);
-  };
-  GradientFn g = [&](const std::vector<double>& x) {
-    return finite_difference_gradient(f, x);
-  };
-  OptimizerOptions opts;
-  opts.max_iterations = 500;
-  const OptimizerResult r = minimize_adam(f, g, {0, 0}, opts);
-  EXPECT_NEAR(r.parameters[0], 1.0, 1e-2);
-  EXPECT_NEAR(r.parameters[1], -0.5, 1e-2);
-}
-
 TEST(Optimizer, LbfgsRosenbrockish) {
   EnergyFn f = [](const std::vector<double>& x) {
     const double a = 1 - x[0], b = x[1] - x[0] * x[0];
@@ -109,18 +95,6 @@ TEST(Optimizer, LbfgsConvergesFasterThanAdamOnQuadratic) {
   const OptimizerResult lb = minimize_lbfgs(f, g, {1, 1, 1, 1}, opts);
   EXPECT_LT(lb.energy, 1e-8);
   EXPECT_LT(lb.iterations, 30);
-}
-
-TEST(Optimizer, SpsaReducesEnergy) {
-  EnergyFn f = [](const std::vector<double>& x) {
-    return x[0] * x[0] + x[1] * x[1];
-  };
-  Rng rng(5);
-  OptimizerOptions opts;
-  opts.max_iterations = 150;
-  opts.learning_rate = 0.3;
-  const OptimizerResult r = minimize_spsa(f, {1.0, -1.0}, rng, opts);
-  EXPECT_LT(r.energy, 0.3);
 }
 
 // A quadratic bowl whose energy or gradient turns NaN at a chosen call.
