@@ -6,7 +6,8 @@
 // blocked kernel vs the naive reference across sizes and thread counts,
 // asserting the perf floor (blocked >= 3x naive single-threaded at
 // 512^3 complex; >= 2.5x scaling from 1 to 4 threads when the host has >= 4
-// cores) and writing the result trajectory via bench_util's BenchReport.
+// cores), then the MPS's single-tile product shapes at one thread, and
+// writing the result trajectory via bench_util's BenchReport.
 #include <benchmark/benchmark.h>
 
 #include <cstring>
@@ -122,6 +123,52 @@ double time_best_of(int reps, const std::function<void()>& fn) {
   return best;
 }
 
+// The single-tile products the MPS makes (gemm_raw, one thread, alpha = 1,
+// beta = 0, operands read as the MPS lays them out), at GFLOP/s: E·[B0|B1]
+// in the MPO sweep at D = 4, 8 and 16, [B0|B1]^†·(E·B) and the two-site
+// contraction θ at D = 16, and the largest single-tile product (MC x KC x
+// JB). Each shape is timed as the best of 7 batches of about 2e7 flops.
+void run_single_tile_shapes(bench::BenchReport& report) {
+  struct Shape {
+    const char* key;
+    std::size_t m, k, n;
+    la::Op op_a;
+  };
+  using B = la::GemmBlocking;
+  const Shape shapes[] = {
+      {"gemm_mps_eb_d4_gflops_1t", 4, 4, 8, la::Op::kNone},
+      {"gemm_mps_eb_d8_gflops_1t", 8, 8, 16, la::Op::kNone},
+      {"gemm_mps_eb_d16_gflops_1t", 16, 16, 32, la::Op::kNone},
+      {"gemm_mps_beb_d16_gflops_1t", 32, 16, 32, la::Op::kAdjoint},
+      {"gemm_mps_theta_d16_gflops_1t", 32, 16, 32, la::Op::kNone},
+      {"gemm_single_tile_bound_gflops_1t", B::kMC, B::kKC, B::kJB,
+       la::Op::kNone}};
+  par::ParallelOptions one;
+  one.n_threads = 1;
+  bench::header("MPS single-tile products (1 thread, best of 7)");
+  bench::row({"m x k x n", "op(A)", "us/call", "GFLOP/s"});
+  for (const Shape& s : shapes) {
+    // op(A) is m x k: stored k x m for the adjoint.
+    const bool ta = s.op_a != la::Op::kNone;
+    const la::CMatrix a = random_matrix(ta ? s.k : s.m, ta ? s.m : s.k, 21);
+    const la::CMatrix b = random_matrix(s.k, s.n, 22);
+    la::CMatrix c(s.m, s.n);
+    const double flops = 8.0 * double(s.m) * double(s.k) * double(s.n);
+    const int reps = std::max(1, int(2e7 / flops));
+    const double t = time_best_of(7, [&] {
+      for (int r = 0; r < reps; ++r)
+        la::gemm_raw(s.m, s.k, s.n, a.data(), a.cols(), s.op_a, b.data(),
+                     s.n, la::Op::kNone, c.data(), s.n, one);
+    }) / reps;
+    const double gflops = flops / t / 1e9;
+    bench::row({std::to_string(s.m) + "x" + std::to_string(s.k) + "x" +
+                    std::to_string(s.n),
+                ta ? "adjoint" : "none", bench::fmt(t * 1e6, 3),
+                bench::fmt(gflops, 2)});
+    report.set(s.key, gflops);
+  }
+}
+
 // `quick` trims the sweep to <= 256 and relaxes the speedup floor — the shape
 // the ctest `perf` label runs through tools/bench_diff, where wall time and
 // noise tolerance matter more than the full 512 trajectory point.
@@ -198,6 +245,7 @@ int run_gemm_sweep(const std::string& report_name, bool quick) {
   report.set("speedup_vs_naive_" + std::to_string(floor_n), speedup_at_floor);
   report.set("scaling_1_to_4_threads_" + std::to_string(floor_n),
              scaling_1_to_4);
+  run_single_tile_shapes(report);
 
   // Perf floor assertions (the ISSUE acceptance bar).
   std::printf(

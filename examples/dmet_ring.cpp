@@ -20,7 +20,7 @@
 #include "obs/obs.hpp"
 #include "parallel/parallel_options.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace q2;
   obs::configure_from_args(argc, argv);
   par::configure_threads_from_args(argc, argv);
@@ -86,4 +86,7 @@ int main(int argc, char** argv) {
                 100.0 * std::abs((r.energy - fci.energy) / fci.energy));
   }
   return 0;
+} catch (const q2::Error& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 1;
 }

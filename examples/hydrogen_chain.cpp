@@ -26,7 +26,7 @@
 #include "sim/mps.hpp"
 #include "vqe/vqe_driver.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace q2;
   obs::configure_from_args(argc, argv);
   par::configure_threads_from_args(argc, argv);
@@ -106,4 +106,7 @@ int main(int argc, char** argv) {
               state.max_bond_dimension(), state.memory_bytes(),
               state.truncation_error());
   return 0;
+} catch (const q2::Error& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 1;
 }

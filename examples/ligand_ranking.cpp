@@ -38,7 +38,7 @@ double dmet_energy(const chem::Molecule& mol,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   q2::obs::configure_from_args(argc, argv);
   q2::par::configure_threads_from_args(argc, argv);
   bool use_vqe = false;
@@ -106,4 +106,7 @@ int main(int argc, char** argv) {
       " the paper ranks\n13 drug candidates this way and finds Nirmatrelvir"
       " (E_b = -7.3 eV) ahead of\nCandesartan cilexetil (-6.8 eV).\n");
   return 0;
+} catch (const q2::Error& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 1;
 }

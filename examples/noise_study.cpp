@@ -16,7 +16,7 @@
 #include "sim/densitymatrix.hpp"
 #include "vqe/vqe_driver.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace q2;
   obs::configure_from_args(argc, argv);
   par::configure_threads_from_args(argc, argv);
@@ -60,4 +60,7 @@ int main(int argc, char** argv) {
       " rate of ~1e-4, which\nis why the paper argues for classical"
       " cross-verification of 100-qubit VQE runs.\n");
   return 0;
+} catch (const q2::Error& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 1;
 }

@@ -23,7 +23,7 @@
 #include "parallel/parallel_options.hpp"
 #include "vqe/vqe_driver.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace q2;
   log::set_level(log::Level::kInfo);  // show where telemetry files land
   obs::configure_from_args(argc, argv);
@@ -64,4 +64,7 @@ int main(int argc, char** argv) {
   std::printf("Correlation energy recovered: %.2f %%\n",
               100.0 * (scf.energy - vqe.energy) / (scf.energy - fci.energy));
   return 0;
+} catch (const q2::Error& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 1;
 }

@@ -55,17 +55,24 @@ constexpr std::size_t round_up(std::size_t x, std::size_t r) {
 }
 
 // Pack an mc x kc block of op(A) (alpha folded in) into MR-row micro-panels,
-// zero-padded to a multiple of MR: buf[(ir/MR)*MR*kc + p*MR + i].
+// zero-padded to a multiple of MR: buf[(ir/MR)*MR*kc + p*MR + i]. At
+// alpha == 1 the elements are copied (conjugated where asked), not
+// multiplied: the complex product 1 * a turns the partner of an infinite
+// part into NaN and the -0 imaginary part of an exact zero into +0, and the
+// unpacked single-tile path reads A's own bits.
 template <typename T>
 void pack_a(T* buf, const OpView<T>& av, T alpha, std::size_t i0,
             std::size_t p0, std::size_t mc, std::size_t kc) {
   constexpr std::size_t MR = Micro<T>::MR;
+  const bool scale = alpha != T{1};
   for (std::size_t ir = 0; ir < mc; ir += MR) {
     const std::size_t mr = std::min(MR, mc - ir);
     for (std::size_t p = 0; p < kc; ++p) {
       T* dst = buf + p * MR;
-      for (std::size_t i = 0; i < mr; ++i)
-        dst[i] = alpha * av.at(i0 + ir + i, p0 + p);
+      for (std::size_t i = 0; i < mr; ++i) {
+        const T v = av.at(i0 + ir + i, p0 + p);
+        dst[i] = scale ? alpha * v : v;
+      }
       for (std::size_t i = mr; i < MR; ++i) dst[i] = T{};
     }
     buf += MR * kc;
@@ -107,18 +114,12 @@ inline void micro_accumulate(std::size_t kc, const cplx* ap, const cplx* bp,
   simd::micro_accumulate_z(kc, ap, bp, acc);
 }
 
-// Register-tiled inner kernel: C[0..mr, 0..nr] op= Apanel . Bpanel over kc.
-// The accumulator spans the full padded MR x NR tile so the hot loop has no
-// edge branches; the masked write-back trims the padding and applies the
-// beta mode. Note there is deliberately no zero-skip anywhere: 0 * NaN and
-// 0 * Inf must propagate exactly as they do in the reference kernel.
+// C[0..mr, 0..nr] op= acc, the padded MR x NR accumulator tile: the masked
+// write-back trims the padding and applies the beta mode.
 template <typename T>
-void micro_kernel(std::size_t kc, const T* ap, const T* bp, T* c,
-                  std::size_t ldc, std::size_t mr, std::size_t nr,
-                  WriteBack wb, T beta) {
+void write_back(const T* acc, T* c, std::size_t ldc, std::size_t mr,
+                std::size_t nr, WriteBack wb, T beta) {
   constexpr std::size_t NR = Micro<T>::NR;
-  T acc[Micro<T>::MR * NR] = {};
-  micro_accumulate(kc, ap, bp, acc);
   switch (wb) {
     case WriteBack::kAccumulate:
       for (std::size_t i = 0; i < mr; ++i)
@@ -136,6 +137,19 @@ void micro_kernel(std::size_t kc, const T* ap, const T* bp, T* c,
   }
 }
 
+// Register-tiled inner kernel: C[0..mr, 0..nr] op= Apanel . Bpanel over kc.
+// The accumulator spans the full padded MR x NR tile so the hot loop has no
+// edge branches. Note there is deliberately no zero-skip anywhere: 0 * NaN
+// and 0 * Inf must propagate exactly as they do in the reference kernel.
+template <typename T>
+void micro_kernel(std::size_t kc, const T* ap, const T* bp, T* c,
+                  std::size_t ldc, std::size_t mr, std::size_t nr,
+                  WriteBack wb, T beta) {
+  T acc[Micro<T>::MR * Micro<T>::NR] = {};
+  micro_accumulate(kc, ap, bp, acc);
+  write_back(acc, c, ldc, mr, nr, wb, beta);
+}
+
 // One mc x nc macro-tile of C: every micro-panel of the packed A block
 // against every micro-panel of the packed B panel slice.
 template <typename T>
@@ -151,6 +165,62 @@ void macro_kernel(std::size_t mc, std::size_t kc, std::size_t nc,
       const std::size_t mr = std::min(MR, mc - ir);
       const T* ap = abuf + (ir / MR) * MR * kc;
       micro_kernel(kc, ap, bp, c + ir * ldc + jr, ldc, mr, nr, wb, beta);
+    }
+  }
+}
+
+// The single-tile product of a complex GEMM on AVX2, without packing what
+// it can read in place: A at alpha == 1 (a row read for kNone, a column
+// read for kTrans/kAdjoint, conjugated by the kernel) and B when it is not
+// transposed. A at alpha != 1 and a transposed B still go through pack_a /
+// pack_b. Each C element gets micro_kernel's operations in its order
+// (simd::tile_z is the AVX2 micro_accumulate_z kernel reading in place, and
+// pack_a copies at alpha == 1), so the bits are the packed path's. Full
+// tiles write C from registers except under scale-add; ragged and
+// scale-add tiles take write_back.
+void single_tile_unpacked(std::size_t m, std::size_t k, std::size_t n,
+                          cplx alpha, const OpView<cplx>& av,
+                          const OpView<cplx>& bv, cplx* c, std::size_t ldc,
+                          WriteBack wb, cplx beta) {
+  constexpr std::size_t MR = Micro<cplx>::MR;
+  constexpr std::size_t NR = Micro<cplx>::NR;
+  thread_local std::vector<cplx> abuf, bbuf;
+  // Tile (ir, jr) reads op(A) from a + ir * a_tile and B from b + jr * b_tile.
+  simd::ZTile t{av.data, av.trans ? 1 : av.ld, av.trans ? av.ld : 1,
+                av.conj, bv.data, bv.ld};
+  std::size_t a_tile = t.a_row, b_tile = 1;
+  if (alpha != cplx{1}) {
+    if (abuf.size() < round_up(m, MR) * k) abuf.resize(round_up(m, MR) * k);
+    pack_a(abuf.data(), av, alpha, 0, 0, m, k);
+    t.a = abuf.data();
+    t.a_row = 1;
+    t.a_step = MR;
+    t.conj_a = false;
+    a_tile = k;
+  }
+  if (bv.trans) {
+    if (bbuf.size() < round_up(n, NR) * k) bbuf.resize(round_up(n, NR) * k);
+    pack_b(bbuf.data(), bv, 0, 0, k, n);
+    t.b = bbuf.data();
+    t.ldb = NR;
+    b_tile = k;
+  }
+  const cplx* const a = t.a;
+  const cplx* const b = t.b;
+  for (std::size_t jr = 0; jr < n; jr += NR) {
+    const std::size_t nr = std::min(NR, n - jr);
+    t.b = b + jr * b_tile;
+    for (std::size_t ir = 0; ir < m; ir += MR) {
+      const std::size_t mr = std::min(MR, m - ir);
+      t.a = a + ir * a_tile;
+      cplx* const ct = c + ir * ldc + jr;
+      if (mr == MR && nr == NR && wb != WriteBack::kScaleAdd) {
+        simd::tile_z(k, t, ct, ldc, wb == WriteBack::kAccumulate);
+      } else {
+        cplx acc[MR * NR];
+        simd::tile_z_acc(k, t, mr, nr, acc);
+        write_back(acc, ct, ldc, mr, nr, wb, beta);
+      }
     }
   }
 }
@@ -233,11 +303,16 @@ void gemm_blocked(std::size_t m, std::size_t k, std::size_t n, T alpha,
                                             : WriteBack::kScaleAdd;
   if (m <= MC && n <= JB && k <= KC) {
     // One C tile and one k-block: the grid below would hold a single task,
-    // so run it on the calling thread with the same packing and kernel (the
-    // same bits) and none of the dispatch — no parallel_for, no loop id, no
-    // per-call allocation. Transfer and two-site-update products at MPS
-    // bond dimensions up to 64 all land here. The buffers are this thread's
-    // and grow to the largest single-tile product it has run.
+    // so run it on the calling thread with the same kernel (the same bits)
+    // and none of the dispatch — no parallel_for, no loop id, no per-call
+    // allocation. Transfer and two-site-update products at MPS bond
+    // dimensions up to 64 all land here. The buffers are this thread's and
+    // grow to the largest single-tile product it has run.
+    if constexpr (std::is_same_v<T, cplx>) {
+      if (simd::active_isa() == simd::Isa::kAvx2Fma)
+        return single_tile_unpacked(m, k, n, alpha, av, bv, c, ldc, first_wb,
+                                    beta);
+    }
     thread_local std::vector<T> abuf, bbuf;
     if (abuf.size() < round_up(m, MR) * k) abuf.resize(round_up(m, MR) * k);
     if (bbuf.size() < round_up(n, NR) * k) bbuf.resize(round_up(n, NR) * k);

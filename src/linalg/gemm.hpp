@@ -11,9 +11,11 @@
 // folded into the first k-block's write-back, so no serial phase precedes
 // the parallel region. A product that is one tile and one k-block
 // (m <= MC, n <= JB, k <= KC) skips the dispatch and runs inline on the
-// calling thread through the same packing and kernel. Each tile is owned by
-// exactly one thread, which runs its k-blocks in a fixed order, so results
-// are bit-identical for every thread count.
+// calling thread through the same kernel; a complex one on AVX2 reads A (at
+// alpha == 1) and an untransposed B in place instead of packing them, with
+// the packed path's bits. Each tile is owned by exactly one thread, which
+// runs its k-blocks in a fixed order, so results are bit-identical for every
+// thread count.
 #pragma once
 
 #include <cstddef>
@@ -77,8 +79,9 @@ void gemm_raw(std::size_t m, std::size_t k, std::size_t n, const cplx* a,
 /// buffers (beta = 0 overwrites C, stale NaNs included). Bit-identical to
 /// gemm() on the same operands. The MPS transfer reads B_i and B_i^dagger
 /// through it straight out of a site tensor: base t + i*dr, row stride 2*dr.
-/// Packing such a strided slice in place is the paper's "fused permutation
-/// and multiplication": no permuted copy of the operand is ever made.
+/// Reading such a strided slice in place (in the pack step, or in the
+/// single-tile kernel) is the paper's "fused permutation and
+/// multiplication": no permuted copy of the operand is ever made.
 void gemm_raw(std::size_t m, std::size_t k, std::size_t n, cplx alpha,
               const cplx* a, std::size_t lda, Op op_a, const cplx* b,
               std::size_t ldb, Op op_b, cplx beta, cplx* c, std::size_t ldc,

@@ -1,5 +1,6 @@
 #include "linalg/simd.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
@@ -149,57 +150,103 @@ __attribute__((target("avx2,fma"))) void micro_accumulate_d_avx2(
   _mm256_storeu_pd(acc + 28, c31);
 }
 
-// Complex 4x4 tile: each accumulator row is 4 interleaved cplx (2 YMM).
-// One complex multiply-accumulate per lane pair:
+// The complex 4x4 tile kernel, packed (micro_accumulate_z) or read in place
+// (tile_z). Each accumulator row is 4 interleaved cplx (2 YMM), and each
+// lane pair takes one complex multiply-accumulate per p:
 //   t    = ai * swap(b)                [ai*bi, ai*br]
 //   fmaddsub(ar, b, t)                 even: ar*br - ai*bi, odd: ar*bi + ai*br
-__attribute__((target("avx2,fma"))) void micro_accumulate_z_avx2(
-    std::size_t kc, const cplx* ap, const cplx* bp, cplx* acc) {
+//   acc  = acc + fmaddsub(ar, b, t)
+// The accumulators go to out (row stride ldo) straight from registers:
+// stored (kOverwrite; the packed kernel's acc array is out with ldo = 4) or
+// added to what is there (kAccumulate), for full tiles; kAcc stores a
+// ragged tile, whose B loads are masked to the live columns. Each is its own
+// instantiation: a lane mask kept live in the full-tile loop spills the
+// eight accumulators.
+enum class TileOut { kOverwrite, kAccumulate, kAcc };
+
+// Stores one accumulator (two complex lanes) at dst; kAccumulate adds it to
+// what is there first, in C += acc's operand order.
+template <TileOut kOut>
+__attribute__((target("avx2,fma"), always_inline)) inline void tile_put(
+    double* dst, __m256d acc) {
+  if constexpr (kOut == TileOut::kAccumulate)
+    acc = _mm256_add_pd(_mm256_loadu_pd(dst), acc);
+  _mm256_storeu_pd(dst, acc);
+}
+
+// One row of the tile's step, A element read at ad. With kConj the A
+// element is conjugated: fmsubadd on ai * swap(b) is fmaddsub on
+// (-ai) * swap(b) term for term, because negating a factor negates the
+// product exactly.
+template <bool kConj>
+__attribute__((target("avx2,fma"), always_inline)) inline void tile_row(
+    const double* ad, __m256d b0, __m256d b1, __m256d bs0, __m256d bs1,
+    __m256d& acc0, __m256d& acc1) {
+  const __m256d ar = _mm256_broadcast_sd(ad);
+  const __m256d ai = _mm256_broadcast_sd(ad + 1);
+  if constexpr (kConj) {
+    acc0 = _mm256_add_pd(acc0,
+                         _mm256_fmsubadd_pd(ar, b0, _mm256_mul_pd(ai, bs0)));
+    acc1 = _mm256_add_pd(acc1,
+                         _mm256_fmsubadd_pd(ar, b1, _mm256_mul_pd(ai, bs1)));
+  } else {
+    acc0 = _mm256_add_pd(acc0,
+                         _mm256_fmaddsub_pd(ar, b0, _mm256_mul_pd(ai, bs0)));
+    acc1 = _mm256_add_pd(acc1,
+                         _mm256_fmaddsub_pd(ar, b1, _mm256_mul_pd(ai, bs1)));
+  }
+}
+
+template <bool kConj, TileOut kOut>
+__attribute__((target("avx2,fma"))) void tile_z_avx2(std::size_t kc,
+                                                     const ZTile& t,
+                                                     std::size_t mr,
+                                                     std::size_t nr, cplx* out,
+                                                     std::size_t ldo) {
+  // Rows past mr read row mr - 1: in bounds, and their lanes are padding.
+  const auto row = [&](std::size_t i) {
+    return reinterpret_cast<const double*>(t.a +
+                                           std::min(i, mr - 1) * t.a_row);
+  };
+  const double* a0 = row(0);
+  const double* a1 = row(1);
+  const double* a2 = row(2);
+  const double* a3 = row(3);
+  const double* b = reinterpret_cast<const double*>(t.b);
+  const std::size_t sa = 2 * t.a_step, sb = 2 * t.ldb;
+  const auto lanes = [nr](std::size_t j) { return j < nr ? -1LL : 0LL; };
+  const __m256i m0 = _mm256_set_epi64x(lanes(1), lanes(1), lanes(0), lanes(0));
+  const __m256i m1 = _mm256_set_epi64x(lanes(3), lanes(3), lanes(2), lanes(2));
   __m256d c00 = _mm256_setzero_pd(), c01 = _mm256_setzero_pd();
   __m256d c10 = _mm256_setzero_pd(), c11 = _mm256_setzero_pd();
   __m256d c20 = _mm256_setzero_pd(), c21 = _mm256_setzero_pd();
   __m256d c30 = _mm256_setzero_pd(), c31 = _mm256_setzero_pd();
-  for (std::size_t p = 0; p < kc; ++p) {
-    const double* b = reinterpret_cast<const double*>(bp + p * 4);
-    const __m256d b0 = _mm256_loadu_pd(b);
-    const __m256d b1 = _mm256_loadu_pd(b + 4);
+  for (std::size_t p = 0, o = 0; p < kc; ++p, o += sa, b += sb) {
+    __m256d b0, b1;
+    if constexpr (kOut == TileOut::kAcc) {
+      b0 = _mm256_maskload_pd(b, m0);
+      b1 = _mm256_maskload_pd(b + 4, m1);
+    } else {
+      b0 = _mm256_loadu_pd(b);
+      b1 = _mm256_loadu_pd(b + 4);
+    }
     const __m256d bs0 = _mm256_permute_pd(b0, 0x5);
     const __m256d bs1 = _mm256_permute_pd(b1, 0x5);
-    const double* a = reinterpret_cast<const double*>(ap + p * 4);
-    __m256d ar = _mm256_broadcast_sd(a + 0);
-    __m256d ai = _mm256_broadcast_sd(a + 1);
-    c00 = _mm256_add_pd(
-        c00, _mm256_fmaddsub_pd(ar, b0, _mm256_mul_pd(ai, bs0)));
-    c01 = _mm256_add_pd(
-        c01, _mm256_fmaddsub_pd(ar, b1, _mm256_mul_pd(ai, bs1)));
-    ar = _mm256_broadcast_sd(a + 2);
-    ai = _mm256_broadcast_sd(a + 3);
-    c10 = _mm256_add_pd(
-        c10, _mm256_fmaddsub_pd(ar, b0, _mm256_mul_pd(ai, bs0)));
-    c11 = _mm256_add_pd(
-        c11, _mm256_fmaddsub_pd(ar, b1, _mm256_mul_pd(ai, bs1)));
-    ar = _mm256_broadcast_sd(a + 4);
-    ai = _mm256_broadcast_sd(a + 5);
-    c20 = _mm256_add_pd(
-        c20, _mm256_fmaddsub_pd(ar, b0, _mm256_mul_pd(ai, bs0)));
-    c21 = _mm256_add_pd(
-        c21, _mm256_fmaddsub_pd(ar, b1, _mm256_mul_pd(ai, bs1)));
-    ar = _mm256_broadcast_sd(a + 6);
-    ai = _mm256_broadcast_sd(a + 7);
-    c30 = _mm256_add_pd(
-        c30, _mm256_fmaddsub_pd(ar, b0, _mm256_mul_pd(ai, bs0)));
-    c31 = _mm256_add_pd(
-        c31, _mm256_fmaddsub_pd(ar, b1, _mm256_mul_pd(ai, bs1)));
+    tile_row<kConj>(a0 + o, b0, b1, bs0, bs1, c00, c01);
+    tile_row<kConj>(a1 + o, b0, b1, bs0, bs1, c10, c11);
+    tile_row<kConj>(a2 + o, b0, b1, bs0, bs1, c20, c21);
+    tile_row<kConj>(a3 + o, b0, b1, bs0, bs1, c30, c31);
   }
-  double* out = reinterpret_cast<double*>(acc);
-  _mm256_storeu_pd(out + 0, c00);
-  _mm256_storeu_pd(out + 4, c01);
-  _mm256_storeu_pd(out + 8, c10);
-  _mm256_storeu_pd(out + 12, c11);
-  _mm256_storeu_pd(out + 16, c20);
-  _mm256_storeu_pd(out + 20, c21);
-  _mm256_storeu_pd(out + 24, c30);
-  _mm256_storeu_pd(out + 28, c31);
+  double* d = reinterpret_cast<double*>(out);
+  const std::size_t sd = 2 * ldo;
+  tile_put<kOut>(d, c00);
+  tile_put<kOut>(d + 4, c01);
+  tile_put<kOut>(d + sd, c10);
+  tile_put<kOut>(d + sd + 4, c11);
+  tile_put<kOut>(d + 2 * sd, c20);
+  tile_put<kOut>(d + 2 * sd + 4, c21);
+  tile_put<kOut>(d + 3 * sd, c30);
+  tile_put<kOut>(d + 3 * sd + 4, c31);
 }
 
 // alpha * x on two packed complex lanes: (ar xr - ai xi, ar xi + ai xr).
@@ -377,9 +424,36 @@ void micro_accumulate_z(std::size_t kc, const cplx* ap, const cplx* bp,
                         cplx* acc) {
 #if Q2_SIMD_X86
   if (active_isa() == Isa::kAvx2Fma)
-    return micro_accumulate_z_avx2(kc, ap, bp, acc);
+    return tile_z_avx2<false, TileOut::kOverwrite>(kc, {ap, 1, 4, false, bp, 4},
+                                                  4, 4, acc, 4);
 #endif
   micro_accumulate_z_portable(kc, ap, bp, acc);
+}
+
+void tile_z(std::size_t kc, const ZTile& t, cplx* c, std::size_t ldc,
+            bool accumulate) {
+#if Q2_SIMD_X86
+  using O = TileOut;
+  if (t.conj_a)
+    return accumulate ? tile_z_avx2<true, O::kAccumulate>(kc, t, 4, 4, c, ldc)
+                      : tile_z_avx2<true, O::kOverwrite>(kc, t, 4, 4, c, ldc);
+  return accumulate ? tile_z_avx2<false, O::kAccumulate>(kc, t, 4, 4, c, ldc)
+                    : tile_z_avx2<false, O::kOverwrite>(kc, t, 4, 4, c, ldc);
+#else
+  (void)kc, (void)t, (void)c, (void)ldc, (void)accumulate;
+  require(false, "simd::tile_z: no unpacked kernel on this ISA");
+#endif
+}
+
+void tile_z_acc(std::size_t kc, const ZTile& t, std::size_t mr,
+                std::size_t nr, cplx* acc) {
+#if Q2_SIMD_X86
+  if (t.conj_a) return tile_z_avx2<true, TileOut::kAcc>(kc, t, mr, nr, acc, 4);
+  return tile_z_avx2<false, TileOut::kAcc>(kc, t, mr, nr, acc, 4);
+#else
+  (void)kc, (void)t, (void)mr, (void)nr, (void)acc;
+  require(false, "simd::tile_z_acc: no unpacked kernel on this ISA");
+#endif
 }
 
 void householder_left(cplx* a, std::size_t ld, std::size_t rows,

@@ -44,6 +44,33 @@ void micro_accumulate_d(std::size_t kc, const double* ap, const double* bp,
 void micro_accumulate_z(std::size_t kc, const cplx* ap, const cplx* bp,
                         cplx* acc);
 
+/// Where the unpacked complex tile product reads a 4x4 tile's operands:
+/// op(A)(i, p) = a[i * a_row + p * a_step], conjugated when conj_a, and
+/// B(p, j) = b[p * ldb + j]. A packed micro-panel is the case a_row = 1,
+/// a_step = 4 (B: ldb = 4).
+struct ZTile {
+  const cplx* a;
+  std::size_t a_row, a_step;
+  bool conj_a;
+  const cplx* b;
+  std::size_t ldb;
+};
+
+/// The AVX2 micro_accumulate_z kernel on operands read in place: the same
+/// chain in the same order, so a C element gets the packed kernel's bits
+/// when the operands hold the packed panels' values (NaN signs aside).
+/// AVX2+FMA only: callers check active_isa() first; the portable ISA
+/// packs. tile_z writes a full 4x4 tile of C from registers: C = acc, or
+/// C += acc when `accumulate`.
+void tile_z(std::size_t kc, const ZTile& t, cplx* c, std::size_t ldc,
+            bool accumulate);
+
+/// tile_z for a ragged mr x nr tile (or one the caller writes back itself):
+/// acc (row-major 4x4) receives the tile; only rows < mr of A and columns
+/// < nr of B are read (masked loads), and the rest of acc is padding.
+void tile_z_acc(std::size_t kc, const ZTile& t, std::size_t mr,
+                std::size_t nr, cplx* acc);
+
 /// Householder reflector from the left on a rows x cols row-major block
 /// (row stride ld): A <- (I - sigma w w^H) A with w = [1; v], v holding
 /// rows - 1 elements. `work` is cols elements of caller scratch.

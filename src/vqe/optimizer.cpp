@@ -78,13 +78,14 @@ void init_lbfgs(const EnergyFn& f, const GradientFn& grad,
 void step_lbfgs(const EnergyFn& f, const GradientFn& grad,
                 OptimizerState& state, const OptimizerOptions& options) {
   const std::size_t n = state.parameters.size();
-  const int it = ++state.iteration;
-
+  // Stopping on the gradient takes no step, so it counts no iteration.
   if (nrm2(state.gradient) < options.gradient_tolerance) {
     state.converged = state.finished = true;
-    notify(options, state, it, state.energy, nrm2(state.gradient), false);
+    notify(options, state, state.iteration, state.energy,
+           nrm2(state.gradient), false);
     return;
   }
+  const int it = ++state.iteration;
 
   // Two-loop recursion for the search direction d = -H g.
   const std::vector<double>& g = state.gradient;

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 
 #include "diff_util.hpp"
@@ -279,6 +280,79 @@ TEST(GemmDiff, ScaledRawEntryMatchesGemmBitForBit) {
             << "m=" << m << " op_a=" << int(op_a) << " op_b=" << int(op_b);
       }
   }
+}
+
+// On AVX2 a single-tile complex product reads A (at alpha == 1) and an
+// untransposed B in place; the tiled grid packs both. Each product is
+// computed on one tile and as the first m rows of an (MC + 4)-row product,
+// which takes the tiled path, and the rows must match byte for byte: every
+// op pair, alpha and beta, ragged and full register tiles, operands stored
+// contiguously or as strided site-tensor slices (base t + i*dr, row stride
+// 2*dr), among them exact zeros with a -0 imaginary part and, in a third
+// pass, an infinite part in every stored row of A (were pack_a to multiply
+// by alpha == 1, its partner would read NaN on the packed side only). Under
+// Q2_SIMD=portable both sides pack.
+TEST(GemmDiff, SingleTileDirectMatchesTiledBitForBit) {
+  constexpr std::size_t kRows = GemmBlocking::kMC + 4;
+  const double inf = std::numeric_limits<double>::infinity();
+  Rng rng(1004);
+  // rows x cols elements at data()[r * ld + j]; a strided operand is the
+  // i = 1 slice of a site tensor whose dr is cols.
+  struct Stored {
+    std::vector<cplx> buf;
+    std::size_t offset, ld;
+    const cplx* data() const { return buf.data() + offset; }
+  };
+  enum Flavor { kContiguous, kStrided, kInfinite };
+  const auto make = [&](std::size_t rows, std::size_t cols, Flavor flavor,
+                        bool infinite) {
+    Stored s;
+    s.offset = flavor == kStrided ? cols : 0;
+    s.ld = flavor == kStrided ? 2 * cols : cols;
+    s.buf.resize(rows * s.ld);
+    for (cplx& z : s.buf)
+      z = rng.index(4) == 0 ? cplx{rng.index(2) ? -0.0 : 0.0, -0.0}
+                            : rng.complex_normal();
+    if (infinite)
+      for (std::size_t r = 0; r < rows; ++r)
+        s.buf[s.offset + r * s.ld + rng.index(cols)] =
+            rng.index(2) ? cplx{-inf, 0.5} : cplx{0.25, inf};
+    return s;
+  };
+  const cplx alphas[] = {cplx{1}, cplx{0.3, -0.7}};
+  const cplx betas[] = {cplx{0}, cplx{1}, cplx{0.5, 0.25}};
+  const std::size_t ks[] = {1, 2, 16, 33};
+  for (const Flavor flavor : {kContiguous, kStrided, kInfinite})
+    for (const Op op_a : kOps)
+      for (const Op op_b : kOps)
+        for (const std::size_t k : ks)
+          for (std::size_t n = 1; n <= 17; ++n) {
+            // The rows of op(A) are A's rows (kNone) or its columns.
+            const bool ta = op_a != Op::kNone, tb = op_b != Op::kNone;
+            const Stored a = make(ta ? k : kRows, ta ? kRows : k, flavor,
+                                  flavor == kInfinite);
+            const Stored b = make(tb ? n : k, tb ? k : n, flavor, false);
+            std::vector<cplx> c0(kRows * n);
+            for (cplx& z : c0) z = rng.complex_normal();
+            for (const cplx alpha : alphas)
+              for (const cplx beta : betas) {
+                std::vector<cplx> tiled = c0;
+                gemm_raw(kRows, k, n, alpha, a.data(), a.ld, op_a, b.data(),
+                         b.ld, op_b, beta, tiled.data(), n);
+                for (std::size_t m = 1; m <= 17; ++m) {
+                  std::vector<cplx> one(c0.begin(), c0.begin() + m * n);
+                  gemm_raw(m, k, n, alpha, a.data(), a.ld, op_a, b.data(),
+                           b.ld, op_b, beta, one.data(), n);
+                  EXPECT_EQ(std::memcmp(one.data(), tiled.data(),
+                                        m * n * sizeof(cplx)),
+                            0)
+                      << "m=" << m << " k=" << k << " n=" << n
+                      << " op_a=" << int(op_a) << " op_b=" << int(op_b)
+                      << " alpha=" << alpha << " beta=" << beta
+                      << " flavor=" << int(flavor);
+                }
+              }
+          }
 }
 
 // gemm_raw validates the stride of every operand against its *stored* shape:

@@ -19,6 +19,8 @@
 #include <thread>
 
 #include "chem/fci.hpp"
+#include "ckpt/checkpoint.hpp"
+#include "ckpt/serialize.hpp"
 #include "chem/hamiltonian.hpp"
 #include "chem/scf.hpp"
 #include "obs/json.hpp"
@@ -95,6 +97,63 @@ TEST(Optimizer, LbfgsConvergesFasterThanAdamOnQuadratic) {
   const OptimizerResult lb = minimize_lbfgs(f, g, {1, 1, 1, 1}, opts);
   EXPECT_LT(lb.energy, 1e-8);
   EXPECT_LT(lb.iterations, 30);
+}
+
+// A run that stops on the gradient test takes no step there, so it counts
+// none: iterations == steps taken == history entries past the start ==
+// iteration_observer calls. Energy tolerance 0 leaves the gradient test
+// (or the budget) as the only stop. run_vqe passes the same count to
+// VqeResult::iterations and to its terminal snapshot.
+TEST(Optimizer, LbfgsIterationsCountStepsTaken) {
+  EnergyFn f = [](const std::vector<double>& x) {
+    double s = 0;
+    for (std::size_t i = 0; i < x.size(); ++i) s += double(i + 1) * x[i] * x[i];
+    return s;
+  };
+  GradientFn g = [](const std::vector<double>& x) {
+    std::vector<double> d(x.size());
+    for (std::size_t i = 0; i < x.size(); ++i) d[i] = 2 * double(i + 1) * x[i];
+    return d;
+  };
+  OptimizerOptions opts;
+  opts.energy_tolerance = 0;
+  int observed = 0;
+  opts.iteration_observer = [&](int it, double, double) {
+    EXPECT_EQ(it, ++observed);
+  };
+  const OptimizerResult r = minimize_lbfgs(f, g, {1, 1, 1, 1}, opts);
+  EXPECT_TRUE(r.converged);
+  EXPECT_LT(r.iterations, opts.max_iterations);
+  EXPECT_EQ(r.iterations, observed);
+  EXPECT_EQ(std::size_t(r.iterations), r.history.size() - 1);
+
+  const Solved s = solve(chem::Molecule::h2(1.4));
+  VqeOptions vopts;
+  vopts.optimizer.energy_tolerance = 0;
+  vopts.optimizer.gradient_tolerance = 1e-4;
+  int vqe_observed = 0;
+  vopts.optimizer.iteration_observer = [&](int, double, double) {
+    ++vqe_observed;
+  };
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "q2_lbfgs_iterations";
+  std::filesystem::remove_all(dir);
+  vopts.checkpoint.path = (dir / "snap").string();
+  vopts.checkpoint.resume = false;
+  const VqeResult v = run_vqe(s.mo, 1, 1, vopts);
+  EXPECT_TRUE(v.converged);
+  EXPECT_LT(v.iterations, vopts.optimizer.max_iterations);
+  EXPECT_EQ(v.iterations, vqe_observed);
+  EXPECT_EQ(std::size_t(v.iterations), v.history.size() - 1);
+  vopts.checkpoint.resume = true;
+  const auto terminal =
+      ckpt::CheckpointManager(vopts.checkpoint).load_latest_valid();
+  ASSERT_TRUE(terminal.has_value());
+  ckpt::ByteReader opt(terminal->at("optimizer"));
+  const OptimizerState st = ckpt::read_optimizer_state(opt);
+  EXPECT_TRUE(st.finished);
+  EXPECT_EQ(st.iteration, v.iterations);
+  std::filesystem::remove_all(dir);
 }
 
 // A quadratic bowl whose energy or gradient turns NaN at a chosen call.
