@@ -3,8 +3,13 @@
 // BENCH_<name>.json result writer that feeds the perf-trajectory file set.
 #pragma once
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -37,10 +42,50 @@ inline double span_seconds(const std::vector<obs::ProfileNode>& nodes,
   return us * 1e-6;
 }
 
+/// The host's capacity for a second thread at the time of the call: two
+/// threads' throughput on a fixed integer spin loop over one thread's, best
+/// of 5 rounds within 50 ms. 2 means two free cores; a thread-scaling ratio
+/// measured while this reads near 1 had no second core to scale onto.
+inline double host_capacity_2t() {
+  using Clock = std::chrono::steady_clock;
+  const auto spin = [](std::uint64_t x) {
+    // A dependent xorshift chain: about 2 ms on one core.
+    for (int i = 0; i < (1 << 20); ++i) {
+      x ^= x << 13;
+      x ^= x >> 7;
+      x ^= x << 17;
+    }
+    return x;
+  };
+  std::atomic<std::uint64_t> sink{0};
+  const auto seconds = [&](bool two_threads) {
+    const Clock::time_point t0 = Clock::now();
+    std::thread helper;
+    if (two_threads) helper = std::thread([&] { sink += spin(sink + 1); });
+    sink += spin(sink + 2);
+    if (helper.joinable()) helper.join();
+    return std::chrono::duration<double>(Clock::now() - t0).count();
+  };
+  double one = 0.0, two = 0.0;
+  const Clock::time_point start = Clock::now();
+  for (int round = 0; round < 5; ++round) {
+    const Clock::time_point t0 = Clock::now();
+    const double t1 = seconds(false), t2 = seconds(true);
+    one = round == 0 ? t1 : std::min(one, t1);
+    two = round == 0 ? t2 : std::min(two, t2);
+    // Stop before a round that would end past the budget.
+    const Clock::time_point now = Clock::now();
+    if (now + (now - t0) - start > std::chrono::milliseconds(50)) break;
+  }
+  return 2.0 * one / two;
+}
+
 /// Collects one benchmark's headline results and writes them to
 /// BENCH_<name>.json in the working directory: benchmark name, total wall
-/// time, caller-set key figures, and the key telemetry counters at the time
-/// of write(). The destructor writes if the caller didn't.
+/// time, the host's capacity when it was written (host_capacity_2t(), an
+/// informational key), caller-set key figures, and the key telemetry
+/// counters at the time of write(). The destructor writes if the caller
+/// didn't.
 class BenchReport {
  public:
   explicit BenchReport(std::string name) : name_(std::move(name)) {}
@@ -62,6 +107,7 @@ class BenchReport {
     std::vector<obs::JsonField> all;
     all.emplace_back("name", name_);
     all.emplace_back("wall_seconds", timer_.seconds());
+    all.emplace_back("host_capacity_2t", host_capacity_2t());
     all.insert(all.end(), fields_.begin(), fields_.end());
     all.emplace_back("counters",
                      obs::JsonValue::raw(obs::json_object(counters)));

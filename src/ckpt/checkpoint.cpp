@@ -108,7 +108,12 @@ CheckpointManager::CheckpointManager(CheckpointOptions options, bool writer)
   std::string prefix;
   split_base(options_.path, dir, prefix);
   std::error_code ec;
-  fs::create_directories(dir, ec);  // best effort; write_file reports failure
+  fs::create_directories(dir, ec);
+  // Only the writer needs the directory: refuse a path it can never write
+  // before the run does any work, not at its first snapshot.
+  if (writer_ && ec)
+    throw Error("ckpt: cannot create snapshot directory '" + dir.string() +
+                "': " + ec.message());
 
   if (writer_ && !options_.resume) {
     // Fresh run: a stale family must not shadow the new one.

@@ -39,7 +39,8 @@ class CheckpointManager {
   /// `writer` is false on ranks that mirror a trajectory but must not touch
   /// the snapshot family (only rank 0 of a distributed run writes; every
   /// rank loads). A non-resuming writer deletes the existing family so a
-  /// fresh run can't accidentally continue from stale state.
+  /// fresh run can't accidentally continue from stale state. A writer throws
+  /// q2::Error when the snapshot directory cannot be created.
   CheckpointManager(CheckpointOptions options, bool writer = true);
 
   const CheckpointOptions& options() const { return options_; }

@@ -452,24 +452,25 @@ DmetResult drive(const chem::Molecule& molecule, const DmetOptions& options,
                  const std::function<bool(std::size_t)>& mine,
                  par::Comm* comm) {
   OBS_SPAN("dmet/drive");
-  Prepared prep = prepare(molecule, options);
-  const double target = double(molecule.n_electrons());
-
   // Only one rank of a distributed run reports or writes snapshots (all
   // ranks see the same exchanged values, so any single rank's records are
   // complete); every rank loads the same snapshot on resume.
   const bool primary = !comm || comm->rank() == 0;
+  // The manager refuses a snapshot path its writer cannot use before the
+  // integrals are computed; the snapshot loads once the fragments are known.
+  std::unique_ptr<ckpt::CheckpointManager> manager;
+  if (options.checkpoint.enabled())
+    manager = std::make_unique<ckpt::CheckpointManager>(options.checkpoint,
+                                                        /*writer=*/primary);
+  Prepared prep = prepare(molecule, options);
+  const double target = double(molecule.n_electrons());
   obs::RunReport& sink = obs::RunReport::global();
   const bool reporting = sink.is_open() && primary;
 
   MuLoopState st;
-  std::unique_ptr<ckpt::CheckpointManager> manager;
-  if (options.checkpoint.enabled()) {
-    manager = std::make_unique<ckpt::CheckpointManager>(options.checkpoint,
-                                                        /*writer=*/primary);
+  if (manager)
     if (const auto snap = manager->load_latest_valid())
       decode_dmet_snapshot(*snap, prep.problems.size(), st);
-  }
 
   auto eval = [&](double mu_value) {
     // Warm starts go into the driver's own problems; every rank holds the

@@ -1,17 +1,81 @@
 #include "obs/metrics.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
+#include <numeric>
 
 #include "common/types.hpp"
 #include "obs/json.hpp"
 
 namespace q2::obs {
 
-Histogram::Histogram(std::vector<double> bounds) : bounds_(std::move(bounds)) {
+namespace detail {
+
+thread_local constinit std::size_t metric_slot_index = kMetricSlots;
+
+namespace {
+
+// Live threads holding each slot. Leaked: threads may exit during static
+// teardown.
+struct SlotTable {
+  std::mutex mutex;
+  std::array<std::uint32_t, kMetricSlots> holders{};
+};
+
+SlotTable& slot_table() {
+  static SlotTable* table = new SlotTable;
+  return *table;
+}
+
+// Hands the thread's slot back when the thread exits.
+struct SlotRelease {
+  explicit SlotRelease(std::size_t s) : slot(s) {}
+  SlotRelease(const SlotRelease&) = delete;
+  SlotRelease& operator=(const SlotRelease&) = delete;
+  std::size_t slot;
+  ~SlotRelease() {
+    SlotTable& table = slot_table();
+    std::lock_guard<std::mutex> lock(table.mutex);
+    --table.holders[slot];
+  }
+};
+
+}  // namespace
+
+std::size_t claim_metric_slot() {
+  SlotTable& table = slot_table();
+  std::size_t slot;
+  {
+    std::lock_guard<std::mutex> lock(table.mutex);
+    slot = std::size_t(
+        std::min_element(table.holders.begin(), table.holders.end()) -
+        table.holders.begin());
+    ++table.holders[slot];
+  }
+  thread_local const SlotRelease release{slot};
+  metric_slot_index = slot;
+  return slot;
+}
+
+}  // namespace detail
+
+std::uint64_t Counter::value() const {
+  std::uint64_t total = 0;
+  for (const Slot& s : slots_) total += s.value.load(std::memory_order_relaxed);
+  return total;
+}
+
+void Counter::reset() {
+  for (Slot& s : slots_) s.value.store(0, std::memory_order_relaxed);
+}
+
+Histogram::Histogram(std::vector<double> bounds)
+    : bounds_(std::move(bounds)),
+      lines_per_slot_((bounds_.size() + 2 + Line::kWords - 1) / Line::kWords),
+      lines_(std::make_unique<Line[]>(detail::kMetricSlots * lines_per_slot_)) {
   require(std::is_sorted(bounds_.begin(), bounds_.end()),
           "Histogram: bucket bounds must be ascending");
-  buckets_ = std::make_unique<std::atomic<std::uint64_t>[]>(bounds_.size() + 1);
-  for (std::size_t i = 0; i <= bounds_.size(); ++i) buckets_[i] = 0;
 }
 
 void Histogram::observe(double x) {
@@ -20,25 +84,40 @@ void Histogram::observe(double x) {
   const std::size_t i =
       std::size_t(std::lower_bound(bounds_.begin(), bounds_.end(), x) -
                   bounds_.begin());
-  buckets_[i].fetch_add(1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
-  double old = sum_.load(std::memory_order_relaxed);
-  while (!sum_.compare_exchange_weak(old, old + x, std::memory_order_relaxed)) {
+  const std::size_t slot = detail::metric_slot();
+  word(slot, 1 + i).fetch_add(1, std::memory_order_relaxed);
+  std::atomic<std::uint64_t>& sum = word(slot, 0);
+  std::uint64_t old = sum.load(std::memory_order_relaxed);
+  while (!sum.compare_exchange_weak(
+      old, std::bit_cast<std::uint64_t>(std::bit_cast<double>(old) + x),
+      std::memory_order_relaxed)) {
   }
 }
 
 std::vector<std::uint64_t> Histogram::bucket_counts() const {
-  std::vector<std::uint64_t> out(bounds_.size() + 1);
-  for (std::size_t i = 0; i < out.size(); ++i)
-    out[i] = buckets_[i].load(std::memory_order_relaxed);
+  std::vector<std::uint64_t> out(bounds_.size() + 1, 0);
+  for (std::size_t s = 0; s < detail::kMetricSlots; ++s)
+    for (std::size_t i = 0; i < out.size(); ++i)
+      out[i] += word(s, 1 + i).load(std::memory_order_relaxed);
   return out;
 }
 
+std::uint64_t Histogram::count() const {
+  const std::vector<std::uint64_t> counts = bucket_counts();
+  return std::accumulate(counts.begin(), counts.end(), std::uint64_t(0));
+}
+
+double Histogram::sum() const {
+  double total = 0.0;
+  for (std::size_t s = 0; s < detail::kMetricSlots; ++s)
+    total += std::bit_cast<double>(word(s, 0).load(std::memory_order_relaxed));
+  return total;
+}
+
 void Histogram::reset() {
-  for (std::size_t i = 0; i <= bounds_.size(); ++i)
-    buckets_[i].store(0, std::memory_order_relaxed);
-  count_.store(0, std::memory_order_relaxed);
-  sum_.store(0.0, std::memory_order_relaxed);
+  for (std::size_t l = 0; l < detail::kMetricSlots * lines_per_slot_; ++l)
+    for (std::atomic<std::uint64_t>& w : lines_[l].word)
+      w.store(0, std::memory_order_relaxed);
 }
 
 std::vector<double> default_time_bounds() {
@@ -89,7 +168,9 @@ MetricsSnapshot Registry::snapshot() const {
     HistogramSnapshot hs;
     hs.bounds = h->bounds();
     hs.counts = h->bucket_counts();
-    hs.count = h->count();
+    // The count from the same loads, so it equals the buckets' sum.
+    hs.count = std::accumulate(hs.counts.begin(), hs.counts.end(),
+                               std::uint64_t(0));
     hs.sum = h->sum();
     s.histograms[name] = std::move(hs);
   }

@@ -1,9 +1,19 @@
 // Process-wide metrics registry: named counters, gauges, and fixed-bucket
-// histograms. Designed for hot paths — instruments are lock-free atomics, and
-// callers cache the reference from the (mutex-guarded) name lookup once:
+// histograms. Designed for hot paths — counters and histograms write to
+// per-thread slots, and callers cache the reference from the (mutex-guarded)
+// name lookup once:
 //
 //   static obs::Counter& gates = obs::Registry::global().counter("mps.gates");
 //   gates.add();
+//
+// Write slots: each Counter and Histogram holds kMetricSlots slots, each
+// padded to whole cache lines. A thread claims a slot on its first write (one
+// that the fewest live threads hold) and hands it back when it exits; the
+// slot keeps its counts. A write is one relaxed read-modify-write on the
+// calling thread's own slot, so writers on different threads never touch the
+// same cache line. A read sums the slots in slot order; slots only grow, so
+// every read is exact for the writes it sees, and threads that share a slot
+// (more live threads than slots) still lose nothing.
 //
 // Instrument objects live for the lifetime of the process; reset() zeroes
 // values but never invalidates references. Snapshots are pull-style and can be
@@ -11,6 +21,7 @@
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -20,17 +31,40 @@
 
 namespace q2::obs {
 
+namespace detail {
+
+/// Write slots per counter and histogram, and the line size that pads them.
+inline constexpr std::size_t kMetricSlots = 16;
+inline constexpr std::size_t kCacheLine = 64;
+
+/// The calling thread's write slot; kMetricSlots until its first write.
+extern thread_local constinit std::size_t metric_slot_index;
+/// Claims a write slot for the calling thread (see the header comment).
+std::size_t claim_metric_slot();
+
+inline std::size_t metric_slot() {
+  const std::size_t s = metric_slot_index;
+  if (s < kMetricSlots) [[likely]] return s;
+  return claim_metric_slot();
+}
+
+}  // namespace detail
+
 /// Monotone event count.
 class Counter {
  public:
   void add(std::uint64_t n = 1) {
-    value_.fetch_add(n, std::memory_order_relaxed);
+    slots_[detail::metric_slot()].value.fetch_add(n,
+                                                  std::memory_order_relaxed);
   }
-  std::uint64_t value() const { return value_.load(std::memory_order_relaxed); }
-  void reset() { value_.store(0, std::memory_order_relaxed); }
+  std::uint64_t value() const;
+  void reset();
 
  private:
-  std::atomic<std::uint64_t> value_{0};
+  struct alignas(detail::kCacheLine) Slot {
+    std::atomic<std::uint64_t> value{0};
+  };
+  Slot slots_[detail::kMetricSlots];
 };
 
 /// Last-written scalar (loads, sizes, efficiencies). Also supports atomic
@@ -54,7 +88,8 @@ class Gauge {
 
 /// Fixed-bucket histogram: `bounds` are ascending inclusive upper edges; one
 /// extra overflow bucket catches everything above the last edge. Also tracks
-/// the exact sum and count, so mean = sum()/count().
+/// the sum and count, so mean = sum()/count(); the sum of integer values
+/// (below 2^53) is exact.
 class Histogram {
  public:
   explicit Histogram(std::vector<double> bounds);
@@ -64,15 +99,26 @@ class Histogram {
   const std::vector<double>& bounds() const { return bounds_; }
   /// Per-bucket counts; size() == bounds().size() + 1 (last = overflow).
   std::vector<std::uint64_t> bucket_counts() const;
-  std::uint64_t count() const { return count_.load(std::memory_order_relaxed); }
-  double sum() const { return sum_.load(std::memory_order_relaxed); }
+  std::uint64_t count() const;
+  double sum() const;
   void reset();
 
  private:
+  struct alignas(detail::kCacheLine) Line {
+    static constexpr std::size_t kWords =
+        detail::kCacheLine / sizeof(std::uint64_t);
+    std::atomic<std::uint64_t> word[kWords];
+  };
+  // Slot s's word 0 holds the bits of its sum, word 1 + i the count of
+  // bucket i; each slot takes lines_per_slot_ whole lines.
+  std::atomic<std::uint64_t>& word(std::size_t slot, std::size_t w) const {
+    return lines_[slot * lines_per_slot_ + w / Line::kWords]
+        .word[w % Line::kWords];
+  }
+
   std::vector<double> bounds_;
-  std::unique_ptr<std::atomic<std::uint64_t>[]> buckets_;
-  std::atomic<std::uint64_t> count_{0};
-  std::atomic<double> sum_{0.0};
+  std::size_t lines_per_slot_;
+  std::unique_ptr<Line[]> lines_;
 };
 
 /// Log-spaced edges suited to seconds-valued timings: 1 µs .. 100 s.

@@ -87,6 +87,12 @@ VqeResult optimize(const EnergyEvaluator& evaluator, const UccsdAnsatz& ansatz,
                    const GradientFn& grad_fn, bool report = true) {
   OBS_SPAN("vqe/optimize");
   const std::vector<double> x0 = starting_point(options, ansatz);
+  // Only the reporting rank writes snapshots; its manager refuses a path it
+  // cannot write before the set-up probe below prepares a state.
+  std::unique_ptr<ckpt::CheckpointManager> manager;
+  if (options.checkpoint.enabled())
+    manager = std::make_unique<ckpt::CheckpointManager>(options.checkpoint,
+                                                        /*writer=*/report);
 
   OptimizerOptions opt_options = options.optimizer;
   obs::RunReport& sink = obs::RunReport::global();
@@ -127,10 +133,7 @@ VqeResult optimize(const EnergyEvaluator& evaluator, const UccsdAnsatz& ansatz,
   // resumed trajectory is bit-identical to the uninterrupted one because the
   // state carries every input of the next iteration in exact binary form.
   OptimizerState state;
-  std::unique_ptr<ckpt::CheckpointManager> manager;
-  if (options.checkpoint.enabled()) {
-    manager = std::make_unique<ckpt::CheckpointManager>(options.checkpoint,
-                                                        /*writer=*/report);
+  if (manager) {
     if (const auto snap = manager->load_latest_valid())
       state = decode_vqe_snapshot(*snap, ansatz.n_parameters);
     // user_observer dies with this block — the lambda must own its copy.

@@ -294,6 +294,30 @@ TEST(Manager, NonResumingWriterStartsFresh) {
   EXPECT_EQ(1u, reader.existing_sequence_numbers().size());
 }
 
+TEST(Manager, WriterRefusesADirectoryItCannotCreate) {
+  // A regular file where the snapshot directory belongs: the writer refuses
+  // the path when it is built, naming the directory and the OS's reason. A
+  // mirroring rank never writes, so it is built all the same.
+  const fs::path dir = scratch("notadir");
+  std::ofstream(dir / "notadir") << "x";
+  const fs::path blocked = dir / "notadir";
+  CheckpointOptions options;
+  options.path = (blocked / "run.ckpt").string();
+  try {
+    CheckpointManager mgr(options);
+    FAIL() << "the writer accepted " << options.path;
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("'" + blocked.string() + "'"), std::string::npos)
+        << what;
+    EXPECT_NE(what.find(std::make_error_code(std::errc::not_a_directory)
+                            .message()),
+              std::string::npos)
+        << what;
+  }
+  EXPECT_NO_THROW(CheckpointManager(options, /*writer=*/false));
+}
+
 TEST(Manager, CadenceHonoursEveryN) {
   CheckpointOptions options;
   options.path = "unused";

@@ -12,6 +12,7 @@
 #include <cmath>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <mutex>
 #include <random>
 #include <sstream>
@@ -22,6 +23,7 @@
 #include "ckpt/checkpoint.hpp"
 #include "ckpt/serialize.hpp"
 #include "dmet/dmet_driver.hpp"
+#include "obs/metrics.hpp"
 #include "vqe/vqe_driver.hpp"
 
 namespace q2 {
@@ -34,6 +36,17 @@ std::string scratch(const std::string& name) {
   fs::remove_all(dir);
   fs::create_directories(dir);
   return (dir / "run.ckpt").string();
+}
+
+// A snapshot path whose directory is a regular file, so no writer can use it.
+std::string blocked_path(const std::string& name) {
+  const fs::path dir = fs::path(scratch(name)).parent_path();
+  std::ofstream(dir / "notadir") << "x";
+  return (dir / "notadir" / "run.ckpt").string();
+}
+
+std::uint64_t counter_value(const char* name) {
+  return obs::Registry::global().counter(name).value();
 }
 
 void expect_bits(double a, double b) {
@@ -269,6 +282,15 @@ TEST(VqeResume, DmetSnapshotFamilyAtTheVqePathIsRejected) {
   expect_resume_refused(options, "not written by a VQE run");
 }
 
+TEST(VqeResume, UncreatableSnapshotDirectoryIsRefusedBeforeAnyEvaluation) {
+  const chem::MoIntegrals& mo = h4_mo();
+  vqe::VqeOptions options = vqe_opts(kVqeIterations);
+  options.checkpoint.path = blocked_path("vqe_blocked");
+  const std::uint64_t before = counter_value("vqe.energy_evaluations");
+  EXPECT_THROW(vqe::run_vqe(mo, 2, 2, options), Error);
+  EXPECT_EQ(counter_value("vqe.energy_evaluations") - before, 0u);
+}
+
 // ---- DMET µ-loop ----------------------------------------------------------
 
 void expect_same(const dmet::DmetResult& a, const dmet::DmetResult& b) {
@@ -327,6 +349,19 @@ TEST(DmetResume, CrashMidFitResumesBitIdentical) {
   const dmet::DmetResult resumed =
       dmet::run_dmet(ring_mol(), options, dmet::make_fci_solver());
   expect_same(golden_dmet(), resumed);
+}
+
+TEST(DmetResume, UncreatableSnapshotDirectoryIsRefusedBeforeSetUp) {
+  // Set-up (SCF, the fragment problems) charges GEMM work; a refused path
+  // must stop the fit before any of it.
+  dmet::DmetOptions options = ring_opts();
+  options.checkpoint.path = blocked_path("dmet_blocked");
+  const std::uint64_t flops = counter_value("work.flops");
+  const std::uint64_t solves = counter_value("dmet.fragment_solves");
+  EXPECT_THROW(dmet::run_dmet(ring_mol(), options, dmet::make_fci_solver()),
+               Error);
+  EXPECT_EQ(counter_value("work.flops") - flops, 0u);
+  EXPECT_EQ(counter_value("dmet.fragment_solves") - solves, 0u);
 }
 
 TEST(DmetResume, CorruptedNewestSnapshotFallsBackAndStillMatches) {

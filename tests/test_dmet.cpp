@@ -2,13 +2,16 @@
 // ring against FCI (the Fig. 7a acceptance criterion, < 0.5 % relative
 // error), chemical-potential fit behaviour and cost, the canonical-orbital
 // sign gauge the warm starts rely on, the VQE fragment measured on the
-// state its VQE kept, and bit identity across threads and ranks.
+// state its VQE kept, and bit identity (and equal registry totals) across
+// threads and ranks.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <functional>
+#include <map>
 #include <mutex>
 #include <optional>
 #include <set>
@@ -550,6 +553,68 @@ TEST(Dmet, FittedVqeRingIsBitIdenticalAcrossThreadsAndRanks) {
   EXPECT_LE(std::abs(serial.energy - fci.energy), 1e-4);
   expect_same_fit(serial, threaded);
   expect_same_fit(serial, ranked);
+}
+
+// What a run adds to the registry: the counters a fragment VQE's work
+// drives, and the mps.bond_dim histogram's count, buckets and sum.
+struct RegistryDelta {
+  std::map<std::string, std::uint64_t> counters;
+  std::uint64_t bond_count = 0;
+  std::vector<std::uint64_t> bond_buckets;
+  double bond_sum = 0.0;
+};
+
+RegistryDelta registry_delta(const std::function<void()>& run) {
+  static const char* const kCounters[] = {
+      "mps.gates",  "la.svd.truncated_calls", "la.svd.sweeps",
+      "mps.transfer_site_ops", "work.flops", "work.bytes"};
+  const obs::MetricsSnapshot before = obs::Registry::global().snapshot();
+  run();
+  const obs::MetricsSnapshot after = obs::Registry::global().snapshot();
+  RegistryDelta d;
+  for (const char* name : kCounters) {
+    const auto was = before.counters.find(name);
+    d.counters[name] = after.counters.at(name) -
+                       (was == before.counters.end() ? 0 : was->second);
+  }
+  const obs::HistogramSnapshot& bond = after.histograms.at("mps.bond_dim");
+  d.bond_count = bond.count;
+  d.bond_buckets = bond.counts;
+  d.bond_sum = bond.sum;
+  if (const auto was = before.histograms.find("mps.bond_dim");
+      was != before.histograms.end()) {
+    d.bond_count -= was->second.count;
+    for (std::size_t i = 0; i < d.bond_buckets.size(); ++i)
+      d.bond_buckets[i] -= was->second.counts[i];
+    d.bond_sum -= was->second.sum;
+  }
+  return d;
+}
+
+TEST(Dmet, FittedVqeRingRegistryTotalsAreThreadCountInvariant) {
+  // The fitted VQE ring does the same work at 1 and 4 threads (the bits
+  // match, above), so the totals it adds to the registry must match too,
+  // however its fragment workers' writes interleave.
+  const chem::Molecule mol = chem::Molecule::hydrogen_ring(10, 1.8);
+  vqe::VqeOptions vopts;
+  vopts.mps.max_bond = 16;
+  vopts.optimizer.max_iterations = 25;
+  DmetOptions opts;
+  opts.parallel.n_threads = 1;
+  const RegistryDelta serial =
+      registry_delta([&] { run_dmet(mol, opts, make_vqe_solver(vopts)); });
+  opts.parallel.n_threads = 4;
+  const RegistryDelta threaded =
+      registry_delta([&] { run_dmet(mol, opts, make_vqe_solver(vopts)); });
+
+  for (const auto& [name, total] : serial.counters) {
+    EXPECT_GT(total, 0u) << name;
+    EXPECT_EQ(total, threaded.counters.at(name)) << name;
+  }
+  EXPECT_GT(serial.bond_count, 0u);
+  EXPECT_EQ(serial.bond_count, threaded.bond_count);
+  EXPECT_EQ(serial.bond_buckets, threaded.bond_buckets);
+  EXPECT_EQ(serial.bond_sum, threaded.bond_sum);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 // --trace=/--report=/--metrics= flag plumbing.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -113,6 +114,120 @@ TEST(ObsMetrics, JsonDumpParses) {
   EXPECT_EQ(hist.at("bounds").array.size() + 1, hist.at("counts").array.size());
   // The text dump should at least mention every instrument.
   EXPECT_NE(reg.text().find("test_obs.json_counter"), std::string::npos);
+}
+
+TEST(ObsMetrics, ConcurrentWritersAndReadersStayExact) {
+  // Eight writers add to one counter, observe integers into one histogram
+  // and charge work, while a reader snapshots the registry in a loop. Every
+  // read is monotone and no greater than the final value; the final totals,
+  // bucket counts and histogram sum are exact.
+  obs::Registry& reg = obs::Registry::global();
+  obs::Counter& counter = reg.counter("test_obs.stress_counter");
+  obs::Histogram& hist = reg.histogram("test_obs.stress_hist", {1, 4, 16});
+  obs::Counter& flops = reg.counter("work.flops");
+  obs::Counter& bytes = reg.counter("work.bytes");
+  counter.reset();
+  hist.reset();
+  const std::uint64_t flops0 = flops.value();
+  const std::uint64_t bytes0 = bytes.value();
+
+  constexpr int kWriters = 8;
+  constexpr std::uint64_t kOps = 20000;
+  // Each writer's i-th step adds 1 + i % 3, observes i % 20 and charges
+  // (i % 7, 2 * (i % 5)).
+  std::uint64_t want_adds = 0, want_flops = 0, want_bytes = 0;
+  std::vector<std::uint64_t> want_buckets(4, 0);
+  double want_sum = 0.0;
+  for (std::uint64_t i = 0; i < kOps; ++i) {
+    want_adds += kWriters * (1 + i % 3);
+    want_flops += kWriters * (i % 7);
+    want_bytes += kWriters * 2 * (i % 5);
+    const std::uint64_t x = i % 20;
+    want_buckets[x <= 1 ? 0 : x <= 4 ? 1 : x <= 16 ? 2 : 3] += kWriters;
+    want_sum += double(kWriters * x);
+  }
+
+  std::atomic<bool> writing{true};
+  std::atomic<int> bad_reads{0};
+  std::uint64_t reads = 0;
+  std::thread reader([&] {
+    std::uint64_t last_adds = 0, last_flops = 0, last_bytes = 0;
+    std::vector<std::uint64_t> last_buckets(4, 0);
+    double last_sum = 0.0;
+    bool more = true;
+    while (more) {
+      more = writing.load(std::memory_order_acquire);
+      const obs::MetricsSnapshot snap = reg.snapshot();
+      const std::uint64_t adds = snap.counters.at("test_obs.stress_counter");
+      const std::uint64_t f = snap.counters.at("work.flops") - flops0;
+      const std::uint64_t b = snap.counters.at("work.bytes") - bytes0;
+      const obs::HistogramSnapshot& h = snap.histograms.at("test_obs.stress_hist");
+      bool ok = adds >= last_adds && adds <= want_adds && f >= last_flops &&
+                f <= want_flops && b >= last_bytes && b <= want_bytes &&
+                h.sum >= last_sum && h.sum <= want_sum &&
+                h.counts.size() == want_buckets.size();
+      std::uint64_t in_buckets = 0;
+      for (std::size_t i = 0; ok && i < h.counts.size(); ++i) {
+        ok = h.counts[i] >= last_buckets[i] && h.counts[i] <= want_buckets[i];
+        in_buckets += h.counts[i];
+      }
+      if (!ok || h.count != in_buckets) bad_reads.fetch_add(1);
+      last_adds = adds;
+      last_flops = f;
+      last_bytes = b;
+      last_buckets = h.counts;
+      last_sum = h.sum;
+      ++reads;
+    }
+  });
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kWriters; ++w)
+    writers.emplace_back([&] {
+      for (std::uint64_t i = 0; i < kOps; ++i) {
+        counter.add(1 + i % 3);
+        hist.observe(double(i % 20));
+        obs::WorkCounter::charge(i % 7, 2 * (i % 5));
+      }
+    });
+  for (std::thread& t : writers) t.join();
+  writing.store(false, std::memory_order_release);
+  reader.join();
+
+  EXPECT_EQ(bad_reads.load(), 0) << "of " << reads << " reads";
+  EXPECT_GE(reads, 2u);
+  EXPECT_EQ(counter.value(), want_adds);
+  EXPECT_EQ(flops.value() - flops0, want_flops);
+  EXPECT_EQ(bytes.value() - bytes0, want_bytes);
+  EXPECT_EQ(hist.bucket_counts(), want_buckets);
+  EXPECT_EQ(hist.count(), kWriters * kOps);
+  EXPECT_EQ(hist.sum(), want_sum);
+}
+
+TEST(ObsMetrics, ThreadsSharingASlotLoseNothing) {
+  // Twice as many live threads as write slots, so every slot has two
+  // writers; none of their adds may be lost.
+  constexpr std::size_t kThreads = 2 * obs::detail::kMetricSlots;
+  constexpr std::uint64_t kAdds = 5000;
+  obs::Counter counter;
+  obs::Histogram hist({0.5});
+  std::atomic<std::size_t> started{0};
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t)
+    threads.emplace_back([&] {
+      // Every thread holds its slot before any writes, so none exits and
+      // hands its slot on early.
+      counter.add(0);
+      started.fetch_add(1);
+      while (started.load() < kThreads) std::this_thread::yield();
+      for (std::uint64_t i = 0; i < kAdds; ++i) {
+        counter.add();
+        hist.observe(1.0);
+      }
+    });
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(counter.value(), kThreads * kAdds);
+  EXPECT_EQ(hist.count(), kThreads * kAdds);
+  EXPECT_EQ(hist.sum(), double(kThreads * kAdds));
 }
 
 // ---------------------------------------------------------------------------

@@ -31,6 +31,10 @@
 // printed (scaling/speedup floors are only meaningful between hosts with the
 // same thread budget); under --strict the mismatch is fatal (exit 2).
 //
+// The candidate's `host_capacity_2t` (bench_util's spin probe: two threads'
+// throughput over one's, 2 = two free cores) is printed with the baseline's
+// when it has one, so a ratio that failed in a busy window shows as such.
+//
 // Exit codes: 0 = within tolerance, 1 = regression, 2 = usage/IO/parse/
 // host-mismatch error.
 #include <cstdio>
@@ -196,6 +200,13 @@ int run(int argc, char** argv) {
     if (!base.count(key))
       std::printf("%-44s %14s %14.6g %8s  %s\n", key.c_str(), "-", cand_v, "-",
                   "new (info)");
+
+  if (const auto c = cand.find("host_capacity_2t"); c != cand.end()) {
+    std::printf("host_capacity_2t: candidate %.3g", c->second);
+    if (const auto b = base.find("host_capacity_2t"); b != base.end())
+      std::printf(", baseline %.3g", b->second);
+    std::printf(" (2 = two free cores)\n");
+  }
 
   if (compared == 0) {
     std::fprintf(stderr, "bench_diff: no shared numeric metrics between %s and %s\n",
