@@ -6,6 +6,7 @@
 #include "chem/boys.hpp"
 #include "common/types.hpp"
 #include "obs/trace.hpp"
+#include "parallel/thread_pool.hpp"
 
 namespace q2::chem {
 namespace {
@@ -28,9 +29,11 @@ double hermite_e(int i, int j, int t, double qx, double a, double b) {
 }
 
 // Scratch reused across hermite_coulomb calls, so the primitive loops
-// allocate nothing: the Boys values and two R^n layers.
+// allocate nothing: the Boys values and two R^n layers, or R^0_000 alone
+// where that is all there is.
 struct CoulombScratch {
   std::vector<double> f, r;
+  double r000 = 0;
 };
 
 // Hermite Coulomb tensor R^0_{tuv}(p, PC) built by downward-n recursion.
@@ -41,6 +44,11 @@ const double* hermite_coulomb(int tmax, int umax, int vmax, double p,
                               CoulombScratch& w) {
   const double r2 = pc[0] * pc[0] + pc[1] * pc[1] + pc[2] * pc[2];
   const int nmax = tmax + umax + vmax;
+  if (nmax == 0) {
+    // An s-type product: R^0_000 = F_0, the recursion's 1 * F_0 below.
+    boys(0, p * r2, &w.r000);
+    return &w.r000;
+  }
   w.f.resize(std::size_t(nmax) + 1);
   boys(nmax, p * r2, w.f.data());
 
@@ -88,11 +96,25 @@ struct PrimPair {
   std::array<double, 3> center;  ///< Gaussian product centre P
   double coeff;                  ///< c_a * c_b
   std::array<std::vector<double>, 3> e;  ///< E_t per dimension, t = 0..la+lb
+  /// E_t E_u E_v over (t, u, v) row-major: this pair's factor in a nuclear
+  /// sum and on the bra side of a Coulomb sum. `e_tuv_ket` is the same
+  /// times (-1)^(t+u+v), its factor on the ket side. Both are the products
+  /// the quartet loop would otherwise form for every primitive quartet.
+  std::vector<double> e_tuv, e_tuv_ket;
 };
 
-std::vector<PrimPair> make_pairs(const BasisFunction& a, const BasisFunction& b) {
-  std::vector<PrimPair> pairs;
-  pairs.reserve(a.exponents.size() * b.exponents.size());
+// The primitive pairs of a contracted pair (a, b) and its summed angular
+// momentum la + lb per dimension.
+struct FunctionPair {
+  std::vector<PrimPair> prims;
+  std::array<int, 3> l{};
+};
+
+FunctionPair make_pairs(const BasisFunction& a, const BasisFunction& b) {
+  FunctionPair pair;
+  for (int d = 0; d < 3; ++d) pair.l[d] = a.lmn[d] + b.lmn[d];
+  const auto [lt, lu, lv] = pair.l;
+  pair.prims.reserve(a.exponents.size() * b.exponents.size());
   for (std::size_t k = 0; k < a.exponents.size(); ++k) {
     for (std::size_t l = 0; l < b.exponents.size(); ++l) {
       PrimPair pp;
@@ -107,10 +129,82 @@ std::vector<PrimPair> make_pairs(const BasisFunction& a, const BasisFunction& b)
           pp.e[d][std::size_t(t)] =
               hermite_e(i, j, t, a.center[d] - b.center[d], ae, be);
       }
-      pairs.push_back(std::move(pp));
+      for (int t = 0; t <= lt; ++t)
+        for (int u = 0; u <= lu; ++u)
+          for (int v = 0; v <= lv; ++v) {
+            const double e = pp.e[0][std::size_t(t)] *
+                             pp.e[1][std::size_t(u)] * pp.e[2][std::size_t(v)];
+            pp.e_tuv.push_back(e);
+            pp.e_tuv_ket.push_back((t + u + v) % 2 ? -e : e);
+          }
+      pair.prims.push_back(std::move(pp));
     }
   }
-  return pairs;
+  return pair;
+}
+
+double overlap_from_pairs(const FunctionPair& pair) {
+  double s = 0;
+  for (const PrimPair& pp : pair.prims) {
+    s += pp.coeff * pp.e[0][0] * pp.e[1][0] * pp.e[2][0] *
+         std::pow(kPi / pp.p, 1.5);
+  }
+  return s;
+}
+
+double nuclear_from_pairs(const FunctionPair& pair,
+                          const std::array<double, 3>& nucleus, int z,
+                          CoulombScratch& scratch) {
+  double v_total = 0;
+  for (const PrimPair& pp : pair.prims) {
+    std::array<double, 3> pc;
+    for (int d = 0; d < 3; ++d) pc[d] = pp.center[d] - nucleus[d];
+    const double* r =
+        hermite_coulomb(pair.l[0], pair.l[1], pair.l[2], pp.p, pc, scratch);
+    // e_tuv and R share the (t, u, v) row-major layout.
+    double sum = 0;
+    for (std::size_t i = 0; i < pp.e_tuv.size(); ++i) sum += pp.e_tuv[i] * r[i];
+    v_total += pp.coeff * (2.0 * kPi / pp.p) * sum;
+  }
+  return -double(z) * v_total;
+}
+
+// (bra|ket) over every primitive quartet. A product E^bra E^ket that is
+// zero is skipped, and (-1)^(t'+u'+v') rides in the ket's factor: the sign
+// is exact, so each term keeps the bits of eb * ek * sign * R.
+double eri_from_pairs(const FunctionPair& bra, const FunctionPair& ket,
+                      CoulombScratch& scratch) {
+  const auto [tb, ub, vb] = bra.l;
+  const auto [tk, uk, vk] = ket.l;
+  const int du = ub + uk + 1, dv = vb + vk + 1;
+  double total = 0;
+  for (const PrimPair& b : bra.prims) {
+    for (const PrimPair& k : ket.prims) {
+      const double alpha = b.p * k.p / (b.p + k.p);
+      std::array<double, 3> pq;
+      for (int d = 0; d < 3; ++d) pq[d] = b.center[d] - k.center[d];
+      const double* r =
+          hermite_coulomb(tb + tk, ub + uk, vb + vk, alpha, pq, scratch);
+      double sum = 0;
+      const double* eb = b.e_tuv.data();
+      for (int t = 0; t <= tb; ++t)
+        for (int u = 0; u <= ub; ++u)
+          for (int v = 0; v <= vb; ++v, ++eb) {
+            if (*eb == 0.0) continue;
+            const double* ek = k.e_tuv_ket.data();
+            for (int tt = 0; tt <= tk; ++tt)
+              for (int uu = 0; uu <= uk; ++uu)
+                for (int vv = 0; vv <= vk; ++vv, ++ek) {
+                  if (*ek == 0.0) continue;
+                  sum += *eb * *ek *
+                         r[std::size_t(((t + tt) * du + u + uu) * dv + v + vv)];
+                }
+          }
+      total += b.coeff * k.coeff * sum * 2.0 * std::pow(kPi, 2.5) /
+               (b.p * k.p * std::sqrt(b.p + k.p));
+    }
+  }
+  return total;
 }
 
 }  // namespace
@@ -121,12 +215,7 @@ EriTable::EriTable(std::size_t n) : n_(n) {
 }
 
 double overlap_integral(const BasisFunction& a, const BasisFunction& b) {
-  double s = 0;
-  for (const PrimPair& pp : make_pairs(a, b)) {
-    s += pp.coeff * pp.e[0][0] * pp.e[1][0] * pp.e[2][0] *
-         std::pow(kPi / pp.p, 1.5);
-  }
-  return s;
+  return overlap_from_pairs(make_pairs(a, b));
 }
 
 double kinetic_integral(const BasisFunction& a, const BasisFunction& b) {
@@ -157,84 +246,18 @@ double kinetic_integral(const BasisFunction& a, const BasisFunction& b) {
 
 double nuclear_integral(const BasisFunction& a, const BasisFunction& b,
                         const std::array<double, 3>& nucleus, int z) {
-  const int tmax = a.lmn[0] + b.lmn[0];
-  const int umax = a.lmn[1] + b.lmn[1];
-  const int vmax = a.lmn[2] + b.lmn[2];
   CoulombScratch scratch;
-  double v_total = 0;
-  for (const PrimPair& pp : make_pairs(a, b)) {
-    std::array<double, 3> pc;
-    for (int d = 0; d < 3; ++d) pc[d] = pp.center[d] - nucleus[d];
-    const double* r = hermite_coulomb(tmax, umax, vmax, pp.p, pc, scratch);
-    auto idx = [&](int t, int u, int v) {
-      return std::size_t((t * (umax + 1) + u) * (vmax + 1) + v);
-    };
-    double sum = 0;
-    for (int t = 0; t <= tmax; ++t)
-      for (int u = 0; u <= umax; ++u)
-        for (int v = 0; v <= vmax; ++v)
-          sum += pp.e[0][std::size_t(t)] * pp.e[1][std::size_t(u)] *
-                 pp.e[2][std::size_t(v)] * r[idx(t, u, v)];
-    v_total += pp.coeff * (2.0 * kPi / pp.p) * sum;
-  }
-  return -double(z) * v_total;
+  return nuclear_from_pairs(make_pairs(a, b), nucleus, z, scratch);
 }
-
-namespace {
-
-double eri_from_pairs(const std::vector<PrimPair>& bra, int tb, int ub, int vb,
-                      const std::vector<PrimPair>& ket, int tk, int uk, int vk,
-                      CoulombScratch& scratch) {
-  double total = 0;
-  for (const PrimPair& b : bra) {
-    for (const PrimPair& k : ket) {
-      const double alpha = b.p * k.p / (b.p + k.p);
-      std::array<double, 3> pq;
-      for (int d = 0; d < 3; ++d) pq[d] = b.center[d] - k.center[d];
-      const double* r =
-          hermite_coulomb(tb + tk, ub + uk, vb + vk, alpha, pq, scratch);
-      const int du = ub + uk + 1, dv = vb + vk + 1;
-      auto idx = [&](int t, int u, int v) {
-        return std::size_t((t * du + u) * dv + v);
-      };
-      double sum = 0;
-      for (int t = 0; t <= tb; ++t)
-        for (int u = 0; u <= ub; ++u)
-          for (int v = 0; v <= vb; ++v) {
-            const double eb = b.e[0][std::size_t(t)] * b.e[1][std::size_t(u)] *
-                              b.e[2][std::size_t(v)];
-            if (eb == 0.0) continue;
-            for (int tt = 0; tt <= tk; ++tt)
-              for (int uu = 0; uu <= uk; ++uu)
-                for (int vv = 0; vv <= vk; ++vv) {
-                  const double ek = k.e[0][std::size_t(tt)] *
-                                    k.e[1][std::size_t(uu)] *
-                                    k.e[2][std::size_t(vv)];
-                  if (ek == 0.0) continue;
-                  const double sign = ((tt + uu + vv) % 2) ? -1.0 : 1.0;
-                  sum += eb * ek * sign * r[idx(t + tt, u + uu, v + vv)];
-                }
-          }
-      total += b.coeff * k.coeff * sum * 2.0 * std::pow(kPi, 2.5) /
-               (b.p * k.p * std::sqrt(b.p + k.p));
-    }
-  }
-  return total;
-}
-
-}  // namespace
 
 double eri_integral(const BasisFunction& a, const BasisFunction& b,
                     const BasisFunction& c, const BasisFunction& d) {
-  const auto bra = make_pairs(a, b);
-  const auto ket = make_pairs(c, d);
   CoulombScratch scratch;
-  return eri_from_pairs(bra, a.lmn[0] + b.lmn[0], a.lmn[1] + b.lmn[1],
-                        a.lmn[2] + b.lmn[2], ket, c.lmn[0] + d.lmn[0],
-                        c.lmn[1] + d.lmn[1], c.lmn[2] + d.lmn[2], scratch);
+  return eri_from_pairs(make_pairs(a, b), make_pairs(c, d), scratch);
 }
 
-IntegralTables compute_integrals(const Molecule& molecule, const BasisSet& basis) {
+IntegralTables compute_integrals(const Molecule& molecule, const BasisSet& basis,
+                                 const par::ParallelOptions& parallel) {
   OBS_SPAN("chem/compute_integrals");
   const std::size_t n = basis.size();
   IntegralTables out;
@@ -243,56 +266,66 @@ IntegralTables compute_integrals(const Molecule& molecule, const BasisSet& basis
   out.nuclear = la::RMatrix(n, n);
   out.eri = EriTable(n);
 
+  // The pair cache, built on the caller: pair i = p (p + 1) / 2 + q (q <= p),
+  // the EriTable's own pair index.
+  std::vector<FunctionPair> pairs;
+  std::vector<std::pair<std::size_t, std::size_t>> pair_fn;
+  pairs.reserve(n * (n + 1) / 2);
+  pair_fn.reserve(n * (n + 1) / 2);
   for (std::size_t p = 0; p < n; ++p) {
     for (std::size_t q = 0; q <= p; ++q) {
-      const double s = overlap_integral(basis[p], basis[q]);
+      pairs.push_back(make_pairs(basis[p], basis[q]));
+      pair_fn.emplace_back(p, q);
+    }
+  }
+  const std::size_t npairs = pairs.size();
+
+  // Three passes on the pool. Every entry has one writer, the task of its
+  // row, which runs the serial kernel on it, so the tables keep the serial
+  // bits at every thread count. Rows go longest first, one a claim.
+  par::ParallelOptions rows = parallel;
+  rows.grain = 1;
+
+  // One-electron row p writes (p, q) and (q, p) for q <= p.
+  par::parallel_for(rows, 0, n, [&](std::size_t k) {
+    const std::size_t p = n - 1 - k;
+    CoulombScratch scratch;
+    for (std::size_t q = 0; q <= p; ++q) {
+      const FunctionPair& pair = pairs[p * (p + 1) / 2 + q];
+      const double s = overlap_from_pairs(pair);
       const double t = kinetic_integral(basis[p], basis[q]);
       double v = 0;
       for (const Atom& atom : molecule.atoms())
-        v += nuclear_integral(basis[p], basis[q], atom.xyz, atom.z);
+        v += nuclear_from_pairs(pair, atom.xyz, atom.z, scratch);
       out.overlap(p, q) = out.overlap(q, p) = s;
       out.kinetic(p, q) = out.kinetic(q, p) = t;
       out.nuclear(p, q) = out.nuclear(q, p) = v;
     }
-  }
+  });
 
-  // Pair cache + Schwarz screening for the O(n^4) ERI pass.
-  std::vector<std::vector<PrimPair>> pair_cache;
-  std::vector<std::array<int, 3>> pair_l;
-  std::vector<std::pair<std::size_t, std::size_t>> pair_fn;
-  for (std::size_t p = 0; p < n; ++p) {
-    for (std::size_t q = 0; q <= p; ++q) {
-      pair_cache.push_back(make_pairs(basis[p], basis[q]));
-      pair_l.push_back({basis[p].lmn[0] + basis[q].lmn[0],
-                        basis[p].lmn[1] + basis[q].lmn[1],
-                        basis[p].lmn[2] + basis[q].lmn[2]});
-      pair_fn.emplace_back(p, q);
-    }
-  }
-  const std::size_t npairs = pair_cache.size();
-  CoulombScratch scratch;
-  std::vector<double> schwarz(npairs);
-  for (std::size_t i = 0; i < npairs; ++i) {
-    const auto& l = pair_l[i];
-    schwarz[i] = std::sqrt(std::abs(eri_from_pairs(pair_cache[i], l[0], l[1],
-                                                   l[2], pair_cache[i], l[0],
-                                                   l[1], l[2], scratch)));
-  }
+  // Schwarz screening for the O(n^4) pass: the diagonal (ii|ii) first.
+  std::vector<double> diagonal(npairs), schwarz(npairs);
+  par::parallel_for(rows, 0, npairs, [&](std::size_t i) {
+    CoulombScratch scratch;
+    diagonal[i] = eri_from_pairs(pairs[i], pairs[i], scratch);
+    schwarz[i] = std::sqrt(std::abs(diagonal[i]));
+  });
 
+  // ERI row i writes (i|j) for j <= i; the diagonal pass has returned, so
+  // every bound it reads is final and (ii|ii) is taken from it.
   constexpr double kScreen = 1e-12;
-  for (std::size_t i = 0; i < npairs; ++i) {
-    if (schwarz[i] == 0) continue;
+  par::parallel_for(rows, 0, npairs, [&](std::size_t k) {
+    const std::size_t i = npairs - 1 - k;
+    if (schwarz[i] == 0) return;
+    CoulombScratch scratch;
     for (std::size_t j = 0; j <= i; ++j) {
       if (schwarz[i] * schwarz[j] < kScreen) continue;
-      const auto& li = pair_l[i];
-      const auto& lj = pair_l[j];
       const double value =
-          eri_from_pairs(pair_cache[i], li[0], li[1], li[2], pair_cache[j],
-                         lj[0], lj[1], lj[2], scratch);
+          j == i ? diagonal[i] : eri_from_pairs(pairs[i], pairs[j], scratch);
       out.eri.set(pair_fn[i].first, pair_fn[i].second, pair_fn[j].first,
                   pair_fn[j].second, value);
     }
-  }
+  });
   return out;
 }
 

@@ -8,6 +8,7 @@
 
 #include "chem/basis.hpp"
 #include "linalg/matrix.hpp"
+#include "parallel/parallel_options.hpp"
 
 namespace q2::chem {
 
@@ -56,7 +57,14 @@ double nuclear_integral(const BasisFunction& a, const BasisFunction& b,
 double eri_integral(const BasisFunction& a, const BasisFunction& b,
                     const BasisFunction& c, const BasisFunction& d);
 
-/// All tables for a molecule/basis pair.
-IntegralTables compute_integrals(const Molecule& molecule, const BasisSet& basis);
+/// All tables for a molecule/basis pair. The primitive-pair cache is built
+/// first, on the caller; then the one-electron rows, the Schwarz diagonal
+/// (pq|pq) and the ERI pair rows run as three passes of par::parallel_for
+/// with `parallel`'s thread count (the default, 0, is the process-wide
+/// count). Each entry is computed by one task with the same operations as a
+/// serial pass, so the tables are bit-identical at every thread count, and
+/// the ERI pass starts only after the diagonal pass has returned.
+IntegralTables compute_integrals(const Molecule& molecule, const BasisSet& basis,
+                                 const par::ParallelOptions& parallel = {});
 
 }  // namespace q2::chem

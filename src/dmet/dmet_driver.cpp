@@ -117,7 +117,7 @@ struct Prepared {
 Prepared prepare(const chem::Molecule& molecule, const DmetOptions& options) {
   Prepared prep;
   const chem::BasisSet basis = chem::BasisSet::build(molecule, options.basis);
-  prep.ints = chem::compute_integrals(molecule, basis);
+  prep.ints = chem::compute_integrals(molecule, basis, options.parallel);
   const chem::ScfResult scf = chem::rhf(molecule, basis, prep.ints);
   require(scf.converged, "run_dmet: RHF did not converge");
   prep.hf_energy = scf.energy;
@@ -129,12 +129,15 @@ Prepared prepare(const chem::Molecule& molecule, const DmetOptions& options) {
                           ? uniform_atom_groups(molecule.n_atoms(), 1)
                           : options.fragments;
   prep.fragments = make_fragments(basis, molecule.n_atoms(), groups);
-  for (const Fragment& frag : prep.fragments) {
+  // Each fragment's bath and embedding problem is built into its own slot.
+  prep.problems.resize(prep.fragments.size());
+  par::ParallelOptions opts = options.parallel;
+  opts.grain = 1;
+  par::parallel_for(opts, 0, prep.fragments.size(), [&](std::size_t f) {
     const EmbeddingBasis emb =
-        make_bath(prep.p_oao, frag, options.bath_threshold);
-    prep.problems.push_back(
-        make_embedding(prep.ints, prep.lb, prep.p_oao, emb));
-  }
+        make_bath(prep.p_oao, prep.fragments[f], options.bath_threshold);
+    prep.problems[f] = make_embedding(prep.ints, prep.lb, prep.p_oao, emb);
+  });
   return prep;
 }
 

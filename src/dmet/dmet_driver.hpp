@@ -54,7 +54,11 @@ struct DmetOptions {
   double electron_tolerance = 1e-5;
   /// On-node parallelism across non-equivalent fragment solves (level 1 of
   /// the paper's hierarchy, folded onto the shared-memory pool). Fragment
-  /// solves nest VQE term sweeps; the pool is nesting-safe.
+  /// solves nest VQE term sweeps; the pool is nesting-safe. The µ-independent
+  /// set-up runs on the same count: the integral passes of
+  /// chem::compute_integrals, and every fragment's bath and embedding
+  /// problem, each built into its own slot. Results are bit-identical at
+  /// every count.
   par::ParallelOptions parallel;
   /// Durable snapshot/resume of the chemical-potential fit (src/ckpt). A
   /// snapshot is written every `every_n_iterations` µ-evaluations and holds

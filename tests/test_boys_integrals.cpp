@@ -1,19 +1,42 @@
 // Integral-engine tests: Boys function identities, analytic s-Gaussian
 // results, Szabo-Ostlund H2/STO-3G anchor values, permutational symmetries
-// of the ERI tensor, and the pinned bits of the H2O tables.
+// of the ERI tensor, the pinned bits of the H2O, H10 ring and H10 chain
+// tables, and the tables' bits at every thread count of the set-up fan-out.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <string>
+#include <tuple>
 
 #include "chem/basis.hpp"
 #include "chem/boys.hpp"
 #include "chem/integrals.hpp"
 #include "chem/molecule.hpp"
+#include "parallel/thread_pool.hpp"
 
 namespace q2::chem {
 namespace {
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+// FNV-1a over the 64-bit words of every overlap, kinetic and nuclear entry,
+// then every ERI (pq|rs), each in row-major index order.
+std::uint64_t table_digest(const IntegralTables& t) {
+  const std::size_t n = t.overlap.rows();
+  std::uint64_t digest = 0xcbf29ce484222325ull;
+  auto mix = [&](double x) { digest = (digest ^ bits(x)) * 0x100000001b3ull; };
+  for (const la::RMatrix* m : {&t.overlap, &t.kinetic, &t.nuclear})
+    for (std::size_t p = 0; p < n; ++p)
+      for (std::size_t q = 0; q < n; ++q) mix((*m)(p, q));
+  for (std::size_t p = 0; p < n; ++p)
+    for (std::size_t q = 0; q < n; ++q)
+      for (std::size_t r = 0; r < n; ++r)
+        for (std::size_t s = 0; s < n; ++s) mix(t.eri(p, q, r, s));
+  return digest;
+}
 
 TEST(Boys, ZeroArgument) {
   double f[5];
@@ -179,19 +202,8 @@ TEST(Integrals, H2OEntriesKeepTheirBits) {
   const Molecule mol = Molecule::h2o();
   const IntegralTables t =
       compute_integrals(mol, BasisSet::build(mol, "sto-3g"));
-  const std::size_t n = t.overlap.rows();
-  ASSERT_EQ(n, 7u);
-  auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
-  std::uint64_t digest = 0xcbf29ce484222325ull;  // FNV-1a over 64-bit words
-  auto mix = [&](double x) { digest = (digest ^ bits(x)) * 0x100000001b3ull; };
-  for (const la::RMatrix* m : {&t.overlap, &t.kinetic, &t.nuclear})
-    for (std::size_t p = 0; p < n; ++p)
-      for (std::size_t q = 0; q < n; ++q) mix((*m)(p, q));
-  for (std::size_t p = 0; p < n; ++p)
-    for (std::size_t q = 0; q < n; ++q)
-      for (std::size_t r = 0; r < n; ++r)
-        for (std::size_t s = 0; s < n; ++s) mix(t.eri(p, q, r, s));
-  EXPECT_EQ(digest, 0xb4ee2f3918e9cd57ull);
+  ASSERT_EQ(t.overlap.rows(), 7u);
+  EXPECT_EQ(table_digest(t), 0xb4ee2f3918e9cd57ull);
 
   struct Nuclear {
     std::size_t p, q;
@@ -215,6 +227,78 @@ TEST(Integrals, H2OEntriesKeepTheirBits) {
                        Eri{3, 2, 6, 5, 0xbc08000000000000ull}})  // -1.6e-19
     EXPECT_EQ(bits(t.eri(e.p, e.q, e.r, e.s)), e.bits)
         << "(" << e.p << e.q << "|" << e.r << e.s << ")";
+}
+
+TEST(Integrals, TableDigestsKeepTheirBits) {
+  // The same digest pinned for the tables every benchmark workload builds:
+  // STO-3G H10 ring and chain at 1.8 bohr (s shells only, so every quartet
+  // takes the n_max = 0 Coulomb case), beside the H2O pin above (p shells,
+  // mixed quartets).
+  struct Pin {
+    const char* name;
+    Molecule mol;
+    std::uint64_t digest;
+  };
+  for (const Pin& pin :
+       {Pin{"h2o", Molecule::h2o(), 0xb4ee2f3918e9cd57ull},
+        Pin{"h10 ring", Molecule::hydrogen_ring(10, 1.8), 0xe5f52dac953c31c8ull},
+        Pin{"h10 chain", Molecule::hydrogen_chain(10, 1.8),
+            0x8389bc0a329334a3ull}})
+    EXPECT_EQ(table_digest(compute_integrals(
+                  pin.mol, BasisSet::build(pin.mol, "sto-3g"))),
+              pin.digest)
+        << pin.name;
+}
+
+void expect_same_bits(const IntegralTables& want, const IntegralTables& got,
+                      const std::string& label) {
+  const std::size_t n = want.overlap.rows();
+  ASSERT_EQ(got.overlap.rows(), n) << label;
+  for (const auto& [w, g, name] :
+       {std::tuple{&want.overlap, &got.overlap, "S"},
+        std::tuple{&want.kinetic, &got.kinetic, "T"},
+        std::tuple{&want.nuclear, &got.nuclear, "V"}})
+    EXPECT_EQ(std::memcmp(w->data(), g->data(), n * n * sizeof(double)), 0)
+        << label << " " << name;
+  std::size_t differ = 0;
+  for (std::size_t p = 0; p < n; ++p)
+    for (std::size_t q = 0; q < n; ++q)
+      for (std::size_t r = 0; r < n; ++r)
+        for (std::size_t s = 0; s < n; ++s) {
+          const double a = want.eri(p, q, r, s), b = got.eri(p, q, r, s);
+          if (std::memcmp(&a, &b, sizeof(double)) != 0) ++differ;
+        }
+  EXPECT_EQ(differ, 0u) << label << " ERI entries differ";
+}
+
+TEST(Integrals, TablesAreThreadCountInvariant) {
+  // The set-up fan-out gives each entry one writer running the serial
+  // kernel: at 2, 3 and 4 threads, and from inside a pool task (the nested
+  // loop's caller runs chunks itself), every S, T, V and ERI entry is
+  // memcmp-equal to the 1-thread table.
+  struct Case {
+    std::string name;
+    Molecule mol;
+  };
+  for (const Case& c : {Case{"h10 ring", Molecule::hydrogen_ring(10, 1.8)},
+                        Case{"h10 chain", Molecule::hydrogen_chain(10, 1.8)},
+                        Case{"h2o", Molecule::h2o()}}) {
+    const BasisSet basis = BasisSet::build(c.mol, "sto-3g");
+    const IntegralTables serial =
+        compute_integrals(c.mol, basis, par::ParallelOptions{1});
+    for (std::size_t threads : {2u, 3u, 4u})
+      expect_same_bits(serial,
+                       compute_integrals(c.mol, basis,
+                                         par::ParallelOptions{threads}),
+                       c.name + ", " + std::to_string(threads) + " threads");
+    IntegralTables nested;
+    par::ThreadPool::global()
+        .submit([&] {
+          nested = compute_integrals(c.mol, basis, par::ParallelOptions{4});
+        })
+        .get();
+    expect_same_bits(serial, nested, c.name + ", in a pool task");
+  }
 }
 
 TEST(Integrals, PFunctionOverlapOrthogonality) {

@@ -1,7 +1,8 @@
 // Span-aggregation profile: call-tree construction from nested and threaded
 // spans, self-vs-total invariants, exactness and thread-count invariance of
 // the GEMM/SVD FLOP accounting, cross-thread path adoption through the pool,
-// the set-up and adjoint-gradient spans, one state-preparation span per
+// the set-up spans (the integral fan-out among them) and the
+// adjoint-gradient spans, one state-preparation span per
 // preparation of an L-BFGS run, and the JSON export round-tripped
 // through the shared obs::Json parser.
 #include <gtest/gtest.h>
@@ -270,6 +271,29 @@ TEST_F(ProfileTest, SetupSpansAppearWithSelfWithinTotal) {
   }
   EXPECT_EQ(find_node(nodes, "pauli/build_mpo")->path,
             "vqe/evaluator_init;pauli/build_mpo");
+}
+
+// The integral passes fan out on the pool under the caller's span: at 4
+// threads chem/compute_integrals is one call on the caller, its workers'
+// chunks add no profile node, and no node's self time goes negative.
+TEST_F(ProfileTest, IntegralFanOutKeepsSelfWithinTotal) {
+  const chem::Molecule mol = chem::Molecule::hydrogen_ring(10, 1.8);
+  const chem::BasisSet basis = chem::BasisSet::build(mol, "sto-3g");
+  const chem::IntegralTables ints =
+      chem::compute_integrals(mol, basis, par::ParallelOptions{4});
+  ASSERT_EQ(ints.overlap.rows(), 10u);
+
+  const std::vector<obs::ProfileNode> nodes = obs::profile_snapshot();
+  const obs::ProfileNode* node = find_node(nodes, "chem/compute_integrals");
+  ASSERT_NE(node, nullptr);
+  EXPECT_EQ(node->path, "chem/compute_integrals");
+  EXPECT_EQ(node->count, 1u);
+  EXPECT_GE(node->self_us, 0.0);
+  EXPECT_LE(node->self_us, node->total_us);
+  for (const obs::ProfileNode& n : nodes) {
+    EXPECT_GE(n.self_us, 0.0) << n.path;
+    EXPECT_LE(n.self_us, n.total_us) << n.path;
+  }
 }
 
 // The adjoint gradient shows as one span with the lambda build nested
