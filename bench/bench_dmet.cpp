@@ -80,7 +80,7 @@ RingRun run_ring(int n_atoms, double bond, std::size_t atoms_per_fragment) {
   run.fci_gap_mha = std::abs(run.result.energy - fci.energy) * 1e3;
   run.ok = run.result.converged &&
            std::abs(run.result.total_electrons - n_atoms) <=
-               opts.electron_tolerance &&
+               dmet::kElectronTolerance &&
            run.fci_gap_mha <= 0.1;
   return run;
 }

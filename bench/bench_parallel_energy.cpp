@@ -128,7 +128,7 @@ void energy_section(const H4Case& c, std::size_t n_threads, int reps,
 // than central differences.
 bool gradient_section(const H4Case& c, std::size_t n_threads, bool quick,
                       bench::BenchReport& report) {
-  const double eps = vqe::VqeOptions{}.gradient_eps;
+  const double eps = vqe::kGradientEps;
   sim::MpsOptions serial_mps;
   serial_mps.parallel.n_threads = 1;
   sim::MpsOptions parallel_mps;

@@ -121,7 +121,6 @@ int run(const std::string& report_name, bool quick) {
       // must reproduce every output bit.
       par::ParallelOptions two;
       two.n_threads = 2;
-      two.grain = 1;
       std::vector<char> same(2, 1);
       par::parallel_for(two, 0, same.size(), [&](std::size_t i) {
         la::SvdWorkspace ws2;

@@ -283,11 +283,9 @@ IntegralTables compute_integrals(const Molecule& molecule, const BasisSet& basis
   // Three passes on the pool. Every entry has one writer, the task of its
   // row, which runs the serial kernel on it, so the tables keep the serial
   // bits at every thread count. Rows go longest first, one a claim.
-  par::ParallelOptions rows = parallel;
-  rows.grain = 1;
 
   // One-electron row p writes (p, q) and (q, p) for q <= p.
-  par::parallel_for(rows, 0, n, [&](std::size_t k) {
+  par::parallel_for(parallel, 0, n, [&](std::size_t k) {
     const std::size_t p = n - 1 - k;
     CoulombScratch scratch;
     for (std::size_t q = 0; q <= p; ++q) {
@@ -305,7 +303,7 @@ IntegralTables compute_integrals(const Molecule& molecule, const BasisSet& basis
 
   // Schwarz screening for the O(n^4) pass: the diagonal (ii|ii) first.
   std::vector<double> diagonal(npairs), schwarz(npairs);
-  par::parallel_for(rows, 0, npairs, [&](std::size_t i) {
+  par::parallel_for(parallel, 0, npairs, [&](std::size_t i) {
     CoulombScratch scratch;
     diagonal[i] = eri_from_pairs(pairs[i], pairs[i], scratch);
     schwarz[i] = std::sqrt(std::abs(diagonal[i]));
@@ -314,7 +312,7 @@ IntegralTables compute_integrals(const Molecule& molecule, const BasisSet& basis
   // ERI row i writes (i|j) for j <= i; the diagonal pass has returned, so
   // every bound it reads is final and (ii|ii) is taken from it.
   constexpr double kScreen = 1e-12;
-  par::parallel_for(rows, 0, npairs, [&](std::size_t k) {
+  par::parallel_for(parallel, 0, npairs, [&](std::size_t k) {
     const std::size_t i = npairs - 1 - k;
     if (schwarz[i] == 0) return;
     CoulombScratch scratch;

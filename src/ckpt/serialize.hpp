@@ -1,9 +1,10 @@
 // Byte-exact binary serialization for the checkpoint layer. ByteWriter /
 // ByteReader move fixed-width little-endian integers and raw IEEE-754 bit
 // patterns (no decimal round trips), so every serialized double restores
-// bit-for-bit — the foundation of the resume determinism contract. On top sit
-// serializers for the live run-state types: the MPS simulator state and the
-// optimizer state.
+// bit-for-bit — the foundation of the resume determinism contract. On top
+// sits the serializer of the one run state a VQE snapshot stores, the
+// optimizer's: the MPS is recomputed from its parameters on resume. The
+// DMET driver writes its fit state with the primitives directly.
 #pragma once
 
 #include <cstdint>
@@ -12,7 +13,6 @@
 #include <vector>
 
 #include "common/types.hpp"
-#include "sim/mps.hpp"
 #include "vqe/optimizer.hpp"
 
 namespace q2::ckpt {
@@ -33,10 +33,6 @@ class ByteWriter {
     std::memcpy(&bits, &v, sizeof(bits));
     u64(bits);
   }
-  void c128(cplx z) {
-    f64(z.real());
-    f64(z.imag());
-  }
   void bytes(const void* p, std::size_t n) {
     const auto* b = static_cast<const std::uint8_t*>(p);
     buf_.insert(buf_.end(), b, b + n);
@@ -49,19 +45,7 @@ class ByteWriter {
     u64(v.size());
     for (double x : v) f64(x);
   }
-  void vec(const std::vector<cplx>& v) {
-    u64(v.size());
-    for (cplx z : v) c128(z);
-  }
-  void vec(const std::vector<std::size_t>& v) {
-    u64(v.size());
-    for (std::size_t x : v) u64(x);
-  }
   void vec(const std::vector<std::vector<double>>& v) {
-    u64(v.size());
-    for (const auto& inner : v) vec(inner);
-  }
-  void vec(const std::vector<std::vector<cplx>>& v) {
     u64(v.size());
     for (const auto& inner : v) vec(inner);
   }
@@ -105,11 +89,6 @@ class ByteReader {
     std::memcpy(&v, &bits, sizeof(v));
     return v;
   }
-  cplx c128() {
-    const double re = f64();
-    const double im = f64();
-    return {re, im};
-  }
   std::string str() {
     const std::uint64_t n = u64();
     need(n);
@@ -123,28 +102,10 @@ class ByteReader {
     for (auto& x : v) x = f64();
     return v;
   }
-  std::vector<cplx> vec_c128() {
-    const std::uint64_t n = checked_count(16);
-    std::vector<cplx> v(n);
-    for (auto& z : v) z = c128();
-    return v;
-  }
-  std::vector<std::size_t> vec_u64() {
-    const std::uint64_t n = checked_count(8);
-    std::vector<std::size_t> v(n);
-    for (auto& x : v) x = std::size_t(u64());
-    return v;
-  }
   std::vector<std::vector<double>> vec_vec_f64() {
     const std::uint64_t n = u64();
     std::vector<std::vector<double>> v(n);
     for (auto& inner : v) inner = vec_f64();
-    return v;
-  }
-  std::vector<std::vector<cplx>> vec_vec_c128() {
-    const std::uint64_t n = u64();
-    std::vector<std::vector<cplx>> v(n);
-    for (auto& inner : v) inner = vec_c128();
     return v;
   }
 
@@ -171,9 +132,6 @@ class ByteReader {
 // ---- Domain serializers ----------------------------------------------------
 // Each pair round-trips its type exactly; readers validate internal
 // consistency and throw q2::Error on malformed input.
-
-void write_mps(ByteWriter& w, const sim::MpsState& s);
-sim::MpsState read_mps(ByteReader& r);
 
 void write_optimizer_state(ByteWriter& w, const vqe::OptimizerState& s);
 vqe::OptimizerState read_optimizer_state(ByteReader& r);

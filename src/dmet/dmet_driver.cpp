@@ -131,13 +131,12 @@ Prepared prepare(const chem::Molecule& molecule, const DmetOptions& options) {
   prep.fragments = make_fragments(basis, molecule.n_atoms(), groups);
   // Each fragment's bath and embedding problem is built into its own slot.
   prep.problems.resize(prep.fragments.size());
-  par::ParallelOptions opts = options.parallel;
-  opts.grain = 1;
-  par::parallel_for(opts, 0, prep.fragments.size(), [&](std::size_t f) {
-    const EmbeddingBasis emb =
-        make_bath(prep.p_oao, prep.fragments[f], options.bath_threshold);
-    prep.problems[f] = make_embedding(prep.ints, prep.lb, prep.p_oao, emb);
-  });
+  par::parallel_for(
+      options.parallel, 0, prep.fragments.size(), [&](std::size_t f) {
+        const EmbeddingBasis emb =
+            make_bath(prep.p_oao, prep.fragments[f], options.bath_threshold);
+        prep.problems[f] = make_embedding(prep.ints, prep.lb, prep.p_oao, emb);
+      });
   return prep;
 }
 
@@ -175,9 +174,7 @@ Evaluation evaluate(const Prepared& prep, double mu,
   std::vector<std::size_t> todo;
   for (std::size_t f = 0; f < n; ++f)
     if (mine(f)) todo.push_back(f);
-  par::ParallelOptions opts = options.parallel;
-  opts.grain = 1;  // one fragment solve is a large unit of work
-  par::parallel_for(opts, 0, todo.size(), [&](std::size_t t) {
+  par::parallel_for(options.parallel, 0, todo.size(), [&](std::size_t t) {
     const std::size_t f = todo[t];
     OBS_SPAN("dmet/fragment_solve");
     fragment_solve_counter().add();
@@ -364,7 +361,7 @@ template <typename EvalFn>
 bool mu_loop_step(MuLoopState& st, const Prepared& prep, double target,
                   const DmetOptions& options, const EvalFn& eval) {
   const auto converged = [&](const Evaluation& e) {
-    return std::abs(e.electrons - target) <= options.electron_tolerance;
+    return std::abs(e.electrons - target) <= kElectronTolerance;
   };
   switch (st.phase) {
     case MuLoopState::kInit: {
@@ -525,7 +522,7 @@ DmetResult drive(const chem::Molecule& molecule, const DmetOptions& options,
   result.mu_iterations = st.mu_iterations;
   result.converged =
       !st.bracket_failed &&
-      (std::abs(st.ev.electrons - target) <= options.electron_tolerance ||
+      (std::abs(st.ev.electrons - target) <= kElectronTolerance ||
        !options.fit_chemical_potential || prep.problems.size() == 1);
   result.mu = st.ev.mu;
   result.total_electrons = st.ev.electrons;

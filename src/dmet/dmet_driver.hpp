@@ -19,6 +19,10 @@
 
 namespace q2::dmet {
 
+/// How far the summed fragment electron count may sit from the molecule's
+/// for the chemical-potential fit to count as converged.
+inline constexpr double kElectronTolerance = 1e-5;
+
 struct FragmentSolution {
   double energy = 0.0;     ///< fragment energy E_x
   double electrons = 0.0;  ///< fragment-orbital electron count N_x
@@ -51,7 +55,6 @@ struct DmetOptions {
   /// All fragments are symmetry-equivalent (rings, chains of identical
   /// units): solve fragment 0 once and replicate its solution.
   bool equivalent_fragments = false;
-  double electron_tolerance = 1e-5;
   /// On-node parallelism across non-equivalent fragment solves (level 1 of
   /// the paper's hierarchy, folded onto the shared-memory pool). Fragment
   /// solves nest VQE term sweeps; the pool is nesting-safe. The µ-independent

@@ -327,8 +327,6 @@ void gemm_blocked(std::size_t m, std::size_t k, std::size_t n, T alpha,
   const std::size_t n_ib = (m + MC - 1) / MC;
   std::vector<T> bpanel(round_up(std::min(NC, n), NR) * std::min(KS, k));
   T* const bbuf = bpanel.data();
-  par::ParallelOptions slab_opts = opts;
-  slab_opts.grain = 1;  // one B slab / one tile lane per claimed unit
   for (std::size_t jc = 0; jc < n; jc += NC) {
     const std::size_t nc = std::min(NC, n - jc);
     const std::size_t n_jb = (nc + JB - 1) / JB;
@@ -338,7 +336,7 @@ void gemm_blocked(std::size_t m, std::size_t k, std::size_t n, T alpha,
       const std::size_t n_kb = (ksw + KC - 1) / KC;
       // k-block pc (relative to ks) of the B panel starts at b_cols * pc, and
       // of a packed A row panel at round_up(mc, MR) * pc.
-      par::parallel_for(slab_opts, 0, n_kb * n_jb, [&](std::size_t s) {
+      par::parallel_for(opts, 0, n_kb * n_jb, [&](std::size_t s) {
         const std::size_t pc = (s / n_jb) * KC, jr0 = (s % n_jb) * JB;
         const std::size_t kc = std::min(KC, ksw - pc);
         pack_b(bbuf + b_cols * pc + (jr0 / NR) * NR * kc, bv, ks + pc,
@@ -387,7 +385,7 @@ void gemm_blocked(std::size_t m, std::size_t k, std::size_t n, T alpha,
       std::vector<std::atomic<std::size_t>> next(lanes);
       for (std::size_t l = 0; l < lanes; ++l)
         next[l].store(l * n_tiles / lanes, std::memory_order_relaxed);
-      par::parallel_for(slab_opts, 0, lanes, [&](std::size_t lane) {
+      par::parallel_for(opts, 0, lanes, [&](std::size_t lane) {
         for (std::size_t v = 0; v < lanes; ++v) {
           const std::size_t l = (lane + v) % lanes;
           const std::size_t end = (l + 1) * n_tiles / lanes;

@@ -13,13 +13,6 @@ struct ParallelOptions {
   /// variable if set, otherwise the global pool size. 1 = run serially on the
   /// calling thread (no pool involvement).
   std::size_t n_threads = 0;
-  /// Minimum iterations per dynamically-claimed chunk. 0 (the default)
-  /// auto-sizes to ~8 chunks per claimant — large ranges stop paying one
-  /// atomic claim per iteration; set 1 explicitly when every iteration is a
-  /// coarse unit of work (a GEMM macro-tile, a DMET fragment solve).
-  /// Chunking never changes results: bodies write per-index slots and
-  /// reductions combine in index order.
-  std::size_t grain = 0;
 };
 
 /// Resolves `opts.n_threads`: explicit value > process default (set via

@@ -40,16 +40,6 @@ obs::Gauge& occupancy_gauge() {
   static obs::Gauge& g = obs::Registry::global().gauge("pool.active_chunks");
   return g;
 }
-/// Per-loop distribution of chunk-slot occupancy: each parallel_for observes
-/// (end - begin) / (chunks * grain) once. Below 1.0 the final chunk is
-/// ragged — a grain mismatched to the range. A histogram rather than a
-/// gauge: concurrent/nested loops used to overwrite each other
-/// (last-writer-wins), turning nested-loop profiles into garbage.
-obs::Histogram& grain_occupancy_histogram() {
-  static obs::Histogram& h = obs::Registry::global().histogram(
-      "pool.grain_occupancy", {0.25, 0.5, 0.75, 0.9, 0.99, 1.0});
-  return h;
-}
 std::size_t env_threads() {
   const char* s = std::getenv("Q2_THREADS");
   if (!s || !*s) return 0;
@@ -168,14 +158,13 @@ bool ThreadPool::try_run_one() {
   return true;
 }
 
-// Shared state of one parallel_for: a dynamic chunk counter plus completion
+// Shared state of one parallel_for: a dynamic index counter plus completion
 // and error tracking. Helpers and the caller all claim through the same
-// atomics; the loop is over when the range is exhausted AND no chunk is still
-// executing.
+// atomics, one index (one chunk) per claim; the loop is over when the range
+// is exhausted AND no chunk is still executing.
 struct ThreadPool::LoopState {
   std::atomic<std::size_t> next;
   std::size_t end;
-  std::size_t grain;
   const std::function<void(std::size_t)>* fn;
   std::atomic<std::size_t> active{0};  ///< chunks currently executing
   /// Caller's open-span path at dispatch: claimants adopt it so their
@@ -198,20 +187,19 @@ void ThreadPool::run_chunks(LoopState& st) {
     // Claim-then-mark-active would race completion (claimed but not yet
     // active looks idle), so mark active first and undo on a failed claim.
     st.active.fetch_add(1, std::memory_order_acq_rel);
-    const std::size_t lo = st.next.fetch_add(st.grain);
-    if (lo >= st.end) {
+    const std::size_t i = st.next.fetch_add(1);
+    if (i >= st.end) {
       if (st.active.fetch_sub(1, std::memory_order_acq_rel) == 1) {
         std::lock_guard<std::mutex> lk(st.m);
         st.done_cv.notify_all();
       }
       return;
     }
-    const std::size_t hi = std::min(st.end, lo + st.grain);
     occupancy_gauge().add(1.0);
     chunk_counter().add();
     try {
       OBS_SPAN_TRACE_ONLY("pool/chunk");
-      for (std::size_t i = lo; i < hi; ++i) (*st.fn)(i);
+      (*st.fn)(i);
     } catch (...) {
       {
         std::lock_guard<std::mutex> lk(st.m);
@@ -231,15 +219,13 @@ void ThreadPool::run_chunks(LoopState& st) {
 
 void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
                               const std::function<void(std::size_t)>& fn,
-                              std::size_t grain, std::size_t max_threads) {
+                              std::size_t max_threads) {
   if (begin >= end) return;
   parallel_for_counter().add();
-  grain = std::max<std::size_t>(grain, 1);
 
   auto st = std::make_shared<LoopState>();
   st->next.store(begin, std::memory_order_relaxed);
   st->end = end;
-  st->grain = grain;
   st->fn = &fn;
   st->profile_path = obs::current_profile_path();
 
@@ -247,10 +233,7 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
   // hold st alive via the shared_ptr so an early-returning caller (exception
   // path) can never dangle — but the barrier below means st outlives them
   // anyway.
-  const std::size_t chunks = (end - begin + grain - 1) / grain;
-  grain_occupancy_histogram().observe(double(end - begin) /
-                                      double(chunks * grain));
-  std::size_t claimants = std::min(size() + 1, chunks);
+  std::size_t claimants = std::min(size() + 1, end - begin);
   if (max_threads > 0) claimants = std::min(claimants, max_threads);
   for (std::size_t w = 1; w < claimants; ++w)
     submit([st] { run_chunks(*st); });
@@ -317,14 +300,7 @@ void parallel_for(const ParallelOptions& opts, std::size_t begin,
     for (std::size_t i = begin; i < end; ++i) fn(i);
     return;
   }
-  std::size_t grain = opts.grain;
-  if (grain == 0) {
-    // Auto-grain: ~8 chunks per claimant. Dynamic claiming still balances
-    // ragged bodies, but a 652k-iteration SVD rotation sweep stops paying
-    // 652k atomic claims (and chunk-counter bumps) for 1-element chunks.
-    grain = std::max<std::size_t>(1, (end - begin) / (n * 8));
-  }
-  ThreadPool::global().parallel_for(begin, end, fn, grain, n);
+  ThreadPool::global().parallel_for(begin, end, fn, n);
 }
 
 }  // namespace q2::par

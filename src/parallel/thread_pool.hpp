@@ -45,12 +45,14 @@ class ThreadPool {
   std::future<void> submit(std::function<void()> task);
 
   /// Run fn(i) for i in [begin, end) across the pool and wait for completion.
-  /// The caller participates; safe to call from inside a pool task. If fn
-  /// throws, the first exception is rethrown here after all chunks retire
-  /// (remaining unclaimed iterations are abandoned).
+  /// Claimants take one index at a time, at most `max_threads` of them at
+  /// once (0: the pool plus the caller). The caller participates; safe to
+  /// call from inside a pool task. If fn throws, the first exception is
+  /// rethrown here after all chunks retire (remaining unclaimed iterations
+  /// are abandoned).
   void parallel_for(std::size_t begin, std::size_t end,
                     const std::function<void(std::size_t)>& fn,
-                    std::size_t grain = 1, std::size_t max_threads = 0);
+                    std::size_t max_threads = 0);
 
   /// Pop and execute one queued task on the calling thread. Returns false if
   /// the queue was empty. Used internally to help while waiting; exposed for
@@ -86,10 +88,8 @@ class ThreadPool {
 /// Options-driven entry point for the on-node hot loops: resolves the thread
 /// count (explicit > Q2_THREADS > pool size), runs fn(i) serially on the
 /// calling thread when it resolves to 1, and otherwise fans out on the global
-/// pool with at most that many concurrent claimants. opts.grain == 0 (the
-/// default) auto-sizes chunks to ~8 per claimant, bounding the atomic
-/// claim overhead on huge ranges (the 652k-chunk SVD sweeps) while keeping
-/// dynamic load balance; chunking never affects results — bodies write
+/// pool with at most that many concurrent claimants, each claiming one index
+/// at a time. Which thread runs an index never affects results: bodies write
 /// per-index slots and reductions combine in index order.
 void parallel_for(const ParallelOptions& opts, std::size_t begin,
                   std::size_t end, const std::function<void(std::size_t)>& fn);

@@ -876,46 +876,15 @@ std::vector<cplx> Mps::to_statevector() const {
 
 MpsState Mps::export_state() const {
   require(perm_.is_identity(),
-          "Mps::export_state: the checkpoint format stores site tensors "
-          "only; run logical (unpermuted) circuits before checkpointing");
+          "Mps::export_state: the site tensors of a permuted state do not "
+          "describe it alone");
   MpsState s;
-  s.n_qubits = n_;
-  s.max_bond = options_.max_bond;
-  s.svd_cutoff = options_.svd_cutoff;
   s.tensors = tensors_;
   s.dl = dl_;
   s.dr = dr_;
   s.lambda = lambda_;
   s.truncation_error = truncation_error_;
   return s;
-}
-
-Mps Mps::import_state(const MpsState& state,
-                      const par::ParallelOptions& parallel) {
-  require(state.n_qubits >= 2, "Mps::import_state: need at least two qubits");
-  const std::size_t n = std::size_t(state.n_qubits);
-  require(state.tensors.size() == n && state.dl.size() == n &&
-              state.dr.size() == n && state.lambda.size() == n - 1,
-          "Mps::import_state: inconsistent per-site array sizes");
-  for (std::size_t k = 0; k < n; ++k) {
-    require(state.tensors[k].size() == state.dl[k] * 2 * state.dr[k],
-            "Mps::import_state: site tensor size mismatch");
-    if (k + 1 < n)
-      require(state.dr[k] == state.dl[k + 1] &&
-                  state.lambda[k].size() == state.dr[k],
-              "Mps::import_state: bond dimension mismatch");
-  }
-  MpsOptions options;
-  options.max_bond = state.max_bond;
-  options.svd_cutoff = state.svd_cutoff;
-  options.parallel = parallel;
-  Mps mps(state.n_qubits, options);
-  mps.tensors_ = state.tensors;
-  mps.dl_ = state.dl;
-  mps.dr_ = state.dr;
-  mps.lambda_ = state.lambda;
-  mps.truncation_error_ = state.truncation_error;
-  return mps;
 }
 
 MpsOverlap::MpsOverlap(const Mps& bra, const Mps& ket)

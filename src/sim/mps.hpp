@@ -30,15 +30,11 @@ struct MpsOptions {
   par::ParallelOptions parallel;
 };
 
-/// Complete serializable simulator state, produced/consumed by the checkpoint
-/// layer (src/ckpt). The engine is kept right-canonical throughout, so the
-/// canonical center is implicitly site 0; the checkpoint record still carries
-/// a canonical-form tag so future mixed-canonical engines can evolve the
-/// format without breaking old snapshots.
+/// The arrays that hold an unpermuted engine's state (Mps::export_state),
+/// for comparing two engines bit for bit. Nothing stores or reloads them:
+/// a VQE snapshot holds the optimizer state and recomputes the MPS from its
+/// parameters.
 struct MpsState {
-  int n_qubits = 0;
-  std::size_t max_bond = 0;
-  double svd_cutoff = 0.0;
   std::vector<std::vector<cplx>> tensors;   ///< site tensors, (dl, 2, dr) each
   std::vector<std::size_t> dl, dr;          ///< per-site bond dimensions
   std::vector<std::vector<double>> lambda;  ///< Schmidt vectors per bond
@@ -201,13 +197,10 @@ class Mps {
   /// Contract everything (n <= ~24) — the test oracle path.
   std::vector<cplx> to_statevector() const;
 
-  /// Snapshot of the full simulator state (tensors, bonds, Schmidt vectors,
-  /// truncation accounting) for the checkpoint layer.
+  /// Copies of the site tensors, bonds, Schmidt vectors and accumulated
+  /// truncation error; throws on a permuted state, which they do not
+  /// describe alone.
   MpsState export_state() const;
-  /// Rebuilds an engine from an exported state; `parallel` is runtime
-  /// configuration and intentionally not part of the persisted state.
-  static Mps import_state(const MpsState& state,
-                          const par::ParallelOptions& parallel = {});
 
  private:
   friend class MpsOverlap;
@@ -253,7 +246,7 @@ class Mps {
   std::vector<std::vector<double>> lambda_;  // lambda_[k]: bond between k,k+1
   // Residual logical→site permutation from compiled runs. Site tensors are
   // always indexed by *site*; this map is consulted only at the measurement
-  // boundary (expectation, to_statevector). Checkpoints require identity.
+  // boundary (expectation, to_statevector).
   circ::QubitPermutation perm_;
   double truncation_error_ = 0.0;
   // Mutated only by the (non-const) apply paths. An engine instance is

@@ -79,9 +79,8 @@ void deal_lpt(
   const std::vector<std::size_t> assignment = par::lpt_assign(costs, threads);
   std::vector<std::vector<std::size_t>> bins(threads);
   for (std::size_t j = 0; j < n; ++j) bins[assignment[j]].push_back(j);
-  par::ThreadPool::global().parallel_for(
-      0, threads, [&](std::size_t b) { run_bin(bins[b]); },
-      /*grain=*/1, /*max_threads=*/threads);
+  par::parallel_for(par::ParallelOptions{threads}, 0, threads,
+                    [&](std::size_t b) { run_bin(bins[b]); });
 }
 
 // Every n-th entry of `items`, starting at `worker`.
@@ -106,10 +105,10 @@ void deal_sweeps(
     sweep(items);
     return;
   }
-  par::ThreadPool::global().parallel_for(
-      0, n_workers,
-      [&](std::size_t w) { sweep(round_robin_share(items, w, n_workers)); },
-      /*grain=*/1, /*max_threads=*/n_workers);
+  par::parallel_for(par::ParallelOptions{n_workers}, 0, n_workers,
+                    [&](std::size_t w) {
+                      sweep(round_robin_share(items, w, n_workers));
+                    });
 }
 
 // One worker's forward sweep over a compiled stream: a base state advanced at
@@ -157,42 +156,36 @@ EnergyEvaluator::EnergyEvaluator(circ::Circuit ansatz,
           "EnergyEvaluator: qubit count mismatch");
   require(hamiltonian_.is_hermitian(1e-8),
           "EnergyEvaluator: Hamiltonian must be Hermitian");
+  require(mode_ == MeasurementMode::kHadamardTest ||
+              storage_ == CircuitStorage::kMemoryEfficient,
+          "EnergyEvaluator: kStoreAll stores Hadamard-test circuits; direct "
+          "measurement prepares every state from the one compiled ansatz");
   for (auto& [p, c] : hamiltonian_.sorted_terms()) {
     if (p.is_identity())
       constant_ += c.real();
     else
       terms_.emplace_back(std::move(p), c);
   }
-  if (storage_ == CircuitStorage::kStoreAll &&
-      mode_ == MeasurementMode::kHadamardTest) {
+  if (storage_ == CircuitStorage::kStoreAll) {
     stored_circuits_.reserve(terms_.size());
     for (const auto& [p, c] : terms_)
       stored_circuits_.push_back(sim::hadamard_test_circuit(ansatz_, p));
   }
   // Compile the ansatz once: lazy reordering + fusion + residual output
-  // permutation, replayed with fresh parameter vectors every evaluation.
-  // kStoreAll keeps the historical bind-and-eager-route path so the Fig. 9
-  // storage-scheme comparison still measures what it claims to.
-  use_compiled_ = mode_ == MeasurementMode::kDirect &&
-                  storage_ == CircuitStorage::kMemoryEfficient;
-  if (use_compiled_) compiled_ = circ::compile_for_mps(ansatz_);
+  // permutation, replayed with fresh parameter vectors every preparation.
+  compiled_ = circ::compile_for_mps(ansatz_);
   const std::size_t half = std::size_t(ansatz_.n_qubits()) / 2;
-  adjoint_exact_ = use_compiled_ && half < 64 &&
+  adjoint_exact_ = mode_ == MeasurementMode::kDirect && half < 64 &&
                    mps_options_.max_bond >= (std::size_t(1) << half);
-  if (mode_ == MeasurementMode::kDirect) {
-    // The measured states carry compiled_.output_perm on the compiled path
-    // and the identity on the eager one.
-    const circ::QubitPermutation identity(ansatz_.n_qubits());
-    mpo_ = pauli::build_measurement_mpo(
-        terms_,
-        (use_compiled_ ? compiled_.output_perm : identity).site_of_map());
-  }
+  // The measured states carry compiled_.output_perm.
+  if (mode_ == MeasurementMode::kDirect)
+    mpo_ = pauli::build_measurement_mpo(terms_,
+                                        compiled_.output_perm.site_of_map());
   transfers_gauge().set(double(transfers_per_evaluation()));
   all_terms_.resize(terms_.size());
   std::iota(all_terms_.begin(), all_terms_.end(), std::size_t{0});
 
-  const std::vector<circ::Gate>& stream =
-      use_compiled_ ? compiled_.gates.gates() : ansatz_.gates();
+  const std::vector<circ::Gate>& stream = compiled_.gates.gates();
   first_gate_.assign(n_parameters(), stream.size());
   for (std::size_t i = stream.size(); i-- > 0;)
     if (stream[i].is_parametric())
@@ -270,9 +263,10 @@ std::vector<double> EnergyEvaluator::gradient(
   }
   std::vector<double> g(n_parameters(), 0.0);
 
-  // The expression finite_difference_gradient evaluates, entry by entry:
-  // same shifted points, same constant-first sum, same difference quotient.
-  if (!use_compiled_) {
+  // Hadamard-test mode measures every string as its own circuit, so each
+  // entry takes two full energies: the expression finite_difference_gradient
+  // evaluates, with the same shifted points, constant-first sum and quotient.
+  if (mode_ == MeasurementMode::kHadamardTest) {
     std::vector<double> xp = x;
     for (std::size_t k : owned) {
       xp[k] = x[k] + eps;
@@ -317,16 +311,10 @@ std::vector<double> EnergyEvaluator::gradient(
 }
 
 sim::Mps EnergyEvaluator::prepare(const std::vector<double>& x) const {
+  // Compiled once in the constructor; parameters bind at apply time and
+  // measurement maps through the residual permutation.
   sim::Mps state(ansatz_.n_qubits(), mps_options_);
-  if (use_compiled_) {
-    // Compiled once in the constructor; parameters bind at apply time and
-    // measurement maps through the residual permutation.
-    state.run(compiled_, x);
-  } else {
-    // The eager baseline (kStoreAll, or state_at in Hadamard-test mode):
-    // re-materialize the bound circuit every call.
-    state.run(bind_parameters(ansatz_, x), {});
-  }
+  state.run(compiled_, x);
   return state;
 }
 
@@ -479,64 +467,34 @@ std::vector<double> EnergyEvaluator::parameter_shift_gradient(
   // Two evaluations per occurrence, at +pi/2 (slot 2j) and -pi/2 (2j+1).
   // The inner term sweep stays serial: the shifted circuits already fan out.
   std::vector<double> shifted_e(2 * occurrences.size());
-  auto shift_of = [](std::size_t side) {
-    return side == 0 ? kPi / 2 : -kPi / 2;
+  // Shifting occurrence j changes no gate before its own: the sweep advances
+  // past it once, and each shift applies the shifted gate to a copy and
+  // replays the suffix.
+  std::vector<std::size_t> occurrence_gate;
+  const std::vector<circ::Gate>& stream = compiled_.gates.gates();
+  for (std::size_t i = 0; i < stream.size(); ++i)
+    if (stream[i].is_parametric()) occurrence_gate.push_back(i);
+  auto sweep_share = [&](const std::vector<std::size_t>& share) {
+    PrefixSweep sweep(compiled_, params, mps_options_);
+    for (std::size_t occ : share) {
+      const std::size_t at = occurrence_gate[occ];
+      for (std::size_t side = 0; side < 2; ++side) {
+        OBS_SPAN("vqe/shifted_circuit");
+        circ::Gate shifted = stream[at];
+        shifted.theta =
+            shifted.angle(params) + (side == 0 ? kPi / 2 : -kPi / 2);
+        shifted.param_index = -1;
+        shifted.param_scale = 1.0;
+        sim::Mps& state = sweep.branch_at(at);
+        state.apply(shifted, params);
+        state.run(compiled_, params, at + 1, stream.size());
+        shifted_e[2 * occ + side] = measure_all(state);
+      }
+    }
   };
-
-  if (use_compiled_) {
-    // Shifting occurrence j changes no gate before its own: the sweep
-    // advances past it once, and each shift applies the shifted gate to a
-    // copy and replays the suffix.
-    std::vector<std::size_t> occurrence_gate;
-    const std::vector<circ::Gate>& stream = compiled_.gates.gates();
-    for (std::size_t i = 0; i < stream.size(); ++i)
-      if (stream[i].is_parametric()) occurrence_gate.push_back(i);
-    auto sweep_share = [&](const std::vector<std::size_t>& share) {
-      PrefixSweep sweep(compiled_, params, mps_options_);
-      for (std::size_t occ : share) {
-        const std::size_t at = occurrence_gate[occ];
-        for (std::size_t side = 0; side < 2; ++side) {
-          OBS_SPAN("vqe/shifted_circuit");
-          circ::Gate shifted = stream[at];
-          shifted.theta = shifted.angle(params) + shift_of(side);
-          shifted.param_index = -1;
-          shifted.param_scale = 1.0;
-          sim::Mps& state = sweep.branch_at(at);
-          state.apply(shifted, params);
-          state.run(compiled_, params, at + 1, stream.size());
-          shifted_e[2 * occ + side] = measure_all(state);
-        }
-      }
-    };
-    std::vector<std::size_t> order(occurrence_gate.size());
-    std::iota(order.begin(), order.end(), std::size_t{0});
-    deal_sweeps(mps_options_.parallel, order, sweep_share);
-  } else {
-    // Eager baseline: bind a copy of the ansatz with one occurrence's angle
-    // overridden and run it whole. Each evaluation owns its circuit and
-    // engine, so the 2N evaluations fan out independently.
-    par::ParallelOptions opts = mps_options_.parallel;
-    opts.grain = 1;  // each evaluation is a full circuit run
-    par::parallel_for(opts, 0, shifted_e.size(), [&](std::size_t j) {
-      OBS_SPAN("vqe/shifted_circuit");
-      circ::Circuit shifted(ansatz_.n_qubits());
-      std::size_t seen = 0;
-      for (circ::Gate g : ansatz_.gates()) {
-        if (g.is_parametric()) {
-          if (seen == j / 2) {
-            g.theta = g.angle(params) + shift_of(j % 2);
-            g.param_index = -1;
-            g.param_scale = 1.0;
-          }
-          ++seen;
-        }
-        shifted.append(std::move(g));
-      }
-      sim::Mps state(ansatz_.n_qubits(), mps_options_);
-      state.run(bind_parameters(shifted, params), {});
-      shifted_e[j] = measure_all(state);
-    });
-  }
+  std::vector<std::size_t> order(occurrence_gate.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  deal_sweeps(mps_options_.parallel, order, sweep_share);
 
   // Chain-rule serially so each entry is assembled in occurrence order.
   std::vector<double> grad(n_parameters(), 0.0);

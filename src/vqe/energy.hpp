@@ -1,12 +1,14 @@
 // The VQE energy evaluator: prepares |psi(theta)> and measures
-// E = sum_k c_k <P_k>. Two measurement paths (direct: one sweep of the
-// Hamiltonian's exact MPO on the prepared MPS, or one Hadamard-test circuit
-// per string — the hardware-faithful mode of Fig. 5)
-// and two circuit-storage modes (the Fig. 9 comparison: store all bound
-// circuits versus one parametric ansatz replica + on-the-fly tails). Three
-// gradients: the adjoint pass where the MPS is exact, central differences
-// everywhere (what the drivers fall back to), and the parameter-shift rule
-// (the exact reference the other two are tested against).
+// E = sum_k c_k <P_k>. Every |psi(theta)> it prepares runs one parametric
+// ansatz replica, compiled once, with each call's parameters bound at run
+// time (the memory-efficient scheme of Fig. 9). Two measurement paths
+// (direct: one sweep of the Hamiltonian's exact MPO on the prepared MPS, or
+// one Hadamard-test circuit per string — the hardware-faithful mode of
+// Fig. 5, which can also store every string's circuit, the baseline Fig. 9
+// compares against). Three gradients: the adjoint pass where the MPS is
+// exact, central differences everywhere (what the drivers fall back to), and
+// the parameter-shift rule (the exact reference the other two are tested
+// against).
 #pragma once
 
 #include <atomic>
@@ -27,13 +29,17 @@ enum class MeasurementMode {
   kHadamardTest,  ///< paper-faithful: one ancilla circuit per Pauli string
 };
 
+/// How Hadamard-test mode holds its per-string circuits (Fig. 9). Direct
+/// mode measures the compiled replica's state and takes kMemoryEfficient
+/// only.
 enum class CircuitStorage {
-  kStoreAll,         ///< bind+store one full circuit per string (baseline)
+  kStoreAll,         ///< one stored Hadamard-test circuit per string
   kMemoryEfficient,  ///< one parametric ansatz replica (paper's scheme)
 };
 
 class EnergyEvaluator {
  public:
+  /// Throws q2::Error for kDirect with kStoreAll.
   EnergyEvaluator(circ::Circuit ansatz, pauli::QubitOperator hamiltonian,
                   sim::MpsOptions mps_options = {},
                   MeasurementMode mode = MeasurementMode::kDirect,
@@ -75,13 +81,14 @@ class EnergyEvaluator {
   /// thread count and for any split of the parameters into owned subsets —
   /// so ranks that each compute a share assemble the serial gradient.
   ///
-  /// On the compiled direct path the owned parameters are dealt round-robin,
-  /// in first-gate order, over the pool workers. Each worker makes one
-  /// forward sweep: it advances a base MPS along the compiled stream to a
+  /// In direct mode the owned parameters are dealt round-robin, in
+  /// first-gate order, over the pool workers. Each worker makes one forward
+  /// sweep: it advances a base MPS along the compiled stream to a
   /// parameter's first gate, copies it, and replays only the suffix at
   /// x +- eps e_k (a shift changes no gate before that one). A worker holds
-  /// at most two MPS. The term sweep inside each evaluation is serial. Other
-  /// paths evaluate each owned entry with two full energy evaluations.
+  /// at most two MPS. The term sweep inside each evaluation is serial.
+  /// Hadamard-test mode evaluates each owned entry with two full Hadamard
+  /// energies.
   std::vector<double> gradient(const std::vector<double>& x, double eps,
                                const std::vector<std::size_t>& owned) const;
   /// gradient() over every parameter.
@@ -103,8 +110,8 @@ class EnergyEvaluator {
   static constexpr double kAdjointTruncationBound = 1e-20;
 
   /// The exact gradient by one backward pass (Jones & Gacon, arXiv:2009.02823)
-  /// where the MPS is exact, else nullopt. It needs the compiled direct path
-  /// with a bond cap that cannot bind (max_bond >= 2^floor(n/2)) and a
+  /// where the MPS is exact, else nullopt. It needs direct mode with a bond
+  /// cap that cannot bind (max_bond >= 2^floor(n/2)) and a
   /// preparation of psi(x) that discards at most kAdjointTruncationBound.
   /// Then lambda = sum_k c_k P_k |psi> comes from the measurement MPO
   /// (sim::Mps::apply_mpo), and the pass walks the compiled stream
@@ -131,10 +138,10 @@ class EnergyEvaluator {
   /// nothing more; otherwise it prepares nothing.
   bool adjoint_applies(const std::vector<double>& x) const;
   /// psi(x) to measure: a copy of the kept state when x's bits equal the
-  /// kept point's, else one preparation by the evaluator's own path (the
-  /// compiled stream, or the bound circuit run eagerly). Fills no slot. The
-  /// DMET fragment solver measures its observables on it, so they are read
-  /// from the state its VQE optimized.
+  /// kept point's, else one preparation along the compiled stream, in either
+  /// measurement mode; it carries the stream's output permutation. Fills no
+  /// slot. The DMET fragment solver measures its observables on it, so they
+  /// are read from the state its VQE optimized.
   sim::Mps state_at(const std::vector<double>& x) const;
 
   /// Exact gradient via the parameter-shift rule: every occurrence of a
@@ -143,10 +150,10 @@ class EnergyEvaluator {
   /// the occurrence's scale. This is what differentiation costs on hardware
   /// (two circuit evaluations per rotation); the drivers here use
   /// adjoint_gradient() or central differences, and this stays as the exact
-  /// reference they are tested against. On the compiled path the
-  /// occurrences share prefixes the same way gradient() does: one forward
-  /// sweep per pool worker, each shifted evaluation replaying only the
-  /// suffix from its own gate.
+  /// reference they are tested against. The occurrences share prefixes of
+  /// the compiled stream the same way gradient() does: one forward sweep per
+  /// pool worker, each shifted evaluation replaying only the suffix from its
+  /// own gate, measured term by term in Hadamard-test mode.
   std::vector<double> parameter_shift_gradient(
       const std::vector<double>& params) const;
 
@@ -176,8 +183,7 @@ class EnergyEvaluator {
   std::size_t transfers_per_evaluation() const { return mpo_.updates; }
   /// The measurement MPO (empty in Hadamard-test mode).
   const pauli::MeasurementMpo& measurement_mpo() const { return mpo_; }
-  /// The cached compiled ansatz (empty circuit when the eager baseline path
-  /// is active, i.e. kStoreAll or Hadamard-test mode).
+  /// The compiled ansatz every preparation runs, in both measurement modes.
   const circ::CompiledCircuit& compiled_ansatz() const { return compiled_; }
 
  private:
@@ -209,8 +215,7 @@ class EnergyEvaluator {
     sim::Mps psi;
     sim::MpsRecording recording;  ///< empty unless recorded()
   };
-  /// psi(x) by the evaluator's own path: the compiled stream, or the bound
-  /// circuit run eagerly.
+  /// psi(x) run along the compiled stream.
   sim::Mps prepare(const std::vector<double>& x) const;
   /// psi(x) run along the compiled stream with its recording; only where
   /// the static cap test holds.
@@ -233,22 +238,19 @@ class EnergyEvaluator {
   CircuitStorage storage_;
   std::vector<std::pair<pauli::PauliString, cplx>> terms_;
   double constant_ = 0.0;
-  /// Compiled-once ansatz for the direct memory-efficient path; parameters
-  /// bind at run time, so energy/gradient calls never re-route.
+  /// The compiled-once ansatz; parameters bind at run time, so
+  /// energy/gradient calls never re-route.
   circ::CompiledCircuit compiled_;
-  bool use_compiled_ = false;
-  /// The compiled direct path with max_bond >= 2^floor(n/2): no cut of an
-  /// n-qubit state needs more, so the cap never truncates.
+  /// Direct mode with max_bond >= 2^floor(n/2): no cut of an n-qubit state
+  /// needs more, so the cap never truncates.
   bool adjoint_exact_ = false;
   /// Exact MPO of Σ c_k P_k in the measured states' site order
-  /// (compiled_.output_perm on the compiled path, else the identity); built
-  /// in direct mode only.
+  /// (compiled_.output_perm); built in direct mode only.
   pauli::MeasurementMpo mpo_;
   /// 0..n_terms()-1: the term list of a full energy evaluation.
   std::vector<std::size_t> all_terms_;
-  /// Per parameter: index of its first gate in the stream the gradients
-  /// sweep (the compiled stream, else the ansatz); the stream's size when no
-  /// gate uses it.
+  /// Per parameter: index of its first gate in the compiled stream; the
+  /// stream's size when no gate uses it.
   std::vector<std::size_t> first_gate_;
   /// Parameters sorted by first gate (ties by index): the order gradient
   /// shares are dealt in.
@@ -267,7 +269,7 @@ class EnergyEvaluator {
   /// misses prepares its own state, with the same bits.
   mutable std::mutex kept_mutex_;
   mutable std::shared_ptr<const PreparedState> kept_;
-  /// kStoreAll + kHadamardTest: the full per-string circuits, pre-built.
+  /// kStoreAll: the full per-string Hadamard-test circuits, pre-built.
   std::vector<circ::Circuit> stored_circuits_;
 };
 

@@ -183,7 +183,7 @@ VqeResult run_vqe_on(const EnergyEvaluator& evaluator,
     if (std::optional<std::vector<double>> adjoint =
             evaluator.adjoint_gradient(x))
       return std::move(*adjoint);
-    return evaluator.gradient(x, options.gradient_eps);
+    return evaluator.gradient(x, kGradientEps);
   };
   return optimize(evaluator, ansatz, options, f, g);
 }
@@ -244,7 +244,7 @@ VqeResult run_vqe_distributed(const chem::MoIntegrals& mo, int n_alpha,
       if (std::optional<std::vector<double>> adjoint =
               evaluator.adjoint_gradient(x))
         return std::move(*adjoint);
-      return distributed_gradient(evaluator, x, options.gradient_eps, comm);
+      return distributed_gradient(evaluator, x, kGradientEps, comm);
     };
     return optimize(evaluator, ansatz, options, f, g, report);
   }
@@ -272,7 +272,7 @@ VqeResult run_vqe_distributed(const chem::MoIntegrals& mo, int n_alpha,
         [&](const std::vector<double>& xp) {
           return split_energy(xp, /*iterate=*/false);
         },
-        x, options.gradient_eps);
+        x, kGradientEps);
   };
   return optimize(evaluator, ansatz, options, f, g, report);
 }

@@ -19,12 +19,15 @@
 
 namespace q2::vqe {
 
+/// The central-difference step of EnergyEvaluator::gradient where the
+/// drivers cannot take the adjoint gradient.
+inline constexpr double kGradientEps = 1e-5;
+
 struct VqeOptions {
   sim::MpsOptions mps;
   UccsdOptions ansatz;
   OptimizerOptions optimizer;
   MeasurementMode measurement = MeasurementMode::kDirect;
-  double gradient_eps = 1e-5;
   /// Starting point of the optimizer; empty means initial_parameters(ansatz).
   /// Must hold one finite entry per ansatz parameter (checked, never
   /// silently replaced). A resumed checkpoint takes precedence over it. The

@@ -106,7 +106,7 @@ TEST(Dmet, H4RingWithinHalfPercentOfFci) {
   EXPECT_LT(std::abs((r.energy - e_fci) / e_fci), 5e-3);
   // DMET should improve on the mean-field reference.
   EXPECT_LT(std::abs(r.energy - e_fci), std::abs(e_hf - e_fci));
-  EXPECT_NEAR(r.total_electrons, 4.0, opts.electron_tolerance * 10);
+  EXPECT_NEAR(r.total_electrons, 4.0, kElectronTolerance * 10);
 }
 
 TEST(Dmet, H6RingElectronCountMatches) {
@@ -169,7 +169,7 @@ TEST(Dmet, MuBracketWithinBudgetStillConverges) {
                                 }));
   EXPECT_TRUE(r.converged);
   EXPECT_NEAR(r.mu, 5.0, 0.01);
-  EXPECT_NEAR(r.total_electrons, 2.0, opts.electron_tolerance * 2);
+  EXPECT_NEAR(r.total_electrons, 2.0, kElectronTolerance * 2);
 }
 
 TEST(Dmet, ParallelFragmentSolvesBitIdenticalToSerial) {

@@ -13,7 +13,6 @@
 #include <string>
 #include <thread>
 
-#include "obs/metrics.hpp"
 #include "parallel/comm.hpp"
 #include "parallel/scheduler.hpp"
 #include "parallel/thread_pool.hpp"
@@ -34,7 +33,7 @@ TEST(ThreadPool, ExecutesSubmittedTasks) {
 TEST(ThreadPool, ParallelForCoversRangeExactlyOnce) {
   ThreadPool pool(3);
   std::vector<std::atomic<int>> hits(1000);
-  pool.parallel_for(0, 1000, [&](std::size_t i) { hits[i].fetch_add(1); }, 7);
+  pool.parallel_for(0, 1000, [&](std::size_t i) { hits[i].fetch_add(1); });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
@@ -158,7 +157,7 @@ TEST(ThreadPool, MaxThreadsCapsClaimants) {
         }
         concurrent.fetch_sub(1);
       },
-      1, /*max_threads=*/1);
+      /*max_threads=*/1);
   EXPECT_EQ(peak.load(), 1);
 }
 
@@ -233,26 +232,6 @@ TEST(ParallelForOptions, InvalidEnvThreadsWarnsOnceAndFallsThrough) {
   resolve_threads(opts);
   EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
   unsetenv("Q2_THREADS");
-}
-
-TEST(ThreadPool, GrainOccupancyHistogramRecordsPerLoop) {
-  // Two loops with different raggedness must both land in the histogram —
-  // the old gauge was last-writer-wins, so concurrent/nested loops erased
-  // each other's values.
-  using q2::obs::Registry;
-  auto& h = Registry::global().histogram("pool.grain_occupancy",
-                                         {0.25, 0.5, 0.75, 0.9, 0.99, 1.0});
-  const std::uint64_t before = h.count();
-  ThreadPool pool(2);
-  // range 8, grain 4 -> 2 full chunks, occupancy 1.0.
-  pool.parallel_for(0, 8, [](std::size_t) {}, 4);
-  // range 7, grain 4 -> 2 chunks cover 8 slots, occupancy 7/8.
-  pool.parallel_for(0, 7, [](std::size_t) {}, 4);
-  EXPECT_EQ(h.count() - before, 2u);
-  // 7/8 lands in the (0.75, 0.9] bucket; 1.0 in the (0.99, 1.0] bucket.
-  const auto counts = h.bucket_counts();
-  EXPECT_GE(counts[3], 1u);
-  EXPECT_GE(counts[5], 1u);
 }
 
 TEST(Comm, BarrierAndRanks) {

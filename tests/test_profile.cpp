@@ -157,7 +157,6 @@ TEST_F(ProfileTest, SvdWorkAccountingIsThreadCountInvariant) {
     obs::clear_profile();
     par::ParallelOptions opts;
     opts.n_threads = threads;
-    opts.grain = 1;
     par::parallel_for(opts, 0, kCalls, [&](std::size_t) {
       la::SvdWorkspace ws;
       (void)la::svd_truncated_ws(ws, a.data(), n, n, n, nullptr,
@@ -200,7 +199,6 @@ TEST_F(ProfileTest, MpsTwoSiteNodeAccumulatesSubtreeWork) {
 TEST_F(ProfileTest, PoolWorkersAdoptTheDispatchingSpanPath) {
   par::ParallelOptions opts;
   opts.n_threads = 4;
-  opts.grain = 1;
   {
     OBS_SPAN("test/fanout");
     par::parallel_for(opts, 0, 8, [](std::size_t) {
@@ -224,7 +222,6 @@ TEST_F(ProfileTest, PoolWorkersAdoptTheDispatchingSpanPath) {
 TEST_F(ProfileTest, SelfTimeIsNonNegativeUnderPoolFanOut) {
   par::ParallelOptions opts;
   opts.n_threads = 4;
-  opts.grain = 1;
   {
     OBS_SPAN("test/fanout_parent");
     par::parallel_for(opts, 0, 4, [](std::size_t) {

@@ -157,7 +157,6 @@ TEST(SvdDiff, BitIdenticalAcrossThreadCounts) {
     for (std::size_t threads : {1u, 2u, 4u}) {
       par::ParallelOptions p;
       p.n_threads = threads;
-      p.grain = 1;
       par::parallel_for(p, 0, kCalls, [&](std::size_t i) {
         SvdWorkspace ws;
         const TruncatedSpectrum f = svd_truncated_ws(

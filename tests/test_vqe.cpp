@@ -581,9 +581,9 @@ TEST(EnergyEvaluator, GradientBitIdenticalToFiniteDifferences_H4) {
 }
 
 TEST(EnergyEvaluator, EagerPathGradientsMatchAndKeepTheIteratesError) {
-  // The eager paths (kStoreAll, Hadamard test) evaluate each entry with two
-  // full energies: still the finite-difference bytes, and still without
-  // touching the truncation error an iterate's evaluation recorded.
+  // Hadamard-test mode, with either circuit storage, evaluates each entry
+  // with two full energies: still the finite-difference bytes, and still
+  // without touching the truncation error an iterate's evaluation recorded.
   const Solved s = solve(chem::Molecule::h2(1.4));
   const pauli::QubitOperator h = chem::molecular_qubit_hamiltonian(s.mo);
   const UccsdAnsatz ansatz = build_uccsd(2, 1, 1);
@@ -591,7 +591,7 @@ TEST(EnergyEvaluator, EagerPathGradientsMatchAndKeepTheIteratesError) {
   sim::MpsOptions tight;
   tight.max_bond = 1;  // truncates, so every point has its own error
   const std::pair<MeasurementMode, CircuitStorage> paths[] = {
-      {MeasurementMode::kDirect, CircuitStorage::kStoreAll},
+      {MeasurementMode::kHadamardTest, CircuitStorage::kStoreAll},
       {MeasurementMode::kHadamardTest, CircuitStorage::kMemoryEfficient}};
   for (const auto& [mode, storage] : paths) {
     const EnergyEvaluator eval(ansatz.circuit, h, tight, mode, storage);
@@ -600,10 +600,52 @@ TEST(EnergyEvaluator, EagerPathGradientsMatchAndKeepTheIteratesError) {
     eval.energy(x);
     const double at_iterate = eval.last_truncation_error();
     EXPECT_GT(at_iterate, 0.0);
-    const std::string tag = "mode " + std::to_string(int(mode));
+    const std::string tag = "storage " + std::to_string(int(storage));
     expect_same_bits(eval.gradient(x, 1e-5), fd, tag);
     EXPECT_EQ(eval.last_truncation_error(), at_iterate) << tag;
   }
+}
+
+TEST(EnergyEvaluator, BothModesPrepareTheCompiledState) {
+  // Every state an evaluator prepares runs its compiled ansatz, in either
+  // measurement mode: a Hadamard-mode state_at carries the compiled
+  // stream's output permutation and the direct evaluator's bits.
+  const Solved s = solve(chem::Molecule::hydrogen_chain(4, 1.8));
+  const pauli::QubitOperator h = chem::molecular_qubit_hamiltonian(s.mo);
+  const UccsdAnsatz ansatz = build_uccsd(4, 2, 2);
+  const EnergyEvaluator direct(ansatz.circuit, h);
+  const EnergyEvaluator hadamard(ansatz.circuit, h, sim::MpsOptions{},
+                                 MeasurementMode::kHadamardTest);
+  EXPECT_EQ(hadamard.compiled_ansatz().gates.size(),
+            direct.compiled_ansatz().gates.size());
+  const std::vector<double> x = initial_parameters(ansatz, 0.1);
+  const sim::Mps a = direct.state_at(x), b = hadamard.state_at(x);
+  EXPECT_FALSE(a.output_permutation().is_identity());
+  EXPECT_EQ(b.output_permutation().site_of_map(),
+            a.output_permutation().site_of_map());
+  const std::vector<cplx> va = a.to_statevector(), vb = b.to_statevector();
+  ASSERT_EQ(va.size(), vb.size());
+  EXPECT_EQ(std::memcmp(va.data(), vb.data(), va.size() * sizeof(cplx)), 0);
+}
+
+TEST(EnergyEvaluator, DirectModeRefusesStoredCircuits) {
+  // kStoreAll stores one Hadamard-test circuit per string; direct mode
+  // measures the compiled ansatz's state and has no circuit to store.
+  const Solved s = solve(chem::Molecule::h2(1.4));
+  const pauli::QubitOperator h = chem::molecular_qubit_hamiltonian(s.mo);
+  const UccsdAnsatz ansatz = build_uccsd(2, 1, 1);
+  try {
+    const EnergyEvaluator eval(ansatz.circuit, h, sim::MpsOptions{},
+                               MeasurementMode::kDirect,
+                               CircuitStorage::kStoreAll);
+    ADD_FAILURE() << "a direct evaluator accepted kStoreAll";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("kStoreAll"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_NO_THROW(EnergyEvaluator(ansatz.circuit, h, sim::MpsOptions{},
+                                  MeasurementMode::kHadamardTest,
+                                  CircuitStorage::kStoreAll));
 }
 
 TEST(EnergyEvaluator, GradientReplaysOnlyShiftedSuffixes) {
@@ -1297,7 +1339,7 @@ TEST(AdjointGradient, FallsBackToCentralDifferencesWhereTheMpsTruncates) {
     const OptimizerResult central = minimize_lbfgs(
         [&](const std::vector<double>& x) { return eval.energy(x); },
         [&](const std::vector<double>& x) {
-          return eval.gradient(x, opts.gradient_eps);
+          return eval.gradient(x, kGradientEps);
         },
         x0, opts.optimizer);
     EXPECT_EQ(run.iterations, central.iterations) << c.name;
